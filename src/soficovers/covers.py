@@ -9,8 +9,11 @@ future sets of left rays of the presented shift.
 
 Two independent routes compute the stable vertex family:
 
-* :func:`stable_core` takes ranges of idempotent-led products in the
-  transition monoid (an idempotent's range is already stabilized);
+* :func:`stable_core` takes the ranges of the idempotents of the
+  transition monoid (an idempotent's range is already stabilized) and
+  closes them forward under the subset step; breadth-first search with
+  symbols in alphabet order gives each set its shortest, then
+  alphabetically least, continuation word;
 * :func:`stable_sets_from_tails` iterates the range of each candidate
   tail relation to its fixpoint, one eventually periodic left tail at a
   time.
@@ -21,7 +24,7 @@ Tests hold the package to exact agreement of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Container, Optional, Sequence
 
 from .errors import GraphFormatError, VerificationError
 from .graphs import (
@@ -142,22 +145,58 @@ def subset_construction(base: LabeledGraph, mode: str = "reachable-from-full") -
         ]
     elif mode in ("reachable-from-full", "reachable"):
         mode = "reachable-from-full"
-        step = _step_table(base)
-        start = frozenset(range(n))
-        seen = {start}
-        todo = [start]
-        while todo:
-            current = todo.pop(0)
-            for a in range(len(base.symbols)):
-                nxt = step(current, a)
-                if nxt and nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        family = list(seen)
+        steps = [symbol_relation(base, a) for a in range(len(base.symbols))]
+        family = [set_of(mask, n) for mask in closure_words(steps, [(1 << n) - 1])]
     else:
         raise GraphFormatError(f"unknown subset mode {mode!r}")
     graph, members = _build_subset_graph(base, family)
     return SubsetGraph(base, graph, members, mode)
+
+
+def closure_words(
+    steps: Sequence[BoolRelation],
+    sources: Sequence[int],
+    max_depth: Optional[int] = None,
+    prepend: bool = False,
+    known: Container[int] = (),
+) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+    """Vertex masks reachable from ``sources`` along the subset step.
+
+    Maps each reached mask to (depth, source position, word): depth is the
+    fewest steps from any source, and (source position, word) is the least
+    such pair, words compared letter by letter.  Reading symbol a maps a
+    mask to ``steps[a].image(mask)``; with ``prepend`` the words grow at
+    the front, as they do for a backward step.  Search runs level by
+    level, up to ``max_depth`` steps when given.  The empty mask and masks
+    in ``known`` are neither entered nor expanded.
+
+    A least word of depth d+1 is a letter plus a least word of depth d (or
+    the reverse), and the words it extends reach masks of depth exactly d,
+    so each level only needs the level before it.
+    """
+    found: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    frontier: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for pos, mask in enumerate(sources):
+        if mask and mask not in known and mask not in frontier:
+            frontier[mask] = (pos, ())
+    depth = 0
+    while frontier:
+        for mask, (pos, word) in frontier.items():
+            found[mask] = (depth, pos, word)
+        if max_depth is not None and depth >= max_depth:
+            break
+        depth += 1
+        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for mask, (pos, word) in frontier.items():
+            for a, rel in enumerate(steps):
+                target = rel.image(mask)
+                if not target or target in found or target in known:
+                    continue
+                label = (pos, (a,) + word if prepend else word + (a,))
+                if target not in nxt or label < nxt[target]:
+                    nxt[target] = label
+        frontier = nxt
+    return found
 
 
 def stable_core(
@@ -167,34 +206,34 @@ def stable_core(
 
     A set is stable exactly when it is ran(e . m) for an idempotent e of
     the transition monoid and an element m (or nothing) after it: the
-    left tail repeats e's word forever and then reads m's word.  The
-    family is closed under the subset step; this is asserted, never
-    repaired.
+    left tail repeats e's word forever and then reads m's word.  Since
+    ran(e . m) is the subset step from ran(e) along m's word, the family
+    is the forward closure of the idempotent ranges.
+
+    Idempotents are taken in monoid order.  A set's witness is (e's word,
+    v) for the first e whose range reaches it, with v the shortest, then
+    alphabetically least, word that gets there; this is the first monoid
+    element that does.  The closure from a range already in the family
+    adds nothing, so each stable set is expanded once.  The family's
+    closure under the subset step is asserted, never repaired.
     """
     require_essential(base)
     monoid = transition_monoid(base, budget)
     n = len(base.vertices)
-    found: dict[frozenset[int], Witness] = {}
+    steps = [symbol_relation(base, a) for a in range(len(base.symbols))]
+    found: dict[int, Witness] = {}
     for e_idx in monoid.idempotent_indices():
-        e = monoid.elements[e_idx]
-        base_mask = e.ran_mask()
-        if not base_mask:
+        ran = monoid.elements[e_idx].ran_mask()
+        if not ran or ran in found:
             continue
         e_word = monoid.word_of(e_idx)
-        candidates = [(base_mask, ())]
-        for m_idx, m in enumerate(monoid.elements):
-            candidates.append((m.image(base_mask), monoid.word_of(m_idx)))
-        for mask, m_word in candidates:
-            if not mask:
-                continue
-            members = set_of(mask, n)
-            if members not in found:
-                found[members] = (e_word, m_word)
-    graph, members = _build_subset_graph(base, list(found))
+        for mask, (_, _, word) in closure_words(steps, [ran], known=found).items():
+            found[mask] = (e_word, word)
+    graph, members = _build_subset_graph(base, [set_of(mask, n) for mask in found])
     if not is_essential(graph):
         raise VerificationError("stable core came out non-essential")
     require_right_resolving(graph, "stable core")
-    witnesses = tuple(found[m] for m in members)
+    witnesses = tuple(found[mask_of(m)] for m in members)
     return StableCore(base, graph, members, witnesses, monoid)
 
 

@@ -28,13 +28,13 @@ from .graphs import (
     transpose,
 )
 from .analysis import periodic_points
-from .covers import FULL_MODE_VERTEX_CAP, StableCore, stable_core
+from .covers import FULL_MODE_VERTEX_CAP, StableCore, closure_words, stable_core
 from .relations import (
     DEFAULT_MONOID_BUDGET,
-    mask_of,
     set_of,
     stabilized_domain,
     stabilized_range,
+    symbol_relation,
     transition_monoid,
     word_relation,
 )
@@ -324,50 +324,43 @@ def _tail_seed_masks(
 ) -> tuple[list[tuple[int, int, str]], list[tuple[int, int, str]]]:
     """Past-side and forward-side candidate masks with word budgets.
 
-    Past side: endpoint sets ran(e . m) reached after an idempotent tail;
-    forward side: start sets dom(m . f) ahead of an idempotent head.  Each
-    mask keeps its cheapest word length and one witness description.
+    Past side: endpoint sets ran(e . m) reached after an idempotent tail,
+    i.e. the forward closure of the idempotent ranges; forward side:
+    start sets dom(m . f) ahead of an idempotent head, i.e. the backward
+    closure of the idempotent domains.  Both stop at words of length
+    ``max_tail``.  Each mask keeps its shortest middle word m; on a tie
+    the earlier idempotent in monoid order, then the alphabetically least
+    m.  Its description spells the tail ``...e|m`` or the head ``|mf...``.
     """
     monoid = transition_monoid(base, budget)
     idempotents = [
         i for i in monoid.idempotent_indices()
         if not monoid.elements[i].is_empty()
     ]
-    middles: list[tuple[Optional[int], int]] = [(None, 0)]
-    for i, word in enumerate(monoid.words):
-        if len(word) <= max_tail:
-            middles.append((i, len(word)))
+    steps = [symbol_relation(base, a) for a in range(len(base.symbols))]
 
-    def word_str(idx: Optional[int]) -> str:
-        if idx is None:
-            return ""
-        return "".join(base.symbols[a] for a in monoid.words[idx])
+    def word_str(word: tuple[int, ...]) -> str:
+        return "".join(base.symbols[a] for a in word)
 
-    past: dict[int, tuple[int, str]] = {}
-    for e in idempotents:
-        ran_mask = monoid.elements[e].ran_mask()
-        for m, cost in middles:
-            mask = ran_mask if m is None else monoid.elements[m].image(ran_mask)
-            if not mask:
-                continue
-            desc = f"...{word_str(e)}|{word_str(m)}" if m is not None else f"...{word_str(e)}|"
-            if mask not in past or cost < past[mask][0]:
-                past[mask] = (cost, desc)
-    forward: dict[int, tuple[int, str]] = {}
-    for f in idempotents:
-        dom_mask = monoid.elements[f].dom_mask()
-        for m, cost in middles:
-            if m is None:
-                mask = dom_mask
-            else:
-                mask = monoid.elements[m].transpose().image(dom_mask)
-            if not mask:
-                continue
-            desc = f"|{word_str(m)}{word_str(f)}..." if m is not None else f"|{word_str(f)}..."
-            if mask not in forward or cost < forward[mask][0]:
-                forward[mask] = (cost, desc)
-    past_list = [(mask, cost, desc) for mask, (cost, desc) in past.items()]
-    forward_list = [(mask, cost, desc) for mask, (cost, desc) in forward.items()]
+    past = closure_words(
+        steps,
+        [monoid.elements[e].ran_mask() for e in idempotents],
+        max_depth=max_tail,
+    )
+    forward = closure_words(
+        [rel.transpose() for rel in steps],
+        [monoid.elements[f].dom_mask() for f in idempotents],
+        max_depth=max_tail,
+        prepend=True,
+    )
+    past_list = [
+        (mask, cost, f"...{word_str(monoid.words[idempotents[pos]])}|{word_str(m)}")
+        for mask, (cost, pos, m) in past.items()
+    ]
+    forward_list = [
+        (mask, cost, f"|{word_str(m)}{word_str(monoid.words[idempotents[pos]])}...")
+        for mask, (cost, pos, m) in forward.items()
+    ]
     past_list.sort()
     forward_list.sort()
     return past_list, forward_list

@@ -18,8 +18,6 @@ from .errors import EmptyShiftError, GraphFormatError, NotRightResolvingError
 
 Edge = tuple[int, int, int]  # (source vertex, symbol, target vertex)
 
-MAX_SET_VERTICES = 64  # subset vertices are stored as bitmasks of the base
-
 
 @dataclass(frozen=True)
 class LabeledGraph:
@@ -63,13 +61,15 @@ def build_graph(data: Mapping) -> LabeledGraph:
         {"format": 1, "alphabet": [...], "vertices": [...],
          "edges": [{"from": ..., "label": ..., "to": ...}, ...]}
 
-    Raises GraphFormatError with the offending location on any violation.
+    Symbols, vertex names and edge fields must be strings, and ``format``
+    the integer 1.  Raises GraphFormatError with the offending location on
+    any violation.
     Essentiality is not required here; see :func:`essentialize`.
     """
     if not isinstance(data, Mapping):
         raise GraphFormatError("graph description must be a mapping")
     fmt = data.get("format", 1)
-    if fmt != 1:
+    if type(fmt) is not int or fmt != 1:
         raise GraphFormatError(f"unsupported format {fmt!r}; expected 1")
     alphabet = data.get("alphabet")
     vertices = data.get("vertices")
@@ -80,8 +80,8 @@ def build_graph(data: Mapping) -> LabeledGraph:
         raise GraphFormatError("'vertices' must be a list of names")
     if not isinstance(edges, Sequence) or isinstance(edges, (str, bytes)):
         raise GraphFormatError("'edges' must be a list of records")
-    symbols = tuple(str(s) for s in alphabet)
-    names = tuple(str(v) for v in vertices)
+    symbols = _names(alphabet, "alphabet")
+    names = _names(vertices, "vertices")
     if len(set(symbols)) != len(symbols):
         raise GraphFormatError("alphabet contains duplicate symbols")
     if len(set(names)) != len(names):
@@ -101,7 +101,11 @@ def build_graph(data: Mapping) -> LabeledGraph:
         for key in ("from", "label", "to"):
             if key not in rec:
                 raise GraphFormatError(f"{where}: missing key {key!r}")
-        src, lab, dst = str(rec["from"]), str(rec["label"]), str(rec["to"])
+            if not isinstance(rec[key], str):
+                raise GraphFormatError(
+                    f"{where}: {key!r} must be a string, got {rec[key]!r}"
+                )
+        src, lab, dst = rec["from"], rec["label"], rec["to"]
         if src not in ver_index:
             raise GraphFormatError(f"{where}: unknown vertex {src!r}")
         if dst not in ver_index:
@@ -114,6 +118,13 @@ def build_graph(data: Mapping) -> LabeledGraph:
         seen.add(triple)
         triples.append(triple)
     return LabeledGraph(symbols, names, tuple(triples))
+
+
+def _names(items: Sequence, where: str) -> tuple[str, ...]:
+    for pos, item in enumerate(items):
+        if not isinstance(item, str):
+            raise GraphFormatError(f"{where}[{pos}] must be a string, got {item!r}")
+    return tuple(items)
 
 
 def graph_from_parts(

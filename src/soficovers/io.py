@@ -246,6 +246,8 @@ def parse_periodic(g: LabeledGraph, text: str) -> PeriodicWord:
         parts = [text]
     else:
         parts = list(text)
+    if not parts:
+        raise GraphFormatError(f"periodic word {text!r} names no symbol")
     indices = []
     for p in parts:
         if p not in g.symbols:

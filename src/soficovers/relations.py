@@ -1,8 +1,8 @@
 """Boolean reachability relations of labeled paths.
 
 For a word w, the relation holds (u, v) exactly when some path labeled w
-runs from u to v.  Rows are vertex bitmasks, so composition is a handful
-of integer ORs even at the 64-vertex cap.
+runs from u to v.  Rows are vertex bitmasks, so composition is one
+integer OR per vertex in each row.
 
 The closure of the single-symbol relations under composition is finite;
 every element has an idempotent power inside it.  Ranges of idempotent-led
@@ -105,9 +105,10 @@ def symbol_relation(g: LabeledGraph, symbol: int) -> BoolRelation:
 
 
 def word_relation(g: LabeledGraph, word: Sequence[int]) -> BoolRelation:
+    rels = {a: symbol_relation(g, a) for a in set(word)}
     rel = identity_relation(len(g.vertices))
     for a in word:
-        rel = rel.compose(symbol_relation(g, a))
+        rel = rel.compose(rels[a])
     return rel
 
 

@@ -1,0 +1,157 @@
+"""The closure routes against the idempotent x monoid loops they replace.
+
+``stable_core`` and ``_tail_seed_masks`` compute the stable family and the
+fiber tail seeds as closures of idempotent ranges and domains under the
+subset step.  The reference functions below keep the direct loops: every
+idempotent pushed through every monoid element.  Both routes must give
+the same members, witnesses, masks, costs and descriptions.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from soficovers import BASE_FIXTURES, load_fixture
+from soficovers.covers import stable_core
+from soficovers.errors import BudgetExceededError, EmptyShiftError
+from soficovers.fibers import _tail_seed_masks
+from soficovers.graphs import essentialize, graph_from_parts
+from soficovers.relations import set_of, transition_monoid
+from soficovers.verification import random_right_resolving_graphs
+
+MONOID_CAP = 1500
+MAX_TAIL = 8
+
+
+def reference_stable_witnesses(g, monoid):
+    """Stable set -> (e word, m word): first idempotent, then first element."""
+    n = len(g.vertices)
+    found = {}
+    for e_idx in monoid.idempotent_indices():
+        base_mask = monoid.elements[e_idx].ran_mask()
+        if not base_mask:
+            continue
+        e_word = monoid.word_of(e_idx)
+        candidates = [(base_mask, ())]
+        for m_idx, m in enumerate(monoid.elements):
+            candidates.append((m.image(base_mask), monoid.word_of(m_idx)))
+        for mask, m_word in candidates:
+            if mask and set_of(mask, n) not in found:
+                found[set_of(mask, n)] = (e_word, m_word)
+    return found
+
+
+def reference_tail_seed_masks(g, monoid, max_tail):
+    idempotents = [
+        i for i in monoid.idempotent_indices() if not monoid.elements[i].is_empty()
+    ]
+    middles = [(None, 0)] + [
+        (i, len(w)) for i, w in enumerate(monoid.words) if len(w) <= max_tail
+    ]
+
+    def word_str(idx):
+        return "" if idx is None else "".join(g.symbols[a] for a in monoid.words[idx])
+
+    transposes = [m.transpose() for m in monoid.elements]
+    past, forward = {}, {}
+    for e in idempotents:
+        ran_mask = monoid.elements[e].ran_mask()
+        for m, cost in middles:
+            mask = ran_mask if m is None else monoid.elements[m].image(ran_mask)
+            if mask and (mask not in past or cost < past[mask][0]):
+                past[mask] = (cost, f"...{word_str(e)}|{word_str(m)}")
+    for f in idempotents:
+        dom_mask = monoid.elements[f].dom_mask()
+        for m, cost in middles:
+            if m is None:
+                mask = dom_mask
+            else:
+                mask = transposes[m].image(dom_mask)
+            if mask and (mask not in forward or cost < forward[mask][0]):
+                forward[mask] = (cost, f"|{word_str(m)}{word_str(f)}...")
+    return (
+        sorted((mask, c, d) for mask, (c, d) in past.items()),
+        sorted((mask, c, d) for mask, (c, d) in forward.items()),
+    )
+
+
+def random_essential_graphs(count, seed, right_resolving):
+    """Seeded essential graphs on 7-10 raw vertices over 2-3 symbols.
+
+    Each vertex emits a random nonempty label set; a label leads to one
+    target, or to one or two when ``right_resolving`` is off.  Drafts that
+    trim to nothing or exceed the monoid cap are skipped.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(7, 10)
+        k = rng.randint(2, 3)
+        triples = []
+        for u in range(n):
+            for a in sorted(rng.sample(range(k), rng.randint(1, k))):
+                fan = 1 if right_resolving else rng.randint(1, 2)
+                for v in sorted(rng.sample(range(n), fan)):
+                    triples.append((f"v{u}", "abc"[a], f"v{v}"))
+        g = graph_from_parts("abc"[:k], [f"v{v}" for v in range(n)], triples)
+        try:
+            g = essentialize(g)
+            transition_monoid(g, MONOID_CAP)
+        except (EmptyShiftError, BudgetExceededError):
+            continue
+        out.append(g)
+    return out
+
+
+# Two head words of one length reach the forward mask of v1 (bit 3), "bca"
+# first in search order and "bbc" least; the seed keeps "|bbcbb...".
+HEAD_TIE = graph_from_parts(
+    "abc",
+    ["v0", "v1", "v2", "v4", "v8", "v9"],
+    [
+        ("v0", "b", "v0"), ("v1", "a", "v4"), ("v1", "b", "v0"), ("v1", "c", "v1"),
+        ("v2", "a", "v1"), ("v2", "c", "v4"), ("v4", "b", "v4"), ("v4", "c", "v9"),
+        ("v8", "a", "v8"), ("v8", "b", "v2"), ("v8", "c", "v4"), ("v9", "a", "v0"),
+        ("v9", "b", "v0"),
+    ],
+)
+
+GRAPHS = (
+    [(name, load_fixture(name)) for name in BASE_FIXTURES]
+    + [("head-tie", HEAD_TIE)]
+    + [(f"rr6-{i}", g) for i, g in enumerate(random_right_resolving_graphs(10, seed=7))]
+    + [(f"rr-{i}", g) for i, g in enumerate(random_essential_graphs(12, 11, True))]
+    + [(f"nrr-{i}", g) for i, g in enumerate(random_essential_graphs(12, 13, False))]
+)
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_closure_routes_match_monoid_loops(name, g):
+    core = stable_core(g)
+    expected = reference_stable_witnesses(g, core.monoid)
+    assert set(core.members) == set(expected)
+    assert dict(zip(core.members, core.witnesses)) == expected
+    assert _tail_seed_masks(g, MAX_TAIL, MONOID_CAP) == reference_tail_seed_masks(
+        g, core.monoid, MAX_TAIL
+    )
+
+
+def test_generator_covers_large_non_right_resolving_graphs():
+    sizes = [len(g.vertices) for name, g in GRAPHS if name.startswith("nrr-")]
+    assert max(sizes) >= 7
+    assert any(
+        len({(u, a) for u, a, _ in g.edges}) < len(g.edges)
+        for name, g in GRAPHS
+        if name.startswith("nrr-")
+    )
+
+
+@pytest.mark.parametrize("max_tail", [0, 1, 2])
+def test_short_tail_bounds_match(max_tail):
+    for _, g in GRAPHS[:12]:
+        monoid = transition_monoid(g)
+        assert _tail_seed_masks(g, max_tail, MONOID_CAP) == reference_tail_seed_masks(
+            g, monoid, max_tail
+        )

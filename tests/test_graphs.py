@@ -44,6 +44,26 @@ def test_build_graph_rejects_string_vertex_list():
         build_graph({"alphabet": ["0"], "vertices": "uv", "edges": []})
 
 
+@pytest.mark.parametrize("fmt", [True, 1.0, "1"])
+def test_build_graph_requires_integer_format(fmt):
+    with pytest.raises(GraphFormatError) as exc:
+        build_graph({"format": fmt, "alphabet": ["0"], "vertices": ["v"], "edges": []})
+    assert "format" in str(exc.value)
+
+
+def test_build_graph_rejects_non_string_names():
+    with pytest.raises(GraphFormatError) as exc:
+        build_graph({"alphabet": [["x"]], "vertices": ["v"], "edges": []})
+    assert "alphabet[0]" in str(exc.value)
+    with pytest.raises(GraphFormatError) as exc:
+        build_graph({"alphabet": ["0"], "vertices": ["v", 1], "edges": []})
+    assert "vertices[1]" in str(exc.value)
+    edge = {"from": "v", "label": "0", "to": 0}
+    with pytest.raises(GraphFormatError) as exc:
+        build_graph({"alphabet": ["0"], "vertices": ["v"], "edges": [edge]})
+    assert "edges[0]" in str(exc.value) and "'to'" in str(exc.value)
+
+
 def test_essentialize_trims_sink():
     g = graph_from_parts(
         ("0",), ("u", "v"), (("u", "0", "u"), ("u", "0", "v"))

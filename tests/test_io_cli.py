@@ -90,6 +90,8 @@ def test_parse_periodic_forms(example_a):
         parse_periodic(example_a, "9")
     with pytest.raises(GraphFormatError):
         parse_periodic(example_a, "")
+    with pytest.raises(GraphFormatError):
+        parse_periodic(example_a, ",")
 
 
 def fixture_file(tmp_path, name):
@@ -191,6 +193,41 @@ def test_cli_fibers(tmp_path, capsys):
 def test_cli_fibers_unrealizable(tmp_path, capsys):
     assert main(["fibers", fixture_file(tmp_path, "even_shift"), "--period", "0,1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("period", [",", ",,"])
+def test_cli_fibers_rejects_period_without_symbols(tmp_path, capsys, period):
+    assert main(["fibers", fixture_file(tmp_path, "example_a"), "--period", period]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"format": True},
+        {"format": 1.0},
+        {"alphabet": ["0", ["x"]]},
+        {"vertices": ["u", 1]},
+        {"edges": [{"from": "u", "label": 0, "to": "u"}]},
+    ],
+    ids=["format-true", "format-float", "list-symbol", "int-vertex", "int-label"],
+)
+def test_cli_rejects_non_string_names_and_loose_format(tmp_path, capsys, change):
+    data = {
+        "format": 1,
+        "alphabet": ["0"],
+        "vertices": ["u"],
+        "edges": [{"from": "u", "label": "0", "to": "u"}],
+    }
+    data.update(change)
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_iso_example(tmp_path, capsys):
