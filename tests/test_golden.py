@@ -1,11 +1,15 @@
 """Byte-for-byte CLI outputs on the bundled base fixtures.
 
-``tests/golden/`` holds the standard output of ``past-cover``,
-``future-cover``, ``extended-future-cover``, ``gprime`` and
-``fibers --period W --json`` (every realizable period up to length 3) on
-each base fixture, plus ``MANIFEST.json`` with the exit code of every
-case.  The products carry the stable-core witnesses and the fiber-core
-seed descriptions, so any change to how those are chosen shows here.
+``tests/golden/`` holds the standard output of ``check --json``,
+``subset`` in both modes, ``past-cover``, ``future-cover``,
+``extended-future-cover``, ``gpp``, ``gprime``, ``iso --json`` against a
+seeded permutation of the fixture, and ``fibers --period W --json``
+(every realizable period up to length 3) on each base fixture; of
+``lift --square`` and ``verify --square --diagrams --json`` on the
+2-block recoding square of ``example_b``; and ``MANIFEST.json`` with the
+exit code of every case.  The products carry the stable-core witnesses
+and the fiber-core seed descriptions, so any change to how those are
+chosen shows here.
 
 Refresh the corpus only for an intended output change::
 
@@ -18,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -27,10 +32,23 @@ import pytest
 from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import periodic_points
 from soficovers.cli import main
+from soficovers.codes import higher_block
+from soficovers.io import graph_to_data, square_to_data
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-CONSTRUCTIONS = ("past-cover", "future-cover", "extended-future-cover", "gprime")
+COMMANDS = (
+    ("check", ["check", "{path}", "--json"]),
+    ("subset.full", ["subset", "{path}", "--mode", "full"]),
+    ("subset.reachable-from-full", ["subset", "{path}", "--mode", "reachable-from-full"]),
+    ("past-cover", ["past-cover", "{path}"]),
+    ("future-cover", ["future-cover", "{path}"]),
+    ("extended-future-cover", ["extended-future-cover", "{path}"]),
+    ("gpp", ["gpp", "{path}"]),
+    ("gprime", ["gprime", "{path}"]),
+    ("iso", ["iso", "{path}", "{twin}", "--json"]),
+)
 FIBER_PERIOD = 3
+SQUARE = "example_b.square.json"  # higher_block(example_b, 2).square
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
@@ -38,21 +56,45 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     cases = []
     for name in BASE_FIXTURES:
         path = f"{name}.json"
-        for command in CONSTRUCTIONS:
-            cases.append((f"{name}.{command}", [command, path]))
+        for case, argv in COMMANDS:
+            cases.append(
+                (
+                    f"{name}.{case}",
+                    [a.format(path=path, twin=f"{name}.permuted.json") for a in argv],
+                )
+            )
         g = load_fixture(name)
         for p in periodic_points(g, FIBER_PERIOD):
             word = ",".join(g.symbols[a] for a in p.word)
             cases.append(
                 (f"{name}.fibers.{word}", ["fibers", path, "--period", word, "--json"])
             )
+    cases.append(("example_b.square.lift", ["lift", "--square", SQUARE]))
+    cases.append(
+        ("example_b.square.verify", ["verify", "--square", SQUARE, "--diagrams", "--json"])
+    )
     return cases
+
+
+def permuted_data(name: str) -> dict:
+    """The fixture with its alphabet, vertices and edges shuffled by a seed
+    derived from its position in BASE_FIXTURES."""
+    data = graph_to_data(load_fixture(name))
+    rng = random.Random(BASE_FIXTURES.index(name))
+    for key in ("alphabet", "vertices", "edges"):
+        rng.shuffle(data[key])
+    return data
 
 
 def write_fixtures(directory: Path) -> None:
     for name in BASE_FIXTURES:
         ref = resources.files("soficovers") / "fixtures" / f"{name}.json"
         (directory / f"{name}.json").write_bytes(ref.read_bytes())
+        (directory / f"{name}.permuted.json").write_text(
+            json.dumps(permuted_data(name), indent=2) + "\n"
+        )
+    square = square_to_data(higher_block(load_fixture("example_b"), 2).square)
+    (directory / SQUARE).write_text(json.dumps(square, indent=2) + "\n")
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
