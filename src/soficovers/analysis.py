@@ -15,14 +15,12 @@ from .errors import UnrealizableWordError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
-    deterministic_map,
     normalize_periodic,
     require_essential,
     require_right_resolving,
-    subset_step,
     words_up_to,
 )
-from .relations import omega_power, word_relation
+from .relations import omega_power, symbol_relation, word_relation
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,7 @@ def components_and_sources(
 ) -> ComponentInfo:
     """Tarjan decomposition keeping only SCCs that contain an edge."""
     n = len(g.vertices)
-    succ: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, _, v in g.edges:
-        succ[u].append(v)
+    succ = [[g.edges[k][2] for k in out] for out in g.index.out]
     index_of: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -98,12 +94,7 @@ def components_and_sources(
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
 
-    edge_set = {(u, v) for u, _, v in g.edges}
-    kept = [
-        comp
-        for comp in sccs
-        if len(comp) > 1 or (comp[0], comp[0]) in edge_set
-    ]
+    kept = [comp for comp in sccs if len(comp) > 1 or comp[0] in succ[comp[0]]]
     kept.sort(key=lambda comp: comp[0])
     component_of: list[Optional[int]] = [None] * n
     for i, comp in enumerate(kept):
@@ -127,21 +118,6 @@ def components_and_sources(
     )
 
 
-def reachable_from(g: LabeledGraph, starts: Sequence[int]) -> frozenset[int]:
-    seen = set(starts)
-    todo = list(starts)
-    succ: dict[int, list[int]] = {v: [] for v in range(len(g.vertices))}
-    for u, _, v in g.edges:
-        succ[u].append(v)
-    while todo:
-        v = todo.pop()
-        for w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return frozenset(seen)
-
-
 def follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
     """Group vertices by equal follower set, via Moore-style refinement.
 
@@ -149,18 +125,17 @@ def follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
     their smallest vertex.
     """
     require_essential(g)
-    delta = deterministic_map(g)
+    require_right_resolving(g)
     n = len(g.vertices)
-    out_labels = {
-        v: frozenset(a for (u, a) in delta if u == v) for v in range(n)
-    }
+    moves = {v: sorted(g.edges[k][1:] for k in g.index.out[v]) for v in range(n)}
+    out_labels = {v: frozenset(a for a, _ in moves[v]) for v in range(n)}
     block: dict[int, int] = {}
     keys = sorted(set(out_labels.values()), key=sorted)
     for v in range(n):
         block[v] = keys.index(out_labels[v])
     while True:
         signature = {
-            v: (block[v], tuple((a, block[delta[(v, a)]]) for a in sorted(out_labels[v])))
+            v: (block[v], tuple((a, block[w]) for a, w in moves[v]))
             for v in range(n)
         }
         distinct = sorted(set(signature.values()))
@@ -183,25 +158,24 @@ def follower_contains(g: LabeledGraph, u: int, v: int) -> bool:
     """Whether every label sequence out of ``u`` also occurs out of ``v``.
 
     Search over pairs (vertex on the u side, surviving subset on the v
-    side); containment fails exactly when some reachable pair can emit a
-    symbol that kills the subset.  Finite-word containment suffices on an
-    essential graph.
+    side, as a bitmask); containment fails exactly when some reachable
+    pair can emit a symbol that kills the subset.  Finite-word containment
+    suffices on an essential graph.
     """
     require_essential(g)
-    delta = deterministic_map(g)
-    out_labels: dict[int, list[int]] = {w: [] for w in range(len(g.vertices))}
-    for (w, a) in delta:
-        out_labels[w].append(a)
-    start = (u, frozenset([v]))
+    require_right_resolving(g)
+    steps = [symbol_relation(g, a) for a in range(len(g.symbols))]
+    start = (u, 1 << v)
     seen = {start}
     todo = [start]
     while todo:
         u1, vs = todo.pop()
-        for a in sorted(out_labels[u1]):
-            step = subset_step(g, vs, a)
+        for k in g.index.out[u1]:
+            _, a, w = g.edges[k]
+            step = steps[a].image(vs)
             if not step:
                 return False
-            state = (delta[(u1, a)], step)
+            state = (w, step)
             if state not in seen:
                 seen.add(state)
                 todo.append(state)
@@ -276,11 +250,7 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
         return IsomorphismResult(False, None)
 
     n = len(g1.vertices)
-    edges1 = {(u, sym1[a], v) for u, a, v in g1.edges}
     edges2 = {(u, sym2[a], v) for u, a, v in g2.edges}
-    out1: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
-    for u, a, v in g1.edges:
-        out1[u].append((sym1[a], v))
     candidates = [
         [w for w in range(n) if c2[w] == c1[v]] for v in range(n)
     ]

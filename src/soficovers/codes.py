@@ -54,16 +54,40 @@ RuleMap = Union[Mapping[Block, str], Callable[[Block], str]]
 
 
 class CachedRule:
-    """Callable rule with a memo of every block it has been asked about."""
+    """A rule computed on edge indices, memoized, with a name-level view.
 
-    def __init__(self, fn: Callable[[Block], str]):
+    ``at`` maps an index block to an index and remembers every block it
+    has evaluated; calling the rule does the same on edge names.
+    ``cache`` lists every evaluated block in names, whichever way it was
+    asked.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[tuple[int, ...]], int],
+        names_in: Sequence[str],
+        names_out: Sequence[str],
+    ):
         self.fn = fn
-        self.cache: dict[Block, str] = {}
+        self.memo: dict[tuple[int, ...], int] = {}
+        self.names_in = names_in
+        self.names_out = names_out
+        self.index_in = {name: k for k, name in enumerate(names_in)}
+
+    def at(self, block: tuple[int, ...]) -> int:
+        if block not in self.memo:
+            self.memo[block] = self.fn(block)
+        return self.memo[block]
 
     def __call__(self, block: Block) -> str:
-        if block not in self.cache:
-            self.cache[block] = self.fn(block)
-        return self.cache[block]
+        return self.names_out[self.at(tuple(self.index_in[name] for name in block))]
+
+    @property
+    def cache(self) -> dict[Block, str]:
+        return {
+            tuple(self.names_in[k] for k in block): self.names_out[out]
+            for block, out in self.memo.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -501,9 +525,7 @@ def member_paths_of_window(
     """The parallel base paths under a homogeneous core window, one per
     member of the starting vertex's set."""
     base = core.base
-    emit = {v: {} for v in range(len(base.vertices))}
-    for k, (u, a, _) in enumerate(base.edges):
-        emit[u][a] = k
+    emit = base.index.edge_at
     start_members = core.members[core.graph.edges[window.items[0]][0]]
     word = [core.graph.edges[k][1] for k in window.items]
     vertex_seq = _vertex_sequence(core.graph, window)
@@ -512,7 +534,7 @@ def member_paths_of_window(
         v = v0
         path = []
         for t, a in enumerate(word):
-            k = emit[v].get(a)
+            k = emit.get((v, a))
             if k is None:
                 raise VerificationError(
                     "member path dies inside a homogeneous window"
@@ -613,9 +635,10 @@ def map_bundle_path(
 class LiftedCode:
     """The induced conjugacy between stable cores, with its working data.
 
-    ``code`` is a callable-rule block code over core edge names whose
-    radius guarantees that every block contains the long component
-    intervals the construction needs.
+    ``code`` is a block code over core edge names whose radius guarantees
+    that every block contains the long component intervals the
+    construction needs.  Its rule is a :class:`CachedRule` evaluated on
+    edge indices; names are only produced when the code is serialized.
     """
 
     square: ConjugacySquare
@@ -628,19 +651,6 @@ class LiftedCode:
     components: ComponentInfo
     code: SlidingBlockCode = field(repr=False)
 
-    def __post_init__(self) -> None:
-        self._h_edge_index = {
-            name: i for i, name in enumerate(self.core_h.graph.edge_names())
-        }
-        self._core_h_lookup = {
-            (u, a): idx for idx, (u, a, _) in enumerate(self.core_h.graph.edges)
-        }
-
-    def rule_index(self, block: tuple[int, ...]) -> int:
-        names = tuple(self.core_g.graph.edge_name(k) for k in block)
-        out = self.code.output_for(names)
-        return self._h_edge_index[out]
-
     def apply_window(self, window: Window) -> Window:
         """Apply the induced code to a core-of-g edge-index window."""
         D = self.block_radius
@@ -648,8 +658,9 @@ class LiftedCode:
             raise GraphFormatError(
                 f"window of length {len(window)} is too short for radius {D}"
             )
+        at = self.code.rule.at
         items = tuple(
-            self.rule_index(tuple(window.items[t : t + 2 * D + 1]))
+            at(tuple(window.items[t : t + 2 * D + 1]))
             for t in range(len(window) - 2 * D)
         )
         return Window(window.start + D, items)
@@ -675,7 +686,7 @@ def _map_component_window(lifted: "LiftedCode", window: Window) -> Window:
         lifted.square, paths, window.start, lifted.kappa
     )
     h_index = lifted.core_h.member_index()
-    h_lookup = lifted._core_h_lookup
+    h_lookup = lifted.core_h.graph.index.edge_at
     edges = []
     for b in bundles:
         if b.source_set not in h_index:
@@ -745,7 +756,7 @@ def _fill_between(
     psi_out = apply_code(lifted.square.label_code, labels)
     core_h = lifted.core_h.graph
     sym_index = {s: t for t, s in enumerate(core_h.symbols)}
-    h_lookup = lifted._core_h_lookup
+    h_lookup = core_h.index.edge_at
     at = core_h.edges[left_img[i + kappa]][0]
     edges = []
     for t in range(i + kappa, l - kappa + 1):
@@ -817,6 +828,13 @@ def lift_conjugacy(
     core_h = stable_core(square.graph_h, budget)
     kappa = max(1, square.max_radius())
     info, radius = lift_parameters(core_g, kappa)
+
+    def rule(block: tuple[int, ...]) -> int:
+        win = Window(0, block)
+        _vertex_sequence(core_g.graph, win)  # reject non-path blocks early
+        return _rule_at_center(lifted, win, radius)
+
+    g_names, h_names = core_g.graph.edge_names(), core_h.graph.edge_names()
     lifted = LiftedCode(
         square=square,
         core_g=core_g,
@@ -827,23 +845,8 @@ def lift_conjugacy(
         block_radius=radius,
         components=info,
         code=SlidingBlockCode(
-            core_g.graph.edge_names(), core_h.graph.edge_names(), radius, {}
+            g_names, h_names, radius, CachedRule(rule, g_names, h_names)
         ),
-    )
-    g_edge_index = {name: i for i, name in enumerate(core_g.graph.edge_names())}
-
-    def rule(block: Block) -> str:
-        edges = tuple(g_edge_index[name] for name in block)
-        win = Window(0, edges)
-        _vertex_sequence(core_g.graph, win)  # reject non-path blocks early
-        out = _rule_at_center(lifted, win, radius)
-        return core_h.graph.edge_name(out)
-
-    lifted.code = SlidingBlockCode(
-        core_g.graph.edge_names(),
-        core_h.graph.edge_names(),
-        radius,
-        CachedRule(rule),
     )
     return lifted
 

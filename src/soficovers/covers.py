@@ -85,26 +85,40 @@ class StableCore:
         return {m: i for i, m in enumerate(self.members)}
 
 
-def _subset_vertex_order(family) -> list[frozenset[int]]:
-    return sorted(family, key=lambda m: (len(m), tuple(sorted(m))))
+def subset_key(members: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+    """Order of subset-family vertices: by size, then by sorted members."""
+    return (len(members), tuple(sorted(members)))
+
+
+def all_subsets(n: int, mode: str) -> list[frozenset[int]]:
+    """Every nonempty subset of n vertices, for the ``full`` subset and
+    bundle modes; ``mode`` names the caller's mode in the cap error."""
+    if n > FULL_MODE_VERTEX_CAP:
+        raise GraphFormatError(
+            f"full {mode} mode supports at most {FULL_MODE_VERTEX_CAP} "
+            f"vertices, got {n}"
+        )
+    return [set_of(mask, n) for mask in range(1, 1 << n)]
 
 
 def _build_subset_graph(
     base: LabeledGraph, family: list[frozenset[int]]
 ) -> tuple[LabeledGraph, tuple[frozenset[int], ...]]:
-    members = tuple(_subset_vertex_order(family))
-    index = {m: i for i, m in enumerate(members)}
-    step = _step_table(base)
+    members = tuple(sorted(family, key=subset_key))
+    index = {mask_of(m): i for i, m in enumerate(members)}
+    steps = [symbol_relation(base, a) for a in range(len(base.symbols))]
     edges = []
     for i, mem in enumerate(members):
-        for a in range(len(base.symbols)):
-            target = step(mem, a)
+        mask = mask_of(mem)
+        for a, rel in enumerate(steps):
+            target = rel.image(mask)
             if not target:
                 continue
             if target not in index:
                 raise VerificationError(
                     f"subset family not closed: {format_members(base, mem)} "
-                    f"-{base.symbols[a]}-> {format_members(base, target)}"
+                    f"-{base.symbols[a]}-> "
+                    f"{format_members(base, set_of(target, len(base.vertices)))}"
                 )
             edges.append((i, a, index[target]))
     graph = LabeledGraph(
@@ -113,16 +127,6 @@ def _build_subset_graph(
         tuple(edges),
     )
     return graph, members
-
-
-def _step_table(base: LabeledGraph):
-    rels = [symbol_relation(base, a) for a in range(len(base.symbols))]
-    n = len(base.vertices)
-
-    def step(members: frozenset[int], a: int) -> frozenset[int]:
-        return set_of(rels[a].image(mask_of(members)), n)
-
-    return step
 
 
 def subset_construction(base: LabeledGraph, mode: str = "reachable-from-full") -> SubsetGraph:
@@ -135,14 +139,7 @@ def subset_construction(base: LabeledGraph, mode: str = "reachable-from-full") -
     require_essential(base)
     n = len(base.vertices)
     if mode == "full":
-        if n > FULL_MODE_VERTEX_CAP:
-            raise GraphFormatError(
-                f"full subset mode supports at most {FULL_MODE_VERTEX_CAP} "
-                f"vertices, got {n}"
-            )
-        family = [
-            set_of(mask, n) for mask in range(1, 1 << n)
-        ]
+        family = all_subsets(n, "subset")
     elif mode in ("reachable-from-full", "reachable"):
         mode = "reachable-from-full"
         steps = [symbol_relation(base, a) for a in range(len(base.symbols))]

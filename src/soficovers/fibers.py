@@ -16,19 +16,21 @@ is uncountable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import GraphFormatError, UnrealizableWordError, VerificationError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
+    edge_lookup,
     format_members,
     require_essential,
     require_right_resolving,
     transpose,
+    trim,
 )
 from .analysis import periodic_points
-from .covers import FULL_MODE_VERTEX_CAP, StableCore, closure_words, stable_core
+from .covers import StableCore, all_subsets, closure_words, stable_core, subset_key
 from .relations import (
     DEFAULT_MONOID_BUDGET,
     set_of,
@@ -70,26 +72,20 @@ class BundleGraph:
         return {m: i for i, m in enumerate(self.members)}
 
 
-def _emit_table(base: LabeledGraph) -> dict[int, dict[int, int]]:
-    """vertex -> symbol -> unique edge index (right-resolving base)."""
-    require_right_resolving(base, "bundle graph")
-    table: dict[int, dict[int, int]] = {v: {} for v in range(len(base.vertices))}
-    for k, (u, a, _) in enumerate(base.edges):
-        table[u][a] = k
-    return table
-
-
 def bundle_step(
     base: LabeledGraph,
-    emit: dict[int, dict[int, int]],
+    emit: Mapping[tuple[int, int], int],
     members: frozenset[int],
     symbol: int,
 ) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
-    """Target set and member edges of the all-emit step, or None."""
+    """Target set and member edges of the all-emit step, or None.
+
+    ``emit`` is the base's :func:`edge_lookup` table.
+    """
     edges = []
     targets = set()
     for v in sorted(members):
-        k = emit[v].get(symbol)
+        k = emit.get((v, symbol))
         if k is None:
             return None
         edges.append(k)
@@ -100,8 +96,8 @@ def bundle_step(
 def _assemble_bundle(
     base: LabeledGraph, family: Iterable[frozenset[int]]
 ) -> tuple[LabeledGraph, tuple[frozenset[int], ...], tuple[BundleEdge, ...]]:
-    emit = _emit_table(base)
-    members = tuple(sorted(family, key=lambda m: (len(m), tuple(sorted(m)))))
+    emit = edge_lookup(base, "bundle graph")
+    members = tuple(sorted(family, key=subset_key))
     index = {m: i for i, m in enumerate(members)}
     plain = []
     bundles = []
@@ -129,9 +125,9 @@ def _assemble_bundle(
 def _forward_closure(
     base: LabeledGraph, starts: Iterable[frozenset[int]]
 ) -> set[frozenset[int]]:
-    emit = _emit_table(base)
+    emit = edge_lookup(base, "bundle graph")
     seen = set(starts)
-    todo = sorted(seen, key=lambda m: (len(m), tuple(sorted(m))))
+    todo = sorted(seen, key=subset_key)
     while todo:
         current = todo.pop(0)
         for a in range(len(base.symbols)):
@@ -159,14 +155,7 @@ def bundle_graph(
     require_right_resolving(base, "bundle graph")
     n = len(base.vertices)
     if mode == "full":
-        if n > FULL_MODE_VERTEX_CAP:
-            raise GraphFormatError(
-                f"full bundle mode supports at most {FULL_MODE_VERTEX_CAP} "
-                f"vertices, got {n}"
-            )
-        family: set[frozenset[int]] = {
-            set_of(mask, n) for mask in range(1, 1 << n)
-        }
+        family: Iterable[frozenset[int]] = all_subsets(n, "bundle")
     elif mode == "seeded":
         if seeds is None:
             raise GraphFormatError("seeded bundle mode needs seed sets")
@@ -221,21 +210,15 @@ def fiber_count_periodic(base: LabeledGraph, p: PeriodicWord) -> Union[int, str]
         for u, a, v in base.edges
         if a == p.at(k)
     ]
-    while True:
-        outs = {x for x, _ in arcs}
-        ins = {y for _, y in arcs}
-        dead = {x for x in nodes if x not in outs or x not in ins}
-        if not dead:
-            break
-        nodes -= dead
-        arcs = [(x, y) for x, y in arcs if x in nodes and y in nodes]
+    nodes = trim(nodes, arcs)
     if not nodes:
         raise UnrealizableWordError(
             f"word {p.word!r} has no bi-infinite labeled path"
         )
     indeg: dict = {}
-    for _, y in arcs:
-        indeg[y] = indeg.get(y, 0) + 1
+    for x, y in arcs:
+        if x in nodes and y in nodes:
+            indeg[y] = indeg.get(y, 0) + 1
     if any(d >= 2 for d in indeg.values()):
         return INFINITE
     return sum(1 for (_, k) in nodes if k == 0)
@@ -275,7 +258,7 @@ def fiber_ray(base: LabeledGraph, p: PeriodicWord) -> FiberRay:
     target coverage are asserted.
     """
     data = fiber_sets_on_periodic(base, p)
-    emit = _emit_table(base)
+    emit = edge_lookup(base, "bundle graph")
     member_edges = []
     for k in range(p.period):
         here = data.fiber_sets[k]
@@ -469,7 +452,7 @@ def maximal_dominated_path(core: StableCore, path: Sequence[int]) -> DominatedPa
     start = frozenset(start_members & admits)
     if not start:
         raise VerificationError("no member of the source set admits the label word")
-    emit = _emit_table(base)
+    emit = edge_lookup(base, "bundle graph")
     sets = [start]
     member_edges = []
     current = start

@@ -12,11 +12,27 @@ matter at the boundaries (files, reports, DOT output).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyShiftError, GraphFormatError, NotRightResolvingError
 
 Edge = tuple[int, int, int]  # (source vertex, symbol, target vertex)
+
+
+class GraphIndex(NamedTuple):
+    """The edge tables of one graph, shared by every construction.
+
+    ``rows[a][u]`` is the bitmask of the targets of ``a``-labeled edges
+    leaving ``u``; ``edge_at[(u, a)]`` is the index of the last such edge,
+    the only one on a right-resolving graph; ``out[u]`` lists the edges
+    leaving ``u`` in edge order.  Read-only.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    edge_at: Mapping[tuple[int, int], int]
+    out: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -33,6 +49,21 @@ class LabeledGraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
+    @cached_property
+    def index(self) -> GraphIndex:
+        """Edge tables, built on first use; equality and hashing ignore them."""
+        n = len(self.vertices)
+        rows = [[0] * n for _ in self.symbols]
+        out: list[list[int]] = [[] for _ in range(n)]
+        edge_at: dict[tuple[int, int], int] = {}
+        for k, (u, a, v) in enumerate(self.edges):
+            rows[a][u] |= 1 << v
+            out[u].append(k)
+            edge_at[(u, a)] = k
+        return GraphIndex(
+            tuple(map(tuple, rows)), MappingProxyType(edge_at), tuple(map(tuple, out))
+        )
+
     def symbol_index(self, name: str) -> int:
         return self.symbols.index(name)
 
@@ -46,11 +77,8 @@ class LabeledGraph:
     def edge_names(self) -> tuple[str, ...]:
         return tuple(self.edge_name(k) for k in range(len(self.edges)))
 
-    def out_edges(self, v: int) -> list[int]:
-        return [k for k, (u, _, _) in enumerate(self.edges) if u == v]
-
-    def in_edges(self, v: int) -> list[int]:
-        return [k for k, (_, _, w) in enumerate(self.edges) if w == v]
+    def out_edges(self, v: int) -> tuple[int, ...]:
+        return self.index.out[v]
 
 
 def build_graph(data: Mapping) -> LabeledGraph:
@@ -68,9 +96,7 @@ def build_graph(data: Mapping) -> LabeledGraph:
     """
     if not isinstance(data, Mapping):
         raise GraphFormatError("graph description must be a mapping")
-    fmt = data.get("format", 1)
-    if type(fmt) is not int or fmt != 1:
-        raise GraphFormatError(f"unsupported format {fmt!r}; expected 1")
+    _format_one(data)
     alphabet = data.get("alphabet")
     vertices = data.get("vertices")
     edges = data.get("edges")
@@ -120,7 +146,15 @@ def build_graph(data: Mapping) -> LabeledGraph:
     return LabeledGraph(symbols, names, tuple(triples))
 
 
+def _format_one(data: Mapping, where: str = "") -> None:
+    fmt = data.get("format", 1)
+    if type(fmt) is not int or fmt != 1:
+        raise GraphFormatError(f"{where}unsupported format {fmt!r}; expected 1")
+
+
 def _names(items: Sequence, where: str) -> tuple[str, ...]:
+    if not isinstance(items, Sequence) or isinstance(items, (str, bytes)):
+        raise GraphFormatError(f"{where} must be a list of strings")
     for pos, item in enumerate(items):
         if not isinstance(item, str):
             raise GraphFormatError(f"{where}[{pos}] must be a string, got {item!r}")
@@ -146,22 +180,44 @@ def is_essential(g: LabeledGraph) -> bool:
     return all(v in outs and v in ins for v in range(len(g.vertices)))
 
 
+def trim(nodes: Iterable[Hashable], arcs: Iterable[tuple[Hashable, Hashable]]) -> set:
+    """Bi-essential part of a digraph: the nodes left after repeatedly
+    dropping every node with no outgoing or no incoming arc.
+
+    ``arcs`` are (source, target) pairs between ``nodes``.  The survivors
+    are the nodes on bi-infinite paths, so the order of removal does not
+    matter; a worklist removes each node once and updates its neighbours'
+    degrees.
+    """
+    alive = set(nodes)
+    succ: dict = {x: [] for x in alive}
+    pred: dict = {x: [] for x in alive}
+    for x, y in arcs:
+        succ[x].append(y)
+        pred[y].append(x)
+    outdeg = {x: len(ys) for x, ys in succ.items()}
+    indeg = {x: len(ys) for x, ys in pred.items()}
+    todo = [x for x in alive if not outdeg[x] or not indeg[x]]
+    alive.difference_update(todo)
+    while todo:
+        x = todo.pop()
+        for ends, degree in ((succ[x], indeg), (pred[x], outdeg)):
+            for y in ends:
+                if y in alive:
+                    degree[y] -= 1
+                    if not degree[y]:
+                        alive.discard(y)
+                        todo.append(y)
+    return alive
+
+
 def essentialize(g: LabeledGraph) -> LabeledGraph:
     """Iteratively drop vertices with no outgoing or no incoming edge.
 
     Vertex and edge order of the survivors is preserved.  Raises
     EmptyShiftError when nothing survives.
     """
-    alive = set(range(len(g.vertices)))
-    edges = list(g.edges)
-    while True:
-        outs = {u for u, _, _ in edges}
-        ins = {v for _, _, v in edges}
-        dead = {v for v in alive if v not in outs or v not in ins}
-        if not dead:
-            break
-        alive -= dead
-        edges = [e for e in edges if e[0] in alive and e[2] in alive]
+    alive = trim(range(len(g.vertices)), [(u, v) for u, _, v in g.edges])
     if not alive:
         raise EmptyShiftError("no bi-infinite paths: every vertex was trimmed")
     keep = sorted(alive)
@@ -169,7 +225,11 @@ def essentialize(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(
         g.symbols,
         tuple(g.vertices[v] for v in keep),
-        tuple((remap[u], a, remap[v]) for u, a, v in edges),
+        tuple(
+            (remap[u], a, remap[v])
+            for u, a, v in g.edges
+            if u in alive and v in alive
+        ),
     )
 
 
@@ -205,24 +265,13 @@ def require_right_resolving(g: LabeledGraph, what: str = "operation") -> None:
         )
 
 
-def out_map(g: LabeledGraph) -> dict[tuple[int, int], list[int]]:
-    """(vertex, symbol) -> target vertices, in edge order."""
-    table: dict[tuple[int, int], list[int]] = {}
-    for u, a, v in g.edges:
-        table.setdefault((u, a), []).append(v)
-    return table
+def edge_lookup(g: LabeledGraph, what: str = "operation") -> Mapping[tuple[int, int], int]:
+    """(vertex, symbol) -> edge index, for right-resolving graphs.
 
-
-def deterministic_map(g: LabeledGraph) -> dict[tuple[int, int], int]:
-    """(vertex, symbol) -> unique target.  Requires right-resolving."""
-    require_right_resolving(g)
-    return {(u, a): v for u, a, v in g.edges}
-
-
-def edge_lookup(g: LabeledGraph) -> dict[tuple[int, int], int]:
-    """(vertex, symbol) -> edge index, for right-resolving graphs."""
-    require_right_resolving(g)
-    return {(u, a): k for k, (u, a, _) in enumerate(g.edges)}
+    ``what`` names the operation in the error raised otherwise.
+    """
+    require_right_resolving(g, what)
+    return g.index.edge_at
 
 
 def transpose(g: LabeledGraph) -> LabeledGraph:
@@ -231,7 +280,11 @@ def transpose(g: LabeledGraph) -> LabeledGraph:
 
 def subset_step(g: LabeledGraph, members: frozenset[int], symbol: int) -> frozenset[int]:
     """Targets of all ``symbol``-labeled edges leaving ``members``."""
-    return frozenset(v for u, a, v in g.edges if a == symbol and u in members)
+    rows = g.index.rows[symbol]
+    mask = 0
+    for u in members:
+        mask |= rows[u]
+    return frozenset(v for v in range(len(g.vertices)) if mask >> v & 1)
 
 
 def words_up_to(g: LabeledGraph, max_len: int) -> set[tuple[int, ...]]:
@@ -260,27 +313,9 @@ def words_up_to(g: LabeledGraph, max_len: int) -> set[tuple[int, ...]]:
     return words
 
 
-def follower_words(g: LabeledGraph, start: frozenset[int], max_len: int) -> set[tuple[int, ...]]:
-    """Label words of paths of length 1..max_len starting inside ``start``."""
-    words: set[tuple[int, ...]] = set()
-    frontier: dict[tuple[int, ...], frozenset[int]] = {(): frozenset(start)}
-    for _ in range(max_len):
-        nxt: dict[tuple[int, ...], frozenset[int]] = {}
-        for word, ends in frontier.items():
-            for a in range(len(g.symbols)):
-                step = subset_step(g, ends, a)
-                if step:
-                    nxt[word + (a,)] = step
-        words.update(nxt)
-        frontier = nxt
-    return words
-
-
 def paths_of_length(g: LabeledGraph, length: int) -> Iterator[tuple[int, ...]]:
     """All edge-index paths of the given length, in lexicographic edge order."""
-    succ: dict[int, list[int]] = {v: [] for v in range(len(g.vertices))}
-    for k, (u, _, _) in enumerate(g.edges):
-        succ[u].append(k)
+    succ = g.index.out
     if length <= 0:
         return
     stack: list[tuple[tuple[int, ...], int]] = [

@@ -12,7 +12,14 @@ import json
 from typing import Any, Mapping, Optional, Sequence, TextIO
 
 from .errors import GraphFormatError
-from .graphs import LabeledGraph, PeriodicWord, build_graph, normalize_periodic
+from .graphs import (
+    LabeledGraph,
+    PeriodicWord,
+    _format_one,
+    _names,
+    build_graph,
+    normalize_periodic,
+)
 from .codes import ConjugacySquare, SlidingBlockCode, rule_entries
 
 
@@ -130,26 +137,30 @@ def code_to_data(code: SlidingBlockCode) -> dict:
 
 
 def code_from_data(data: Mapping, where: str = "code") -> SlidingBlockCode:
+    """Validate and build a block code; ``format`` must be the integer 1,
+    the radius a nonnegative integer, and every symbol, block entry and
+    output a string."""
     if not isinstance(data, Mapping):
         raise GraphFormatError(f"{where}: must be a mapping")
-    if data.get("format", 1) != 1:
-        raise GraphFormatError(f"{where}: unsupported format {data.get('format')!r}")
+    _format_one(data, f"{where}: ")
     radius = data.get("window_radius")
-    if not isinstance(radius, int) or radius < 0:
+    if type(radius) is not int or radius < 0:
         raise GraphFormatError(f"{where}: 'window_radius' must be a nonnegative integer")
     for key in ("input_alphabet", "output_alphabet", "rules"):
         if not isinstance(data.get(key), Sequence) or isinstance(data.get(key), (str, bytes)):
             raise GraphFormatError(f"{where}: {key!r} must be a list")
-    input_alphabet = tuple(str(s) for s in data["input_alphabet"])
-    output_alphabet = tuple(str(s) for s in data["output_alphabet"])
+    input_alphabet = _names(data["input_alphabet"], f"{where}: input_alphabet")
+    output_alphabet = _names(data["output_alphabet"], f"{where}: output_alphabet")
     in_set, out_set = set(input_alphabet), set(output_alphabet)
     rule: dict[tuple[str, ...], str] = {}
     for pos, rec in enumerate(data["rules"]):
         spot = f"{where}: rules[{pos}]"
         if not isinstance(rec, Mapping) or "block" not in rec or "out" not in rec:
             raise GraphFormatError(f"{spot}: need 'block' and 'out'")
-        block = tuple(str(s) for s in rec["block"])
-        out = str(rec["out"])
+        block = _names(rec["block"], f"{spot}: block")
+        out = rec["out"]
+        if not isinstance(out, str):
+            raise GraphFormatError(f"{spot}: 'out' must be a string, got {out!r}")
         if len(block) != 2 * radius + 1:
             raise GraphFormatError(
                 f"{spot}: block length {len(block)} != {2 * radius + 1}"
@@ -189,8 +200,7 @@ def square_to_data(square: ConjugacySquare) -> dict:
 def square_from_data(data: Mapping, where: str = "square") -> ConjugacySquare:
     if not isinstance(data, Mapping):
         raise GraphFormatError(f"{where}: must be a mapping")
-    if data.get("format", 1) != 1:
-        raise GraphFormatError(f"{where}: unsupported format {data.get('format')!r}")
+    _format_one(data, f"{where}: ")
     for key in ("graph_g", "graph_h", "edge_code", "edge_code_inv",
                 "label_code", "label_code_inv"):
         if key not in data:

@@ -97,11 +97,7 @@ def identity_relation(size: int) -> BoolRelation:
 
 
 def symbol_relation(g: LabeledGraph, symbol: int) -> BoolRelation:
-    rows = [0] * len(g.vertices)
-    for u, a, v in g.edges:
-        if a == symbol:
-            rows[u] |= 1 << v
-    return BoolRelation(len(g.vertices), tuple(rows))
+    return BoolRelation(len(g.vertices), g.index.rows[symbol])
 
 
 def word_relation(g: LabeledGraph, word: Sequence[int]) -> BoolRelation:

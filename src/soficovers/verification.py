@@ -35,6 +35,7 @@ from .graphs import (
     essentialize,
     graph_from_parts,
     path_window,
+    trim,
 )
 from .relations import (
     DEFAULT_MONOID_BUDGET,
@@ -765,16 +766,7 @@ def _synchronized_pairs(
         for u2, a2, v2 in g.edges
         if u2 in right_set and v2 in right_set and a1 == a2
     ]
-    nodes = {x for arc in arcs for x in arc}
-    while True:
-        outs = {x for x, _ in arcs}
-        ins = {y for _, y in arcs}
-        dead = {x for x in nodes if x not in outs or x not in ins}
-        if not dead:
-            break
-        nodes -= dead
-        arcs = [(x, y) for x, y in arcs if x in nodes and y in nodes]
-    return nodes
+    return trim({x for arc in arcs for x in arc}, arcs)
 
 
 def check_source_component_injectivity(core, detail_name: str = "") -> CheckOutcome:

@@ -187,6 +187,26 @@ def test_lift_identity_acts_trivially(example_b):
     assert out.items == grown.segment(grown.start + d, grown.end - d).items
 
 
+def test_lifted_rule_entries_follow_apply_window(example_b):
+    lifted = lift_conjugacy(higher_block(example_b, 2).square)
+    assert rule_entries(lifted.code) == ()
+    _, window = components_crossing_window(example_b)
+    d = lifted.block_radius
+    grown = grow_window(lifted, window, 2 * d + 6)
+    out = lifted.apply_window(grown)
+    entries = dict(rule_entries(lifted.code))
+    g_names = lifted.core_g.graph.edge_names()
+    h_names = lifted.core_h.graph.edge_names()
+    blocks = {}
+    for t in range(out.start, out.end + 1):
+        block = tuple(g_names[k] for k in grown.segment(t - d, t + d).items)
+        blocks[block] = h_names[out[t]]
+    assert entries and entries == blocks
+    for block, name in blocks.items():  # the name-level rule reads the same memo
+        assert lifted.code.output_for(block) == name
+    assert dict(rule_entries(lifted.code)) == blocks
+
+
 def grow_window(lifted, window, length):
     """Extend a core window on the right by label-following a loop."""
     g = lifted.core_g.graph

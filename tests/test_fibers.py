@@ -14,7 +14,7 @@ from soficovers import (
     stable_core,
 )
 from soficovers.fibers import maximal_dominated_path
-from soficovers.graphs import deterministic_map, edge_lookup, subset_step
+from soficovers.graphs import edge_lookup, subset_step
 
 
 def word_of(g, text):
@@ -30,12 +30,11 @@ def test_bundle_full_example_b(example_b):
     assert {names(example_b, m) for m in bundle.members} == {
         frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})
     }
-    steps = deterministic_map(example_b)
     edges = edge_lookup(example_b)
     for be in bundle.bundle_edges:
         sources = bundle.members[be.source]
         # the all-emit rule: every member emits the symbol, targets collected
-        targets = frozenset(steps[(m, be.symbol)] for m in sources)
+        targets = frozenset(example_b.edges[edges[(m, be.symbol)]][2] for m in sources)
         assert targets == bundle.members[be.target]
         assert frozenset(edges[(m, be.symbol)] for m in sources) == frozenset(be.members)
 
@@ -45,7 +44,7 @@ def test_bundle_seeded_closure(example_b):
     bundle = bundle_graph(example_b, "seeded", [seed])
     assert seed in bundle.members
     # closed under every all-emit step
-    emit = deterministic_map(example_b)
+    emit = edge_lookup(example_b)
     family = set(bundle.members)
     for members in family:
         for a in range(len(example_b.symbols)):

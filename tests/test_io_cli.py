@@ -75,6 +75,70 @@ def test_code_rejects_conflicting_rules():
     assert "rules[1]" in str(exc.value)
 
 
+def test_code_rejects_loose_fields_found_example():
+    data = {
+        "format": True,
+        "window_radius": 0,
+        "input_alphabet": [["x"]],
+        "output_alphabet": [1],
+        "rules": [{"block": [["x"]], "out": 1}],
+    }
+    with pytest.raises(GraphFormatError):
+        code_from_data(data)
+
+
+LOOSE_CODE_FIELDS = [
+    {"format": True},
+    {"format": 1.0},
+    {"window_radius": True},
+    {"input_alphabet": ["a", 1]},
+    {"output_alphabet": [["x"]]},
+    {"rules": [{"block": [1], "out": "x"}]},
+    {"rules": [{"block": "a", "out": "x"}]},
+    {"rules": [{"block": ["a"], "out": 1}]},
+]
+LOOSE_CODE_IDS = [
+    "format-true", "format-float", "radius-true", "int-input-symbol",
+    "list-output-symbol", "int-block-entry", "string-block", "int-out",
+]
+
+
+def strict_code_data():
+    return {
+        "format": 1,
+        "window_radius": 0,
+        "input_alphabet": ["a"],
+        "output_alphabet": ["x"],
+        "rules": [{"block": ["a"], "out": "x"}],
+    }
+
+
+@pytest.mark.parametrize("change", LOOSE_CODE_FIELDS, ids=LOOSE_CODE_IDS)
+def test_code_rejects_loose_fields(change):
+    code_from_data(strict_code_data())  # the unchanged record loads
+    data = strict_code_data()
+    data.update(change)
+    with pytest.raises(GraphFormatError):
+        code_from_data(data)
+
+
+@pytest.mark.parametrize(
+    "key,change",
+    [("square", {"format": True})]
+    + [("label_code", change) for change in LOOSE_CODE_FIELDS],
+    ids=["square-format-true"] + [f"label_code-{i}" for i in LOOSE_CODE_IDS],
+)
+def test_cli_verify_rejects_loose_square(tmp_path, capsys, key, change):
+    data = square_to_data(higher_block(load_fixture("example_b"), 2).square)
+    (data if key == "square" else data[key]).update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--square", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_export_dot_text():
     g = load_fixture("single_loop")
     text = export_dot(g, "L")
