@@ -2,8 +2,10 @@
 
 ``tests/golden/`` holds the standard output of ``check --json``,
 ``subset`` in both modes, ``past-cover``, ``future-cover``,
-``extended-future-cover``, ``gpp``, ``gprime``, ``iso --json`` against a
-seeded permutation of the fixture, and ``fibers --period W --json``
+``extended-future-cover``, ``gpp`` (full, and seeded from the first
+vertex and from the last vertex plus the first two), ``gprime``,
+``iso --json`` against a seeded permutation of the fixture, and
+``fibers --period W --json``
 (every realizable period up to length 3) on each base fixture; of
 ``lift --square`` and ``verify --square --diagrams --json`` on the
 2-block recoding square of ``example_b``; and ``MANIFEST.json`` with the
@@ -64,6 +66,12 @@ def golden_cases() -> list[tuple[str, list[str]]]:
                 )
             )
         g = load_fixture(name)
+        first, second = g.vertices[0], g.vertices[min(1, len(g.vertices) - 1)]
+        for specs in ([first], [g.vertices[-1], f"{first},{second}"]):
+            argv = ["gpp", path, "--mode", "seeded"]
+            for spec in specs:
+                argv += ["--seed", spec]
+            cases.append((f"{name}.gpp.seeded.{'+'.join(specs)}", argv))
         for p in periodic_points(g, FIBER_PERIOD):
             word = ",".join(g.symbols[a] for a in p.word)
             cases.append(
