@@ -39,9 +39,6 @@ class ComponentInfo:
     is_source: tuple[bool, ...]
     multiplicity: tuple[Optional[int], ...]
 
-    def source_indices(self) -> list[int]:
-        return [i for i, s in enumerate(self.is_source) if s]
-
 
 def components_and_sources(
     g: LabeledGraph, members: Optional[Sequence[frozenset[int]]] = None

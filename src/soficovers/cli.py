@@ -52,7 +52,7 @@ from .io import (
     parse_periodic,
     subset_provenance,
 )
-from .relations import DEFAULT_MONOID_BUDGET
+from .relations import DEFAULT_MONOID_BUDGET, mask_of
 from .verification import VerifyBounds, headline_counts, run_acceptance, run_criterion
 
 
@@ -288,9 +288,9 @@ def cmd_fibers(args: argparse.Namespace) -> int:
             }
         )
         report.counts[f"phase {k}"] = (
-            f"past={format_members(g, data.past_sets[k])}"
-            f" forward={format_members(g, data.forward_sets[k])}"
-            f" fiber={format_members(g, data.fiber_sets[k])}"
+            f"past={format_members(g, mask_of(data.past_sets[k]))}"
+            f" forward={format_members(g, mask_of(data.forward_sets[k]))}"
+            f" fiber={format_members(g, mask_of(data.fiber_sets[k]))}"
         )
     report.result = {"word": word, "count": data.count, "phases": phases}
     if check_right_resolving(g).ok:

@@ -47,7 +47,7 @@ from .covers import (
     past_set_ray,
     stable_core,
 )
-from .relations import DEFAULT_MONOID_BUDGET, stabilized_range, word_relation
+from .relations import DEFAULT_MONOID_BUDGET, mask_of, stabilized_range, word_relation
 
 Block = tuple[str, ...]
 RuleMap = Union[Mapping[Block, str], Callable[[Block], str]]
@@ -1153,7 +1153,7 @@ def verify_lift_diagrams(
 
     h_sym = {s: i for i, s in enumerate(h.symbols)}
     h_core_lookup = edge_lookup(core_h.graph)
-    h_members = core_h.member_index()
+    h_members = {mask_of(m): i for i, m in enumerate(core_h.members)}
 
     def check_alpha(p: PeriodicWord):
         T = p.period
@@ -1167,8 +1167,7 @@ def verify_lift_diagrams(
         for t in range(out.start, out.end + 1):
             k = t % T
             rot = hw[k:] + hw[:k]
-            members = stabilized_range(word_relation(h, rot))
-            v = h_members.get(members)
+            v = h_members.get(stabilized_range(word_relation(h, rot)))
             if v is None:
                 return False, "image word's stabilized set missing from the core"
             e = h_core_lookup.get((v, hw[k]))

@@ -24,12 +24,13 @@ Tests hold the package to exact agreement of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import GraphFormatError, VerificationError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
+    bits,
     edge_lookup,
     format_members,
     is_essential,
@@ -52,6 +53,8 @@ from .relations import (
 FULL_MODE_VERTEX_CAP = 16
 
 Witness = tuple[tuple[int, ...], tuple[int, ...]]  # (repeated word, continuation)
+# One symbol's step on vertex masks; 0 where the step is undefined.
+Step = Callable[[int], int]
 
 
 @dataclass(frozen=True)
@@ -85,48 +88,56 @@ class StableCore:
         return {m: i for i, m in enumerate(self.members)}
 
 
-def subset_key(members: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+def subset_key(mask: int) -> tuple[int, list[int]]:
     """Order of subset-family vertices: by size, then by sorted members."""
-    return (len(members), tuple(sorted(members)))
+    members = bits(mask)
+    return (len(members), members)
 
 
-def all_subsets(n: int, mode: str) -> list[frozenset[int]]:
-    """Every nonempty subset of n vertices, for the ``full`` subset and
+def all_subsets(n: int, mode: str) -> range:
+    """Every nonempty subset mask of n vertices, for the ``full`` subset and
     bundle modes; ``mode`` names the caller's mode in the cap error."""
     if n > FULL_MODE_VERTEX_CAP:
         raise GraphFormatError(
             f"full {mode} mode supports at most {FULL_MODE_VERTEX_CAP} "
             f"vertices, got {n}"
         )
-    return [set_of(mask, n) for mask in range(1, 1 << n)]
+    return range(1, 1 << n)
 
 
-def _build_subset_graph(
-    base: LabeledGraph, family: list[frozenset[int]]
-) -> tuple[LabeledGraph, tuple[frozenset[int], ...]]:
-    members = tuple(sorted(family, key=subset_key))
-    index = {mask_of(m): i for i, m in enumerate(members)}
-    steps = [symbol_relation(base, a) for a in range(len(base.symbols))]
+def subset_steps(base: LabeledGraph) -> list[Step]:
+    """The subset step along each symbol: endpoints of its edges out of a set."""
+    return [symbol_relation(base, a).image for a in range(len(base.symbols))]
+
+
+def assemble_subset_graph(
+    base: LabeledGraph, family: Iterable[int], steps: Sequence[Step]
+) -> tuple[LabeledGraph, list[int]]:
+    """The graph on a step-closed family of vertex masks, in subset order.
+
+    Vertex i is the i-th mask; an edge reads symbol a wherever ``steps[a]``
+    is defined.  Closure of the family is asserted, never repaired.
+    """
+    masks = sorted(family, key=subset_key)
+    index = {mask: i for i, mask in enumerate(masks)}
     edges = []
-    for i, mem in enumerate(members):
-        mask = mask_of(mem)
-        for a, rel in enumerate(steps):
-            target = rel.image(mask)
+    for i, mask in enumerate(masks):
+        for a, step in enumerate(steps):
+            target = step(mask)
             if not target:
                 continue
             if target not in index:
                 raise VerificationError(
-                    f"subset family not closed: {format_members(base, mem)} "
-                    f"-{base.symbols[a]}-> "
-                    f"{format_members(base, set_of(target, len(base.vertices)))}"
+                    f"subset family not closed: {format_members(base, mask)} "
+                    f"-{base.symbols[a]}-> {format_members(base, target)}"
                 )
             edges.append((i, a, index[target]))
     graph = LabeledGraph(
         base.symbols,
-        tuple(format_members(base, m) for m in members),
+        tuple(format_members(base, m) for m in masks),
         tuple(edges),
     )
-    return graph, members
+    return graph, masks
 
 
 def subset_construction(base: LabeledGraph, mode: str = "reachable-from-full") -> SubsetGraph:
@@ -138,20 +149,21 @@ def subset_construction(base: LabeledGraph, mode: str = "reachable-from-full") -
     """
     require_essential(base)
     n = len(base.vertices)
+    steps = subset_steps(base)
+    family: Iterable[int]
     if mode == "full":
         family = all_subsets(n, "subset")
     elif mode in ("reachable-from-full", "reachable"):
         mode = "reachable-from-full"
-        steps = [symbol_relation(base, a) for a in range(len(base.symbols))]
-        family = [set_of(mask, n) for mask in closure_words(steps, [(1 << n) - 1])]
+        family = closure_words(steps, [(1 << n) - 1])
     else:
         raise GraphFormatError(f"unknown subset mode {mode!r}")
-    graph, members = _build_subset_graph(base, family)
-    return SubsetGraph(base, graph, members, mode)
+    graph, masks = assemble_subset_graph(base, family, steps)
+    return SubsetGraph(base, graph, tuple(map(set_of, masks)), mode)
 
 
 def closure_words(
-    steps: Sequence[BoolRelation],
+    steps: Sequence[Step],
     sources: Sequence[int],
     max_depth: Optional[int] = None,
     prepend: bool = False,
@@ -162,7 +174,7 @@ def closure_words(
     Maps each reached mask to (depth, source position, word): depth is the
     fewest steps from any source, and (source position, word) is the least
     such pair, words compared letter by letter.  Reading symbol a maps a
-    mask to ``steps[a].image(mask)``; with ``prepend`` the words grow at
+    mask to ``steps[a](mask)``; with ``prepend`` the words grow at
     the front, as they do for a backward step.  Search runs level by
     level, up to ``max_depth`` steps when given.  The empty mask and masks
     in ``known`` are neither entered nor expanded.
@@ -185,8 +197,8 @@ def closure_words(
         depth += 1
         nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
         for mask, (pos, word) in frontier.items():
-            for a, rel in enumerate(steps):
-                target = rel.image(mask)
+            for a, step in enumerate(steps):
+                target = step(mask)
                 if not target or target in found or target in known:
                     continue
                 label = (pos, (a,) + word if prepend else word + (a,))
@@ -216,8 +228,7 @@ def stable_core(
     """
     require_essential(base)
     monoid = transition_monoid(base, budget)
-    n = len(base.vertices)
-    steps = [symbol_relation(base, a) for a in range(len(base.symbols))]
+    steps = subset_steps(base)
     found: dict[int, Witness] = {}
     for e_idx in monoid.idempotent_indices():
         ran = monoid.elements[e_idx].ran_mask()
@@ -226,12 +237,12 @@ def stable_core(
         e_word = monoid.word_of(e_idx)
         for mask, (_, _, word) in closure_words(steps, [ran], known=found).items():
             found[mask] = (e_word, word)
-    graph, members = _build_subset_graph(base, [set_of(mask, n) for mask in found])
+    graph, masks = assemble_subset_graph(base, found, steps)
     if not is_essential(graph):
         raise VerificationError("stable core came out non-essential")
     require_right_resolving(graph, "stable core")
-    witnesses = tuple(found[mask_of(m)] for m in members)
-    return StableCore(base, graph, members, witnesses, monoid)
+    witnesses = tuple(found[mask] for mask in masks)
+    return StableCore(base, graph, tuple(map(set_of, masks)), witnesses, monoid)
 
 
 def stable_sets_from_tails(
@@ -267,19 +278,18 @@ def stable_sets_from_tails(
             break
     relations = [(BoolRelation(n, rows), word) for rows, word in by_rows.items()]
     relations.sort(key=lambda rw: (len(rw[1]), rw[1]))
-    result: dict[frozenset[int], Witness] = {}
+    result: dict[int, Witness] = {}
     for tail_rel, u_word in relations:
         stable = stabilized_range(tail_rel)
         if not stable:
             continue
-        stable_mask = mask_of(stable)
         if stable not in result:
             result[stable] = (u_word, ())
         for cont_rel, v_word in relations:
-            members = set_of(cont_rel.image(stable_mask), n)
-            if members and members not in result:
-                result[members] = (u_word, v_word)
-    return result
+            mask = cont_rel.image(stable)
+            if mask and mask not in result:
+                result[mask] = (u_word, v_word)
+    return {set_of(mask): witness for mask, witness in result.items()}
 
 
 @dataclass(frozen=True)
@@ -303,17 +313,17 @@ def past_set_ray(core: StableCore, p: PeriodicWord) -> PeriodicRay:
     starting at k.
     """
     require_realizable(core.base, p)
-    index = core.member_index()
+    index = {mask_of(m): i for i, m in enumerate(core.members)}
     lookup = edge_lookup(core.graph)
     verts = []
     for k in range(p.period):
-        members = stabilized_range(word_relation(core.base, p.rotation_from(k)))
-        if members not in index:
+        mask = stabilized_range(word_relation(core.base, p.rotation_from(k)))
+        if mask not in index:
             raise VerificationError(
-                f"stabilized set {format_members(core.base, members)} missing "
+                f"stabilized set {format_members(core.base, mask)} missing "
                 "from the stable core"
             )
-        verts.append(index[members])
+        verts.append(index[mask])
     edges = []
     for k in range(p.period):
         key = (verts[k], p.at(k))
@@ -341,9 +351,6 @@ class CoverBundle:
     factor_vertex: tuple[int, ...]
     factor_edge: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-
-    def map_edge_window(self, edges):
-        return tuple(self.factor_edge[k] for k in edges)
 
 
 def merged_graph(origin: LabeledGraph) -> CoverBundle:

@@ -22,17 +22,27 @@ from .errors import GraphFormatError, UnrealizableWordError, VerificationError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
+    bits,
     edge_lookup,
-    format_members,
     require_essential,
     require_right_resolving,
     transpose,
     trim,
 )
 from .analysis import periodic_points
-from .covers import StableCore, all_subsets, closure_words, stable_core, subset_key
+from .covers import (
+    Step,
+    StableCore,
+    all_subsets,
+    assemble_subset_graph,
+    closure_words,
+    stable_core,
+    subset_steps,
+)
 from .relations import (
     DEFAULT_MONOID_BUDGET,
+    BoolRelation,
+    mask_of,
     set_of,
     stabilized_domain,
     stabilized_range,
@@ -75,99 +85,84 @@ class BundleGraph:
 def bundle_step(
     base: LabeledGraph,
     emit: Mapping[tuple[int, int], int],
-    members: frozenset[int],
+    mask: int,
     symbol: int,
-) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
-    """Target set and member edges of the all-emit step, or None.
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Target mask and member edges of the all-emit step, or None.
 
     ``emit`` is the base's :func:`edge_lookup` table.
     """
     edges = []
-    targets = set()
-    for v in sorted(members):
+    target = 0
+    for v in bits(mask):
         k = emit.get((v, symbol))
         if k is None:
             return None
         edges.append(k)
-        targets.add(base.edges[k][2])
-    return frozenset(targets), tuple(edges)
+        target |= 1 << base.edges[k][2]
+    return target, tuple(edges)
+
+
+def _all_emit_steps(base: LabeledGraph) -> list[Step]:
+    """The subset step along each symbol, defined only on sets whose every
+    member emits the symbol."""
+
+    def all_emit(rel: BoolRelation) -> Step:
+        emitters = rel.dom_mask()
+        return lambda mask: rel.image(mask) if mask & emitters == mask else 0
+
+    return [all_emit(symbol_relation(base, a)) for a in range(len(base.symbols))]
 
 
 def _assemble_bundle(
-    base: LabeledGraph, family: Iterable[frozenset[int]]
-) -> tuple[LabeledGraph, tuple[frozenset[int], ...], tuple[BundleEdge, ...]]:
+    base: LabeledGraph, family: Iterable[int]
+) -> tuple[LabeledGraph, list[int], tuple[BundleEdge, ...]]:
+    """The subset-graph assembly under the all-emit steps, plus the member
+    edges of each bundle edge in increasing vertex order."""
     emit = edge_lookup(base, "bundle graph")
-    members = tuple(sorted(family, key=subset_key))
-    index = {m: i for i, m in enumerate(members)}
-    plain = []
-    bundles = []
-    for i, mem in enumerate(members):
-        for a in range(len(base.symbols)):
-            step = bundle_step(base, emit, mem, a)
-            if step is None:
-                continue
-            target, edge_members = step
-            if target not in index:
-                raise VerificationError(
-                    f"bundle family not forward closed at "
-                    f"{format_members(base, mem)} -{base.symbols[a]}->"
-                )
-            plain.append((i, a, index[target]))
-            bundles.append(BundleEdge(i, a, index[target], edge_members))
-    graph = LabeledGraph(
-        base.symbols,
-        tuple(format_members(base, m) for m in members),
-        tuple(plain),
+    graph, masks = assemble_subset_graph(base, family, _all_emit_steps(base))
+    bundles = tuple(
+        BundleEdge(i, a, j, tuple(emit[(v, a)] for v in bits(masks[i])))
+        for i, a, j in graph.edges
     )
-    return graph, members, tuple(bundles)
+    return graph, masks, bundles
 
 
-def _forward_closure(
-    base: LabeledGraph, starts: Iterable[frozenset[int]]
-) -> set[frozenset[int]]:
-    emit = edge_lookup(base, "bundle graph")
-    seen = set(starts)
-    todo = sorted(seen, key=subset_key)
-    while todo:
-        current = todo.pop(0)
-        for a in range(len(base.symbols)):
-            step = bundle_step(base, emit, current, a)
-            if step is None:
-                continue
-            target = step[0]
-            if target not in seen:
-                seen.add(target)
-                todo.append(target)
-    return seen
+def _seed_mask(seed: object, n: int) -> int:
+    """Mask of one seed set; members must be vertex indices, and a bool is
+    not one."""
+    members = list(seed) if isinstance(seed, Iterable) else []
+    if not members or any(type(v) is not int or not 0 <= v < n for v in members):
+        raise GraphFormatError(f"bad seed set {seed!r}")
+    return mask_of(members)
 
 
 def bundle_graph(
     base: LabeledGraph,
     mode: str = "full",
-    seeds: Optional[Iterable[frozenset[int]]] = None,
+    seeds: Optional[Iterable[Iterable[int]]] = None,
 ) -> BundleGraph:
     """Build the all-emit subset graph.
 
     ``full`` enumerates every nonempty subset (base capped at 16
-    vertices); ``seeded`` takes the forward closure of the given sets.
+    vertices); ``seeded`` takes the forward closure of the given sets,
+    whose members must be vertex indices.
     """
     require_essential(base)
     require_right_resolving(base, "bundle graph")
     n = len(base.vertices)
+    family: Iterable[int]
     if mode == "full":
-        family: Iterable[frozenset[int]] = all_subsets(n, "bundle")
+        family = all_subsets(n, "bundle")
     elif mode == "seeded":
         if seeds is None:
             raise GraphFormatError("seeded bundle mode needs seed sets")
-        seed_sets = [frozenset(s) for s in seeds]
-        for s in seed_sets:
-            if not s or any(v not in range(n) for v in s):
-                raise GraphFormatError(f"bad seed set {sorted(s)!r}")
-        family = _forward_closure(base, seed_sets)
+        masks = [_seed_mask(s, n) for s in seeds]
+        family = closure_words(_all_emit_steps(base), masks)
     else:
         raise GraphFormatError(f"unknown bundle mode {mode!r}")
-    graph, members, bundles = _assemble_bundle(base, family)
-    return BundleGraph(base, graph, members, bundles, mode)
+    graph, masks, bundles = _assemble_bundle(base, family)
+    return BundleGraph(base, graph, tuple(map(set_of, masks)), bundles, mode)
 
 
 def co_stable_sets(base: LabeledGraph, budget: int = DEFAULT_MONOID_BUDGET):
@@ -224,9 +219,10 @@ def fiber_count_periodic(base: LabeledGraph, p: PeriodicWord) -> Union[int, str]
     return sum(1 for (_, k) in nodes if k == 0)
 
 
-def fiber_sets_on_periodic(base: LabeledGraph, p: PeriodicWord) -> FiberData:
-    """Stabilized past and forward sets per phase; their intersections are
-    exactly the source-vertex sets of the word's fiber paths."""
+def _fiber_masks(
+    base: LabeledGraph, p: PeriodicWord
+) -> tuple[list[int], list[int], list[int], Union[int, str]]:
+    """Past, forward and fiber masks per phase, and the fiber count."""
     require_essential(base)
     count = fiber_count_periodic(base, p)  # also checks realizability
     past = []
@@ -235,10 +231,19 @@ def fiber_sets_on_periodic(base: LabeledGraph, p: PeriodicWord) -> FiberData:
         rel = word_relation(base, p.rotation_from(k))
         past.append(stabilized_range(rel))
         forward.append(stabilized_domain(rel))
-    fiber = tuple(past[k] & forward[k] for k in range(p.period))
-    if any(not f for f in fiber):
+    fiber = [x & y for x, y in zip(past, forward)]
+    if not all(fiber):
         raise VerificationError("realizable word produced an empty fiber set")
-    return FiberData(p, tuple(past), tuple(forward), fiber, count)
+    return past, forward, fiber, count
+
+
+def fiber_sets_on_periodic(base: LabeledGraph, p: PeriodicWord) -> FiberData:
+    """Stabilized past and forward sets per phase; their intersections are
+    exactly the source-vertex sets of the word's fiber paths."""
+    past, forward, fiber, count = _fiber_masks(base, p)
+    return FiberData(
+        p, *(tuple(map(set_of, masks)) for masks in (past, forward, fiber)), count
+    )
 
 
 @dataclass(frozen=True)
@@ -257,20 +262,18 @@ def fiber_ray(base: LabeledGraph, p: PeriodicWord) -> FiberRay:
     between consecutive fiber sets; the all-emit rule and exact source and
     target coverage are asserted.
     """
-    data = fiber_sets_on_periodic(base, p)
+    fiber = _fiber_masks(base, p)[2]
     emit = edge_lookup(base, "bundle graph")
     member_edges = []
     for k in range(p.period):
-        here = data.fiber_sets[k]
-        there = data.fiber_sets[(k + 1) % p.period]
-        step = bundle_step(base, emit, here, p.at(k))
+        step = bundle_step(base, emit, fiber[k], p.at(k))
         if step is None:
             raise VerificationError("fiber set fails the all-emit rule")
         target, edges = step
-        if target != there:
+        if target != fiber[(k + 1) % p.period]:
             raise VerificationError("fiber sets drift from the bundle step")
         member_edges.append(edges)
-    return FiberRay(p, data.fiber_sets, tuple(member_edges))
+    return FiberRay(p, tuple(map(set_of, fiber)), tuple(member_edges))
 
 
 @dataclass(frozen=True)
@@ -320,18 +323,17 @@ def _tail_seed_masks(
         i for i in monoid.idempotent_indices()
         if not monoid.elements[i].is_empty()
     ]
-    steps = [symbol_relation(base, a) for a in range(len(base.symbols))]
 
     def word_str(word: tuple[int, ...]) -> str:
         return "".join(base.symbols[a] for a in word)
 
     past = closure_words(
-        steps,
+        subset_steps(base),
         [monoid.elements[e].ran_mask() for e in idempotents],
         max_depth=max_tail,
     )
     forward = closure_words(
-        [rel.transpose() for rel in steps],
+        subset_steps(transpose(base)),
         [monoid.elements[f].dom_mask() for f in idempotents],
         max_depth=max_tail,
         prepend=True,
@@ -365,17 +367,13 @@ def fiber_core(
     """
     require_essential(base)
     require_right_resolving(base, "fiber core")
-    n = len(base.vertices)
-    seeds: list[SeedRecord] = []
-    seen_seed: set[frozenset[int]] = set()
+    seeds: dict[int, tuple[str, str]] = {}  # mask -> (kind, detail), in seed order
 
     for p in periodic_points(base, max_period):
-        data = fiber_sets_on_periodic(base, p)
         text = "".join(base.symbols[a] for a in p.word)
-        for k, fset in enumerate(data.fiber_sets):
-            if fset not in seen_seed:
-                seen_seed.add(fset)
-                seeds.append(SeedRecord("periodic", f"({text})*@{k}", fset))
+        for k, mask in enumerate(_fiber_masks(base, p)[2]):
+            if mask not in seeds:
+                seeds[mask] = ("periodic", f"({text})*@{k}")
 
     past_list, forward_list = _tail_seed_masks(base, max_tail, budget)
     for p_mask, p_cost, p_desc in past_list:
@@ -383,20 +381,17 @@ def fiber_core(
             if p_cost + f_cost > max_tail:
                 continue
             mask = p_mask & f_mask
-            if not mask:
-                continue
-            members = set_of(mask, n)
-            if members not in seen_seed:
-                seen_seed.add(members)
-                seeds.append(SeedRecord("tail", f"{p_desc} & {f_desc}", members))
+            if mask and mask not in seeds:
+                seeds[mask] = ("tail", f"{p_desc} & {f_desc}")
 
-    family = _forward_closure(base, [s.members for s in seeds])
-    graph, members, bundles = _assemble_bundle(base, family)
-    index = {m: i for i, m in enumerate(members)}
-    provenance: list[object] = [None] * len(members)
-    for s in seeds:
-        if provenance[index[s.members]] is None:
-            provenance[index[s.members]] = s
+    graph, masks, bundles = _assemble_bundle(
+        base, closure_words(_all_emit_steps(base), list(seeds))
+    )
+    index = {mask: i for i, mask in enumerate(masks)}
+    records = [SeedRecord(kind, text, set_of(mask)) for mask, (kind, text) in seeds.items()]
+    provenance: list[object] = [None] * len(masks)
+    for mask, record in zip(seeds, records):
+        provenance[index[mask]] = record
     changed = True
     while changed:
         changed = False
@@ -409,9 +404,9 @@ def fiber_core(
     return FiberCore(
         base,
         graph,
-        members,
+        tuple(map(set_of, masks)),
         bundles,
-        tuple(seeds),
+        tuple(records),
         tuple(provenance),
         max_period,
         max_tail,
@@ -447,9 +442,8 @@ def maximal_dominated_path(core: StableCore, path: Sequence[int]) -> DominatedPa
             raise GraphFormatError("stable-core edges do not compose")
     base = core.base
     word = tuple(core.graph.edges[k][1] for k in path)
-    start_members = core.members[core.graph.edges[path[0]][0]]
-    admits = word_relation(base, word).dom()
-    start = frozenset(start_members & admits)
+    start = mask_of(core.members[core.graph.edges[path[0]][0]])
+    start &= word_relation(base, word).dom_mask()
     if not start:
         raise VerificationError("no member of the source set admits the label word")
     emit = edge_lookup(base, "bundle graph")
@@ -463,16 +457,18 @@ def maximal_dominated_path(core: StableCore, path: Sequence[int]) -> DominatedPa
         current, edges = step
         sets.append(current)
         member_edges.append(edges)
-    gamma_targets = [core.members[core.graph.edges[k][2]] for k in path]
+    gamma_targets = [mask_of(core.members[core.graph.edges[k][2]]) for k in path]
     if sets[-1] != gamma_targets[-1]:
         raise VerificationError("dominated path misses the covering target set")
-    final_size = len(gamma_targets[-1])
+    final_size = gamma_targets[-1].bit_count()
     stable_from = len(path) - 1
-    while stable_from > 0 and len(gamma_targets[stable_from - 1]) == final_size:
+    while stable_from > 0 and gamma_targets[stable_from - 1].bit_count() == final_size:
         stable_from -= 1
     for j in range(stable_from, len(path)):
         if sets[j + 1] != gamma_targets[j]:
             raise VerificationError(
                 "dominated targets diverge inside the constant-size run"
             )
-    return DominatedPath(start, tuple(sets), tuple(member_edges), stable_from)
+    return DominatedPath(
+        set_of(start), tuple(map(set_of, sets)), tuple(member_edges), stable_from
+    )

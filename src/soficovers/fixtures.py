@@ -37,10 +37,6 @@ EXPECTED_GRAPHS: dict[str, dict[str, str]] = {
 }
 
 
-def fixture_names() -> tuple[str, ...]:
-    return BASE_FIXTURES
-
-
 def load_fixture(name: str) -> LabeledGraph:
     """Load a bundled graph (base or expected) by resource name."""
     ref = resources.files(__package__) / "fixtures" / f"{name}.json"

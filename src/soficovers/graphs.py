@@ -278,15 +278,6 @@ def transpose(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.symbols, g.vertices, tuple((v, a, u) for u, a, v in g.edges))
 
 
-def subset_step(g: LabeledGraph, members: frozenset[int], symbol: int) -> frozenset[int]:
-    """Targets of all ``symbol``-labeled edges leaving ``members``."""
-    rows = g.index.rows[symbol]
-    mask = 0
-    for u in members:
-        mask |= rows[u]
-    return frozenset(v for v in range(len(g.vertices)) if mask >> v & 1)
-
-
 def words_up_to(g: LabeledGraph, max_len: int) -> set[tuple[int, ...]]:
     """All label words of paths of length 1..max_len, as symbol-index tuples.
 
@@ -296,14 +287,15 @@ def words_up_to(g: LabeledGraph, max_len: int) -> set[tuple[int, ...]]:
     """
     require_essential(g)
     words: set[tuple[int, ...]] = set()
-    frontier: dict[tuple[int, ...], frozenset[int]] = {
-        (): frozenset(range(len(g.vertices)))
-    }
+    frontier: dict[tuple[int, ...], int] = {(): (1 << len(g.vertices)) - 1}
     for _ in range(max_len):
-        nxt: dict[tuple[int, ...], frozenset[int]] = {}
+        nxt: dict[tuple[int, ...], int] = {}
         for word, ends in frontier.items():
-            for a in range(len(g.symbols)):
-                step = subset_step(g, ends, a)
+            members = bits(ends)
+            for a, rows in enumerate(g.index.rows):
+                step = 0
+                for v in members:
+                    step |= rows[v]
                 if step:
                     nxt[word + (a,)] = step
         words.update(nxt)
@@ -330,9 +322,19 @@ def paths_of_length(g: LabeledGraph, length: int) -> Iterator[tuple[int, ...]]:
             stack.append((path + (k,), g.edges[k][2]))
 
 
-def format_members(g: LabeledGraph, members: frozenset[int]) -> str:
+def bits(mask: int) -> list[int]:
+    """Members of a vertex bitmask, in increasing order."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
+
+
+def format_members(g: LabeledGraph, mask: int) -> str:
     """Canonical name of a vertex subset, e.g. ``{a,c}``."""
-    return "{" + ",".join(g.vertices[v] for v in sorted(members)) + "}"
+    return "{" + ",".join(g.vertices[v] for v in bits(mask)) + "}"
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ def graph_to_data(g: LabeledGraph, provenance: Optional[Mapping] = None) -> dict
     return data
 
 
-def load_graph_data(data: Mapping) -> LabeledGraph:
-    return build_graph(data)
-
-
 def load_graph(path: str) -> LabeledGraph:
     with open(path) as fh:
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, bits
 
 DEFAULT_MONOID_BUDGET = 200_000
 
@@ -28,8 +28,8 @@ def mask_of(members: Iterable[int]) -> int:
     return m
 
 
-def set_of(mask: int, size: int) -> frozenset[int]:
-    return frozenset(v for v in range(size) if mask >> v & 1)
+def set_of(mask: int) -> frozenset[int]:
+    return frozenset(bits(mask))
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,6 @@ class BoolRelation:
 
     def dom_mask(self) -> int:
         return mask_of(u for u, row in enumerate(self.rows) if row)
-
-    def ran(self) -> frozenset[int]:
-        return set_of(self.ran_mask(), self.size)
-
-    def dom(self) -> frozenset[int]:
-        return set_of(self.dom_mask(), self.size)
 
     def is_empty(self) -> bool:
         return all(row == 0 for row in self.rows)
@@ -195,7 +189,7 @@ def transition_monoid(
     return TransitionMonoid(elements, words, identity_relation(len(g.vertices)), generators)
 
 
-def stabilized_range(rel: BoolRelation) -> frozenset[int]:
+def stabilized_range(rel: BoolRelation) -> int:
     """Limit of ran(rel^k): endpoints of left-infinite paths through rel-blocks.
 
     ran(rel^(k+1)) is the rel-image of ran(rel^k) and the sequence is
@@ -205,10 +199,10 @@ def stabilized_range(rel: BoolRelation) -> frozenset[int]:
     while True:
         nxt = rel.image(mask)
         if nxt == mask:
-            return set_of(mask, rel.size)
+            return mask
         mask = nxt
 
 
-def stabilized_domain(rel: BoolRelation) -> frozenset[int]:
+def stabilized_domain(rel: BoolRelation) -> int:
     """Limit of dom(rel^k): start vertices of right-infinite rel-block paths."""
     return stabilized_range(rel.transpose())

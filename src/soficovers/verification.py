@@ -20,17 +20,14 @@ from typing import Callable, Optional, Sequence
 from .errors import (
     BudgetExceededError,
     EmptyShiftError,
-    GraphFormatError,
     LabelPathDiedError,
     NotRightResolvingError,
-    UnrealizableWordError,
     VerificationError,
     exit_code_for,
 )
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
-    Window,
     edge_lookup,
     essentialize,
     graph_from_parts,
@@ -39,7 +36,6 @@ from .graphs import (
 )
 from .relations import (
     DEFAULT_MONOID_BUDGET,
-    mask_of,
     omega_power,
     stabilized_domain,
     stabilized_range,
@@ -720,13 +716,13 @@ def check_tail_asymptotics(
                 continue
             configs += 1
             T = p.period
-            past = mask_of(stabilized_range(tail))
+            past = stabilized_range(tail)
             if middle is not None:
                 past = middle.image(past)
             horizon = T * (2 ** min(n, 8) + 2)
             step = [word_relation(g, (p.at(k),)) for k in range(T)]
             forwards = [
-                mask_of(stabilized_domain(word_relation(g, p.rotation_from(k))))
+                stabilized_domain(word_relation(g, p.rotation_from(k)))
                 for k in range(T)
             ]
             equal_from: Optional[int] = None

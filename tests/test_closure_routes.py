@@ -27,7 +27,6 @@ MAX_TAIL = 8
 
 def reference_stable_witnesses(g, monoid):
     """Stable set -> (e word, m word): first idempotent, then first element."""
-    n = len(g.vertices)
     found = {}
     for e_idx in monoid.idempotent_indices():
         base_mask = monoid.elements[e_idx].ran_mask()
@@ -38,8 +37,8 @@ def reference_stable_witnesses(g, monoid):
         for m_idx, m in enumerate(monoid.elements):
             candidates.append((m.image(base_mask), monoid.word_of(m_idx)))
         for mask, m_word in candidates:
-            if mask and set_of(mask, n) not in found:
-                found[set_of(mask, n)] = (e_word, m_word)
+            if mask and set_of(mask) not in found:
+                found[set_of(mask)] = (e_word, m_word)
     return found
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from soficovers import (
+    GraphFormatError,
     NotRightResolvingError,
     bundle_graph,
     co_stable_sets,
@@ -14,7 +15,8 @@ from soficovers import (
     stable_core,
 )
 from soficovers.fibers import maximal_dominated_path
-from soficovers.graphs import edge_lookup, subset_step
+from soficovers.graphs import bits, edge_lookup
+from soficovers.relations import mask_of, symbol_relation
 
 
 def word_of(g, text):
@@ -45,11 +47,17 @@ def test_bundle_seeded_closure(example_b):
     assert seed in bundle.members
     # closed under every all-emit step
     emit = edge_lookup(example_b)
-    family = set(bundle.members)
+    family = {mask_of(m) for m in bundle.members}
     for members in family:
         for a in range(len(example_b.symbols)):
-            if all((m, a) in emit for m in members):
-                assert subset_step(example_b, members, a) in family
+            if all((m, a) in emit for m in bits(members)):
+                assert symbol_relation(example_b, a).image(members) in family
+
+
+@pytest.mark.parametrize("seed", [[1.0], [True], 0], ids=["float", "bool", "not-a-set"])
+def test_bundle_seeded_rejects_non_index_seeds(example_b, seed):
+    with pytest.raises(GraphFormatError):
+        bundle_graph(example_b, "seeded", [seed])
 
 
 def test_bundle_rejects_non_right_resolving():

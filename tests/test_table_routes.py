@@ -1,5 +1,5 @@
-"""The shared edge tables and the trimming worklist against the loops they
-replace.
+"""The shared edge tables, the trimming worklist and the mask-based bundle
+graphs against the code they replace.
 
 ``graphs.trim`` removes dead nodes with a degree-counting worklist and
 ``follower_contains`` searches over bitmask states read from the graph's
@@ -8,6 +8,13 @@ fixpoint trimming loop (once inside ``essentialize`` and
 ``fiber_count_periodic``) and the containment search that scans every
 edge for each subset step.  Inputs are seeded random graphs with dead-end
 tendrils on both sides, half of them right-resolving.
+
+``bundle_graph`` and ``fiber_core`` close and assemble vertex masks with
+the subset graphs' closure and assembly.  The references keep the
+frozenset all-emit step, breadth-first closure and bundle assembly they
+replace; both routes must give the same members, edges, bundle edges,
+seeds and provenance on the fixtures and on seeded right-resolving graphs
+of up to 8 vertices.
 """
 
 from __future__ import annotations
@@ -19,19 +26,33 @@ import pytest
 
 from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import follower_contains
-from soficovers.errors import EmptyShiftError, UnrealizableWordError
-from soficovers.fibers import INFINITE, fiber_count_periodic
+from soficovers.analysis import periodic_points
+from soficovers.errors import BudgetExceededError, EmptyShiftError, UnrealizableWordError
+from soficovers.fibers import (
+    INFINITE,
+    BundleEdge,
+    SeedRecord,
+    _tail_seed_masks,
+    bundle_graph,
+    fiber_core,
+    fiber_count_periodic,
+    fiber_sets_on_periodic,
+)
 from soficovers.graphs import (
     LabeledGraph,
     check_right_resolving,
+    edge_lookup,
     essentialize,
     graph_from_parts,
     normalize_periodic,
     trim,
 )
+from soficovers.verification import random_right_resolving_graphs
 
 GRAPHS_PER_KIND = 12
 MAX_WORD = 3
+BUNDLE_GRAPHS = 16
+MONOID_CAP = 1500
 
 
 def reference_trim(nodes, arcs):
@@ -212,3 +233,124 @@ def test_follower_contains_matches_edge_scan(name, g):
     got = [[follower_contains(g, u, v) for v in range(n)] for u in range(n)]
     want = [[reference_follower_contains(g, u, v) for v in range(n)] for u in range(n)]
     assert got == want
+
+
+def reference_bundle_step(base, emit, members, symbol):
+    """Target set and member edges of the all-emit step, or None."""
+    edges = []
+    targets = set()
+    for v in sorted(members):
+        k = emit.get((v, symbol))
+        if k is None:
+            return None
+        edges.append(k)
+        targets.add(base.edges[k][2])
+    return frozenset(targets), tuple(edges)
+
+
+def reference_forward_closure(base, starts):
+    emit = edge_lookup(base)
+    seen = set(starts)
+    todo = sorted(seen, key=lambda m: (len(m), sorted(m)))
+    while todo:
+        current = todo.pop(0)
+        for a in range(len(base.symbols)):
+            step = reference_bundle_step(base, emit, current, a)
+            if step is not None and step[0] not in seen:
+                seen.add(step[0])
+                todo.append(step[0])
+    return seen
+
+
+def reference_assemble_bundle(base, family):
+    """(vertex names, edges, members, bundle edges) of the bundle graph."""
+    emit = edge_lookup(base)
+    members = tuple(sorted(family, key=lambda m: (len(m), sorted(m))))
+    index = {m: i for i, m in enumerate(members)}
+    edges = []
+    bundles = []
+    for i, mem in enumerate(members):
+        for a in range(len(base.symbols)):
+            step = reference_bundle_step(base, emit, mem, a)
+            if step is None:
+                continue
+            target, edge_members = step
+            edges.append((i, a, index[target]))
+            bundles.append(BundleEdge(i, a, index[target], edge_members))
+    names = tuple(
+        "{" + ",".join(base.vertices[v] for v in sorted(m)) + "}" for m in members
+    )
+    return names, tuple(edges), members, tuple(bundles)
+
+
+def reference_fiber_core(base, max_period, max_tail, budget):
+    """(assembly, seeds, provenance) of the fiber core, over frozensets."""
+    n = len(base.vertices)
+    seeds = []
+    seen = set()
+    for p in periodic_points(base, max_period):
+        text = "".join(base.symbols[a] for a in p.word)
+        for k, fset in enumerate(fiber_sets_on_periodic(base, p).fiber_sets):
+            if fset not in seen:
+                seen.add(fset)
+                seeds.append(SeedRecord("periodic", f"({text})*@{k}", fset))
+    past_list, forward_list = _tail_seed_masks(base, max_tail, budget)
+    for p_mask, p_cost, p_desc in past_list:
+        for f_mask, f_cost, f_desc in forward_list:
+            mask = p_mask & f_mask
+            members = frozenset(v for v in range(n) if mask >> v & 1)
+            if p_cost + f_cost <= max_tail and members and members not in seen:
+                seen.add(members)
+                seeds.append(SeedRecord("tail", f"{p_desc} & {f_desc}", members))
+    assembly = reference_assemble_bundle(
+        base, reference_forward_closure(base, [s.members for s in seeds])
+    )
+    index = {m: i for i, m in enumerate(assembly[2])}
+    provenance = [None] * len(index)
+    for s in seeds:
+        if provenance[index[s.members]] is None:
+            provenance[index[s.members]] = s
+    changed = True
+    while changed:
+        changed = False
+        for be in assembly[3]:
+            if provenance[be.source] is not None and provenance[be.target] is None:
+                provenance[be.target] = ("closure", be.source, be.symbol)
+                changed = True
+    return assembly, tuple(seeds), tuple(provenance)
+
+
+def assembled(bundle):
+    return bundle.graph.vertices, bundle.graph.edges, bundle.members, bundle.bundle_edges
+
+
+BUNDLE_CASES = [(name, load_fixture(name)) for name in BASE_FIXTURES] + [
+    (f"rr8-{i}", g)
+    for i, g in enumerate(random_right_resolving_graphs(BUNDLE_GRAPHS, 15, max_vertices=8))
+]
+BUNDLE_CASES = [(name, g) for name, g in BUNDLE_CASES if check_right_resolving(g).ok]
+
+
+def test_bundle_cases_reach_eight_vertices():
+    assert max(len(g.vertices) for _, g in BUNDLE_CASES) == 8
+
+
+@pytest.mark.parametrize("name,g", BUNDLE_CASES, ids=[name for name, _ in BUNDLE_CASES])
+def test_bundle_graphs_match_frozenset_routes(name, g):
+    n = len(g.vertices)
+    full = [frozenset(v for v in range(n) if mask >> v & 1) for mask in range(1, 1 << n)]
+    assert assembled(bundle_graph(g, "full")) == reference_assemble_bundle(g, full)
+    rng = random.Random(name)
+    seeds = [
+        frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)
+    ] + [frozenset({n - 1})]
+    want = reference_assemble_bundle(g, reference_forward_closure(g, seeds))
+    assert assembled(bundle_graph(g, "seeded", seeds)) == want
+    try:
+        fcore = fiber_core(g, budget=MONOID_CAP)
+    except BudgetExceededError:
+        return
+    assembly, seed_records, provenance = reference_fiber_core(g, 6, 8, MONOID_CAP)
+    assert assembled(fcore) == assembly
+    assert fcore.seeds == seed_records
+    assert fcore.provenance == provenance
