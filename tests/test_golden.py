@@ -8,8 +8,13 @@ vertex and from the last vertex plus the first two), ``gprime``,
 ``fibers --period W --json``
 (every realizable period up to length 3) on each base fixture; of
 ``lift --square`` and ``verify --square --diagrams --json`` on the
-2-block recoding square of ``example_b``; and ``MANIFEST.json`` with the
-exit code of every case.  The products carry the stable-core witnesses
+2-block recoding square of ``example_b``; of ``lift --square`` and
+``verify --square --json`` on the 2-block recoding squares of
+``example_a`` and ``even_shift``; of ``verify --square --json`` on two
+broken copies of the ``example_b`` square (one label-code rule with a
+wrong output, one edge-code rule missing), whose failure details name
+windows, cycles and blocks; and ``MANIFEST.json`` with the exit code of
+every case.  The products carry the stable-core witnesses
 and the fiber-core seed descriptions, so any change to how those are
 chosen shows here.
 
@@ -51,6 +56,8 @@ COMMANDS = (
 )
 FIBER_PERIOD = 3
 SQUARE = "example_b.square.json"  # higher_block(example_b, 2).square
+SQUARE_FIXTURES = ("example_a", "example_b", "even_shift")  # <name>.square.json
+BROKEN_SQUARES = ("bad-label-rule", "missing-edge-rule")  # example_b.<kind>.square.json
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
@@ -81,6 +88,17 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     cases.append(
         ("example_b.square.verify", ["verify", "--square", SQUARE, "--diagrams", "--json"])
     )
+    for name in ("example_a", "even_shift"):
+        square = f"{name}.square.json"
+        cases.append((f"{name}.square.lift", ["lift", "--square", square]))
+        cases.append((f"{name}.square.identities", ["verify", "--square", square, "--json"]))
+    for kind in BROKEN_SQUARES:
+        cases.append(
+            (
+                f"example_b.square.{kind}",
+                ["verify", "--square", f"example_b.{kind}.square.json", "--json"],
+            )
+        )
     return cases
 
 
@@ -94,6 +112,20 @@ def permuted_data(name: str) -> dict:
     return data
 
 
+def broken_square_data(kind: str) -> dict:
+    """The 2-block recoding square of example_b with one rule broken:
+    the label-code rule on ``2 2 2`` sent to another symbol, or the first
+    edge-code rule deleted."""
+    data = square_to_data(higher_block(load_fixture("example_b"), 2).square)
+    if kind == "bad-label-rule":
+        code = data["label_code"]
+        rule = next(r for r in code["rules"] if r["block"] == ["2", "2", "2"])
+        rule["out"] = next(s for s in code["output_alphabet"] if s != rule["out"])
+    else:
+        del data["edge_code"]["rules"][0]
+    return data
+
+
 def write_fixtures(directory: Path) -> None:
     for name in BASE_FIXTURES:
         ref = resources.files("soficovers") / "fixtures" / f"{name}.json"
@@ -101,8 +133,13 @@ def write_fixtures(directory: Path) -> None:
         (directory / f"{name}.permuted.json").write_text(
             json.dumps(permuted_data(name), indent=2) + "\n"
         )
-    square = square_to_data(higher_block(load_fixture("example_b"), 2).square)
-    (directory / SQUARE).write_text(json.dumps(square, indent=2) + "\n")
+    for name in SQUARE_FIXTURES:
+        square = square_to_data(higher_block(load_fixture(name), 2).square)
+        (directory / f"{name}.square.json").write_text(json.dumps(square, indent=2) + "\n")
+    for kind in BROKEN_SQUARES:
+        (directory / f"example_b.{kind}.square.json").write_text(
+            json.dumps(broken_square_data(kind), indent=2) + "\n"
+        )
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
