@@ -38,6 +38,7 @@ from .graphs import (
     primitive_root,
     require_essential,
     require_right_resolving,
+    window_labels,
 )
 from .analysis import ComponentInfo, components_and_sources, periodic_points
 from .covers import (
@@ -49,45 +50,27 @@ from .covers import (
 )
 from .relations import DEFAULT_MONOID_BUDGET, mask_of, stabilized_range, word_relation
 
-Block = tuple[str, ...]
-RuleMap = Union[Mapping[Block, str], Callable[[Block], str]]
+Block = tuple[int, ...]
+RuleMap = Union[Mapping[Block, int], Callable[[Block], int]]
+
+_CONNECTOR_PAIRS = 12  # ray pairs joined by a connector window per sample
+_COMPONENT_WALKS = 2  # seeded walks per component in the component windows
 
 
-class CachedRule:
-    """A rule computed on edge indices, memoized, with a name-level view.
+class CachedRule(dict):
+    """A rule computed on index blocks and memoized: the dict holds every
+    block evaluated so far."""
 
-    ``at`` maps an index block to an index and remembers every block it
-    has evaluated; calling the rule does the same on edge names.
-    ``cache`` lists every evaluated block in names, whichever way it was
-    asked.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[tuple[int, ...]], int],
-        names_in: Sequence[str],
-        names_out: Sequence[str],
-    ):
+    def __init__(self, fn: Callable[[Block], int]):
+        super().__init__()
         self.fn = fn
-        self.memo: dict[tuple[int, ...], int] = {}
-        self.names_in = names_in
-        self.names_out = names_out
-        self.index_in = {name: k for k, name in enumerate(names_in)}
 
-    def at(self, block: tuple[int, ...]) -> int:
-        if block not in self.memo:
-            self.memo[block] = self.fn(block)
-        return self.memo[block]
+    def __missing__(self, block: Block) -> int:
+        out = self[block] = self.fn(block)
+        return out
 
-    def __call__(self, block: Block) -> str:
-        return self.names_out[self.at(tuple(self.index_in[name] for name in block))]
-
-    @property
-    def cache(self) -> dict[Block, str]:
-        return {
-            tuple(self.names_in[k] for k in block): self.names_out[out]
-            for block, out in self.memo.items()
-        }
+    def __call__(self, block: Block) -> int:
+        return self[block]
 
 
 @dataclass(frozen=True)
@@ -95,8 +78,10 @@ class SlidingBlockCode:
     """A block map: the output at index i is a function of the input on
     [i - radius, i + radius].
 
-    ``rule`` is either a full table or a callable; tables are validated
-    lazily, at application time.
+    Blocks and outputs are indices into the alphabets: edge indices for an
+    edge code, symbol indices for a label code.  The alphabets hold the
+    names, which appear only in files and messages.  ``rule`` is either a
+    table or a callable; tables are validated lazily, at application time.
     """
 
     input_alphabet: tuple[str, ...]
@@ -104,7 +89,7 @@ class SlidingBlockCode:
     radius: int
     rule: RuleMap
 
-    def output_for(self, block: Block) -> str:
+    def output_for(self, block: Block) -> int:
         if len(block) != 2 * self.radius + 1:
             raise GraphFormatError(
                 f"rule expects blocks of length {2 * self.radius + 1}, "
@@ -115,12 +100,17 @@ class SlidingBlockCode:
         try:
             return self.rule[block]
         except KeyError:
-            raise GraphFormatError(f"code has no rule for block {block!r}") from None
+            raise GraphFormatError(
+                f"code has no rule for block {self.block_names(block)!r}"
+            ) from None
+
+    def block_names(self, block: Block) -> tuple[str, ...]:
+        return tuple(self.input_alphabet[k] for k in block)
 
 
 def apply_code(code: SlidingBlockCode, window: Window) -> Window:
-    """Apply to a finite configuration of input symbols; the output lives on
-    the input indices shrunk by the radius."""
+    """Apply to a finite configuration of input indices; the output lives on
+    the input positions shrunk by the radius."""
     r = code.radius
     if len(window) < 2 * r + 1:
         raise GraphFormatError(
@@ -133,7 +123,7 @@ def apply_code(code: SlidingBlockCode, window: Window) -> Window:
     return Window(window.start + r, items)
 
 
-def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[str]) -> tuple[str, ...]:
+def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int, ...]:
     """Apply to a periodic point given by one period; output is phase-aligned
     with the input and has the same length (possibly non-primitive)."""
     n = len(word)
@@ -145,13 +135,16 @@ def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[str]) -> tuple[str,
     return tuple(out)
 
 
-def rule_entries(code: SlidingBlockCode) -> tuple[tuple[Block, str], ...]:
-    """The known rule entries, sorted; for callable rules this is only the
-    evaluated cache."""
-    if callable(code.rule):
-        cache = getattr(code.rule, "cache", {})
-        return tuple(sorted(cache.items()))
-    return tuple(sorted(code.rule.items()))
+def rule_entries(code: SlidingBlockCode) -> tuple[tuple[tuple[str, ...], str], ...]:
+    """The known rule entries in names, sorted; for a callable rule this is
+    only what a :class:`CachedRule` has evaluated."""
+    rule = code.rule if isinstance(code.rule, Mapping) else {}
+    return tuple(
+        sorted(
+            (code.block_names(block), code.output_alphabet[out])
+            for block, out in rule.items()
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -208,8 +201,8 @@ def inverse_square(square: ConjugacySquare) -> ConjugacySquare:
 
 
 def identity_square(g: LabeledGraph) -> ConjugacySquare:
-    edge_rule = {(name,): name for name in g.edge_names()}
-    label_rule = {(s,): s for s in g.symbols}
+    edge_rule = {(k,): k for k in range(len(g.edges))}
+    label_rule = {(a,): a for a in range(len(g.symbols))}
     edge = SlidingBlockCode(g.edge_names(), g.edge_names(), 0, edge_rule)
     label = SlidingBlockCode(g.symbols, g.symbols, 0, label_rule)
     return ConjugacySquare(g, g, edge, edge, label, label)
@@ -225,21 +218,20 @@ def renaming_square(
     h_lookup = {
         (u, h.symbols[a], v): k for k, (u, a, v) in enumerate(h.edges)
     }
-    fwd: dict[Block, str] = {}
-    back: dict[Block, str] = {}
+    fwd: dict[Block, int] = {}
+    back: dict[Block, int] = {}
     for k, (u, a, v) in enumerate(g.edges):
         key = (vertex_map[u], g.symbols[a], vertex_map[v])
         if key not in h_lookup:
             raise GraphFormatError("vertex map does not carry edges onto edges")
-        h_name = h.edge_name(h_lookup[key])
-        fwd[(g.edge_name(k),)] = h_name
-        back[(h_name,)] = g.edge_name(k)
+        fwd[(k,)] = h_lookup[key]
+        back[(h_lookup[key],)] = k
     if len(back) != len(h.edges):
         raise GraphFormatError("vertex map does not carry edges onto edges")
-    sym_fwd = {(s,): s for s in g.symbols}
-    sym_back = {(s,): s for s in h.symbols}
     if set(g.symbols) != set(h.symbols):
         raise GraphFormatError("renaming square needs identical alphabets")
+    sym_fwd = {(a,): h.symbol_index(s) for a, s in enumerate(g.symbols)}
+    sym_back = {(b,): a for (a,), b in sym_fwd.items()}
     return ConjugacySquare(
         g,
         h,
@@ -271,6 +263,7 @@ def higher_block(g: LabeledGraph, n: int) -> HigherBlockRecoding:
     v_names = tuple("|".join(g.edge_name(k) for k in p) for p in vertices)
     sym_names: list[str] = []
     sym_index: dict[str, int] = {}
+    first_symbol: list[int] = []
     edges = []
     edge_of_path: dict[tuple[int, ...], int] = {}
     for p in paths_of_length(g, n):
@@ -278,24 +271,20 @@ def higher_block(g: LabeledGraph, n: int) -> HigherBlockRecoding:
         if word not in sym_index:
             sym_index[word] = len(sym_names)
             sym_names.append(word)
+            first_symbol.append(g.edges[p[0]][1])
         edge_of_path[p] = len(edges)
         edges.append((v_index[p[:-1]], sym_index[word], v_index[p[1:]]))
     graph = LabeledGraph(tuple(sym_names), v_names, tuple(edges))
 
     r = n - 1
-    fwd: dict[Block, str] = {}
+    fwd: dict[Block, int] = {}
+    label_fwd: dict[Block, int] = {}
     for p in paths_of_length(g, 2 * n - 1):
-        block = tuple(g.edge_name(k) for k in p)
-        fwd[block] = graph.edge_name(edge_of_path[p[r : r + n]])
-    back = {
-        (graph.edge_name(k),): g.edge_name(p[0])
-        for p, k in edge_of_path.items()
-    }
-    label_fwd: dict[Block, str] = {}
-    for p in paths_of_length(g, 2 * n - 1):
-        block = tuple(g.symbols[g.edges[k][1]] for k in p)
-        label_fwd[block] = ".".join(block[r : r + n])
-    label_back = {(w,): w.split(".")[0] for w in sym_names}
+        k = edge_of_path[p[r : r + n]]
+        fwd[p] = k
+        label_fwd[tuple(g.edges[e][1] for e in p)] = graph.edges[k][1]
+    back = {(k,): p[0] for p, k in edge_of_path.items()}
+    label_back = {(b,): a for b, a in enumerate(first_symbol)}
     square = ConjugacySquare(
         g,
         graph,
@@ -350,7 +339,6 @@ def verify_square(
     g, h = square.graph_g, square.graph_h
     require_essential(g)
     require_essential(h)
-    h_edge_index = {name: i for i, name in enumerate(h.edge_names())}
     checks: list[CheckOutcome] = []
 
     def run_windows(name, graph, length, fn):
@@ -381,24 +369,21 @@ def verify_square(
     psi, psi_inv = square.label_code, square.label_code_inv
 
     def g_labels(p):
-        return tuple(g.symbols[g.edges[k][1]] for k in p)
+        return tuple(g.edges[k][1] for k in p)
 
-    def h_labels_of(names_window: Window) -> tuple[str, ...]:
-        return tuple(
-            h.symbols[h.edges[h_edge_index[name]][1]] for name in names_window.items
-        )
+    def h_labels(p):
+        return tuple(h.edges[k][1] for k in p)
 
     m = max(phi.radius, psi.radius)
     len_label = 2 * m + 1
 
     def check_label_square(p):
-        win = Window(0, tuple(g.edge_name(k) for k in p))
-        image = apply_code(phi, win)
-        lhs = h_labels_of(image)[m - phi.radius : len(image) - (m - phi.radius)]
+        image = apply_code(phi, Window(0, p))
+        lhs = h_labels(image.items)[m - phi.radius : len(image) - (m - phi.radius)]
         rhs_all = apply_code(psi, Window(0, g_labels(p)))
         rhs = rhs_all.items[m - psi.radius : len(rhs_all) - (m - psi.radius)]
-        if lhs != tuple(rhs):
-            return False, f"labels disagree on window {win.items}"
+        if lhs != rhs:
+            return False, f"labels disagree on window {phi.block_names(p)}"
         return True, ""
 
     run_windows("labels-after-edge-map", g, len_label, check_label_square)
@@ -406,11 +391,10 @@ def verify_square(
     len_phi_rt = 2 * (phi.radius + phi_inv.radius) + 1
 
     def check_phi_round(p):
-        win = Window(0, tuple(g.edge_name(k) for k in p))
-        back = apply_code(phi_inv, apply_code(phi, win))
+        back = apply_code(phi_inv, apply_code(phi, Window(0, p)))
         mid = (len_phi_rt - 1) // 2
-        if back[mid] != win[mid]:
-            return False, f"edge round trip broke at {win.items}"
+        if back[mid] != p[mid]:
+            return False, f"edge round trip broke at {phi.block_names(p)}"
         return True, ""
 
     run_windows("edge-code-round-trip", g, len_phi_rt, check_phi_round)
@@ -418,11 +402,11 @@ def verify_square(
     len_psi_rt = 2 * (psi.radius + psi_inv.radius) + 1
 
     def check_psi_round(p):
-        win = Window(0, g_labels(p))
-        back = apply_code(psi_inv, apply_code(psi, win))
+        labels = g_labels(p)
+        back = apply_code(psi_inv, apply_code(psi, Window(0, labels)))
         mid = (len_psi_rt - 1) // 2
-        if back[mid] != win[mid]:
-            return False, f"label round trip broke at {win.items}"
+        if back[mid] != labels[mid]:
+            return False, f"label round trip broke at {psi.block_names(labels)}"
         return True, ""
 
     run_windows("label-code-round-trip", g, len_psi_rt, check_psi_round)
@@ -431,12 +415,8 @@ def verify_square(
     first = ""
     cycles = _edge_cycles(g, max_period)
     for cyc in cycles:
-        names = tuple(g.edge_name(k) for k in cyc)
         try:
-            image = apply_code_cyclic(phi, names)
-            image_labels = tuple(
-                h.symbols[h.edges[h_edge_index[nm]][1]] for nm in image
-            )
+            image = apply_code_cyclic(phi, cyc)
             psi_labels = apply_code_cyclic(psi, g_labels(cyc))
             back = apply_code_cyclic(phi_inv, image)
         except GraphFormatError as exc:
@@ -444,10 +424,10 @@ def verify_square(
             if not first:
                 first = str(exc)
             continue
-        if image_labels != psi_labels or back != names:
+        if h_labels(image) != psi_labels or back != cyc:
             bad += 1
             if not first:
-                first = f"cycle {names}"
+                first = f"cycle {phi.block_names(cyc)}"
     checks.append(
         CheckOutcome(
             "periodic-points",
@@ -563,16 +543,11 @@ def map_parallel_paths(
     Input paths live on positions [start, start + len - 1]; the output
     covers the same range shrunk by ``trim`` (at least the code radius).
     """
-    g, h = square.graph_g, square.graph_h
+    h = square.graph_h
     phi = square.edge_code
     if trim < phi.radius:
         raise GraphFormatError("trim must be at least the edge-code radius")
-    h_edge_index = {name: i for i, name in enumerate(h.edge_names())}
-    images = []
-    for p in paths:
-        win = Window(start, tuple(g.edge_name(k) for k in p))
-        out = apply_code(phi, win)
-        images.append([h_edge_index[name] for name in out.items])
+    images = [apply_code(phi, Window(start, tuple(p))).items for p in paths]
     lo = start + trim
     hi = start + len(paths[0]) - 1 - trim
     bundles = []
@@ -635,10 +610,10 @@ def map_bundle_path(
 class LiftedCode:
     """The induced conjugacy between stable cores, with its working data.
 
-    ``code`` is a block code over core edge names whose radius guarantees
+    ``code`` is a block code on core edge indices whose radius guarantees
     that every block contains the long component intervals the
-    construction needs.  Its rule is a :class:`CachedRule` evaluated on
-    edge indices; names are only produced when the code is serialized.
+    construction needs.  Its rule is a :class:`CachedRule`; names are only
+    produced when the code is serialized.
     """
 
     square: ConjugacySquare
@@ -650,20 +625,6 @@ class LiftedCode:
     block_radius: int
     components: ComponentInfo
     code: SlidingBlockCode = field(repr=False)
-
-    def apply_window(self, window: Window) -> Window:
-        """Apply the induced code to a core-of-g edge-index window."""
-        D = self.block_radius
-        if len(window) < 2 * D + 1:
-            raise GraphFormatError(
-                f"window of length {len(window)} is too short for radius {D}"
-            )
-        at = self.code.rule.at
-        items = tuple(
-            at(tuple(window.items[t : t + 2 * D + 1]))
-            for t in range(len(window) - 2 * D)
-        )
-        return Window(window.start + D, items)
 
 
 def _component_route(
@@ -752,23 +713,19 @@ def _fill_between(
     kappa = lifted.kappa
     left_img = _map_component_window(lifted, window.segment(i, j))
     right_img = _map_component_window(lifted, window.segment(k, l))
-    labels = _label_names(lifted.core_g.graph, window.segment(i, l))
+    labels = window_labels(lifted.core_g.graph, window.segment(i, l))
     psi_out = apply_code(lifted.square.label_code, labels)
     core_h = lifted.core_h.graph
-    sym_index = {s: t for t, s in enumerate(core_h.symbols)}
     h_lookup = core_h.index.edge_at
     at = core_h.edges[left_img[i + kappa]][0]
     edges = []
     for t in range(i + kappa, l - kappa + 1):
-        name = psi_out[t]
-        a = sym_index.get(name)
-        key = None if a is None else (at, a)
-        if key is None or key not in h_lookup:
+        e = h_lookup.get((at, psi_out[t]))
+        if e is None:
             raise LabelPathDiedError(
-                f"no {name!r}-labeled edge from {core_h.vertices[at]!r} "
-                f"at position {t}"
+                f"no {core_h.symbols[psi_out[t]]!r}-labeled edge from "
+                f"{core_h.vertices[at]!r} at position {t}"
             )
-        e = h_lookup[key]
         edges.append(e)
         at = core_h.edges[e][2]
     out = Window(i + kappa, tuple(edges))
@@ -779,13 +736,6 @@ def _fill_between(
         if out[t] != right_img[t]:
             raise VerificationError("filled path misses the right pin")
     return out
-
-
-def _label_names(graph: LabeledGraph, window: Window) -> Window:
-    return Window(
-        window.start,
-        tuple(graph.symbols[graph.edges[k][1]] for k in window.items),
-    )
 
 
 def lift_parameters(core: StableCore, kappa: int) -> tuple[ComponentInfo, int]:
@@ -834,7 +784,6 @@ def lift_conjugacy(
         _vertex_sequence(core_g.graph, win)  # reject non-path blocks early
         return _rule_at_center(lifted, win, radius)
 
-    g_names, h_names = core_g.graph.edge_names(), core_h.graph.edge_names()
     lifted = LiftedCode(
         square=square,
         core_g=core_g,
@@ -845,7 +794,7 @@ def lift_conjugacy(
         block_radius=radius,
         components=info,
         code=SlidingBlockCode(
-            g_names, h_names, radius, CachedRule(rule, g_names, h_names)
+            core_g.graph.edge_names(), core_h.graph.edge_names(), radius, CachedRule(rule)
         ),
     )
     return lifted
@@ -931,7 +880,7 @@ def apply_induced_cover_code(lifted: LiftedCode, window: Window) -> InducedCover
                 )
             path.append(k)
             v = core_g.edges[k][2]
-        image = lifted.apply_window(Window(window.start, tuple(path)))
+        image = apply_code(lifted.code, Window(window.start, tuple(path)))
         outputs.append(tuple(bundle_h.factor_edge[e] for e in image.items))
     if not outputs:
         raise VerificationError("cover vertex with an empty follower class")
@@ -980,7 +929,6 @@ def sample_core_windows(
     periodic: Sequence[PeriodicWord],
     rng: random.Random,
     walks: int = 6,
-    max_pairs: int = 12,
 ) -> list[Window]:
     """Deterministic window sample for bounded code verification.
 
@@ -1002,12 +950,12 @@ def sample_core_windows(
     pairs = 0
     for r1 in rays:
         for r2 in rays:
-            if r1 is r2 or pairs >= max_pairs:
+            if r1 is r2 or pairs >= _CONNECTOR_PAIRS:
                 continue
             mid = _bfs_edge_path(g, r1.vertices[0], r2.vertices[0])
             if mid is None:
                 continue
-            left = _unroll_cycle(r1.edges, length)
+            left = tuple(r1.edges) * -(-length // len(r1.edges))  # whole periods
             right = _unroll_cycle(r2.edges, length)
             full = left + tuple(mid) + right
             center = len(left) + len(mid) // 2
@@ -1030,7 +978,6 @@ def _component_windows(
     rays,
     length: int,
     rng: random.Random,
-    per_component: int = 2,
 ) -> list[Window]:
     """Windows that stay inside a single component: ray unrollings plus
     seeded walks along component-internal edges."""
@@ -1051,7 +998,7 @@ def _component_windows(
             internal.setdefault(c, {}).setdefault(u, []).append(k)
     for c in sorted(internal):
         outs = internal[c]
-        for _ in range(per_component):
+        for _ in range(_COMPONENT_WALKS):
             v = rng.choice(sorted(outs))
             items = []
             for _ in range(length):
@@ -1066,7 +1013,6 @@ def verify_lift_diagrams(
     lifted: LiftedCode,
     inverse_lifted: Optional[LiftedCode] = None,
     max_period: int = 4,
-    window_length: Optional[int] = None,
     walks: int = 6,
     seed: int = 2026,
 ) -> SquareReport:
@@ -1086,11 +1032,7 @@ def verify_lift_diagrams(
     g, h = square.graph_g, square.graph_h
     core_g, core_h = lifted.core_g, lifted.core_h
     D = lifted.block_radius
-    length = window_length if window_length is not None else 2 * D + 9
-    if length < 2 * D + 1:
-        raise GraphFormatError(
-            f"window length {length} is below the code width {2 * D + 1}"
-        )
+    length = 2 * D + 9
     rng = random.Random(seed)
     periodic = periodic_points(g, max_period)
     rays = [past_set_ray(core_g, p) for p in periodic]
@@ -1115,11 +1057,9 @@ def verify_lift_diagrams(
     psi = square.label_code
 
     def check_labels(w: Window):
-        out = lifted.apply_window(w)
-        lhs = tuple(
-            core_h.graph.symbols[core_h.graph.edges[k][1]] for k in out.items
-        )
-        rhs_win = apply_code(psi, _label_names(core_g.graph, w))
+        out = apply_code(lifted.code, w)
+        lhs = window_labels(core_h.graph, out).items
+        rhs_win = apply_code(psi, window_labels(core_g.graph, w))
         rhs = tuple(rhs_win[t] for t in range(out.start, out.end + 1))
         if lhs != rhs:
             return False, f"labels disagree on a window starting with edge {w.items[0]}"
@@ -1138,7 +1078,7 @@ def verify_lift_diagrams(
         if not action.agreed:
             return False, f"{action.preimages} preimages disagree"
         direct = tuple(
-            lifted.future_h.factor_edge[k] for k in lifted.apply_window(w).items
+            lifted.future_h.factor_edge[k] for k in apply_code(lifted.code, w).items
         )
         if action.output.items != direct:
             return False, "cover action disagrees with the factored image"
@@ -1151,7 +1091,6 @@ def verify_lift_diagrams(
         f"{len(windows)} cover windows, all preimages lifted",
     )
 
-    h_sym = {s: i for i, s in enumerate(h.symbols)}
     h_core_lookup = edge_lookup(core_h.graph)
     h_members = {mask_of(m): i for i, m in enumerate(core_h.members)}
 
@@ -1159,11 +1098,8 @@ def verify_lift_diagrams(
         T = p.period
         ray = past_set_ray(core_g, p)
         win = Window(0, _unroll_cycle(ray.edges, 2 * D + T))
-        out = lifted.apply_window(win)
-        names = apply_code_cyclic(
-            psi, tuple(g.symbols[a] for a in p.word)
-        )
-        hw = tuple(h_sym[nm] for nm in names)
+        out = apply_code(lifted.code, win)
+        hw = apply_code_cyclic(psi, p.word)
         for t in range(out.start, out.end + 1):
             k = t % T
             rot = hw[k:] + hw[:k]
@@ -1185,7 +1121,7 @@ def verify_lift_diagrams(
     comp_windows = _component_windows(lifted, rays, 2 * D + 5, rng)
 
     def check_component(w: Window):
-        out = lifted.apply_window(w)
+        out = apply_code(lifted.code, w)
         direct = _map_component_window(lifted, w)
         for t in range(out.start, out.end + 1):
             if out[t] != direct[t]:
@@ -1205,8 +1141,8 @@ def verify_lift_diagrams(
         rt_windows = sample_core_windows(core_g, rt_length, periodic, rng, walks)
 
         def check_round_trip(w: Window):
-            mid = lifted.apply_window(w)
-            back = inverse_lifted.apply_window(mid)
+            mid = apply_code(lifted.code, w)
+            back = apply_code(inverse_lifted.code, mid)
             if back.items != w.segment(back.start, back.end).items:
                 return False, "composition moved a window"
             return True, ""

@@ -134,8 +134,9 @@ def code_to_data(code: SlidingBlockCode) -> dict:
 
 def code_from_data(data: Mapping, where: str = "code") -> SlidingBlockCode:
     """Validate and build a block code; ``format`` must be the integer 1,
-    the radius a nonnegative integer, and every symbol, block entry and
-    output a string."""
+    the radius a nonnegative integer, every symbol, block entry and output a
+    string, and no alphabet may repeat a symbol.  The rule is keyed by
+    alphabet indices: this is where a code's names become indices."""
     if not isinstance(data, Mapping):
         raise GraphFormatError(f"{where}: must be a mapping")
     _format_one(data, f"{where}: ")
@@ -147,8 +148,11 @@ def code_from_data(data: Mapping, where: str = "code") -> SlidingBlockCode:
             raise GraphFormatError(f"{where}: {key!r} must be a list")
     input_alphabet = _names(data["input_alphabet"], f"{where}: input_alphabet")
     output_alphabet = _names(data["output_alphabet"], f"{where}: output_alphabet")
-    in_set, out_set = set(input_alphabet), set(output_alphabet)
-    rule: dict[tuple[str, ...], str] = {}
+    in_index = {s: k for k, s in enumerate(input_alphabet)}
+    out_index = {s: k for k, s in enumerate(output_alphabet)}
+    if len(in_index) < len(input_alphabet) or len(out_index) < len(output_alphabet):
+        raise GraphFormatError(f"{where}: an alphabet repeats a symbol")
+    rule: dict[tuple[int, ...], int] = {}
     for pos, rec in enumerate(data["rules"]):
         spot = f"{where}: rules[{pos}]"
         if not isinstance(rec, Mapping) or "block" not in rec or "out" not in rec:
@@ -162,13 +166,13 @@ def code_from_data(data: Mapping, where: str = "code") -> SlidingBlockCode:
                 f"{spot}: block length {len(block)} != {2 * radius + 1}"
             )
         for s in block:
-            if s not in in_set:
+            if s not in in_index:
                 raise GraphFormatError(f"{spot}: unknown input symbol {s!r}")
-        if out not in out_set:
+        if out not in out_index:
             raise GraphFormatError(f"{spot}: unknown output symbol {out!r}")
-        if block in rule and rule[block] != out:
+        key = tuple(in_index[s] for s in block)
+        if rule.setdefault(key, out_index[out]) != out_index[out]:
             raise GraphFormatError(f"{spot}: conflicting rule for block {block!r}")
-        rule[block] = out
     return SlidingBlockCode(input_alphabet, output_alphabet, radius, rule)
 
 

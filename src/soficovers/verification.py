@@ -68,8 +68,8 @@ from .fibers import (
 )
 from .codes import (
     CheckOutcome,
-    SlidingBlockCode,
     SquareReport,
+    apply_code,
     fill_gap,
     higher_block,
     identity_square,
@@ -523,7 +523,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
         lifted.core_g, 2 * D + 9, periodic_points(a, 3), rng, walks=4
     )
     ident = all(
-        lifted.apply_window(w).items == w.segment(w.start + D, w.end - D).items
+        apply_code(lifted.code, w).items == w.segment(w.start + D, w.end - D).items
         for w in wins
     )
     checks.append(
@@ -563,7 +563,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
         lifted.core_g, 2 * D + 9, periodic_points(b, 3), rng, walks=4
     )
     induced = all(
-        lifted.apply_window(w).items
+        apply_code(lifted.code, w).items
         == tuple(edge_map[k] for k in w.segment(w.start + D, w.end - D).items)
         for w in wins
     )
@@ -588,17 +588,15 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
 
 
 def _corrupted_higher_block_square(g: LabeledGraph, block: tuple[str, ...]):
-    hb = higher_block(g, 2)
-    label_rule = dict(hb.square.label_code.rule)
-    original = label_rule[block]
-    label_rule[block] = next(s for s in sorted(hb.graph.symbols) if s != original)
-    bad_label_code = SlidingBlockCode(
-        hb.square.label_code.input_alphabet,
-        hb.square.label_code.output_alphabet,
-        hb.square.label_code.radius,
-        label_rule,
-    )
-    return replace(hb.square, label_code=bad_label_code)
+    """The 2-block recoding square of g with the label rule on ``block``
+    (symbol names) sent to the least other symbol."""
+    square = higher_block(g, 2).square
+    code = square.label_code
+    key = tuple(g.symbol_index(s) for s in block)
+    rule = dict(code.rule)
+    wrong = min(s for k, s in enumerate(code.output_alphabet) if k != rule[key])
+    rule[key] = code.output_alphabet.index(wrong)
+    return replace(square, label_code=replace(code, rule=rule))
 
 
 def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:

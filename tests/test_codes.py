@@ -1,8 +1,10 @@
+import random
 from dataclasses import replace
 
 import pytest
 
 from soficovers import (
+    BASE_FIXTURES,
     GraphFormatError,
     LabelPathDiedError,
     SlidingBlockCode,
@@ -21,7 +23,13 @@ from soficovers import (
     verify_lift_diagrams,
     verify_square,
 )
-from soficovers.codes import inverse_square, map_bundle_path, rule_entries
+from soficovers.analysis import periodic_points
+from soficovers.codes import (
+    inverse_square,
+    map_bundle_path,
+    rule_entries,
+    sample_core_windows,
+)
 from soficovers.graphs import LabeledGraph, edge_lookup, path_window, window_labels
 
 
@@ -38,9 +46,10 @@ def test_apply_identity_code():
 def test_apply_code_shrinks_by_radius(even_shift):
     psi = higher_block(even_shift, 2).square.label_code
     assert psi.radius == 1
-    out = apply_code(psi, Window(0, ("0", "0", "1", "1")))
+    s = psi.input_alphabet.index
+    out = apply_code(psi, Window(0, (s("0"), s("0"), s("1"), s("1"))))
     assert out.start == 1
-    assert out.items == ("0.1", "1.1")
+    assert out.items == tuple(psi.output_alphabet.index(w) for w in ("0.1", "1.1"))
 
 
 def test_apply_code_rejects_short_window(even_shift):
@@ -50,21 +59,22 @@ def test_apply_code_rejects_short_window(even_shift):
 
 
 def test_apply_code_rejects_unmapped_block():
-    partial = SlidingBlockCode(("a", "b"), ("x",), 0, {("a",): "x"})
-    with pytest.raises(GraphFormatError):
-        apply_code(partial, Window(0, ("b",)))
+    partial = SlidingBlockCode(("a", "b"), ("x",), 0, {(0,): 0})
+    with pytest.raises(GraphFormatError, match=r"block \('b',\)"):
+        apply_code(partial, Window(0, (1,)))
 
 
 def test_apply_code_cyclic_constant(example_b):
     psi = higher_block(example_b, 2).square.label_code
-    assert apply_code_cyclic(psi, ("2",)) == ("2.2",)
+    s = psi.input_alphabet.index
+    assert apply_code_cyclic(psi, (s("2"),)) == (psi.output_alphabet.index("2.2"),)
 
 
 def test_apply_code_cyclic_rotates(example_a):
     psi = higher_block(example_a, 2).square.label_code
-    out = apply_code_cyclic(psi, ("2", "3"))
+    out = apply_code_cyclic(psi, (psi.input_alphabet.index("2"), psi.input_alphabet.index("3")))
     assert len(out) == 2
-    assert out == ("2.3", "3.2")
+    assert out == tuple(psi.output_alphabet.index(w) for w in ("2.3", "3.2"))
 
 
 def test_higher_block_even_shift_sizes(even_shift):
@@ -88,9 +98,9 @@ def test_verify_square_higher_block(example_b):
 
 
 def corrupt_label_code(square):
-    rule = dict(rule_entries(square.label_code))
-    block = ("2", "2", "2")
-    wrong = next(s for s in square.label_code.output_alphabet if s != rule[block])
+    rule = dict(square.label_code.rule)
+    block = tuple(square.label_code.input_alphabet.index(s) for s in ("2", "2", "2"))
+    wrong = next(k for k in range(len(square.label_code.output_alphabet)) if k != rule[block])
     rule[block] = wrong
     bad = SlidingBlockCode(
         square.label_code.input_alphabet,
@@ -183,7 +193,7 @@ def test_lift_identity_acts_trivially(example_b):
     _, window = components_crossing_window(example_b)
     d = lifted.block_radius
     grown = grow_window(lifted, window, 2 * d + 3)
-    out = lifted.apply_window(grown)
+    out = apply_code(lifted.code, grown)
     assert out.items == grown.segment(grown.start + d, grown.end - d).items
 
 
@@ -193,7 +203,7 @@ def test_lifted_rule_entries_follow_apply_window(example_b):
     _, window = components_crossing_window(example_b)
     d = lifted.block_radius
     grown = grow_window(lifted, window, 2 * d + 6)
-    out = lifted.apply_window(grown)
+    out = apply_code(lifted.code, grown)
     entries = dict(rule_entries(lifted.code))
     g_names = lifted.core_g.graph.edge_names()
     h_names = lifted.core_h.graph.edge_names()
@@ -202,8 +212,8 @@ def test_lifted_rule_entries_follow_apply_window(example_b):
         block = tuple(g_names[k] for k in grown.segment(t - d, t + d).items)
         blocks[block] = h_names[out[t]]
     assert entries and entries == blocks
-    for block, name in blocks.items():  # the name-level rule reads the same memo
-        assert lifted.code.output_for(block) == name
+    for t in range(out.start, out.end + 1):  # the rule reads the same memo
+        assert lifted.code.output_for(grown.segment(t - d, t + d).items) == out[t]
     assert dict(rule_entries(lifted.code)) == blocks
 
 
@@ -257,3 +267,14 @@ def test_lift_rejects_malformed_square(example_a, example_b):
     broken = replace(square, graph_h=example_b)
     with pytest.raises((GraphFormatError, VerificationError)):
         lift_conjugacy(broken)
+
+
+@pytest.mark.parametrize("name", BASE_FIXTURES)
+def test_sampled_core_windows_are_paths(name):
+    g = load_fixture(name)
+    core = stable_core(g)
+    periodic = periodic_points(g, 4)
+    for length in (5, 8, 29):
+        for w in sample_core_windows(core, length, periodic, random.Random(length)):
+            assert len(w) == length
+            path_window(core.graph, w.items)  # raises unless consecutive edges compose

@@ -13,8 +13,11 @@ vertex and from the last vertex plus the first two), ``gprime``,
 ``example_a`` and ``even_shift``; of ``verify --square --json`` on two
 broken copies of the ``example_b`` square (one label-code rule with a
 wrong output, one edge-code rule missing), whose failure details name
-windows, cycles and blocks; and ``MANIFEST.json`` with the exit code of
-every case.  The products carry the stable-core witnesses
+windows, cycles and blocks; of ``verify --square --diagrams --json`` on
+the 2-block recoding square of ``chain_stabilization``, whose connector
+windows join rays of different periods; and ``MANIFEST.json`` with the
+exit code of every case.  Each square file is ``<fixture>.square.json``,
+each broken copy ``example_b.<kind>.square.json``.  The products carry the stable-core witnesses
 and the fiber-core seed descriptions, so any change to how those are
 chosen shows here.
 
@@ -56,8 +59,8 @@ COMMANDS = (
 )
 FIBER_PERIOD = 3
 SQUARE = "example_b.square.json"  # higher_block(example_b, 2).square
-SQUARE_FIXTURES = ("example_a", "example_b", "even_shift")  # <name>.square.json
-BROKEN_SQUARES = ("bad-label-rule", "missing-edge-rule")  # example_b.<kind>.square.json
+SQUARE_FIXTURES = ("example_a", "example_b", "even_shift", "chain_stabilization")
+BROKEN_SQUARES = ("bad-label-rule", "missing-edge-rule")
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
@@ -99,6 +102,12 @@ def golden_cases() -> list[tuple[str, list[str]]]:
                 ["verify", "--square", f"example_b.{kind}.square.json", "--json"],
             )
         )
+    cases.append(
+        (
+            "chain_stabilization.square.verify",
+            ["verify", "--square", "chain_stabilization.square.json", "--diagrams", "--json"],
+        )
+    )
     return cases
 
 

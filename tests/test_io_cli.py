@@ -96,10 +96,13 @@ LOOSE_CODE_FIELDS = [
     {"rules": [{"block": [1], "out": "x"}]},
     {"rules": [{"block": "a", "out": "x"}]},
     {"rules": [{"block": ["a"], "out": 1}]},
+    {"input_alphabet": ["a", "a"]},
+    {"output_alphabet": ["x", "x"]},
 ]
 LOOSE_CODE_IDS = [
     "format-true", "format-float", "radius-true", "int-input-symbol",
     "list-output-symbol", "int-block-entry", "string-block", "int-out",
+    "repeated-input-symbol", "repeated-output-symbol",
 ]
 
 
