@@ -385,7 +385,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     bounds = VerifyBounds(
         max_period=args.max_period,
-        word_length=args.word_length,
         tail_bound=args.max_tail,
         random_graphs=args.random_graphs,
         random_seed=args.seed,
@@ -393,9 +392,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     )
     report = RunReport("verify-paper")
     report.counts["bounds"] = (
-        f"max-period={bounds.max_period} word-length={bounds.word_length}"
-        f" max-tail={bounds.tail_bound} random-graphs={bounds.random_graphs}"
-        f" seed={bounds.random_seed}"
+        f"max-period={bounds.max_period} max-tail={bounds.tail_bound}"
+        f" random-graphs={bounds.random_graphs} seed={bounds.random_seed}"
     )
     for line in headline_counts(bounds):
         key, _, value = line.partition(": ")
@@ -614,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--criterion", type=int, choices=range(1, 9), help="run one criterion only")
     p.add_argument("--max-period", type=int, default=6, help="default %(default)s")
-    p.add_argument("--word-length", type=int, default=12, help="default %(default)s")
     p.add_argument("--max-tail", type=int, default=8, help="default %(default)s")
     p.add_argument("--random-graphs", type=int, default=25, help="default %(default)s")
     p.add_argument("--seed", type=int, default=20260814, help="default %(default)s")

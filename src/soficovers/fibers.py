@@ -29,7 +29,7 @@ from .graphs import (
     transpose,
     trim,
 )
-from .analysis import periodic_points
+from .analysis import periodic_points, require_realizable
 from .covers import (
     Step,
     StableCore,
@@ -221,28 +221,29 @@ def fiber_count_periodic(base: LabeledGraph, p: PeriodicWord) -> Union[int, str]
 
 def _fiber_masks(
     base: LabeledGraph, p: PeriodicWord
-) -> tuple[list[int], list[int], list[int], Union[int, str]]:
-    """Past, forward and fiber masks per phase, and the fiber count."""
+) -> tuple[list[int], list[int], list[int]]:
+    """Past, forward and fiber masks per phase."""
     require_essential(base)
-    count = fiber_count_periodic(base, p)  # also checks realizability
     past = []
     forward = []
     for k in range(p.period):
         rel = word_relation(base, p.rotation_from(k))
         past.append(stabilized_range(rel))
         forward.append(stabilized_domain(rel))
+    if not past[0]:  # no bi-infinite path carries the word
+        require_realizable(base, p)
     fiber = [x & y for x, y in zip(past, forward)]
     if not all(fiber):
         raise VerificationError("realizable word produced an empty fiber set")
-    return past, forward, fiber, count
+    return past, forward, fiber
 
 
 def fiber_sets_on_periodic(base: LabeledGraph, p: PeriodicWord) -> FiberData:
     """Stabilized past and forward sets per phase; their intersections are
     exactly the source-vertex sets of the word's fiber paths."""
-    past, forward, fiber, count = _fiber_masks(base, p)
+    masks = _fiber_masks(base, p)
     return FiberData(
-        p, *(tuple(map(set_of, masks)) for masks in (past, forward, fiber)), count
+        p, *(tuple(map(set_of, m)) for m in masks), fiber_count_periodic(base, p)
     )
 
 

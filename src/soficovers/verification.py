@@ -88,7 +88,6 @@ class VerifyBounds:
     """Enumeration bounds for the bounded checks; defaults are desk scale."""
 
     max_period: int = 6
-    word_length: int = 12
     tail_bound: int = 8
     random_graphs: int = 25
     random_seed: int = 20260814
@@ -340,28 +339,34 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
 # criterion 5: periodic-point identities
 
 
+def _remerged(fc: FutureCover) -> tuple:
+    """The merged cover's own stable core, its merge, and the (unique, since
+    the cover is follower-separated) label-preserving isomorphism from that
+    merge back onto the cover, as a vertex map."""
+    core2 = stable_core(fc.cover)
+    merge2 = merged_graph(core2.graph)
+    iso = graphs_isomorphic(merge2.cover, fc.cover)
+    if not iso.isomorphic:
+        raise VerificationError("merging the cover's stable core lost the cover")
+    return core2, merge2, iso.mapping
+
+
 def _alpha_edges_in_cover(
-    fc: FutureCover, p: PeriodicWord
+    fc: FutureCover, remerged: tuple, p: PeriodicWord
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two routes to the canonical presentation of p in the merged cover.
 
     Route one factors the stable-core ray through the merge.  Route two
     computes the ray inside the cover's own stable core and transports it
-    back along the (unique, since the cover is follower-separated)
-    label-preserving isomorphism between the re-merged core and the cover.
+    back to the cover along :func:`_remerged`.
     """
+    core2, merge2, to_cover = remerged
     factored = tuple(fc.bundle.factor_edge[e] for e in past_set_ray(fc.core, p).edges)
-    cover = fc.cover
-    core2 = stable_core(cover)
-    merge2 = merged_graph(core2.graph)
-    iso = graphs_isomorphic(merge2.cover, cover)
-    if not iso.isomorphic:
-        raise VerificationError("merging the cover's stable core lost the cover")
     ray2 = past_set_ray(core2, p)
-    lookup = edge_lookup(cover)
+    lookup = edge_lookup(fc.cover)
     direct = []
     for k in range(p.period):
-        v = iso.mapping[merge2.factor_vertex[ray2.vertices[k]]]
+        v = to_cover[merge2.factor_vertex[ray2.vertices[k]]]
         e = lookup.get((v, p.at(k)))
         if e is None:
             raise VerificationError("cover misses an edge of the canonical ray")
@@ -381,6 +386,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         g = load_fixture(name)
         core = stable_core(g, bounds.monoid_budget)
         fc = FutureCover(core, merged_graph(core.graph))
+        remerged = _remerged(fc)
         info = components_and_sources(core.graph, core.members)
         fcore = fiber_core(g, bounds.max_period, bounds.tail_bound, bounds.monoid_budget)
         fiber_index = fcore.member_index()
@@ -401,7 +407,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
             if data.fiber_sets != data.past_sets:
                 beta_bad.append(f"{name}:{p.word}")
             fiber_ray(g, p)  # asserts the all-emit bundle closes up
-            factored, direct = _alpha_edges_in_cover(fc, p)
+            factored, direct = _alpha_edges_in_cover(fc, remerged, p)
             if factored != direct:
                 natural_bad.append(f"{name}:{p.word}")
             ray = past_set_ray(core, p)

@@ -1,10 +1,17 @@
+import itertools
+import random
+
 import pytest
 
 from soficovers import (
+    BASE_FIXTURES,
+    EmptyShiftError,
     GraphFormatError,
     NotRightResolvingError,
+    UnrealizableWordError,
     bundle_graph,
     co_stable_sets,
+    essentialize,
     fiber_core,
     fiber_count_periodic,
     fiber_ray,
@@ -128,8 +135,6 @@ def test_fiber_core_example_a(example_a):
 
 
 def test_unrealizable_word_rejected(even_shift):
-    from soficovers import UnrealizableWordError
-
     with pytest.raises(UnrealizableWordError):
         fiber_sets_on_periodic(even_shift, word_of(even_shift, "01"))
 
@@ -147,3 +152,50 @@ def test_dominated_path_stabilizes(example_a):
     for j in range(dom.stable_from, len(path)):
         u, a, v = core.graph.edges[path[j]]
         assert dom.sets[j + 1] == core.members[v]
+
+
+def small_essential_graphs(count, seed):
+    """Seeded essential graphs on 3-6 raw vertices over two symbols, with
+    one or two targets per label, so many words are unrealizable."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 6)
+        triples = []
+        for u in range(n):
+            for a in sorted(rng.sample("ab", rng.randint(1, 2))):
+                for v in sorted(rng.sample(range(n), rng.randint(1, 2))):
+                    triples.append((f"v{u}", a, f"v{v}"))
+        try:
+            out.append(essentialize(graph_from_parts("ab", [f"v{v}" for v in range(n)], triples)))
+        except EmptyShiftError:
+            continue
+    return out
+
+
+def test_empty_past_set_means_unrealizable():
+    """fiber_sets_on_periodic rejects exactly the words that the trimmed
+    phase product of fiber_count_periodic finds no path for."""
+    graphs = [load_fixture(name) for name in BASE_FIXTURES] + small_essential_graphs(40, 3)
+    rejected = 0
+    for g in graphs:
+        words = {
+            normalize_periodic(w)
+            for n in range(1, 5)
+            for w in itertools.product(range(len(g.symbols)), repeat=n)
+        }
+        for p in sorted(words, key=lambda p: p.word):
+            try:
+                fiber_count_periodic(g, p)
+                by_count = False
+            except UnrealizableWordError:
+                by_count = True
+            try:
+                fiber_sets_on_periodic(g, p)
+                by_sets = False
+            except UnrealizableWordError as exc:
+                assert str(exc) == f"word {p.word!r} has no bi-infinite labeled path"
+                by_sets = True
+            assert by_sets == by_count, (g, p)
+            rejected += by_sets
+    assert rejected > 0
