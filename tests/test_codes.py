@@ -72,7 +72,8 @@ def test_apply_code_cyclic_constant(example_b):
 
 def test_apply_code_cyclic_rotates(example_a):
     psi = higher_block(example_a, 2).square.label_code
-    out = apply_code_cyclic(psi, (psi.input_alphabet.index("2"), psi.input_alphabet.index("3")))
+    s = psi.input_alphabet.index
+    out = apply_code_cyclic(psi, (s("2"), s("3")))
     assert len(out) == 2
     assert out == tuple(psi.output_alphabet.index(w) for w in ("2.3", "3.2"))
 
