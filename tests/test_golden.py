@@ -15,7 +15,9 @@ broken copies of the ``example_b`` square (one label-code rule with a
 wrong output, one edge-code rule missing), whose failure details name
 windows, cycles and blocks; of ``verify --square --diagrams --json`` on
 the 2-block recoding square of ``chain_stabilization``, whose connector
-windows join rays of different periods; and ``MANIFEST.json`` with the
+windows join rays of different periods; of ``verify-paper --json``,
+whose criterion details count the periodic words each check swept; and
+``MANIFEST.json`` with the
 exit code of every case.  Each square file is ``<fixture>.square.json``,
 each broken copy ``example_b.<kind>.square.json``.  The products carry the stable-core witnesses
 and the fiber-core seed descriptions, so any change to how those are
@@ -108,6 +110,7 @@ def golden_cases() -> list[tuple[str, list[str]]]:
             ["verify", "--square", "chain_stabilization.square.json", "--diagrams", "--json"],
         )
     )
+    cases.append(("verify-paper", ["verify-paper", "--json"]))
     return cases
 
 
