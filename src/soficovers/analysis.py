@@ -15,12 +15,13 @@ from .errors import UnrealizableWordError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
+    mask_image,
     normalize_periodic,
     require_essential,
     require_right_resolving,
     words_up_to,
 )
-from .relations import omega_power, symbol_relation, word_relation
+from .relations import symbol_relation
 
 
 @dataclass(frozen=True)
@@ -179,29 +180,72 @@ def follower_contains(g: LabeledGraph, u: int, v: int) -> bool:
     return True
 
 
+def _greatest_cycle(rows: Sequence[Sequence[int]], word: Sequence[int]) -> list[int]:
+    """The masks S_0, ..., S_{T-1} with S_{k+1} = step(S_k, word[k]) and
+    S_T = S_0, each as large as possible.
+
+    ``rows[a]`` is the step along symbol a.  S_0 is the greatest fixpoint
+    of stepping once around the word, reached from the full vertex set;
+    the masks only shrink until they repeat, so this takes at most n + 1
+    rounds.  The last round passes through every phase.
+    """
+    mask = (1 << len(rows[0])) - 1
+    while True:
+        phases = []
+        current = mask
+        for a in word:
+            phases.append(current)
+            current = mask_image(rows[a], current)
+        if current == mask:
+            return phases
+        mask = current
+
+
+def past_masks(g: LabeledGraph, word: Sequence[int]) -> list[int]:
+    """Stabilized past set of the periodic point ...www.www... at each
+    phase: mask k holds the ends of the left-infinite paths labeled by
+    the word's copies and then ``word[:k]``.
+
+    The word may be any nonempty word, primitive or not.  It repeats
+    forever in the graph exactly when these masks are nonempty.
+    """
+    return _greatest_cycle(g.index.rows, word)
+
+
+def forward_masks(g: LabeledGraph, word: Sequence[int]) -> list[int]:
+    """Stabilized forward set of the periodic point at each phase: mask k
+    holds the starts of the right-infinite paths labeled by ``word[k:]``
+    and then the word's copies.  The same walk as :func:`past_masks`,
+    backwards over the word along the predecessor rows."""
+    back = _greatest_cycle(g.index.pred, word[::-1])
+    return [back[-k % len(word)] for k in range(len(word))]
+
+
 def periodic_points(g: LabeledGraph, max_period: int) -> list[PeriodicWord]:
     """Periodic label words of least period <= max_period with a bi-infinite
     realization, in primitive least-rotation form, without duplicates.
 
-    A word repeats forever in the graph exactly when the idempotent power
-    of its relation is nonempty.
+    A word repeats forever in the graph exactly when its past set at
+    phase 0 is nonempty.
     """
     require_essential(g)
     found: set[tuple[int, ...]] = set()
     for word in sorted(words_up_to(g, max_period)):
         canon = normalize_periodic(word).word
-        if canon in found:
-            continue
-        if not omega_power(word_relation(g, canon)).is_empty():
+        if canon not in found and past_masks(g, canon)[0]:
             found.add(canon)
     return [PeriodicWord(w) for w in sorted(found, key=lambda w: (len(w), w))]
 
 
-def require_realizable(g: LabeledGraph, p: PeriodicWord) -> None:
-    if omega_power(word_relation(g, p.word)).is_empty():
+def require_realizable(g: LabeledGraph, p: PeriodicWord) -> list[int]:
+    """The word's past masks per phase; raises UnrealizableWordError when
+    no bi-infinite path carries it."""
+    past = past_masks(g, p.word)
+    if not past[0]:
         raise UnrealizableWordError(
             f"word {p.word!r} has no bi-infinite labeled path"
         )
+    return past
 
 
 @dataclass(frozen=True)

@@ -40,15 +40,16 @@ from .graphs import (
     require_right_resolving,
     window_labels,
 )
-from .analysis import ComponentInfo, components_and_sources, periodic_points
+from .analysis import ComponentInfo, components_and_sources, past_masks, periodic_points
 from .covers import (
     CoverBundle,
+    PeriodicRay,
     StableCore,
     merged_graph,
     past_set_ray,
     stable_core,
 )
-from .relations import DEFAULT_MONOID_BUDGET, mask_of, stabilized_range, word_relation
+from .relations import DEFAULT_MONOID_BUDGET, mask_of
 
 Block = tuple[int, ...]
 RuleMap = Union[Mapping[Block, int], Callable[[Block], int]]
@@ -1094,16 +1095,16 @@ def verify_lift_diagrams(
     h_core_lookup = edge_lookup(core_h.graph)
     h_members = {mask_of(m): i for i, m in enumerate(core_h.members)}
 
-    def check_alpha(p: PeriodicWord):
+    def check_alpha(ray: PeriodicRay):
+        p = ray.word
         T = p.period
-        ray = past_set_ray(core_g, p)
         win = Window(0, _unroll_cycle(ray.edges, 2 * D + T))
         out = apply_code(lifted.code, win)
         hw = apply_code_cyclic(psi, p.word)
+        h_past = past_masks(h, hw)
         for t in range(out.start, out.end + 1):
             k = t % T
-            rot = hw[k:] + hw[:k]
-            v = h_members.get(stabilized_range(word_relation(h, rot)))
+            v = h_members.get(h_past[k])
             if v is None:
                 return False, "image word's stabilized set missing from the core"
             e = h_core_lookup.get((v, hw[k]))
@@ -1113,7 +1114,7 @@ def verify_lift_diagrams(
 
     sweep(
         "periodic-alpha-naturality",
-        periodic,
+        rays,
         check_alpha,
         f"{len(periodic)} periodic words up to period {max_period}",
     )

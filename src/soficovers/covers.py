@@ -47,7 +47,6 @@ from .relations import (
     stabilized_range,
     symbol_relation,
     transition_monoid,
-    word_relation,
 )
 
 FULL_MODE_VERTEX_CAP = 16
@@ -308,16 +307,15 @@ class PeriodicRay:
 def past_set_ray(core: StableCore, p: PeriodicWord) -> PeriodicRay:
     """Canonical presentation of a periodic word in the stable core.
 
-    The vertex at phase k is the stabilized endpoint set of the left tail
-    ending just before k, i.e. the fixpoint range of the rotation of p
-    starting at k.
+    The vertex at phase k is the word's past set there: the endpoints of
+    the left-infinite paths labeled by the copies of p and then its first
+    k symbols, from one walk of the word (:func:`analysis.past_masks`).
     """
-    require_realizable(core.base, p)
+    past = require_realizable(core.base, p)
     index = {mask_of(m): i for i, m in enumerate(core.members)}
     lookup = edge_lookup(core.graph)
     verts = []
-    for k in range(p.period):
-        mask = stabilized_range(word_relation(core.base, p.rotation_from(k)))
+    for mask in past:
         if mask not in index:
             raise VerificationError(
                 f"stabilized set {format_members(core.base, mask)} missing "

@@ -24,12 +24,13 @@ from .graphs import (
     PeriodicWord,
     bits,
     edge_lookup,
+    mask_image,
     require_essential,
     require_right_resolving,
     transpose,
     trim,
 )
-from .analysis import periodic_points, require_realizable
+from .analysis import forward_masks, periodic_points, require_realizable
 from .covers import (
     Step,
     StableCore,
@@ -44,11 +45,8 @@ from .relations import (
     BoolRelation,
     mask_of,
     set_of,
-    stabilized_domain,
-    stabilized_range,
     symbol_relation,
     transition_monoid,
-    word_relation,
 )
 
 INFINITE = "infinite"
@@ -224,14 +222,8 @@ def _fiber_masks(
 ) -> tuple[list[int], list[int], list[int]]:
     """Past, forward and fiber masks per phase."""
     require_essential(base)
-    past = []
-    forward = []
-    for k in range(p.period):
-        rel = word_relation(base, p.rotation_from(k))
-        past.append(stabilized_range(rel))
-        forward.append(stabilized_domain(rel))
-    if not past[0]:  # no bi-infinite path carries the word
-        require_realizable(base, p)
+    past = require_realizable(base, p)
+    forward = forward_masks(base, p.word)
     fiber = [x & y for x, y in zip(past, forward)]
     if not all(fiber):
         raise VerificationError("realizable word produced an empty fiber set")
@@ -443,8 +435,10 @@ def maximal_dominated_path(core: StableCore, path: Sequence[int]) -> DominatedPa
             raise GraphFormatError("stable-core edges do not compose")
     base = core.base
     word = tuple(core.graph.edges[k][1] for k in path)
-    start = mask_of(core.members[core.graph.edges[path[0]][0]])
-    start &= word_relation(base, word).dom_mask()
+    admits = (1 << len(base.vertices)) - 1
+    for a in reversed(word):
+        admits = mask_image(base.index.pred[a], admits)
+    start = mask_of(core.members[core.graph.edges[path[0]][0]]) & admits
     if not start:
         raise VerificationError("no member of the source set admits the label word")
     emit = edge_lookup(base, "bundle graph")

@@ -25,12 +25,15 @@ class GraphIndex(NamedTuple):
     """The edge tables of one graph, shared by every construction.
 
     ``rows[a][u]`` is the bitmask of the targets of ``a``-labeled edges
-    leaving ``u``; ``edge_at[(u, a)]`` is the index of the last such edge,
-    the only one on a right-resolving graph; ``out[u]`` lists the edges
-    leaving ``u`` in edge order.  Read-only.
+    leaving ``u``, and ``pred[a][v]`` the bitmask of the sources of
+    ``a``-labeled edges entering ``v``; ``edge_at[(u, a)]`` is the index
+    of the last edge leaving ``u`` with label ``a``, the only one on a
+    right-resolving graph; ``out[u]`` lists the edges leaving ``u`` in
+    edge order.  Read-only.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    pred: tuple[tuple[int, ...], ...]
     edge_at: Mapping[tuple[int, int], int]
     out: tuple[tuple[int, ...], ...]
 
@@ -54,14 +57,19 @@ class LabeledGraph:
         """Edge tables, built on first use; equality and hashing ignore them."""
         n = len(self.vertices)
         rows = [[0] * n for _ in self.symbols]
+        pred = [[0] * n for _ in self.symbols]
         out: list[list[int]] = [[] for _ in range(n)]
         edge_at: dict[tuple[int, int], int] = {}
         for k, (u, a, v) in enumerate(self.edges):
             rows[a][u] |= 1 << v
+            pred[a][v] |= 1 << u
             out[u].append(k)
             edge_at[(u, a)] = k
         return GraphIndex(
-            tuple(map(tuple, rows)), MappingProxyType(edge_at), tuple(map(tuple, out))
+            tuple(map(tuple, rows)),
+            tuple(map(tuple, pred)),
+            MappingProxyType(edge_at),
+            tuple(map(tuple, out)),
         )
 
     def symbol_index(self, name: str) -> int:
@@ -75,7 +83,17 @@ class LabeledGraph:
         return f"{self.vertices[u]}-{self.symbols[a]}->{self.vertices[v]}"
 
     def edge_names(self) -> tuple[str, ...]:
-        return tuple(self.edge_name(k) for k in range(len(self.edges)))
+        """Every edge name, in edge order.
+
+        Names are not escaped, so distinct edges can share one (``p-q -r-> s``
+        and ``p -q-r-> s``); an edge alphabet needs one edge per name, so a
+        repeat raises GraphFormatError.
+        """
+        names = tuple(self.edge_name(k) for k in range(len(self.edges)))
+        if len(set(names)) < len(names):
+            repeated = next(name for k, name in enumerate(names) if name in names[:k])
+            raise GraphFormatError(f"two edges share the name {repeated!r}")
+        return names
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         return self.index.out[v]
@@ -330,6 +348,17 @@ def bits(mask: int) -> list[int]:
         members.append(low.bit_length() - 1)
         mask ^= low
     return members
+
+
+def mask_image(rows: Sequence[int], mask: int) -> int:
+    """Union of ``rows[v]`` over the members v of a vertex bitmask: one
+    subset step along the symbol whose rows these are."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def format_members(g: LabeledGraph, mask: int) -> str:

@@ -8,6 +8,15 @@ The closure of the single-symbol relations under composition is finite;
 every element has an idempotent power inside it.  Ranges of idempotent-led
 products are precisely the endpoint sets of left-infinite labeled paths,
 which is what the stabilized covers are built from.
+
+The transition monoid still seeds the stable family.  For one word,
+though, the constructions walk vertex masks instead of composing
+relations: the past and forward sets of a periodic word come from
+:func:`analysis.past_masks` and :func:`analysis.forward_masks`.  The
+word relations, their idempotent powers and their stabilized ranges and
+domains stay here as the independent route: the tail oracle
+(``covers.stable_sets_from_tails``), the tail-configuration check in
+``verification`` and the tests hold the walks to them.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .graphs import LabeledGraph, bits
+from .graphs import LabeledGraph, bits, mask_image
 
 DEFAULT_MONOID_BUDGET = 200_000
 
@@ -52,13 +61,7 @@ class BoolRelation:
         return BoolRelation(self.size, tuple(out))
 
     def image(self, mask: int) -> int:
-        acc = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            acc |= self.rows[v]
-            rest &= rest - 1
-        return acc
+        return mask_image(self.rows, mask)
 
     def ran_mask(self) -> int:
         acc = 0

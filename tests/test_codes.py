@@ -30,7 +30,13 @@ from soficovers.codes import (
     rule_entries,
     sample_core_windows,
 )
-from soficovers.graphs import LabeledGraph, edge_lookup, path_window, window_labels
+from soficovers.graphs import (
+    LabeledGraph,
+    edge_lookup,
+    graph_from_parts,
+    path_window,
+    window_labels,
+)
 
 
 def identity_code(alphabet):
@@ -279,3 +285,26 @@ def test_sampled_core_windows_are_paths(name):
         for w in sample_core_windows(core, length, periodic, random.Random(length)):
             assert len(w) == length
             path_window(core.graph, w.items)  # raises unless consecutive edges compose
+
+
+# Edges p-q -r-> s and p -q-r-> s are both named "p-q-r->s"; the two edges
+# back from s keep the graph essential.
+SHARED_EDGE_NAME = graph_from_parts(
+    ["r", "q-r"],
+    ["p", "p-q", "s"],
+    [("p-q", "r", "s"), ("p", "q-r", "s"), ("s", "r", "p"), ("s", "r", "p-q")],
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        identity_square,
+        lambda g: renaming_square(g, g, range(len(g.vertices))),
+        lambda g: higher_block(g, 2),
+    ],
+    ids=["identity", "renaming", "higher-block"],
+)
+def test_squares_reject_shared_edge_names(build):
+    with pytest.raises(GraphFormatError, match="'p-q-r->s'"):
+        build(SHARED_EDGE_NAME)

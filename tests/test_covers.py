@@ -18,9 +18,10 @@ from soficovers import (
     subset_construction,
 )
 from soficovers.analysis import follower_partition
-from soficovers.graphs import format_members
+from soficovers.graphs import check_right_resolving, format_members
 from soficovers.relations import mask_of, symbol_relation
 from soficovers.verification import random_right_resolving_graphs
+from test_closure_routes import random_essential_graphs
 
 
 def member_names(base, members):
@@ -129,7 +130,10 @@ def test_oracle_agrees_on_fixtures():
 
 
 def test_oracle_agrees_on_random_graphs():
-    for g in random_right_resolving_graphs(6, seed=99):
+    graphs = random_right_resolving_graphs(6, seed=99)
+    graphs += random_essential_graphs(6, 13, right_resolving=False)
+    assert not all(check_right_resolving(g).ok for g in graphs)
+    for g in graphs:
         core = stable_core(g)
         oracle = stable_sets_from_tails(g, 2 * len(core.monoid.elements))
         assert set(oracle) == set(core.members)

@@ -2,9 +2,9 @@
 symbols or edges.
 
 Each graph is rebuilt with its vertices permuted, its alphabet reordered
-and its edges shuffled; the stable core, the future cover and the
-extended future cover of the copy must be isomorphic (labels matched by
-name) to those of the original.
+and its edges shuffled; the stable core, the future cover, the extended
+future cover, the full bundle graph and the fiber core of the copy must
+be isomorphic (labels matched by name) to those of the original.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import graphs_isomorphic
 from soficovers.covers import extended_future_cover, future_cover, stable_core
+from soficovers.fibers import bundle_graph, fiber_core
 from soficovers.graphs import LabeledGraph
 from soficovers.verification import random_right_resolving_graphs
 
@@ -54,3 +55,7 @@ def test_covers_invariant_under_relisting(name, g):
         assert graphs_isomorphic(
             extended_future_cover(twin).graph, extended_future_cover(g).graph
         ).isomorphic
+        assert graphs_isomorphic(
+            bundle_graph(twin, "full").graph, bundle_graph(g, "full").graph
+        ).isomorphic
+        assert graphs_isomorphic(fiber_core(twin).graph, fiber_core(g).graph).isomorphic

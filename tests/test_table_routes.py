@@ -15,6 +15,12 @@ frozenset all-emit step, breadth-first closure and bundle assembly they
 replace; both routes must give the same members, edges, bundle edges,
 seeds and provenance on the fixtures and on seeded right-resolving graphs
 of up to 8 vertices.
+
+The past and forward sets of a periodic word come from one walk of the
+word's masks (``analysis.past_masks`` and ``forward_masks``).  The
+reference composes each rotation's relation and takes its stabilized
+range and domain, and it decides realizability by the idempotent power;
+``maximal_dominated_path`` is held to the domain of the word's relation.
 """
 
 from __future__ import annotations
@@ -25,9 +31,20 @@ from itertools import product
 import pytest
 
 from soficovers import BASE_FIXTURES, load_fixture
-from soficovers.analysis import follower_contains
-from soficovers.analysis import periodic_points
-from soficovers.errors import BudgetExceededError, EmptyShiftError, UnrealizableWordError
+from soficovers.analysis import (
+    follower_contains,
+    forward_masks,
+    past_masks,
+    periodic_points,
+    require_realizable,
+)
+from soficovers.covers import stable_core
+from soficovers.errors import (
+    BudgetExceededError,
+    EmptyShiftError,
+    UnrealizableWordError,
+    VerificationError,
+)
 from soficovers.fibers import (
     INFINITE,
     BundleEdge,
@@ -37,6 +54,7 @@ from soficovers.fibers import (
     fiber_core,
     fiber_count_periodic,
     fiber_sets_on_periodic,
+    maximal_dominated_path,
 )
 from soficovers.graphs import (
     LabeledGraph,
@@ -45,14 +63,27 @@ from soficovers.graphs import (
     essentialize,
     graph_from_parts,
     normalize_periodic,
+    paths_of_length,
     trim,
+    words_up_to,
+)
+from soficovers.relations import (
+    mask_of,
+    omega_power,
+    stabilized_domain,
+    stabilized_range,
+    word_relation,
 )
 from soficovers.verification import random_right_resolving_graphs
+from test_closure_routes import random_essential_graphs
 
 GRAPHS_PER_KIND = 12
 MAX_WORD = 3
 BUNDLE_GRAPHS = 16
 MONOID_CAP = 1500
+WALK_WORD = 4
+WALK_GRAPHS = 6
+DOMINATED_PATH = 3
 
 
 def reference_trim(nodes, arcs):
@@ -354,3 +385,80 @@ def test_bundle_graphs_match_frozenset_routes(name, g):
     assert assembled(fcore) == assembly
     assert fcore.seeds == seed_records
     assert fcore.provenance == provenance
+
+
+def reference_phase_masks(g, word):
+    """Past and forward masks per phase from each rotation's relation."""
+    rels = [word_relation(g, word[k:] + word[:k]) for k in range(len(word))]
+    return [stabilized_range(r) for r in rels], [stabilized_domain(r) for r in rels]
+
+
+def reference_realizable(g, word):
+    return not omega_power(word_relation(g, word)).is_empty()
+
+
+def reference_periodic_points(g, max_period):
+    found = {
+        normalize_periodic(word).word
+        for word in words_up_to(g, max_period)
+        if reference_realizable(g, normalize_periodic(word).word)
+    }
+    return sorted(found, key=lambda w: (len(w), w))
+
+
+WALK_CASES = (
+    [(name, load_fixture(name)) for name in BASE_FIXTURES]
+    + [(f"rr-{i}", g) for i, g in enumerate(random_essential_graphs(WALK_GRAPHS, 11, True))]
+    + [(f"nrr-{i}", g) for i, g in enumerate(random_essential_graphs(WALK_GRAPHS, 13, False))]
+)
+
+
+def test_walk_cases_cover_both_kinds_and_unrealizable_words():
+    assert {check_right_resolving(g).ok for _, g in WALK_CASES} == {True, False}
+    assert any(
+        not reference_realizable(g, word)
+        for _, g in WALK_CASES
+        for word in product(range(len(g.symbols)), repeat=2)
+    )
+
+
+@pytest.mark.parametrize("name,g", WALK_CASES, ids=[name for name, _ in WALK_CASES])
+def test_phase_walk_matches_rotation_relations(name, g):
+    """Every word up to length 4, primitive or not, realizable or not."""
+    for length in range(1, WALK_WORD + 1):
+        for word in product(range(len(g.symbols)), repeat=length):
+            past, forward = reference_phase_masks(g, word)
+            assert past_masks(g, word) == past, word
+            assert forward_masks(g, word) == forward, word
+            assert bool(past[0]) == reference_realizable(g, word), word
+    for p in periodic_points(g, 2):
+        assert require_realizable(g, p) == reference_phase_masks(g, p.word)[0]
+
+
+@pytest.mark.parametrize("name,g", WALK_CASES, ids=[name for name, _ in WALK_CASES])
+def test_periodic_points_match_idempotent_filter(name, g):
+    got = [p.word for p in periodic_points(g, WALK_WORD)]
+    assert got == reference_periodic_points(g, WALK_WORD)
+    unrealizable = [w for w in product(range(len(g.symbols)), repeat=3)
+                    if not reference_realizable(g, w) and w == normalize_periodic(w).word]
+    for word in unrealizable:
+        with pytest.raises(UnrealizableWordError):
+            require_realizable(g, normalize_periodic(word))
+
+
+WALK_RESOLVING = [(name, g) for name, g in WALK_CASES if check_right_resolving(g).ok]
+
+
+@pytest.mark.parametrize("name,g", WALK_RESOLVING, ids=[name for name, _ in WALK_RESOLVING])
+def test_dominated_path_start_is_word_domain(name, g):
+    core = stable_core(g, MONOID_CAP)
+    for length in range(1, DOMINATED_PATH + 1):
+        for path in paths_of_length(core.graph, length):
+            word = tuple(core.graph.edges[k][1] for k in path)
+            source = mask_of(core.members[core.graph.edges[path[0]][0]])
+            want = source & word_relation(g, word).dom_mask()
+            if not want:
+                with pytest.raises(VerificationError, match="admits"):
+                    maximal_dominated_path(core, path)
+                continue
+            assert mask_of(maximal_dominated_path(core, path).start_set) == want
