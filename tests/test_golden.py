@@ -16,8 +16,11 @@ wrong output, one edge-code rule missing), whose failure details name
 windows, cycles and blocks; of ``verify --square --diagrams --json`` on
 the 2-block recoding square of ``chain_stabilization``, whose connector
 windows join rays of different periods; of ``verify-paper --json``,
-whose criterion details count the periodic words each check swept; and
-``MANIFEST.json`` with the
+whose criterion details count the periodic words each check swept; of
+``iso --json`` on two graphs with nontrivial automorphisms, the two-sheet
+disjoint union of ``example_b`` and a cyclic 3-fold lift of
+``example_a``, each against a seeded shuffle, which pins the mapping the
+search returns when several exist; and ``MANIFEST.json`` with the
 exit code of every case.  Each square file is ``<fixture>.square.json``,
 each broken copy ``example_b.<kind>.square.json``.  The products carry the stable-core witnesses
 and the fiber-core seed descriptions, so any change to how those are
@@ -45,6 +48,7 @@ from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import periodic_points
 from soficovers.cli import main
 from soficovers.codes import higher_block
+from soficovers.graphs import graph_from_parts
 from soficovers.io import graph_to_data, square_to_data
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -63,6 +67,7 @@ FIBER_PERIOD = 3
 SQUARE = "example_b.square.json"  # higher_block(example_b, 2).square
 SQUARE_FIXTURES = ("example_a", "example_b", "even_shift", "chain_stabilization")
 BROKEN_SQUARES = ("bad-label-rule", "missing-edge-rule")
+LIFTS = (("example_b", "sheets2", 2, 0), ("example_a", "lift3", 3, 1))  # fixture, tag, fold, voltage step
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
@@ -111,17 +116,43 @@ def golden_cases() -> list[tuple[str, list[str]]]:
         )
     )
     cases.append(("verify-paper", ["verify-paper", "--json"]))
+    for name, tag, _, _ in LIFTS:
+        lift = f"{name}.{tag}"
+        cases.append((f"{lift}.iso", ["iso", f"{lift}.json", f"{lift}.permuted.json", "--json"]))
     return cases
 
 
-def permuted_data(name: str) -> dict:
-    """The fixture with its alphabet, vertices and edges shuffled by a seed
-    derived from its position in BASE_FIXTURES."""
-    data = graph_to_data(load_fixture(name))
-    rng = random.Random(BASE_FIXTURES.index(name))
+def shuffled(data: dict, seed: int) -> dict:
+    """The graph data with its alphabet, vertices and edges shuffled."""
+    rng = random.Random(seed)
     for key in ("alphabet", "vertices", "edges"):
         rng.shuffle(data[key])
     return data
+
+
+def permuted_data(name: str) -> dict:
+    """The fixture shuffled by a seed derived from its position in
+    BASE_FIXTURES."""
+    return shuffled(graph_to_data(load_fixture(name)), BASE_FIXTURES.index(name))
+
+
+def lift_data(name: str, fold: int, step: int) -> dict:
+    """The ``fold``-sheet cyclic lift of a fixture: vertex ``v.i`` for sheet
+    i, and edge k from sheet i goes to sheet ``i + step * k`` mod ``fold``.
+    Step 0 gives the disjoint union of ``fold`` copies.  Shifting every
+    sheet by one is an automorphism either way."""
+    g = load_fixture(name)
+    return graph_to_data(
+        graph_from_parts(
+            g.symbols,
+            [f"{v}.{i}" for i in range(fold) for v in g.vertices],
+            [
+                (f"{g.vertices[u]}.{i}", g.symbols[a], f"{g.vertices[v]}.{(i + step * k) % fold}")
+                for i in range(fold)
+                for k, (u, a, v) in enumerate(g.edges)
+            ],
+        )
+    )
 
 
 def broken_square_data(kind: str) -> dict:
@@ -151,6 +182,12 @@ def write_fixtures(directory: Path) -> None:
     for kind in BROKEN_SQUARES:
         (directory / f"example_b.{kind}.square.json").write_text(
             json.dumps(broken_square_data(kind), indent=2) + "\n"
+        )
+    for seed, (name, tag, fold, step) in enumerate(LIFTS):
+        data = lift_data(name, fold, step)
+        (directory / f"{name}.{tag}.json").write_text(json.dumps(data, indent=2) + "\n")
+        (directory / f"{name}.{tag}.permuted.json").write_text(
+            json.dumps(shuffled(data, seed), indent=2) + "\n"
         )
 
 
