@@ -3,7 +3,9 @@
 Follower sets are the label sequences of right-infinite paths out of a
 vertex.  On an essential graph they are determined by the finite path
 labels, so partition refinement and the pair-set containment search below
-are exact, not approximations.
+are exact, not approximations.  One colour-refinement routine on the edge
+index gives both the follower classes (out-edges) and the isomorphism
+colouring (out- and in-edges).
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from .errors import UnrealizableWordError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
+    least_rotation,
     mask_image,
-    normalize_periodic,
+    primitive_root,
     require_essential,
     require_right_resolving,
     words_up_to,
@@ -116,36 +119,41 @@ def components_and_sources(
     )
 
 
+def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """Colour refinement over the ``(tag, w)`` arcs in ``adjacency[v]``.
+
+    From colour 0 everywhere, each round recolours v by the rank of its
+    signature (colour, sorted ``(tag, colour of w)`` pairs) among the
+    distinct signatures, until the colours repeat: at most n + 1 rounds.
+    Ranks are canonical, so isomorphic inputs get matching colours.
+    """
+    colour = [0] * len(adjacency)
+    while True:
+        signatures = [
+            (colour[v], tuple(sorted((tag, colour[w]) for tag, w in arcs)))
+            for v, arcs in enumerate(adjacency)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        refined = [rank[s] for s in signatures]
+        if refined == colour:
+            return colour
+        colour = refined
+
+
 def follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
-    """Group vertices by equal follower set, via Moore-style refinement.
+    """Group vertices by equal follower set: Moore's algorithm, as
+    :func:`_refine` on the ``(symbol, target)`` out-edges.
 
     Needs an essential right-resolving graph.  Classes are ordered by
     their smallest vertex.
     """
     require_essential(g)
     require_right_resolving(g)
-    n = len(g.vertices)
-    moves = {v: sorted(g.edges[k][1:] for k in g.index.out[v]) for v in range(n)}
-    out_labels = {v: frozenset(a for a, _ in moves[v]) for v in range(n)}
-    block: dict[int, int] = {}
-    keys = sorted(set(out_labels.values()), key=sorted)
-    for v in range(n):
-        block[v] = keys.index(out_labels[v])
-    while True:
-        signature = {
-            v: (block[v], tuple((a, block[w]) for a, w in moves[v]))
-            for v in range(n)
-        }
-        distinct = sorted(set(signature.values()))
-        new_block = {v: distinct.index(signature[v]) for v in range(n)}
-        if new_block == block:
-            break
-        block = new_block
+    colour = _refine([[g.edges[k][1:] for k in out] for out in g.index.out])
     classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(block[v], []).append(v)
-    ordered = sorted(classes.values(), key=lambda c: c[0])
-    return tuple(frozenset(c) for c in ordered)
+    for v, c in enumerate(colour):
+        classes.setdefault(c, []).append(v)
+    return tuple(frozenset(c) for c in classes.values())
 
 
 def is_follower_separated(g: LabeledGraph) -> bool:
@@ -226,14 +234,16 @@ def periodic_points(g: LabeledGraph, max_period: int) -> list[PeriodicWord]:
     realization, in primitive least-rotation form, without duplicates.
 
     A word repeats forever in the graph exactly when its past set at
-    phase 0 is nonempty.
+    phase 0 is nonempty.  A realizable word in least-rotation form is
+    itself a path word, so only the enumerated words already in that form
+    need testing.
     """
     require_essential(g)
-    found: set[tuple[int, ...]] = set()
-    for word in sorted(words_up_to(g, max_period)):
-        canon = normalize_periodic(word).word
-        if canon not in found and past_masks(g, canon)[0]:
-            found.add(canon)
+    found = [
+        w
+        for w in words_up_to(g, max_period)
+        if w == least_rotation(primitive_root(w)) and past_masks(g, w)[0]
+    ]
     return [PeriodicWord(w) for w in sorted(found, key=lambda w: (len(w), w))]
 
 
@@ -263,50 +273,35 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return IsomorphismResult(False, None)
     shared = sorted(set(g1.symbols) | set(g2.symbols))
-    sym1 = {i: shared.index(s) for i, s in enumerate(g1.symbols)}
-    sym2 = {i: shared.index(s) for i, s in enumerate(g2.symbols)}
 
-    def colorize(g: LabeledGraph, sym: dict[int, int]) -> list[int]:
-        n = len(g.vertices)
-        color = [0] * n
-        for _ in range(n + 1):
-            sigs = []
-            for v in range(n):
-                outs = sorted(
-                    (sym[a], color[w]) for u, a, w in g.edges if u == v
-                )
-                ins = sorted(
-                    (sym[a], color[w]) for w, a, u in g.edges if u == v
-                )
-                sigs.append((color[v], tuple(outs), tuple(ins)))
-            distinct = sorted(set(sigs))
-            new_color = [distinct.index(s) for s in sigs]
-            if new_color == color:
-                break
-            color = new_color
-        return color
+    def tagged_arcs(g: LabeledGraph) -> list[list[tuple[int, int]]]:
+        # Out-edges tagged 2 * symbol rank, in-edges 2 * symbol rank + 1.
+        sym = [shared.index(s) for s in g.symbols]
+        arcs: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+        for u, a, v in g.edges:
+            arcs[u].append((2 * sym[a], v))
+            arcs[v].append((2 * sym[a] + 1, u))
+        return arcs
 
-    c1, c2 = colorize(g1, sym1), colorize(g2, sym2)
+    arcs1, arcs2 = tagged_arcs(g1), tagged_arcs(g2)
+    c1, c2 = _refine(arcs1), _refine(arcs2)
     if sorted(c1) != sorted(c2):
         return IsomorphismResult(False, None)
 
     n = len(g1.vertices)
-    edges2 = {(u, sym2[a], v) for u, a, v in g2.edges}
-    candidates = [
-        [w for w in range(n) if c2[w] == c1[v]] for v in range(n)
-    ]
+    arc_set2 = {(w, tag, x) for w, arcs in enumerate(arcs2) for tag, x in arcs}
+    of_colour: dict[int, list[int]] = {}
+    for w, c in enumerate(c2):
+        of_colour.setdefault(c, []).append(w)
+    candidates = [of_colour[c] for c in c1]
     order = sorted(range(n), key=lambda v: len(candidates[v]))
     mapping: list[Optional[int]] = [None] * n
     used = [False] * n
 
     def consistent(v: int, w: int) -> bool:
-        for u, a, x in g1.edges:
-            mu, mx = mapping[u], mapping[x]
-            if u == v and mx is not None and (w, sym1[a], mx) not in edges2:
-                return False
-            if x == v and mu is not None and (mu, sym1[a], w) not in edges2:
-                return False
-            if u == v and x == v and (w, sym1[a], w) not in edges2:
+        for tag, x in arcs1[v]:
+            mx = w if x == v else mapping[x]
+            if mx is not None and (w, tag, mx) not in arc_set2:
                 return False
         return True
 
@@ -328,7 +323,7 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     if not backtrack(0):
         return IsomorphismResult(False, None)
     final = tuple(mapping)  # type: ignore[arg-type]
-    image = {(final[u], sym1[a], final[v]) for u, a, v in g1.edges}
-    if image != edges2:
+    image = {(final[v], tag, final[x]) for v, arcs in enumerate(arcs1) for tag, x in arcs}
+    if image != arc_set2:
         return IsomorphismResult(False, None)
     return IsomorphismResult(True, final)

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from .analysis import follower_partition, graphs_isomorphic, is_follower_separated
+from .analysis import follower_partition, graphs_isomorphic
 from .codes import ConjugacySquare, lift_conjugacy, verify_lift_diagrams, verify_square
 from .covers import (
     check_regular,
@@ -32,9 +32,7 @@ from .covers import (
     subset_construction,
 )
 from .errors import (
-    EmptyShiftError,
     GraphFormatError,
-    NotRightResolvingError,
     SoficError,
     exit_code_for,
 )
@@ -175,29 +173,24 @@ def cmd_check(args: argparse.Namespace) -> int:
         v, a = resolving.conflicts[0]
         detail = f"vertex {g.vertices[v]!r} emits {g.symbols[a]!r} more than once"
     report.add("right-resolving", resolving.ok, detail)
-    if essential:
-        separated = is_follower_separated(g)
-        detail = ""
-        if not separated:
-            merged = [
-                "{" + ",".join(sorted(g.vertices[v] for v in part)) + "}"
-                for part in follower_partition(g)
-                if len(part) > 1
-            ]
-            detail = "vertices sharing a follower set: " + "; ".join(merged)
-        report.add("follower-separated", separated, detail)
-        try:
-            regular = check_regular(g, args.budget)
-            detail = ""
-            if not regular.ok:
-                names = ", ".join(g.vertices[v] for v in regular.failing_vertices())
-                detail = f"follower set of {names} is not a stabilized past set"
-            report.add("regular", regular.ok, detail)
-        except (NotRightResolvingError, EmptyShiftError) as exc:
-            report.skip("regular", str(exc))
-    else:
-        report.skip("follower-separated", "needs an essential graph")
-        report.skip("regular", "needs an essential graph")
+    if not (essential and resolving.ok):
+        reason = "needs an essential graph" if not essential else "needs a right-resolving graph"
+        report.skip("follower-separated", reason)
+        report.skip("regular", reason)
+        return _finish(report, args)
+    merged = [
+        "{" + ",".join(sorted(g.vertices[v] for v in part)) + "}"
+        for part in follower_partition(g)
+        if len(part) > 1
+    ]
+    detail = "vertices sharing a follower set: " + "; ".join(merged) if merged else ""
+    report.add("follower-separated", not merged, detail)
+    regular = check_regular(g, args.budget)
+    detail = ""
+    if not regular.ok:
+        names = ", ".join(g.vertices[v] for v in regular.failing_vertices())
+        detail = f"follower set of {names} is not a stabilized past set"
+    report.add("regular", regular.ok, detail)
     return _finish(report, args)
 
 

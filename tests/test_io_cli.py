@@ -10,6 +10,7 @@ from soficovers import (
     code_to_data,
     export_dot,
     extended_future_cover,
+    graph_from_parts,
     graph_to_data,
     higher_block,
     load_fixture,
@@ -192,6 +193,20 @@ def test_cli_check_json_deterministic(tmp_path, capsys):
     assert report["format"] == 1
     assert report["status"] == "pass"
     assert "time" not in first
+
+
+def test_cli_check_essential_graph_not_right_resolving(tmp_path, capsys):
+    g = graph_from_parts("a", "uv", [("u", "a", "u"), ("u", "a", "v"), ("v", "a", "u")])
+    assert main(["check", write_graph(tmp_path, "fan", g), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["name"]: (c["status"], c["detail"]) for c in json.loads(captured.out)["checks"]}
+    assert checks == {
+        "essential": ("pass", ""),
+        "right-resolving": ("fail", "vertex 'u' emits 'a' more than once"),
+        "follower-separated": ("skip", "needs a right-resolving graph"),
+        "regular": ("skip", "needs a right-resolving graph"),
+    }
 
 
 def test_cli_malformed_file(tmp_path, capsys):

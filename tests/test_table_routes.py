@@ -21,6 +21,14 @@ word's masks (``analysis.past_masks`` and ``forward_masks``).  The
 reference composes each rotation's relation and takes its stabilized
 range and domain, and it decides realizability by the idempotent power;
 ``maximal_dominated_path`` is held to the domain of the word's relation.
+
+``follower_partition`` and ``graphs_isomorphic`` colour vertices with one
+refinement routine on per-vertex arc lists.  The references keep the
+Moore loop that ranked signatures with ``list.index`` and the isomorphism
+colouring that rescanned every edge for every vertex in every round, with
+its edge-scanning backtracking.  Each graph is compared with two shuffled
+twins and with one-edge-changed controls; cyclic lifts of the fixtures
+have nontrivial automorphisms, so they also pin which mapping is found.
 """
 
 from __future__ import annotations
@@ -32,8 +40,11 @@ import pytest
 
 from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import (
+    IsomorphismResult,
     follower_contains,
+    follower_partition,
     forward_masks,
+    graphs_isomorphic,
     past_masks,
     periodic_points,
     require_realizable,
@@ -64,6 +75,8 @@ from soficovers.graphs import (
     graph_from_parts,
     normalize_periodic,
     paths_of_length,
+    require_essential,
+    require_right_resolving,
     trim,
     words_up_to,
 )
@@ -462,3 +475,183 @@ def test_dominated_path_start_is_word_domain(name, g):
                     maximal_dominated_path(core, path)
                 continue
             assert mask_of(maximal_dominated_path(core, path).start_set) == want
+
+
+def reference_follower_partition(g):
+    """Moore rounds from the out-label classes, ranks found by list.index."""
+    require_essential(g)
+    require_right_resolving(g)
+    n = len(g.vertices)
+    moves = {v: sorted(g.edges[k][1:] for k in g.index.out[v]) for v in range(n)}
+    out_labels = {v: frozenset(a for a, _ in moves[v]) for v in range(n)}
+    keys = sorted(set(out_labels.values()), key=sorted)
+    block = {v: keys.index(out_labels[v]) for v in range(n)}
+    while True:
+        signature = {
+            v: (block[v], tuple((a, block[w]) for a, w in moves[v])) for v in range(n)
+        }
+        distinct = sorted(set(signature.values()))
+        new_block = {v: distinct.index(signature[v]) for v in range(n)}
+        if new_block == block:
+            break
+        block = new_block
+    classes = {}
+    for v in range(n):
+        classes.setdefault(block[v], []).append(v)
+    return tuple(frozenset(c) for c in sorted(classes.values(), key=lambda c: c[0]))
+
+
+def reference_graphs_isomorphic(g1, g2):
+    """Colouring that scans every edge per vertex and round, then
+    backtracking that scans every edge per candidate."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return IsomorphismResult(False, None)
+    shared = sorted(set(g1.symbols) | set(g2.symbols))
+    sym1 = {i: shared.index(s) for i, s in enumerate(g1.symbols)}
+    sym2 = {i: shared.index(s) for i, s in enumerate(g2.symbols)}
+
+    def colorize(g, sym):
+        n = len(g.vertices)
+        color = [0] * n
+        for _ in range(n + 1):
+            sigs = []
+            for v in range(n):
+                outs = sorted((sym[a], color[w]) for u, a, w in g.edges if u == v)
+                ins = sorted((sym[a], color[w]) for w, a, u in g.edges if u == v)
+                sigs.append((color[v], tuple(outs), tuple(ins)))
+            distinct = sorted(set(sigs))
+            new_color = [distinct.index(s) for s in sigs]
+            if new_color == color:
+                break
+            color = new_color
+        return color
+
+    c1, c2 = colorize(g1, sym1), colorize(g2, sym2)
+    if sorted(c1) != sorted(c2):
+        return IsomorphismResult(False, None)
+    n = len(g1.vertices)
+    edges2 = {(u, sym2[a], v) for u, a, v in g2.edges}
+    candidates = [[w for w in range(n) if c2[w] == c1[v]] for v in range(n)]
+    order = sorted(range(n), key=lambda v: len(candidates[v]))
+    mapping = [None] * n
+    used = [False] * n
+
+    def consistent(v, w):
+        for u, a, x in g1.edges:
+            mu, mx = mapping[u], mapping[x]
+            if u == v and mx is not None and (w, sym1[a], mx) not in edges2:
+                return False
+            if x == v and mu is not None and (mu, sym1[a], w) not in edges2:
+                return False
+            if u == v and x == v and (w, sym1[a], w) not in edges2:
+                return False
+        return True
+
+    def backtrack(pos):
+        if pos == n:
+            return True
+        v = order[pos]
+        for w in candidates[v]:
+            if used[w] or not consistent(v, w):
+                continue
+            mapping[v] = w
+            used[w] = True
+            if backtrack(pos + 1):
+                return True
+            mapping[v] = None
+            used[w] = False
+        return False
+
+    if not backtrack(0):
+        return IsomorphismResult(False, None)
+    final = tuple(mapping)
+    if {(final[u], sym1[a], final[v]) for u, a, v in g1.edges} != edges2:
+        return IsomorphismResult(False, None)
+    return IsomorphismResult(True, final)
+
+
+def cyclic_lift(g, fold, step):
+    """Sheets 0..fold-1 of g; edge k from sheet i goes to sheet
+    ``i + step * k`` mod ``fold``, so shifting the sheets is an automorphism."""
+    n = len(g.vertices)
+    return LabeledGraph(
+        g.symbols,
+        tuple(f"{v}.{i}" for i in range(fold) for v in g.vertices),
+        tuple(
+            (u + i * n, a, v + (i + step * k) % fold * n)
+            for i in range(fold)
+            for k, (u, a, v) in enumerate(g.edges)
+        ),
+    )
+
+
+def shuffled_twin(g, seed):
+    """g with its alphabet, vertices and edges listed in a seeded order."""
+    rng = random.Random(seed)
+    syms = rng.sample(range(len(g.symbols)), len(g.symbols))
+    verts = rng.sample(range(len(g.vertices)), len(g.vertices))
+    sym_at = {old: new for new, old in enumerate(syms)}
+    vert_at = {old: new for new, old in enumerate(verts)}
+    edges = [(vert_at[u], sym_at[a], vert_at[v]) for u, a, v in g.edges]
+    rng.shuffle(edges)
+    return LabeledGraph(
+        tuple(g.symbols[a] for a in syms), tuple(g.vertices[v] for v in verts), tuple(edges)
+    )
+
+
+def one_edge_changed(g, k):
+    """g with edge k sent to the next vertex, or relabeled when that edge
+    already exists; None when neither change gives a new edge."""
+    u, a, v = g.edges[k]
+    n, s = len(g.vertices), len(g.symbols)
+    for edge in ((u, a, (v + 1) % n), (u, (a + 1) % s, v)):
+        if edge not in g.edges:
+            return LabeledGraph(g.symbols, g.vertices, g.edges[:k] + (edge,) + g.edges[k + 1:])
+    return None
+
+
+LIFTS = ((2, 0), (3, 1))  # (fold, step): two disjoint sheets, a connected 3-fold lift
+REFINE_CASES = (
+    ESSENTIAL
+    + [(f"walk-{name}", g) for name, g in WALK_CASES if name not in BASE_FIXTURES]
+    + [
+        (f"{name}.x{fold}s{step}", cyclic_lift(load_fixture(name), fold, step))
+        for name in BASE_FIXTURES
+        for fold, step in LIFTS
+    ]
+)
+CONTROL_EDGES = 3
+
+
+def iso_pairs(name, g):
+    yield "twin-0", shuffled_twin(g, f"{name}/0")
+    yield "twin-1", shuffled_twin(g, f"{name}/1")
+    for k in range(min(CONTROL_EDGES, len(g.edges))):
+        control = one_edge_changed(g, k)
+        if control is not None:
+            yield f"control-{k}", shuffled_twin(control, f"{name}/c{k}")
+
+
+def test_refine_cases_cover_both_kinds_and_automorphisms():
+    assert {check_right_resolving(g).ok for _, g in REFINE_CASES} == {True, False}
+    outcomes = {
+        (label.startswith("twin"), graphs_isomorphic(g, h).isomorphic)
+        for name, g in REFINE_CASES
+        for label, h in iso_pairs(name, g)
+    }
+    assert {(True, True), (False, False)} <= outcomes
+    for name in BASE_FIXTURES:
+        for fold, step in LIFTS:
+            lifted, n = cyclic_lift(load_fixture(name), fold, step), len(load_fixture(name).vertices)
+            shifted = {((u + n) % (fold * n), a, (v + n) % (fold * n)) for u, a, v in lifted.edges}
+            assert shifted == set(lifted.edges)
+
+
+@pytest.mark.parametrize("name,g", REFINE_CASES, ids=[name for name, _ in REFINE_CASES])
+def test_refinement_matches_reference_routines(name, g):
+    if check_right_resolving(g).ok:
+        assert follower_partition(g) == reference_follower_partition(g)
+    for label, h in iso_pairs(name, g):
+        assert graphs_isomorphic(g, h) == reference_graphs_isomorphic(g, h), label
+        if label.startswith("twin"):
+            assert graphs_isomorphic(g, h).isomorphic, label
