@@ -48,7 +48,7 @@ from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import periodic_points
 from soficovers.cli import main
 from soficovers.codes import higher_block
-from soficovers.graphs import graph_from_parts
+from soficovers.graphs import LabeledGraph
 from soficovers.io import graph_to_data, square_to_data
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -136,22 +136,20 @@ def permuted_data(name: str) -> dict:
     return shuffled(graph_to_data(load_fixture(name)), BASE_FIXTURES.index(name))
 
 
-def lift_data(name: str, fold: int, step: int) -> dict:
-    """The ``fold``-sheet cyclic lift of a fixture: vertex ``v.i`` for sheet
-    i, and edge k from sheet i goes to sheet ``i + step * k`` mod ``fold``.
+def cyclic_lift(g: LabeledGraph, fold: int, step: int) -> LabeledGraph:
+    """The ``fold``-sheet cyclic lift of g: vertex ``v.i`` for sheet i,
+    and edge k from sheet i goes to sheet ``i + step * k`` mod ``fold``.
     Step 0 gives the disjoint union of ``fold`` copies.  Shifting every
     sheet by one is an automorphism either way."""
-    g = load_fixture(name)
-    return graph_to_data(
-        graph_from_parts(
-            g.symbols,
-            [f"{v}.{i}" for i in range(fold) for v in g.vertices],
-            [
-                (f"{g.vertices[u]}.{i}", g.symbols[a], f"{g.vertices[v]}.{(i + step * k) % fold}")
-                for i in range(fold)
-                for k, (u, a, v) in enumerate(g.edges)
-            ],
-        )
+    n = len(g.vertices)
+    return LabeledGraph(
+        g.symbols,
+        tuple(f"{v}.{i}" for i in range(fold) for v in g.vertices),
+        tuple(
+            (u + i * n, a, v + (i + step * k) % fold * n)
+            for i in range(fold)
+            for k, (u, a, v) in enumerate(g.edges)
+        ),
     )
 
 
@@ -184,7 +182,7 @@ def write_fixtures(directory: Path) -> None:
             json.dumps(broken_square_data(kind), indent=2) + "\n"
         )
     for seed, (name, tag, fold, step) in enumerate(LIFTS):
-        data = lift_data(name, fold, step)
+        data = graph_to_data(cyclic_lift(load_fixture(name), fold, step))
         (directory / f"{name}.{tag}.json").write_text(json.dumps(data, indent=2) + "\n")
         (directory / f"{name}.{tag}.permuted.json").write_text(
             json.dumps(shuffled(data, seed), indent=2) + "\n"

@@ -89,6 +89,7 @@ from soficovers.relations import (
 )
 from soficovers.verification import random_right_resolving_graphs
 from test_closure_routes import random_essential_graphs
+from test_golden import cyclic_lift
 
 GRAPHS_PER_KIND = 12
 MAX_WORD = 3
@@ -570,21 +571,6 @@ def reference_graphs_isomorphic(g1, g2):
     return IsomorphismResult(True, final)
 
 
-def cyclic_lift(g, fold, step):
-    """Sheets 0..fold-1 of g; edge k from sheet i goes to sheet
-    ``i + step * k`` mod ``fold``, so shifting the sheets is an automorphism."""
-    n = len(g.vertices)
-    return LabeledGraph(
-        g.symbols,
-        tuple(f"{v}.{i}" for i in range(fold) for v in g.vertices),
-        tuple(
-            (u + i * n, a, v + (i + step * k) % fold * n)
-            for i in range(fold)
-            for k, (u, a, v) in enumerate(g.edges)
-        ),
-    )
-
-
 def shuffled_twin(g, seed):
     """g with its alphabet, vertices and edges listed in a seeded order."""
     rng = random.Random(seed)
@@ -641,8 +627,9 @@ def test_refine_cases_cover_both_kinds_and_automorphisms():
     }
     assert {(True, True), (False, False)} <= outcomes
     for name in BASE_FIXTURES:
+        n = len(load_fixture(name).vertices)
         for fold, step in LIFTS:
-            lifted, n = cyclic_lift(load_fixture(name), fold, step), len(load_fixture(name).vertices)
+            lifted = cyclic_lift(load_fixture(name), fold, step)
             shifted = {((u + n) % (fold * n), a, (v + n) % (fold * n)) for u, a, v in lifted.edges}
             assert shifted == set(lifted.edges)
 
