@@ -305,22 +305,28 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
                 return False
         return True
 
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return True
+    # Depth-first search with an explicit stack: tried[pos] counts the
+    # candidates of order[pos] already tried under the current prefix.
+    tried = [0] * n
+    pos = 0
+    while 0 <= pos < n:
         v = order[pos]
-        for w in candidates[v]:
-            if used[w] or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if backtrack(pos + 1):
-                return True
+        if mapping[v] is not None:  # back from a dead end: undo v's choice
+            used[mapping[v]] = False
             mapping[v] = None
-            used[w] = False
-        return False
-
-    if not backtrack(0):
+        cands = candidates[v]
+        k = tried[pos]
+        while k < len(cands) and (used[cands[k]] or not consistent(v, cands[k])):
+            k += 1
+        if k == len(cands):
+            tried[pos] = 0
+            pos -= 1
+            continue
+        mapping[v] = cands[k]
+        used[cands[k]] = True
+        tried[pos] = k + 1
+        pos += 1
+    if pos < 0:
         return IsomorphismResult(False, None)
     final = tuple(mapping)  # type: ignore[arg-type]
     image = {(final[v], tag, final[x]) for v, arcs in enumerate(arcs1) for tag, x in arcs}

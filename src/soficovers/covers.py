@@ -216,7 +216,10 @@ def stable_core(
     the transition monoid and an element m (or nothing) after it: the
     left tail repeats e's word forever and then reads m's word.  Since
     ran(e . m) is the subset step from ran(e) along m's word, the family
-    is the forward closure of the idempotent ranges.
+    is the forward closure of the idempotent ranges.  Only the idempotents'
+    ranges and words are read from the monoid, which ``base`` keeps after
+    its first generation (see :func:`transition_monoid`); the closure and
+    the subset graph are built again on every call.
 
     Idempotents are taken in monoid order.  A set's witness is (e's word,
     v) for the first e whose range reaches it, with v the shortest, then

@@ -4,13 +4,18 @@ For a word w, the relation holds (u, v) exactly when some path labeled w
 runs from u to v.  Rows are vertex bitmasks, so composition is one
 integer OR per vertex in each row.
 
-The closure of the single-symbol relations under composition is finite;
-every element has an idempotent power inside it.  Ranges of idempotent-led
-products are precisely the endpoint sets of left-infinite labeled paths,
-which is what the stabilized covers are built from.
+The closure of the single-symbol relations under composition, the
+transition monoid, is finite; every element has an idempotent power
+inside it.  Ranges of idempotent-led products are precisely the endpoint
+sets of left-infinite labeled paths, which is what the stabilized covers
+are built from, so the monoid's idempotents seed the stable family.
+:func:`transition_monoid` generates it by a breadth-first search over row
+tuples, one subset step per row and symbol, flags the idempotents by
+walking the right Cayley graph the search records, and keeps the result
+on the graph: each graph's monoid is generated once, however many
+constructions read it.
 
-The transition monoid still seeds the stable family.  For one word,
-though, the constructions walk vertex masks instead of composing
+For one word the constructions walk vertex masks instead of composing
 relations: the past and forward sets of a periodic word come from
 :func:`analysis.past_masks` and :func:`analysis.forward_masks`.  The
 word relations, their idempotent powers and their stabilized ranges and
@@ -28,6 +33,7 @@ from .errors import BudgetExceededError
 from .graphs import LabeledGraph, bits, mask_image
 
 DEFAULT_MONOID_BUDGET = 200_000
+_KEPT = "_transition_monoid"  # instance-dict key of a graph's finished monoid
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -125,25 +131,19 @@ class TransitionMonoid:
 
     ``elements`` are the relations of nonempty words, in breadth-first
     (shortest word first, symbols in alphabet order) discovery order, with
-    one witness word each. The empty-word identity is kept on the side: it
-    is the unit of the monoid but carries left-tail semantics only when
-    some nonempty word happens to realize it, in which case it also shows
-    up in ``elements``.
+    one witness word each; ``idempotent_flags[i]`` says whether
+    ``elements[i]`` composed with itself is itself.
     """
 
     def __init__(
         self,
         elements: list[BoolRelation],
         words: list[tuple[int, ...]],
-        identity: BoolRelation,
-        generators: list[int],
+        idempotent_flags: list[bool],
     ):
         self.elements = elements
         self.words = words
-        self.identity = identity
-        self.generators = generators  # symbol -> element index
-        self.index = {rel.rows: i for i, rel in enumerate(elements)}
-        self.idempotent_flags = [rel.is_idempotent() for rel in elements]
+        self.idempotent_flags = idempotent_flags
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -158,38 +158,77 @@ class TransitionMonoid:
 def transition_monoid(
     g: LabeledGraph, budget: int = DEFAULT_MONOID_BUDGET
 ) -> TransitionMonoid:
-    """Generate the full transition monoid of ``g``.
+    """The full transition monoid of ``g``, generated on first use.
 
-    Raises BudgetExceededError (CLI exit 3) when the closure would exceed
-    ``budget`` elements.
+    The finished monoid is kept in the graph's instance dict, as
+    ``LabeledGraph.index`` is, so it lives as long as the graph and
+    equality, hashing and ``repr`` ignore it.  Raises BudgetExceededError
+    (CLI exit 3) when the monoid has more than ``budget`` elements, whether
+    it is generated now or was kept from an earlier call; a generation that
+    overruns keeps nothing.
     """
-    n_sym = len(g.symbols)
-    base = [symbol_relation(g, a) for a in range(n_sym)]
-    elements: list[BoolRelation] = []
+    monoid = g.__dict__.get(_KEPT)
+    if monoid is None:
+        monoid = _generate_monoid(g, budget)
+        g.__dict__[_KEPT] = monoid
+    elif len(monoid) > budget:
+        raise _overrun(budget)
+    return monoid
+
+
+def _overrun(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"transition monoid exceeds {budget} elements", budget)
+
+
+def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:
+    """Breadth-first search over the relations' row tuples.
+
+    Row u of x·a is the ``a``-step of row u of x, so each distinct row is
+    stepped along every symbol once and the products x·a are read off by
+    column.  The search records the right Cayley graph, ``right[i][a]``
+    being the index of elements[i]·a; an element e is idempotent exactly
+    when following e's own word from e along ``right`` comes back to e.
+    """
+    base = g.index.rows
+    found: list[tuple[int, ...]] = []
     words: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
-    generators: list[int] = []
-    for a, rel in enumerate(base):
-        if rel.rows not in index:
-            index[rel.rows] = len(elements)
-            elements.append(rel)
-            words.append((a,))
-        generators.append(index[rel.rows])
-    todo = list(range(len(elements)))
-    while todo:
-        i = todo.pop(0)
-        for a, gen in enumerate(base):
-            rel = elements[i].compose(gen)
-            if rel.rows not in index:
-                if len(elements) >= budget:
-                    raise BudgetExceededError(
-                        f"transition monoid exceeds {budget} elements", budget
-                    )
-                index[rel.rows] = len(elements)
-                elements.append(rel)
-                words.append(words[i] + (a,))
-                todo.append(len(elements) - 1)
-    return TransitionMonoid(elements, words, identity_relation(len(g.vertices)), generators)
+
+    def add(rows: tuple[int, ...], word: tuple[int, ...]) -> int:
+        if len(found) >= budget:
+            raise _overrun(budget)
+        index[rows] = len(found)
+        found.append(rows)
+        words.append(word)
+        return len(found) - 1
+
+    for a, rows in enumerate(base):
+        if rows not in index:
+            add(rows, (a,))
+    steps: dict[int, tuple[int, ...]] = {}  # row -> its step along each symbol
+    right: list[list[int]] = []
+    i = 0
+    while i < len(found):
+        per_row = []
+        for row in found[i]:
+            to = steps.get(row)
+            if to is None:
+                to = steps[row] = tuple([mask_image(step, row) for step in base])
+            per_row.append(to)
+        out = []
+        for a, rows in enumerate(zip(*per_row)):
+            j = index.get(rows)
+            out.append(add(rows, words[i] + (a,)) if j is None else j)
+        right.append(out)
+        i += 1
+    flags = []
+    for e, word in enumerate(words):
+        j = e
+        for a in word:
+            j = right[j][a]
+        flags.append(j == e)
+    size = len(g.vertices)
+    return TransitionMonoid([BoolRelation(size, rows) for rows in found], words, flags)
 
 
 def stabilized_range(rel: BoolRelation) -> int:

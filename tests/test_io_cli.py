@@ -324,6 +324,20 @@ def test_cli_iso_example(tmp_path, capsys):
     assert main(["iso", b, ext_path]) == 1
 
 
+def test_cli_iso_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """The backtracking keeps one stack entry per vertex, not one call
+    frame.  On a cycle every vertex gets one colour, so refinement stops
+    after one round and the search maps the vertices in order."""
+    n = 1200
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[i], "a", names[(i + 1) % n]) for i in range(n)]
+    path = write_graph(tmp_path, "ring", graph_from_parts(["a"], names, edges))
+    assert main(["iso", "--json", path, path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["result"]["mapping"] == {v: v for v in names}
+
+
 def test_cli_verify_square(tmp_path, capsys):
     square = higher_block(load_fixture("example_b"), 2).square
     path = tmp_path / "square.json"

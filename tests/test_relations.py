@@ -83,6 +83,42 @@ def test_monoid_budget_exceeded(example_a):
     assert exit_code_for(exc.value) == 3
 
 
+def test_monoid_is_kept_on_the_graph():
+    g = load_fixture("example_a")
+    monoid = transition_monoid(g)
+    assert transition_monoid(g) is monoid
+    assert transition_monoid(g, len(monoid)) is monoid
+    assert transition_monoid(load_fixture("example_a")) is not monoid
+
+
+def test_kept_monoid_keeps_the_budget():
+    g = load_fixture("example_a")
+    budget = len(transition_monoid(g)) - 1
+    with pytest.raises(BudgetExceededError) as kept:
+        transition_monoid(g, budget)
+    with pytest.raises(BudgetExceededError) as fresh:
+        transition_monoid(load_fixture("example_a"), budget)
+    assert exit_code_for(kept.value) == 3
+    assert str(kept.value) == str(fresh.value) == f"transition monoid exceeds {budget} elements"
+
+
+def test_overrun_keeps_nothing():
+    g = load_fixture("example_a")
+    with pytest.raises(BudgetExceededError):
+        transition_monoid(g, 2)
+    monoid = transition_monoid(g)
+    assert len(monoid) == 16
+    assert transition_monoid(g) is monoid
+
+
+def test_kept_monoid_leaves_equality_alone():
+    g = load_fixture("example_b")
+    transition_monoid(g)
+    copy = load_fixture("example_b")
+    assert g == copy and hash(g) == hash(copy) and repr(g) == repr(copy)
+    assert {g: 1}[copy] == 1
+
+
 def test_stabilized_range_is_omega_limit(example_a):
     s = example_a.symbols.index
     for word in ((s("0"),), (s("2"), s("3")), (s("0"), s("1"), s("2"))):

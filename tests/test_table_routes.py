@@ -29,6 +29,12 @@ colouring that rescanned every edge for every vertex in every round, with
 its edge-scanning backtracking.  Each graph is compared with two shuffled
 twins and with one-edge-changed controls; cyclic lifts of the fixtures
 have nontrivial automorphisms, so they also pin which mapping is found.
+
+``transition_monoid`` searches breadth-first over row tuples and flags an
+idempotent by walking its own word along the right Cayley graph that the
+search records.  The reference composes ``BoolRelation``s from a popped
+queue and flags idempotents by self-composition; elements, words and flags
+must agree on the walk cases and on lifts of up to 20 vertices.
 """
 
 from __future__ import annotations
@@ -85,6 +91,8 @@ from soficovers.relations import (
     omega_power,
     stabilized_domain,
     stabilized_range,
+    symbol_relation,
+    transition_monoid,
     word_relation,
 )
 from soficovers.verification import random_right_resolving_graphs
@@ -642,3 +650,52 @@ def test_refinement_matches_reference_routines(name, g):
         assert graphs_isomorphic(g, h) == reference_graphs_isomorphic(g, h), label
         if label.startswith("twin"):
             assert graphs_isomorphic(g, h).isomorphic, label
+
+
+def reference_transition_monoid(g):
+    """Breadth-first closure by ``BoolRelation.compose`` with a popped
+    queue; idempotents flagged by composing each element with itself."""
+    base = [symbol_relation(g, a) for a in range(len(g.symbols))]
+    elements, words, index = [], [], {}
+    for a, rel in enumerate(base):
+        if rel.rows not in index:
+            index[rel.rows] = len(elements)
+            elements.append(rel)
+            words.append((a,))
+    todo = list(range(len(elements)))
+    while todo:
+        i = todo.pop(0)
+        for a, gen in enumerate(base):
+            rel = elements[i].compose(gen)
+            if rel.rows not in index:
+                index[rel.rows] = len(elements)
+                elements.append(rel)
+                words.append(words[i] + (a,))
+                todo.append(len(elements) - 1)
+    return elements, words, [rel.is_idempotent() for rel in elements]
+
+
+MONOID_CASES = WALK_CASES + [
+    (f"{name}.x{fold}s1", cyclic_lift(g, fold, 1))
+    for name, g, fold in (
+        ("example_a", load_fixture("example_a"), 6),
+        ("example_b", load_fixture("example_b"), 9),
+        ("nrr-4", dict(WALK_CASES)["nrr-4"], 2),
+    )
+]
+
+
+def test_monoid_cases_cover_both_kinds_and_large_graphs():
+    assert {check_right_resolving(g).ok for _, g in MONOID_CASES} == {True, False}
+    assert max(len(g.vertices) for _, g in MONOID_CASES) > 16
+    flags = {flag for _, g in MONOID_CASES for flag in transition_monoid(g).idempotent_flags}
+    assert flags == {True, False}
+
+
+@pytest.mark.parametrize("name,g", MONOID_CASES, ids=[name for name, _ in MONOID_CASES])
+def test_transition_monoid_matches_compose_route(name, g):
+    monoid = transition_monoid(g)
+    elements, words, flags = reference_transition_monoid(g)
+    assert monoid.elements == elements
+    assert monoid.words == words
+    assert monoid.idempotent_flags == flags
