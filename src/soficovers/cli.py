@@ -20,7 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .analysis import follower_partition, graphs_isomorphic
 from .codes import ConjugacySquare, lift_conjugacy, verify_lift_diagrams, verify_square
@@ -311,7 +311,7 @@ def _square_from_args(args: argparse.Namespace) -> tuple[ConjugacySquare, dict[s
     missing = [name for name, value in parts.items() if not value]
     if missing:
         raise GraphFormatError(
-            "lift needs --square FILE, or a graph argument plus "
+            f"{args.command} needs --square FILE, or a graph argument plus "
             "--graph-h --phi --phi-inv --psi --psi-inv (missing: "
             + ", ".join(missing)
             + ")"
@@ -447,187 +447,235 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """``type=`` for an int flag: a value below ``minimum`` is a parse error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+Adder = Callable[[argparse.ArgumentParser], Any]
+
+
+def _arg(*names: str, **options: Any) -> Adder:
+    """One ``add_argument`` call, made only when its command's parser is built."""
+    return lambda p: p.add_argument(*names, **options)
+
+
+_GRAPH = _arg("graph")
+_BUDGET = _arg(
+    "--budget",
+    type=_at_least(1),
+    default=DEFAULT_MONOID_BUDGET,
+    help="transition monoid element budget (default %(default)s)",
+)
+_OUTPUT = _arg("-o", "--output", help="write the product here instead of stdout")
+_JSON = _arg("--json", action="store_true", help="machine-readable report")
+_MAX_PERIOD = _arg("--max-period", type=_at_least(0), default=6, help="default %(default)s")
+_MAX_TAIL = _arg("--max-tail", type=_at_least(0), default=8, help="default %(default)s")
+_SQUARE_INPUTS = (
+    _arg("graph", nargs="?", help="domain graph (with --graph-h and code flags)"),
+    _arg("--square", help="JSON file bundling both graphs and all four codes"),
+    _arg("--graph-h", help="codomain graph"),
+    _arg("--phi", help="edge block code file, domain to codomain"),
+    _arg("--phi-inv", help="inverse edge block code file"),
+    _arg("--psi", help="label block code file, domain to codomain"),
+    _arg("--psi-inv", help="inverse label block code file"),
+)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of the command table: a subcommand and how to parse it."""
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    arguments: tuple[Adder, ...]
+
+
+COMMANDS = (
+    Command(
+        "check",
+        "Report structural predicates of a labeled graph",
+        cmd_check,
+        (_GRAPH, _BUDGET, _JSON),
+    ),
+    Command(
+        "subset",
+        "Determinize a graph onto vertex subsets",
+        cmd_subset,
+        (
+            _GRAPH,
+            _arg(
+                "--mode",
+                choices=("reachable-from-full", "full"),
+                default="reachable-from-full",
+                help="subset family to build (default %(default)s)",
+            ),
+            _OUTPUT,
+        ),
+    ),
+    Command(
+        "past-cover",
+        "Subset cover on the stabilized endpoint sets of left-infinite paths",
+        cmd_past_cover,
+        (_GRAPH, _BUDGET, _OUTPUT),
+    ),
+    Command(
+        "future-cover",
+        "Follower-merged quotient of the past cover",
+        cmd_future_cover,
+        (_GRAPH, _BUDGET, _OUTPUT),
+    ),
+    Command(
+        "extended-future-cover",
+        "Past cover of the future cover",
+        cmd_extended_future_cover,
+        (_GRAPH, _BUDGET, _OUTPUT),
+    ),
+    Command(
+        "gpp",
+        "All-member-emit bundle graph over vertex subsets",
+        cmd_gpp,
+        (
+            _GRAPH,
+            _arg(
+                "--mode",
+                choices=("full", "seeded"),
+                default="full",
+                help="subset family to bundle (default %(default)s)",
+            ),
+            _arg(
+                "--seed",
+                action="append",
+                metavar="V1,V2",
+                help="seed vertex set for seeded mode; repeatable",
+            ),
+            _OUTPUT,
+        ),
+    ),
+    Command(
+        "gprime",
+        "Bundle subgraph generated by the fiber sets of short periodic words",
+        cmd_gprime,
+        (_GRAPH, _MAX_PERIOD, _MAX_TAIL, _BUDGET, _OUTPUT),
+    ),
+    Command(
+        "fibers",
+        "Past, forward, and fiber sets of a periodic word, with the fiber count",
+        cmd_fibers,
+        (
+            _GRAPH,
+            _arg(
+                "--period",
+                required=True,
+                metavar="WORD",
+                help="one period, comma-separated symbol names (or plain digits)",
+            ),
+            _JSON,
+        ),
+    ),
+    Command(
+        "lift",
+        "Induce the conjugacy of past covers from a label-respecting conjugacy",
+        cmd_lift,
+        (
+            *_SQUARE_INPUTS,
+            _arg(
+                "--no-verify",
+                action="store_true",
+                help="skip the square identity checks before lifting",
+            ),
+            _BUDGET,
+            _OUTPUT,
+        ),
+    ),
+    Command(
+        "verify",
+        "Check the commuting-square identities of a label-respecting conjugacy",
+        cmd_verify,
+        (
+            *_SQUARE_INPUTS,
+            _arg("--max-window", type=_at_least(0), default=12, help="default %(default)s"),
+            _MAX_PERIOD,
+            _arg(
+                "--diagrams",
+                action="store_true",
+                help="also lift the conjugacy and check the induced-map diagrams",
+            ),
+            _BUDGET,
+            _JSON,
+        ),
+    ),
+    Command(
+        "verify-paper",
+        "Run the bundled example suite and report every acceptance check",
+        cmd_verify_paper,
+        (
+            _arg("--criterion", type=int, choices=range(1, 9), help="run one criterion only"),
+            _MAX_PERIOD,
+            _MAX_TAIL,
+            _arg("--random-graphs", type=_at_least(0), default=25, help="default %(default)s"),
+            _arg("--seed", type=int, default=20260814, help="default %(default)s"),
+            _BUDGET,
+            _JSON,
+        ),
+    ),
+    Command(
+        "iso",
+        "Decide label-preserving graph isomorphism",
+        cmd_iso,
+        (_arg("graph1"), _arg("graph2"), _JSON),
+    ),
+    Command(
+        "export",
+        "Export a graph for rendering",
+        cmd_export,
+        (
+            _GRAPH,
+            _arg("--dot", action="store_true", required=True, help="DOT format"),
+            _arg("--name", default="G", help="graph name in the output (default %(default)s)"),
+            _OUTPUT,
+        ),
+    ),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every command or only ``command``'s.
+
+    When ``command`` names a command in ``COMMANDS``, only its subparser
+    is built, under the same subparser action, so that command's usage,
+    help, errors and exit codes are those of the full parser.  Otherwise
+    (``None``, an option, an unknown name) every command is built, so the
+    top-level help and the invalid-choice error list them all.
+    """
     parser = argparse.ArgumentParser(
         prog="soficovers",
         description="Canonical covers of sofic shifts presented by labeled graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    def budget_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_MONOID_BUDGET,
-            help="transition monoid element budget (default %(default)s)",
-        )
-
-    def output_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-o", "--output", help="write the product here instead of stdout")
-
-    def json_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-
-    p = command("check", "Report structural predicates of a labeled graph", cmd_check)
-    p.add_argument("graph")
-    budget_flag(p)
-    json_flag(p)
-
-    p = command("subset", "Determinize a graph onto vertex subsets", cmd_subset)
-    p.add_argument("graph")
-    p.add_argument(
-        "--mode",
-        choices=("reachable-from-full", "full"),
-        default="reachable-from-full",
-        help="subset family to build (default %(default)s)",
-    )
-    output_flag(p)
-
-    p = command(
-        "past-cover",
-        "Subset cover on the stabilized endpoint sets of left-infinite paths",
-        cmd_past_cover,
-    )
-    p.add_argument("graph")
-    budget_flag(p)
-    output_flag(p)
-
-    p = command(
-        "future-cover",
-        "Follower-merged quotient of the past cover",
-        cmd_future_cover,
-    )
-    p.add_argument("graph")
-    budget_flag(p)
-    output_flag(p)
-
-    p = command(
-        "extended-future-cover",
-        "Past cover of the future cover",
-        cmd_extended_future_cover,
-    )
-    p.add_argument("graph")
-    budget_flag(p)
-    output_flag(p)
-
-    p = command("gpp", "All-member-emit bundle graph over vertex subsets", cmd_gpp)
-    p.add_argument("graph")
-    p.add_argument(
-        "--mode",
-        choices=("full", "seeded"),
-        default="full",
-        help="subset family to bundle (default %(default)s)",
-    )
-    p.add_argument(
-        "--seed",
-        action="append",
-        metavar="V1,V2",
-        help="seed vertex set for seeded mode; repeatable",
-    )
-    output_flag(p)
-
-    p = command(
-        "gprime",
-        "Bundle subgraph generated by the fiber sets of short periodic words",
-        cmd_gprime,
-    )
-    p.add_argument("graph")
-    p.add_argument("--max-period", type=int, default=6, help="default %(default)s")
-    p.add_argument("--max-tail", type=int, default=8, help="default %(default)s")
-    budget_flag(p)
-    output_flag(p)
-
-    p = command(
-        "fibers",
-        "Past, forward, and fiber sets of a periodic word, with the fiber count",
-        cmd_fibers,
-    )
-    p.add_argument("graph")
-    p.add_argument(
-        "--period",
-        required=True,
-        metavar="WORD",
-        help="one period, comma-separated symbol names (or plain digits)",
-    )
-    json_flag(p)
-
-    p = command(
-        "lift",
-        "Induce the conjugacy of past covers from a label-respecting conjugacy",
-        cmd_lift,
-    )
-    p.add_argument("graph", nargs="?", help="domain graph (with --graph-h and code flags)")
-    p.add_argument("--square", help="JSON file bundling both graphs and all four codes")
-    p.add_argument("--graph-h", help="codomain graph")
-    p.add_argument("--phi", help="edge block code file, domain to codomain")
-    p.add_argument("--phi-inv", help="inverse edge block code file")
-    p.add_argument("--psi", help="label block code file, domain to codomain")
-    p.add_argument("--psi-inv", help="inverse label block code file")
-    p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the square identity checks before lifting",
-    )
-    budget_flag(p)
-    output_flag(p)
-
-    p = command(
-        "verify",
-        "Check the commuting-square identities of a label-respecting conjugacy",
-        cmd_verify,
-    )
-    p.add_argument("graph", nargs="?", help="domain graph (with --graph-h and code flags)")
-    p.add_argument("--square", help="JSON file bundling both graphs and all four codes")
-    p.add_argument("--graph-h")
-    p.add_argument("--phi")
-    p.add_argument("--phi-inv")
-    p.add_argument("--psi")
-    p.add_argument("--psi-inv")
-    p.add_argument("--max-window", type=int, default=12, help="default %(default)s")
-    p.add_argument("--max-period", type=int, default=6, help="default %(default)s")
-    p.add_argument(
-        "--diagrams",
-        action="store_true",
-        help="also lift the conjugacy and check the induced-map diagrams",
-    )
-    budget_flag(p)
-    json_flag(p)
-
-    p = command(
-        "verify-paper",
-        "Run the bundled example suite and report every acceptance check",
-        cmd_verify_paper,
-    )
-    p.add_argument("--criterion", type=int, choices=range(1, 9), help="run one criterion only")
-    p.add_argument("--max-period", type=int, default=6, help="default %(default)s")
-    p.add_argument("--max-tail", type=int, default=8, help="default %(default)s")
-    p.add_argument("--random-graphs", type=int, default=25, help="default %(default)s")
-    p.add_argument("--seed", type=int, default=20260814, help="default %(default)s")
-    budget_flag(p)
-    json_flag(p)
-
-    p = command("iso", "Decide label-preserving graph isomorphism", cmd_iso)
-    p.add_argument("graph1")
-    p.add_argument("graph2")
-    json_flag(p)
-
-    p = command("export", "Export a graph for rendering", cmd_export)
-    p.add_argument("graph")
-    p.add_argument("--dot", action="store_true", required=True, help="DOT format")
-    p.add_argument("--name", default="G", help="graph name in the output (default %(default)s)")
-    output_flag(p)
-
+    for spec in [c for c in COMMANDS if c.name == command] or COMMANDS:
+        p = sub.add_parser(spec.name, help=spec.help, description=spec.help)
+        p.set_defaults(handler=spec.handler)
+        for add_argument in spec.arguments:
+            add_argument(p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Building all 13 subparsers costs more than most commands on small graphs.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     args.started_at = time.perf_counter()
     try:
         return args.handler(args)

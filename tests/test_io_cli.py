@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import soficovers
 
 from soficovers import (
     BASE_FIXTURES,
@@ -264,6 +270,24 @@ def test_cli_budget_exceeded(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+OUT_OF_RANGE = [
+    ("--budget", ["past-cover", "{graph}", "--budget", "0"]),
+    ("--max-period", ["gprime", "{graph}", "--max-period", "-1"]),
+    ("--max-tail", ["gprime", "{graph}", "--max-tail", "-1"]),
+    ("--max-window", ["verify", "--square", "{graph}", "--max-window", "-1"]),
+    ("--random-graphs", ["verify-paper", "--random-graphs", "-1", "--criterion", "3"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv", OUT_OF_RANGE, ids=[flag for flag, _ in OUT_OF_RANGE])
+def test_cli_rejects_out_of_range_counts(tmp_path, capsys, flag, argv):
+    graph = fixture_file(tmp_path, "example_a")
+    with pytest.raises(SystemExit) as exc:  # a parse error, raised before any input is read
+        main([arg.format(graph=graph) for arg in argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
 def test_cli_fibers(tmp_path, capsys):
     code = main(["fibers", fixture_file(tmp_path, "example_a"), "--period", "0"])
     out = capsys.readouterr().out
@@ -346,6 +370,14 @@ def test_cli_verify_square(tmp_path, capsys):
     assert "status: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["lift", "verify"])
+def test_cli_square_parts_missing(capsys, command):
+    assert main([command, "--phi", "phi.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} needs --square FILE")
+    assert "missing: graph, --graph-h, --phi-inv, --psi, --psi-inv" in err
+
+
 def test_cli_lift_product(tmp_path, capsys):
     square = higher_block(load_fixture("example_b"), 2).square
     path = tmp_path / "square.json"
@@ -375,3 +407,18 @@ def test_cli_verify_paper_single_criterion(capsys):
     out = capsys.readouterr().out
     assert "extended(Example-B): 3 / 8" in out
     assert "[pass] criterion-2" in out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = [str(Path(soficovers.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    graph = fixture_file(tmp_path, "example_a")
+    done = subprocess.run(
+        [sys.executable, "-m", "soficovers", "export", graph, "--dot"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("digraph")
