@@ -20,8 +20,10 @@ whose criterion details count the periodic words each check swept; of
 ``iso --json`` on two graphs with nontrivial automorphisms, the two-sheet
 disjoint union of ``example_b`` and a cyclic 3-fold lift of
 ``example_a``, each against a seeded shuffle, which pins the mapping the
-search returns when several exist; and ``MANIFEST.json`` with the
-exit code of every case.  Each square file is ``<fixture>.square.json``,
+search returns when several exist; of ``iso --json`` on a 200-vertex
+``a``-ring with one ``b`` loop, against itself and against a seeded
+shuffle, whose colour refinement splits off one vertex at a time; and
+``MANIFEST.json`` with the exit code of every case.  Each square file is ``<fixture>.square.json``,
 each broken copy ``example_b.<kind>.square.json``.  The products carry the stable-core witnesses
 and the fiber-core seed descriptions, so any change to how those are
 chosen shows here.
@@ -68,6 +70,7 @@ SQUARE = "example_b.square.json"  # higher_block(example_b, 2).square
 SQUARE_FIXTURES = ("example_a", "example_b", "even_shift", "chain_stabilization")
 BROKEN_SQUARES = ("bad-label-rule", "missing-edge-rule")
 LIFTS = (("example_b", "sheets2", 2, 0), ("example_a", "lift3", 3, 1))  # fixture, tag, fold, voltage step
+RING = 200
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
@@ -119,6 +122,9 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     for name, tag, _, _ in LIFTS:
         lift = f"{name}.{tag}"
         cases.append((f"{lift}.iso", ["iso", f"{lift}.json", f"{lift}.permuted.json", "--json"]))
+    ring = f"ring{RING}"
+    cases.append((f"{ring}.iso.self", ["iso", f"{ring}.json", f"{ring}.json", "--json"]))
+    cases.append((f"{ring}.iso", ["iso", f"{ring}.json", f"{ring}.permuted.json", "--json"]))
     return cases
 
 
@@ -150,6 +156,17 @@ def cyclic_lift(g: LabeledGraph, fold: int, step: int) -> LabeledGraph:
             for i in range(fold)
             for k, (u, a, v) in enumerate(g.edges)
         ),
+    )
+
+
+def looped_ring(n: int) -> LabeledGraph:
+    """An ``a``-cycle through ``r0``, ..., ``r{n-1}`` with one ``b`` loop at
+    ``r0``.  Its only automorphism is the identity, and colour refinement
+    tells the vertices apart by their distance to the loop."""
+    return LabeledGraph(
+        ("a", "b"),
+        tuple(f"r{i}" for i in range(n)),
+        tuple((i, 0, (i + 1) % n) for i in range(n)) + ((0, 1, 0),),
     )
 
 
@@ -187,6 +204,11 @@ def write_fixtures(directory: Path) -> None:
         (directory / f"{name}.{tag}.permuted.json").write_text(
             json.dumps(shuffled(data, seed), indent=2) + "\n"
         )
+    data = graph_to_data(looped_ring(RING))
+    (directory / f"ring{RING}.json").write_text(json.dumps(data, indent=2) + "\n")
+    (directory / f"ring{RING}.permuted.json").write_text(
+        json.dumps(shuffled(data, RING), indent=2) + "\n"
+    )
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
