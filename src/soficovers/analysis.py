@@ -10,6 +10,7 @@ colouring (out- and in-edges).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,29 +121,77 @@ def components_and_sources(
 
 
 def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """Colour refinement over the ``(tag, w)`` arcs in ``adjacency[v]``.
+    """The coarsest equitable partition of the ``(tag, w)`` arcs in
+    ``adjacency[v]``, as a class id per vertex.
 
-    From colour 0 everywhere, each round recolours v by the rank of its
-    signature (colour, sorted ``(tag, colour of w)`` pairs) among the
-    distinct signatures, until the colours repeat: at most n + 1 rounds.
-    Ranks are canonical, so isomorphic inputs get matching colours.
+    Two vertices share a class exactly when, for every class and tag, they
+    have equally many arcs with that tag into it: the partition colour
+    refinement reaches from one colour.  Hopcroft's splitting in its
+    counting form (Paige & Tarjan 1987): pop a splitter class, count each
+    vertex's arcs into it per tag, and split only the classes it touches
+    by that count.  Every new piece but the largest is queued.  The
+    largest keeps the old id, and stays queued if it was: its counts are
+    those into the old class minus those into the other pieces.  Ids are
+    not canonical; only the partition is.
     """
-    colour = [0] * len(adjacency)
-    while True:
-        signatures = [
-            (colour[v], tuple(sorted((tag, colour[w]) for tag, w in arcs)))
-            for v, arcs in enumerate(adjacency)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        refined = [rank[s] for s in signatures]
-        if refined == colour:
-            return colour
-        colour = refined
+    n = len(adjacency)
+    into: list[dict[int, list[int]]] = [{} for _ in range(n)]  # w -> tag -> sources
+    for v, arcs in enumerate(adjacency):
+        for tag, w in arcs:
+            sources = into[w].get(tag)
+            if sources is None:
+                into[w][tag] = [v]
+            else:
+                sources.append(v)
+    colour = [0] * n
+    members = [set(range(n))]
+    todo = [0]
+    while todo:
+        splitter = todo.pop()
+        counts: dict[int, dict[int, int]] = {}  # tag -> vertex -> arcs into splitter
+        for w in members[splitter]:
+            for tag, sources in into[w].items():
+                count = counts.get(tag)
+                if count is None:
+                    count = counts[tag] = {}
+                for v in sources:
+                    count[v] = count.get(v, 0) + 1
+        for count in counts.values():
+            touched: dict[int, dict[int, list[int]]] = {}  # class -> count -> vertices
+            for v, k in count.items():
+                pieces = touched.get(colour[v])
+                if pieces is None:
+                    touched[colour[v]] = {k: [v]}
+                elif k in pieces:
+                    pieces[k].append(v)
+                else:
+                    pieces[k] = [v]
+            for c, pieces in touched.items():
+                old = members[c]
+                groups = list(pieces.values())
+                rest = len(old) - sum(map(len, groups))
+                if not rest and len(groups) == 1:
+                    continue
+                largest = max(groups, key=len)
+                if rest < len(largest):
+                    groups.remove(largest)
+                    if rest:
+                        groups.append([v for v in old if v not in count])
+                for group in groups:
+                    new = len(members)
+                    members.append(set(group))
+                    old.difference_update(group)
+                    for v in group:
+                        colour[v] = new
+                    todo.append(new)
+    return colour
 
 
 def follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
-    """Group vertices by equal follower set: Moore's algorithm, as
-    :func:`_refine` on the ``(symbol, target)`` out-edges.
+    """Group vertices by equal follower set: the coarsest partition in
+    which every vertex of a class has an out-edge of each symbol into the
+    same class, found by :func:`_refine` on the ``(symbol, target)``
+    out-edges.
 
     Needs an essential right-resolving graph.  Classes are ordered by
     their smallest vertex.
@@ -268,35 +317,39 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     """Label-preserving digraph isomorphism by refinement plus backtracking.
 
     Labels are matched by symbol name, so the two graphs may list their
-    alphabets in different orders.  Desk-scale instances only.
+    alphabets in different orders.  One :func:`_refine` call on the
+    disjoint union of both graphs, g2's vertices after g1's, colours both
+    with shared class ids.  Each class must hold as many vertices of g1 as
+    of g2, and a vertex is only tried against g2's vertices of its class,
+    in vertex order; an isomorphism maps every vertex into its class.
+    Refinement costs O(E log n) class moves; the backtracking can still
+    take exponential time where refinement leaves large classes.
     """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    n = len(g1.vertices)
+    if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return IsomorphismResult(False, None)
     shared = sorted(set(g1.symbols) | set(g2.symbols))
-
-    def tagged_arcs(g: LabeledGraph) -> list[list[tuple[int, int]]]:
-        # Out-edges tagged 2 * symbol rank, in-edges 2 * symbol rank + 1.
-        sym = [shared.index(s) for s in g.symbols]
-        arcs: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    # Out-edges tagged 2 * symbol rank, in-edges 2 * symbol rank + 1; the
+    # union's vertex n + w is g2's vertex w.
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    for g, offset in ((g1, 0), (g2, n)):
+        sym = [2 * shared.index(s) for s in g.symbols]
         for u, a, v in g.edges:
-            arcs[u].append((2 * sym[a], v))
-            arcs[v].append((2 * sym[a] + 1, u))
-        return arcs
-
-    arcs1, arcs2 = tagged_arcs(g1), tagged_arcs(g2)
-    c1, c2 = _refine(arcs1), _refine(arcs2)
-    if sorted(c1) != sorted(c2):
+            arcs[u + offset].append((sym[a], v + offset))
+            arcs[v + offset].append((sym[a] + 1, u + offset))
+    colour = _refine(arcs)
+    if Counter(colour[:n]) != Counter(colour[n:]):
         return IsomorphismResult(False, None)
-
-    n = len(g1.vertices)
-    arc_set2 = {(w, tag, x) for w, arcs in enumerate(arcs2) for tag, x in arcs}
     of_colour: dict[int, list[int]] = {}
-    for w, c in enumerate(c2):
-        of_colour.setdefault(c, []).append(w)
-    candidates = [of_colour[c] for c in c1]
+    for w in range(n, 2 * n):
+        of_colour.setdefault(colour[w], []).append(w)
+
+    arcs1 = arcs[:n]
+    arc_set2 = {(w, tag, x) for w in range(n, 2 * n) for tag, x in arcs[w]}
+    candidates = [of_colour[colour[v]] for v in range(n)]
     order = sorted(range(n), key=lambda v: len(candidates[v]))
-    mapping: list[Optional[int]] = [None] * n
-    used = [False] * n
+    mapping: list[Optional[int]] = [None] * n  # g1 vertex -> union vertex
+    used = [False] * (2 * n)
 
     def consistent(v: int, w: int) -> bool:
         for tag, x in arcs1[v]:
@@ -329,7 +382,7 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     if pos < 0:
         return IsomorphismResult(False, None)
     final = tuple(mapping)  # type: ignore[arg-type]
-    image = {(final[v], tag, final[x]) for v, arcs in enumerate(arcs1) for tag, x in arcs}
+    image = {(final[v], tag, final[x]) for v in range(n) for tag, x in arcs1[v]}
     if image != arc_set2:
         return IsomorphismResult(False, None)
-    return IsomorphismResult(True, final)
+    return IsomorphismResult(True, tuple(w - n for w in final))

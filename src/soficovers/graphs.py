@@ -44,13 +44,20 @@ class LabeledGraph:
 
     ``edges[k] = (u, a, v)`` is an edge from vertex ``u`` to vertex ``v``
     labeled with symbol ``a``; all three are indices into ``vertices`` and
-    ``symbols``.  Duplicate triples are rejected at build time, so an edge
-    is identified by its triple.
+    ``symbols``.  A repeated triple raises GraphFormatError at construction,
+    so an edge is identified by its triple.
     """
 
     symbols: tuple[str, ...]
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self) -> None:
+        if len(set(self.edges)) < len(self.edges):
+            u, a, v = next(e for k, e in enumerate(self.edges) if e in self.edges[:k])
+            raise GraphFormatError(
+                f"duplicate edge {self.vertices[u]!r} -{self.symbols[a]!r}-> {self.vertices[v]!r}"
+            )
 
     @cached_property
     def index(self) -> GraphIndex:

@@ -14,7 +14,7 @@ from soficovers import (
     normalize_periodic,
     path_window,
 )
-from soficovers.graphs import window_labels, words_up_to
+from soficovers.graphs import LabeledGraph, window_labels, words_up_to
 
 
 def test_build_graph_round_fields(example_a):
@@ -31,6 +31,20 @@ def test_build_graph_rejects_missing_keys():
 def test_build_graph_rejects_duplicate_vertices():
     with pytest.raises(GraphFormatError):
         graph_from_parts(("0",), ("v", "v"), (("v", "0", "v"),))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ((0, 0, 0), (0, 0, 1), (0, 0, 1), (1, 0, 0)),
+        ((0, 0, 0), (0, 0, 0), (0, 0, 1), (1, 0, 0)),
+    ],
+)
+def test_labeled_graph_rejects_repeated_triples(edges):
+    """Two graphs on x and y that differ only in which edge repeats.
+    Compared as edge sets they look isomorphic, so neither may exist."""
+    with pytest.raises(GraphFormatError, match="duplicate edge 'x' -'a'-> '[xy]'"):
+        LabeledGraph(("a",), ("x", "y"), edges)
 
 
 def test_build_graph_rejects_unknown_edge_refs():

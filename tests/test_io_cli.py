@@ -29,6 +29,7 @@ from soficovers import (
 from soficovers.cli import main
 from soficovers.codes import rule_entries
 from soficovers.io import load_graph, subset_provenance
+from test_golden import looped_ring, shuffled
 
 
 def write_graph(tmp_path, name, g, provenance=None):
@@ -49,7 +50,7 @@ def test_graph_round_trip_preserves_order():
 def test_derived_graph_file_reloads(tmp_path, example_a):
     core = stable_core(example_a)
     path = write_graph(tmp_path, "core", core.graph, subset_provenance(core))
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     assert data["format"] == 1
     assert data["provenance"]["kind"] == "StableCore"
     back = load_graph(path)  # provenance is carried but ignored by the parser
@@ -350,8 +351,8 @@ def test_cli_iso_example(tmp_path, capsys):
 
 def test_cli_iso_deeper_than_the_recursion_limit(tmp_path, capsys):
     """The backtracking keeps one stack entry per vertex, not one call
-    frame.  On a cycle every vertex gets one colour, so refinement stops
-    after one round and the search maps the vertices in order."""
+    frame.  On a cycle every vertex gets one colour, since refinement finds
+    nothing to split, and the search maps the vertices in order."""
     n = 1200
     names = [f"v{i}" for i in range(n)]
     edges = [(names[i], "a", names[(i + 1) % n]) for i in range(n)]
@@ -360,6 +361,21 @@ def test_cli_iso_deeper_than_the_recursion_limit(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "pass"
     assert report["result"]["mapping"] == {v: v for v in names}
+
+
+def test_cli_iso_splits_a_long_ring(tmp_path, capsys):
+    """A b loop on one vertex of the ring: refinement must split off the
+    vertices one at a time, by their distance to the loop, and then every
+    class holds one vertex of each graph."""
+    data = graph_to_data(looped_ring(1200))
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    twin = tmp_path / "ring.permuted.json"
+    twin.write_text(json.dumps(shuffled(data, 1200)))
+    assert main(["iso", "--json", str(path), str(twin)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["result"]["mapping"] == {v: v for v in data["vertices"]}
 
 
 def test_cli_verify_square(tmp_path, capsys):

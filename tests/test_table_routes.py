@@ -23,12 +23,17 @@ range and domain, and it decides realizability by the idempotent power;
 ``maximal_dominated_path`` is held to the domain of the word's relation.
 
 ``follower_partition`` and ``graphs_isomorphic`` colour vertices with one
-refinement routine on per-vertex arc lists.  The references keep the
-Moore loop that ranked signatures with ``list.index`` and the isomorphism
-colouring that rescanned every edge for every vertex in every round, with
-its edge-scanning backtracking.  Each graph is compared with two shuffled
-twins and with one-edge-changed controls; cyclic lifts of the fixtures
-have nontrivial automorphisms, so they also pin which mapping is found.
+refinement routine on per-vertex arc lists, which splits classes by arc
+counts into a splitter class.  The references keep the Moore loop that
+ranked signatures with ``list.index`` and the isomorphism colouring that
+rescanned every edge for every vertex in every round, with its
+edge-scanning backtracking; ``rank_rounds`` keeps the routine's earlier
+body, which re-ranked every vertex's signature each round, and must give
+the same partition on random tagged arc lists with repeated arcs.  Each
+graph is compared with two shuffled twins and with one-edge-changed
+controls; cyclic lifts of the fixtures have nontrivial automorphisms, so
+they also pin which mapping is found, and looped rings need one
+refinement round per vertex.
 
 ``transition_monoid`` searches breadth-first over row tuples and flags an
 idempotent by walking its own word along the right Cayley graph that the
@@ -43,10 +48,13 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import (
     IsomorphismResult,
+    _refine,
     follower_contains,
     follower_partition,
     forward_masks,
@@ -97,7 +105,7 @@ from soficovers.relations import (
 )
 from soficovers.verification import random_right_resolving_graphs
 from test_closure_routes import random_essential_graphs
-from test_golden import cyclic_lift
+from test_golden import cyclic_lift, looped_ring
 
 GRAPHS_PER_KIND = 12
 MAX_WORD = 3
@@ -605,6 +613,14 @@ def one_edge_changed(g, k):
 
 
 LIFTS = ((2, 0), (3, 1))  # (fold, step): two disjoint sheets, a connected 3-fold lift
+RINGS = (24, 60)
+# Not right-resolving: y0 gets two a-edges from the x vertices, y1 one,
+# and x0 sends two a-edges where x1 sends one.
+IN_COUNTS = graph_from_parts(
+    ("a", "b"),
+    ("x0", "x1", "y0", "y1"),
+    (("x0", "a", "y0"), ("x0", "a", "y1"), ("x1", "a", "y0"), ("y0", "b", "x0"), ("y1", "b", "x1")),
+)
 REFINE_CASES = (
     ESSENTIAL
     + [(f"walk-{name}", g) for name, g in WALK_CASES if name not in BASE_FIXTURES]
@@ -613,6 +629,8 @@ REFINE_CASES = (
         for name in BASE_FIXTURES
         for fold, step in LIFTS
     ]
+    + [(f"ring{n}", looped_ring(n)) for n in RINGS]
+    + [("in-counts", IN_COUNTS)]
 )
 CONTROL_EDGES = 3
 
@@ -650,6 +668,62 @@ def test_refinement_matches_reference_routines(name, g):
         assert graphs_isomorphic(g, h) == reference_graphs_isomorphic(g, h), label
         if label.startswith("twin"):
             assert graphs_isomorphic(g, h).isomorphic, label
+
+
+def rank_rounds(adjacency):
+    """Colour refinement by rounds: from colour 0 everywhere, recolour v by
+    the rank of its signature (colour, sorted ``(tag, colour of w)``
+    pairs) among the distinct signatures, until the colours repeat."""
+    colour = [0] * len(adjacency)
+    while True:
+        signatures = [
+            (colour[v], tuple(sorted((tag, colour[w]) for tag, w in arcs)))
+            for v, arcs in enumerate(adjacency)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        refined = [rank[s] for s in signatures]
+        if refined == colour:
+            return colour
+        colour = refined
+
+
+def classes_of(colour):
+    """The partition a colouring induces, classes ordered by smallest vertex."""
+    classes = {}
+    for v, c in enumerate(colour):
+        classes.setdefault(c, []).append(v)
+    return list(classes.values())
+
+
+@st.composite
+def tagged_adjacency(draw):
+    n = draw(st.integers(0, 12))
+    arcs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3), st.integers(0, n - 1)),
+                 max_size=4 * n)
+    ) if n else []
+    adjacency = [[] for _ in range(n)]
+    for v, tag, w in arcs:
+        adjacency[v].append((tag, w))
+    return adjacency
+
+
+@settings(max_examples=300, deadline=None)
+@given(tagged_adjacency())
+def test_refine_matches_rank_rounds(adjacency):
+    assert classes_of(_refine(adjacency)) == classes_of(rank_rounds(adjacency))
+
+
+@pytest.mark.parametrize("name,g", REFINE_CASES, ids=[name for name, _ in REFINE_CASES])
+def test_refine_matches_rank_rounds_on_graphs(name, g):
+    """On the out-edges, and on out- and in-edges with in-edges tagged
+    apart, as the follower partition and the isomorphism test use them."""
+    out = [[g.edges[k][1:] for k in ks] for ks in g.index.out]
+    both = [list(arcs) for arcs in out]
+    for u, a, v in g.edges:
+        both[v].append((len(g.symbols) + a, u))
+    for adjacency in (out, both):
+        assert classes_of(_refine(adjacency)) == classes_of(rank_rounds(adjacency))
 
 
 def reference_transition_monoid(g):
