@@ -131,8 +131,9 @@ def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     vertex's arcs into it per tag, and split only the classes it touches
     by that count.  Every new piece but the largest is queued.  The
     largest keeps the old id, and stays queued if it was: its counts are
-    those into the old class minus those into the other pieces.  Ids are
-    not canonical; only the partition is.
+    those into the old class minus those into the other pieces.  Once
+    every class is a single vertex nothing can split, so the search stops.
+    Ids are not canonical; only the partition is.
     """
     n = len(adjacency)
     into: list[dict[int, list[int]]] = [{} for _ in range(n)]  # w -> tag -> sources
@@ -146,7 +147,7 @@ def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     colour = [0] * n
     members = [set(range(n))]
     todo = [0]
-    while todo:
+    while todo and len(members) < n:
         splitter = todo.pop()
         counts: dict[int, dict[int, int]] = {}  # tag -> vertex -> arcs into splitter
         for w in members[splitter]:

@@ -367,15 +367,14 @@ def test_cli_iso_splits_a_long_ring(tmp_path, capsys):
     """A b loop on one vertex of the ring: refinement must split off the
     vertices one at a time, by their distance to the loop, and then every
     class holds one vertex of each graph."""
-    data = graph_to_data(looped_ring(1200))
-    path = tmp_path / "ring.json"
-    path.write_text(json.dumps(data))
+    ring = looped_ring(1200)
+    path = write_graph(tmp_path, "ring", ring)
     twin = tmp_path / "ring.permuted.json"
-    twin.write_text(json.dumps(shuffled(data, 1200)))
-    assert main(["iso", "--json", str(path), str(twin)]) == 0
+    twin.write_text(json.dumps(shuffled(graph_to_data(ring), 1200)))
+    assert main(["iso", "--json", path, str(twin)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "pass"
-    assert report["result"]["mapping"] == {v: v for v in data["vertices"]}
+    assert report["result"]["mapping"] == {v: v for v in ring.vertices}
 
 
 def test_cli_verify_square(tmp_path, capsys):

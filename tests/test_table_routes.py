@@ -697,11 +697,10 @@ def classes_of(colour):
 
 @st.composite
 def tagged_adjacency(draw):
-    n = draw(st.integers(0, 12))
-    arcs = draw(
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3), st.integers(0, n - 1)),
-                 max_size=4 * n)
-    ) if n else []
+    """Up to 12 vertices and 48 arcs tagged 0 to 3; an arc may repeat."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, st.integers(0, 3), vertex), max_size=4 * n))
     adjacency = [[] for _ in range(n)]
     for v, tag, w in arcs:
         adjacency[v].append((tag, w))
