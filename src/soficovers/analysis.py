@@ -10,7 +10,6 @@ colouring (out- and in-edges).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -160,9 +159,12 @@ def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
         for count in counts.values():
             touched: dict[int, dict[int, list[int]]] = {}  # class -> count -> vertices
             for v, k in count.items():
-                pieces = touched.get(colour[v])
+                c = colour[v]
+                if len(members[c]) == 1:  # a single vertex cannot split
+                    continue
+                pieces = touched.get(c)
                 if pieces is None:
-                    touched[colour[v]] = {k: [v]}
+                    touched[c] = {k: [v]}
                 elif k in pieces:
                     pieces[k].append(v)
                 else:
@@ -170,9 +172,9 @@ def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
             for c, pieces in touched.items():
                 old = members[c]
                 groups = list(pieces.values())
-                rest = len(old) - sum(map(len, groups))
-                if not rest and len(groups) == 1:
+                if len(groups) == 1 and len(groups[0]) == len(old):
                     continue
+                rest = len(old) - sum(map(len, groups))
                 largest = max(groups, key=len)
                 if rest < len(largest):
                     groups.remove(largest)
@@ -339,7 +341,7 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
             arcs[u + offset].append((sym[a], v + offset))
             arcs[v + offset].append((sym[a] + 1, u + offset))
     colour = _refine(arcs)
-    if Counter(colour[:n]) != Counter(colour[n:]):
+    if sorted(colour[:n]) != sorted(colour[n:]):  # per-class counts differ
         return IsomorphismResult(False, None)
     of_colour: dict[int, list[int]] = {}
     for w in range(n, 2 * n):
