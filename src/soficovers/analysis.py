@@ -325,7 +325,7 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     with shared class ids.  Each class must hold as many vertices of g1 as
     of g2, and a vertex is only tried against g2's vertices of its class,
     in vertex order; an isomorphism maps every vertex into its class.
-    Refinement costs O(E log n) class moves; the backtracking can still
+    Refinement counts each arc O(log n) times; the backtracking can still
     take exponential time where refinement leaves large classes.
     """
     n = len(g1.vertices)
