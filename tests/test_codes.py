@@ -37,6 +37,7 @@ from soficovers.graphs import (
     path_window,
     window_labels,
 )
+from soficovers.verification import _corrupted_higher_block_square
 
 
 def identity_code(alphabet):
@@ -253,6 +254,39 @@ def test_round_trip_higher_block(example_b):
     assert report.ok, [c for c in report.checks if not c.ok]
     assert any(c.name == "round-trip-identity" for c in report.checks)
     assert any(c.name == "bounded-verification-note" for c in report.checks)
+
+
+def test_corrupted_lift_diagram_details(example_b):
+    """The failing sweeps keep their counts and first details verbatim."""
+    bad_square = _corrupted_higher_block_square(example_b, ("2", "2", "2"))
+    lifted = lift_conjugacy(bad_square, verify=False)
+    report = verify_lift_diagrams(lifted, max_period=3, walks=3)
+    assert not report.ok
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+        (
+            "labels-commute",
+            False,
+            "8/24 failed; first: labels disagree on a window starting with edge 7",
+        ),
+        (
+            "induced-cover-commutes",
+            False,
+            "5/24 failed; first: no '0.1'-labeled edge from "
+            "'{a-2->a,b-2->b}' at position 13",
+        ),
+        (
+            "periodic-alpha-naturality",
+            False,
+            "1/9 failed; first: image word's stabilized set missing from the core",
+        ),
+        ("component-extension", True, "11 component windows"),
+        (
+            "bounded-verification-note",
+            True,
+            "identities sampled on 24 windows of length 47 and periodic words "
+            "up to period 3; the full shift is not enumerated",
+        ),
+    ]
 
 
 def test_map_bundle_path_singletons(example_b):
