@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from itertools import groupby
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     GraphFormatError,
@@ -129,11 +130,8 @@ def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int,
     with the input and has the same length (possibly non-primitive)."""
     n = len(word)
     r = code.radius
-    out = []
-    for k in range(n):
-        block = tuple(word[(k - r + t) % n] for t in range(2 * r + 1))
-        out.append(code.output_for(block))
-    return tuple(out)
+    unrolled = Window(0, tuple(word[(t - r) % n] for t in range(n + 2 * r)))
+    return apply_code(code, unrolled).items
 
 
 def rule_entries(code: SlidingBlockCode) -> tuple[tuple[tuple[str, ...], str], ...]:
@@ -326,6 +324,23 @@ def _edge_cycles(g: LabeledGraph, max_period: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def _failures(items: Iterable, fn: Callable[..., tuple[bool, str]]) -> tuple[int, int, str]:
+    """Run the check ``fn`` on each item, counting a raised package error as
+    a failure with its message: (failed, total, first failure detail)."""
+    bad = total = 0
+    first = ""
+    for item in items:
+        total += 1
+        try:
+            ok, detail = fn(item)
+        except (GraphFormatError, VerificationError, LabelPathDiedError) as exc:
+            ok, detail = False, str(exc)
+        if not ok:
+            bad += 1
+            first = first or detail
+    return bad, total, first
+
+
 def verify_square(
     square: ConjugacySquare, max_window: int = 12, max_period: int = 6
 ) -> SquareReport:
@@ -348,19 +363,7 @@ def verify_square(
                 CheckOutcome(name, False, f"needs window length {length} > bound {max_window}")
             )
             return
-        bad = 0
-        first = ""
-        total = 0
-        for p in paths_of_length(graph, length):
-            total += 1
-            try:
-                ok, detail = fn(p)
-            except GraphFormatError as exc:
-                ok, detail = False, str(exc)
-            if not ok:
-                bad += 1
-                if not first:
-                    first = detail
+        bad, total, first = _failures(paths_of_length(graph, length), fn)
         detail = f"{total} windows of length {length}"
         if bad:
             detail = f"{bad}/{total} windows failed; first: {first}"
@@ -412,28 +415,20 @@ def verify_square(
 
     run_windows("label-code-round-trip", g, len_psi_rt, check_psi_round)
 
-    bad = 0
-    first = ""
-    cycles = _edge_cycles(g, max_period)
-    for cyc in cycles:
-        try:
-            image = apply_code_cyclic(phi, cyc)
-            psi_labels = apply_code_cyclic(psi, g_labels(cyc))
-            back = apply_code_cyclic(phi_inv, image)
-        except GraphFormatError as exc:
-            bad += 1
-            if not first:
-                first = str(exc)
-            continue
+    def check_cycle(cyc):
+        image = apply_code_cyclic(phi, cyc)
+        psi_labels = apply_code_cyclic(psi, g_labels(cyc))
+        back = apply_code_cyclic(phi_inv, image)
         if h_labels(image) != psi_labels or back != cyc:
-            bad += 1
-            if not first:
-                first = f"cycle {phi.block_names(cyc)}"
+            return False, f"cycle {phi.block_names(cyc)}"
+        return True, ""
+
+    bad, total, first = _failures(_edge_cycles(g, max_period), check_cycle)
     checks.append(
         CheckOutcome(
             "periodic-points",
             bad == 0,
-            f"{len(cycles)} primitive cycles up to period {max_period}"
+            f"{total} primitive cycles up to period {max_period}"
             + (f"; {bad} failed; first: {first}" if bad else ""),
         )
     )
@@ -459,26 +454,28 @@ def component_intervals(core: StableCore, window: Window) -> list[ComponentInter
     """
     info = components_and_sources(core.graph, core.members)
     verts = _vertex_sequence(core.graph, window)
-    comps = [info.component_of[v] for v in verts]
     intervals: list[ComponentInterval] = []
-    pos = 0
-    while pos < len(comps):
-        c = comps[pos]
-        if c is None:
-            pos += 1
-            continue
-        end = pos
-        while end + 1 < len(comps) and comps[end + 1] == c:
-            end += 1
-        intervals.append(ComponentInterval(window.start + pos, window.start + end, c))
-        sizes = {len(core.members[verts[t]]) for t in range(pos, end + 1)}
-        if sizes != {info.multiplicity[c]}:
+    for first, last, c in _runs([info.component_of[v] for v in verts], window.start):
+        run = verts[first - window.start : last - window.start + 1]
+        if {len(core.members[v]) for v in run} != {info.multiplicity[c]}:
             raise VerificationError(
-                f"component interval [{window.start + pos}, {window.start + end}] "
-                "is not homogeneous"
+                f"component interval [{first}, {last}] is not homogeneous"
             )
-        pos = end + 1
+        intervals.append(ComponentInterval(first, last, c))
     return intervals
+
+
+def _runs(comps: Sequence[Optional[int]], start: int) -> list[tuple[int, int, int]]:
+    """Maximal runs of one component id as (first, last, id), positions
+    counted from ``start``; ``None`` entries belong to no run."""
+    runs = []
+    pos = start
+    for c, group in groupby(comps):
+        n = sum(1 for _ in group)
+        if c is not None:
+            runs.append((pos, pos + n - 1, c))
+        pos += n
+    return runs
 
 
 def _vertex_sequence(graph: LabeledGraph, window: Window) -> list[int]:
@@ -506,23 +503,15 @@ def member_paths_of_window(
     """The parallel base paths under a homogeneous core window, one per
     member of the starting vertex's set."""
     base = core.base
-    emit = base.index.edge_at
     start_members = core.members[core.graph.edges[window.items[0]][0]]
     word = [core.graph.edges[k][1] for k in window.items]
     vertex_seq = _vertex_sequence(core.graph, window)
     paths = []
     for v0 in sorted(start_members):
-        v = v0
-        path = []
-        for t, a in enumerate(word):
-            k = emit.get((v, a))
-            if k is None:
-                raise VerificationError(
-                    "member path dies inside a homogeneous window"
-                )
-            path.append(k)
-            v = base.edges[k][2]
-        paths.append(tuple(path))
+        path = _follow(base, v0, word)
+        if len(path) < len(word):
+            raise VerificationError("member path dies inside a homogeneous window")
+        paths.append(path)
     for t in range(1, len(vertex_seq)):
         at_t = frozenset(base.edges[p[t - 1]][2] for p in paths)
         if at_t != core.members[vertex_seq[t]]:
@@ -531,6 +520,20 @@ def member_paths_of_window(
                 "the window is not homogeneous"
             )
     return paths
+
+
+def _follow(g: LabeledGraph, v: int, word: Sequence[int]) -> tuple[int, ...]:
+    """The edge path from ``v`` reading the symbol indices ``word``, as far
+    as it gets before a vertex has no edge with the next label."""
+    emit = g.index.edge_at
+    path = []
+    for a in word:
+        k = emit.get((v, a))
+        if k is None:
+            break
+        path.append(k)
+        v = g.edges[k][2]
+    return tuple(path)
 
 
 def map_parallel_paths(
@@ -626,18 +629,6 @@ class LiftedCode:
     block_radius: int
     components: ComponentInfo
     code: SlidingBlockCode = field(repr=False)
-
-
-def _component_route(
-    lifted: "LiftedCode", window: Window, center: int
-) -> int:
-    """Output edge at ``center`` for a window whose kappa-neighborhood of
-    the center sits inside one component: map members, re-bundle, read off
-    the stable-core edge."""
-    kappa = lifted.kappa
-    seg = window.segment(center - kappa, center + kappa)
-    out = _map_component_window(lifted, seg)
-    return out[center]
 
 
 def _map_component_window(lifted: "LiftedCode", window: Window) -> Window:
@@ -804,23 +795,12 @@ def lift_conjugacy(
 def _rule_at_center(lifted: LiftedCode, window: Window, center: int) -> int:
     """Output edge index at ``center`` of a (2 radius + 1)-block."""
     kappa = lifted.kappa
-    comps = _window_edge_components(lifted, window)
-    runs: list[tuple[int, int, int]] = []
-    pos = 0
-    while pos < len(comps):
-        c = comps[pos]
-        if c is None:
-            pos += 1
-            continue
-        end = pos
-        while end + 1 < len(comps) and comps[end + 1] == c:
-            end += 1
-        runs.append((window.start + pos, window.start + end, c))
-        pos = end + 1
+    runs = _runs(_window_edge_components(lifted, window), window.start)
     long_runs = [r for r in runs if r[1] - r[0] + 1 > 8 * kappa]
     for s, e, _ in long_runs:
         if s <= center - kappa and center + kappa <= e:
-            return _component_route(lifted, window, center)
+            seg = window.segment(center - kappa, center + kappa)
+            return _map_component_window(lifted, seg)[center]
     rights = [r for r in long_runs if r[0] >= center - kappa]
     if not rights:
         raise VerificationError(
@@ -867,21 +847,15 @@ def apply_induced_cover_code(lifted: LiftedCode, window: Window) -> InducedCover
             f"window of length {len(window)} is too short for radius {D}"
         )
     labels = [cover.edges[e][1] for e in window.items]
-    lookup = edge_lookup(core_g)
     start_class = bundle_g.classes[cover.edges[window.items[0]][0]]
     outputs: list[tuple[int, ...]] = []
     for u0 in sorted(start_class):
-        v = u0
-        path = []
-        for t, a in enumerate(labels):
-            k = lookup.get((v, a))
-            if k is None or bundle_g.factor_edge[k] != window.items[t]:
-                raise VerificationError(
-                    "factor preimage died; the merge is not right-covering"
-                )
-            path.append(k)
-            v = core_g.edges[k][2]
-        image = apply_code(lifted.code, Window(window.start, tuple(path)))
+        path = _follow(core_g, u0, labels)
+        if tuple(bundle_g.factor_edge[k] for k in path) != window.items:
+            raise VerificationError(
+                "factor preimage died; the merge is not right-covering"
+            )
+        image = apply_code(lifted.code, Window(window.start, path))
         outputs.append(tuple(bundle_h.factor_edge[e] for e in image.items))
     if not outputs:
         raise VerificationError("cover vertex with an empty follower class")
@@ -940,14 +914,7 @@ def sample_core_windows(
     """
     g = core.graph
     rays = [past_set_ray(core, p) for p in periodic]
-    seen: dict[tuple[int, ...], Window] = {}
-
-    def add(items: tuple[int, ...]) -> None:
-        if items not in seen:
-            seen[items] = Window(0, items)
-
-    for ray in rays:
-        add(_unroll_cycle(ray.edges, length))
+    found = [_unroll_cycle(ray.edges, length) for ray in rays]
     pairs = 0
     for r1 in rays:
         for r2 in rays:
@@ -961,17 +928,28 @@ def sample_core_windows(
             full = left + tuple(mid) + right
             center = len(left) + len(mid) // 2
             lo = min(max(0, center - length // 2), len(full) - length)
-            add(full[lo : lo + length])
+            found.append(full[lo : lo + length])
             pairs += 1
     for _ in range(walks):
-        v = rng.randrange(len(g.vertices))
-        items = []
-        for _ in range(length):
-            k = rng.choice(g.out_edges(v))
-            items.append(k)
-            v = g.edges[k][2]
-        add(tuple(items))
-    return list(seen.values())
+        found.append(_walk(g, g.index.out, rng.randrange(len(g.vertices)), length, rng))
+    return [Window(0, items) for items in dict.fromkeys(found)]
+
+
+def _walk(
+    g: LabeledGraph,
+    outs: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
+    v: int,
+    length: int,
+    rng: random.Random,
+) -> tuple[int, ...]:
+    """A seeded walk of ``length`` edges from ``v``; each step draws from
+    ``outs[u]``, the edges it may take from the current vertex ``u``."""
+    items = []
+    for _ in range(length):
+        k = rng.choice(outs[v])
+        items.append(k)
+        v = g.edges[k][2]
+    return tuple(items)
 
 
 def _component_windows(
@@ -984,14 +962,7 @@ def _component_windows(
     seeded walks along component-internal edges."""
     g = lifted.core_g.graph
     info = lifted.components
-    seen: dict[tuple[int, ...], Window] = {}
-
-    def add(items: tuple[int, ...]) -> None:
-        if items not in seen:
-            seen[items] = Window(0, items)
-
-    for ray in rays:
-        add(_unroll_cycle(ray.edges, length))
+    found = [_unroll_cycle(ray.edges, length) for ray in rays]
     internal: dict[int, dict[int, list[int]]] = {}
     for k, (u, _, v) in enumerate(g.edges):
         c = info.component_of[u]
@@ -1000,14 +971,8 @@ def _component_windows(
     for c in sorted(internal):
         outs = internal[c]
         for _ in range(_COMPONENT_WALKS):
-            v = rng.choice(sorted(outs))
-            items = []
-            for _ in range(length):
-                k = rng.choice(outs[v])
-                items.append(k)
-                v = g.edges[k][2]
-            add(tuple(items))
-    return list(seen.values())
+            found.append(_walk(g, outs, rng.choice(sorted(outs)), length, rng))
+    return [Window(0, items) for items in dict.fromkeys(found)]
 
 
 def verify_lift_diagrams(
@@ -1041,18 +1006,8 @@ def verify_lift_diagrams(
     checks: list[CheckOutcome] = []
 
     def sweep(name: str, items, fn, detail: str) -> None:
-        bad = 0
-        first = ""
-        for item in items:
-            try:
-                ok, info = fn(item)
-            except (GraphFormatError, VerificationError, LabelPathDiedError) as exc:
-                ok, info = False, str(exc)
-            if not ok:
-                bad += 1
-                if not first:
-                    first = info
-        out = detail if not bad else f"{bad}/{len(items)} failed; first: {first}"
+        bad, total, first = _failures(items, fn)
+        out = detail if not bad else f"{bad}/{total} failed; first: {first}"
         checks.append(CheckOutcome(name, bad == 0, out))
 
     psi = square.label_code
