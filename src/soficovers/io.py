@@ -38,12 +38,18 @@ def graph_to_data(g: LabeledGraph, provenance: Optional[Mapping] = None) -> dict
     return data
 
 
+def _read_json(path: str) -> Any:
+    """Parse a UTF-8 JSON file; bytes that do not decode and text that does
+    not parse both raise :class:`GraphFormatError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GraphFormatError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_graph(path: str) -> LabeledGraph:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: not valid JSON ({exc})") from None
+    data = _read_json(path)
     try:
         return build_graph(data)
     except GraphFormatError as exc:
@@ -177,12 +183,7 @@ def code_from_data(data: Mapping, where: str = "code") -> SlidingBlockCode:
 
 
 def load_code(path: str) -> SlidingBlockCode:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: not valid JSON ({exc})") from None
-    return code_from_data(data, where=path)
+    return code_from_data(_read_json(path), where=path)
 
 
 def square_to_data(square: ConjugacySquare) -> dict:
@@ -216,12 +217,7 @@ def square_from_data(data: Mapping, where: str = "square") -> ConjugacySquare:
 
 
 def load_square(path: str) -> ConjugacySquare:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: not valid JSON ({exc})") from None
-    return square_from_data(data, where=path)
+    return square_from_data(_read_json(path), where=path)
 
 
 def _dot_quote(name: str) -> str:

@@ -227,6 +227,26 @@ def test_cli_missing_file(capsys):
     assert main(["check", "nowhere.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"format": 1,', b"\xff\xfe\x00{"], ids=["truncated", "not-utf8"]
+)
+@pytest.mark.parametrize("role", ["graph", "code", "square"])
+def test_cli_rejects_invalid_json(tmp_path, capsys, content, role):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    g = fixture_file(tmp_path, "example_b")
+    argv = {
+        "graph": ["check", str(bad)],
+        "code": ["verify", g, "--graph-h", g, "--phi", str(bad), "--phi-inv",
+                 str(bad), "--psi", str(bad), "--psi-inv", str(bad)],
+        "square": ["verify", "--square", str(bad)],
+    }[role]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid JSON")
+    assert err.count("\n") == 1
+
+
 def test_cli_subset_product(tmp_path, capsys):
     out = tmp_path / "subset.json"
     code = main(
