@@ -81,9 +81,6 @@ class BoolRelation:
     def is_empty(self) -> bool:
         return all(row == 0 for row in self.rows)
 
-    def is_idempotent(self) -> bool:
-        return self.compose(self) == self
-
     def transpose(self) -> "BoolRelation":
         rows = [0] * self.size
         for u, row in enumerate(self.rows):

@@ -110,10 +110,6 @@ class CriterionResult:
         return [c for c in self.checks if not c.ok]
 
 
-def _named(name: str, ok: bool, detail: str = "") -> CheckOutcome:
-    return CheckOutcome(name, ok, detail)
-
-
 def _counts(g: LabeledGraph) -> str:
     return f"{len(g.vertices)} vertices / {len(g.edges)} edges"
 
@@ -128,7 +124,7 @@ def _iso_expected(
     expected = load_fixture(EXPECTED_GRAPHS[fixture][role])
     res = graphs_isomorphic(got, expected)
     counts_ok = (len(got.vertices), len(got.edges)) == want
-    return _named(
+    return CheckOutcome(
         name,
         res.isomorphic and counts_ok,
         _counts(got) + ("" if res.isomorphic else "; differs from the expected graph"),
@@ -152,7 +148,7 @@ def _criterion_example_a(bounds: VerifyBounds) -> list[CheckOutcome]:
     )
     ab = frozenset({g.vertex_index("a"), g.vertex_index("b")})
     checks.append(
-        _named(
+        CheckOutcome(
             "stable-core-omits-ab",
             ab not in set(core.members),
             "the two-vertex set {a,b} is not a stabilized endpoint set",
@@ -160,7 +156,7 @@ def _criterion_example_a(bounds: VerifyBounds) -> list[CheckOutcome]:
     )
     parts = follower_partition(core.graph)
     checks.append(
-        _named(
+        CheckOutcome(
             "follower-partition-discrete",
             all(len(cls) == 1 for cls in parts),
             f"{len(parts)} follower classes for {len(core.graph.vertices)} vertices",
@@ -168,7 +164,7 @@ def _criterion_example_a(bounds: VerifyBounds) -> list[CheckOutcome]:
     )
     fc = future_cover(g, bounds.monoid_budget)
     checks.append(
-        _named(
+        CheckOutcome(
             "future-cover-equals-core",
             graphs_isomorphic(fc.cover, core.graph).isomorphic,
             "merging the stable core changes nothing here",
@@ -190,7 +186,7 @@ def _criterion_example_b(bounds: VerifyBounds) -> list[CheckOutcome]:
     checks = []
     fc = future_cover(g, bounds.monoid_budget)
     checks.append(
-        _named(
+        CheckOutcome(
             "future-cover-reproduces-base",
             graphs_isomorphic(fc.cover, g).isomorphic,
             _counts(fc.cover),
@@ -207,7 +203,7 @@ def _criterion_example_b(bounds: VerifyBounds) -> list[CheckOutcome]:
     }
     want = {frozenset({"{a}", "{a,b}"}), frozenset({"{b}"})}
     checks.append(
-        _named(
+        CheckOutcome(
             "follower-classes",
             classes == want,
             "classes {{a},{a,b}} and {{b}}",
@@ -220,7 +216,7 @@ def _criterion_example_b(bounds: VerifyBounds) -> list[CheckOutcome]:
         )
     )
     checks.append(
-        _named(
+        CheckOutcome(
             "extended-merge-reproduces-base",
             graphs_isomorphic(ext.merge.cover, g).isomorphic,
             "merging the extended cover recovers the original presentation",
@@ -289,7 +285,7 @@ def _criterion_oracle(bounds: VerifyBounds) -> list[CheckOutcome]:
         if not bad
         else "family mismatch on: " + ", ".join(bad)
     )
-    return [_named("stable-family-matches-tail-oracle", not bad, detail)]
+    return [CheckOutcome("stable-family-matches-tail-oracle", not bad, detail)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +305,14 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
         if not check_regular(cover, bounds.monoid_budget).ok:
             bad_covers.append(name)
     checks.append(
-        _named(
+        CheckOutcome(
             "stable-cores-regular",
             not bad_cores,
             f"{len(BASE_FIXTURES)} fixtures" if not bad_cores else ", ".join(bad_cores),
         )
     )
     checks.append(
-        _named(
+        CheckOutcome(
             "future-covers-regular",
             not bad_covers,
             f"{len(BASE_FIXTURES)} fixtures" if not bad_covers else ", ".join(bad_covers),
@@ -326,7 +322,7 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
     rep = check_regular(g, bounds.monoid_budget)
     q = g.vertex_index("q")
     checks.append(
-        _named(
+        CheckOutcome(
             "irregular-counterexample",
             (not rep.ok) and rep.failing_vertices() == [q],
             "only the vertex whose follower set no left ray realizes fails",
@@ -420,7 +416,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
                 if data.count != info.multiplicity[c]:
                     count_bad.append(f"{name}:{p.word}")
     checks.append(
-        _named(
+        CheckOutcome(
             "fiber-sets-equal-past-sets",
             not beta_bad,
             f"{words} periodic words up to period {bounds.max_period}"
@@ -429,7 +425,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         )
     )
     checks.append(
-        _named(
+        CheckOutcome(
             "merge-respects-canonical-rays",
             not natural_bad,
             f"two routes per word, {words} words"
@@ -438,7 +434,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         )
     )
     checks.append(
-        _named(
+        CheckOutcome(
             "component-edges-in-fiber-core",
             not comp_bad,
             "every in-component stable-core edge appears as a bundle edge"
@@ -447,7 +443,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         )
     )
     checks.append(
-        _named(
+        CheckOutcome(
             "source-component-fiber-counts",
             not count_bad,
             f"{source_words} words with rays in source components"
@@ -468,7 +464,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         if fiber_count_periodic(g, p) != want
     ]
     checks.append(
-        _named(
+        CheckOutcome(
             "named-fiber-counts",
             not bad,
             "constant words hit counts 3, 1 and 2" if not bad else ", ".join(bad),
@@ -490,7 +486,7 @@ def _criterion_idempotence(bounds: VerifyBounds) -> list[CheckOutcome]:
         if not graphs_isomorphic(again.cover, fc.cover).isomorphic:
             bad.append(name)
     return [
-        _named(
+        CheckOutcome(
             "future-cover-idempotent",
             not bad,
             f"{len(BASE_FIXTURES)} fixtures" if not bad else ", ".join(bad),
@@ -516,7 +512,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
     lifted = lift_conjugacy(identity_square(a), budget=bounds.monoid_budget)
     report = verify_lift_diagrams(lifted, inverse_lifted=lifted, max_period=3, walks=4)
     checks.append(
-        _named(
+        CheckOutcome(
             "identity-square-diagrams",
             report.ok,
             "all diagram checks pass"
@@ -533,7 +529,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
         for w in wins
     )
     checks.append(
-        _named(
+        CheckOutcome(
             "identity-square-acts-identically",
             ident,
             f"{len(wins)} sampled windows reproduce themselves",
@@ -547,7 +543,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
     inverse = lift_conjugacy(inverse_square(square), budget=bounds.monoid_budget)
     report = verify_lift_diagrams(lifted, inverse_lifted=inverse, max_period=3, walks=4)
     checks.append(
-        _named(
+        CheckOutcome(
             "renaming-square-diagrams",
             report.ok,
             "all diagram checks pass"
@@ -574,7 +570,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
         for w in wins
     )
     checks.append(
-        _named(
+        CheckOutcome(
             "renaming-square-matches-subset-isomorphism",
             induced,
             f"{len(wins)} sampled windows follow the renamed member sets",
@@ -611,7 +607,7 @@ def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
     bad_square = _corrupted_higher_block_square(b, ("2", "2", "2"))
     report = verify_square(bad_square)
     checks.append(
-        _named(
+        CheckOutcome(
             "corrupted-label-rule-fails-square-check",
             not report.ok,
             "first failure: "
@@ -638,7 +634,7 @@ def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
     except (LabelPathDiedError, VerificationError) as exc:
         outcome = type(exc).__name__
     checks.append(
-        _named(
+        CheckOutcome(
             "corrupted-label-rule-breaks-gap-filling",
             outcome is not None,
             f"raised {outcome}" if outcome else "gap filling unexpectedly succeeded",
@@ -647,7 +643,7 @@ def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
     good = lift_conjugacy(higher_block(b, 2).square, budget=bounds.monoid_budget)
     filled = fill_gap(good, window, (0, 7), (9, 16))
     checks.append(
-        _named(
+        CheckOutcome(
             "intact-square-fills-the-same-gap",
             len(filled) == len(window) - 2 * good.kappa,
             f"{len(filled)} edges filled",
@@ -671,7 +667,7 @@ def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
             if code != 2:
                 outcomes.append(f"{op_name}: exit code {code}")
     checks.append(
-        _named(
+        CheckOutcome(
             "non-right-resolving-rejected",
             not outcomes,
             "merge and bundle operations raise the exit-2 error"
@@ -746,7 +742,7 @@ def check_tail_asymptotics(
             else:
                 if equal_from is None:
                     bad.append(f"{p.word}+{v_word}: no agreement index")
-    return _named(
+    return CheckOutcome(
         "tail-configurations-stabilize",
         not bad,
         f"{configs} tailed configurations" if not bad else "; ".join(bad[:3]),
@@ -792,7 +788,7 @@ def check_source_component_injectivity(core, detail_name: str = "") -> CheckOutc
         for comp_b in sources[i + 1 :]:
             if _synchronized_pairs(core.graph, comp_a, comp_b):
                 bad.append("two source components share a word")
-    return _named(
+    return CheckOutcome(
         "source-components-label-injective" + detail_name,
         not bad,
         f"{len(sources)} source components" if not bad else "; ".join(sorted(set(bad))),

@@ -106,6 +106,7 @@ from soficovers.relations import (
 from soficovers.verification import random_right_resolving_graphs
 from test_closure_routes import random_essential_graphs
 from test_golden import cyclic_lift, looped_ring
+from test_relations import is_idempotent
 
 GRAPHS_PER_KIND = 12
 MAX_WORD = 3
@@ -745,7 +746,7 @@ def reference_transition_monoid(g):
                 elements.append(rel)
                 words.append(words[i] + (a,))
                 todo.append(len(elements) - 1)
-    return elements, words, [rel.is_idempotent() for rel in elements]
+    return elements, words, [is_idempotent(rel) for rel in elements]
 
 
 MONOID_CASES = WALK_CASES + [
