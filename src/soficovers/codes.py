@@ -851,7 +851,7 @@ def apply_induced_cover_code(lifted: LiftedCode, window: Window) -> InducedCover
     outputs: list[tuple[int, ...]] = []
     for u0 in sorted(start_class):
         path = _follow(core_g, u0, labels)
-        if tuple(bundle_g.factor_edge[k] for k in path) != window.items:
+        if tuple(bundle_g.factor_edge[k] for k in path) != tuple(window.items):
             raise VerificationError(
                 "factor preimage died; the merge is not right-covering"
             )
