@@ -129,6 +129,8 @@ def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int,
     """Apply to a periodic point given by one period; output is phase-aligned
     with the input and has the same length (possibly non-primitive)."""
     n = len(word)
+    if not n:
+        return ()
     r = code.radius
     unrolled = Window(0, tuple(word[(t - r) % n] for t in range(n + 2 * r)))
     return apply_code(code, unrolled).items
@@ -324,7 +326,9 @@ def _edge_cycles(g: LabeledGraph, max_period: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _failures(items: Iterable, fn: Callable[..., tuple[bool, str]]) -> tuple[int, int, str]:
+def _failures(
+    items: Iterable, fn: Callable[..., tuple[bool, str]]
+) -> tuple[int, int, str]:
     """Run the check ``fn`` on each item, counting a raised package error as
     a failure with its message: (failed, total, first failure detail)."""
     bad = total = 0

@@ -75,6 +75,7 @@ def test_apply_code_cyclic_constant(example_b):
     psi = higher_block(example_b, 2).square.label_code
     s = psi.input_alphabet.index
     assert apply_code_cyclic(psi, (s("2"),)) == (psi.output_alphabet.index("2.2"),)
+    assert apply_code_cyclic(psi, ()) == ()
 
 
 def test_apply_code_cyclic_rotates(example_a):
