@@ -317,7 +317,9 @@ def test_sampled_core_windows_are_paths(name):
     core = stable_core(g)
     periodic = periodic_points(g, 4)
     for length in (5, 8, 29):
-        for w in sample_core_windows(core, length, periodic, random.Random(length)):
+        windows = sample_core_windows(core, length, periodic, random.Random(length))
+        assert len({w.items for w in windows}) == len(windows)
+        for w in windows:
             assert len(w) == length
             path_window(core.graph, w.items)  # raises unless consecutive edges compose
 
