@@ -20,6 +20,8 @@ never on all windows of the shift.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -61,18 +63,43 @@ _COMPONENT_WALKS = 2  # seeded walks per component in the component windows
 
 class CachedRule(dict):
     """A rule computed on index blocks and memoized: the dict holds every
-    block evaluated so far."""
+    block evaluated so far.
 
-    def __init__(self, fn: Callable[[Block], int]):
+    ``prepare(window)`` does the work that the blocks of ``window`` share
+    and returns the output at a centre position of the window.  One block
+    is evaluated as the one-block window ``Window(0, block)``;
+    :meth:`apply` evaluates every block of a longer window in one pass.
+    """
+
+    def __init__(self, prepare: Callable[[Window], Callable[[int], int]]):
         super().__init__()
-        self.fn = fn
+        self.prepare = prepare
 
     def __missing__(self, block: Block) -> int:
-        out = self[block] = self.fn(block)
+        out = self[block] = self.prepare(Window(0, block))(len(block) // 2)
         return out
 
     def __call__(self, block: Block) -> int:
         return self[block]
+
+    def apply(self, window: Window, radius: int) -> tuple[int, ...]:
+        """The outputs on the (2 radius + 1)-blocks of ``window`` in order.
+        Each new block is stored as soon as it is evaluated, so a failing
+        block leaves the blocks before it stored; the window is prepared
+        only if some block is new."""
+        items = tuple(window.items)
+        width = 2 * radius + 1
+        at = None
+        outs = []
+        for t in range(len(items) - width + 1):
+            block = items[t : t + width]
+            out = self.get(block)
+            if out is None:
+                if at is None:
+                    at = self.prepare(window)
+                out = self[block] = at(window.start + t + radius)
+            outs.append(out)
+        return tuple(outs)
 
 
 @dataclass(frozen=True)
@@ -112,12 +139,15 @@ class SlidingBlockCode:
 
 def apply_code(code: SlidingBlockCode, window: Window) -> Window:
     """Apply to a finite configuration of input indices; the output lives on
-    the input positions shrunk by the radius."""
+    the input positions shrunk by the radius.  A :class:`CachedRule`
+    evaluates the window in one pass."""
     r = code.radius
     if len(window) < 2 * r + 1:
         raise GraphFormatError(
             f"window of length {len(window)} is too short for radius {r}"
         )
+    if isinstance(code.rule, CachedRule):
+        return Window(window.start + r, code.rule.apply(window, r))
     items = tuple(
         code.output_for(tuple(window.items[t : t + 2 * r + 1]))
         for t in range(len(window) - 2 * r)
@@ -555,6 +585,8 @@ def map_parallel_paths(
     phi = square.edge_code
     if trim < phi.radius:
         raise GraphFormatError("trim must be at least the edge-code radius")
+    if not paths:
+        return []
     images = [apply_code(phi, Window(start, tuple(p))).items for p in paths]
     lo = start + trim
     hi = start + len(paths[0]) - 1 - trim
@@ -620,7 +652,12 @@ class LiftedCode:
 
     ``code`` is a block code on core edge indices whose radius guarantees
     that every block contains the long component intervals the
-    construction needs.  Its rule is a :class:`CachedRule`; names are only
+    construction needs.  Its rule is a :class:`CachedRule`, so
+    :func:`apply_code` evaluates a window in one pass: the joins, edge
+    components and component runs are found once, and each centre reads
+    them clipped to its own block.  ``segment_images`` memoizes the
+    member-path route by the edge tuple of the segment it maps; it holds
+    successes only, so a failing segment raises again.  Names are only
     produced when the code is serialized.
     """
 
@@ -633,11 +670,22 @@ class LiftedCode:
     block_radius: int
     components: ComponentInfo
     code: SlidingBlockCode = field(repr=False)
+    segment_images: dict[Block, Block] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 def _map_component_window(lifted: "LiftedCode", window: Window) -> Window:
     """Image of a homogeneous component window, as core-of-h edges on the
     window indices shrunk by kappa."""
+    key = tuple(window.items)
+    images = lifted.segment_images
+    if key not in images:
+        images[key] = _member_path_image(lifted, window)
+    return Window(window.start + lifted.kappa, images[key])
+
+
+def _member_path_image(lifted: "LiftedCode", window: Window) -> Block:
     paths = member_paths_of_window(lifted.core_g, window)
     bundles = map_parallel_paths(
         lifted.square, paths, window.start, lifted.kappa
@@ -657,7 +705,7 @@ def _map_component_window(lifted: "LiftedCode", window: Window) -> Window:
         if lifted.core_h.members[lifted.core_h.graph.edges[k][2]] != b.target_set:
             raise VerificationError("image bundle drifts from the target core")
         edges.append(k)
-    return Window(window.start + lifted.kappa, tuple(edges))
+    return tuple(edges)
 
 
 def fill_gap(
@@ -774,12 +822,6 @@ def lift_conjugacy(
     core_h = stable_core(square.graph_h, budget)
     kappa = max(1, square.max_radius())
     info, radius = lift_parameters(core_g, kappa)
-
-    def rule(block: tuple[int, ...]) -> int:
-        win = Window(0, block)
-        _vertex_sequence(core_g.graph, win)  # reject non-path blocks early
-        return _rule_at_center(lifted, win, radius)
-
     lifted = LiftedCode(
         square=square,
         core_g=core_g,
@@ -790,37 +832,72 @@ def lift_conjugacy(
         block_radius=radius,
         components=info,
         code=SlidingBlockCode(
-            core_g.graph.edge_names(), core_h.graph.edge_names(), radius, CachedRule(rule)
+            core_g.graph.edge_names(),
+            core_h.graph.edge_names(),
+            radius,
+            CachedRule(lambda window: _lifted_rule(lifted, window)),
         ),
     )
     return lifted
 
 
-def _rule_at_center(lifted: LiftedCode, window: Window, center: int) -> int:
-    """Output edge index at ``center`` of a (2 radius + 1)-block."""
-    kappa = lifted.kappa
-    runs = _runs(_window_edge_components(lifted, window), window.start)
-    long_runs = [r for r in runs if r[1] - r[0] + 1 > 8 * kappa]
-    for s, e, _ in long_runs:
-        if s <= center - kappa and center + kappa <= e:
-            seg = window.segment(center - kappa, center + kappa)
-            return _map_component_window(lifted, seg)[center]
-    rights = [r for r in long_runs if r[0] >= center - kappa]
-    if not rights:
-        raise VerificationError(
-            "block radius failed to capture a long component run on the right"
-        )
-    right = min(rights, key=lambda r: r[0])
-    lefts = [r for r in long_runs if r[1] < right[0]]
-    if not lefts:
-        raise VerificationError(
-            "block radius failed to capture a long component run on the left"
-        )
-    left = max(lefts, key=lambda r: r[1])
-    i, j = left[1] - 7 * kappa, left[1]
-    k, l = right[0], right[0] + 7 * kappa
-    out = _fill_between(lifted, window, i, j, k, l)
-    return out[center]
+def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
+    """The lifted rule on a core window: the output edge at a centre, read
+    from the (2 radius + 1)-block around it.
+
+    The joins and the long component runs are found once for the window;
+    each centre sees them clipped to its block, so a block gives the output
+    and raises the error that it gives as a window of its own.  A centre
+    well inside a long run takes the member-path route on its
+    kappa-neighbourhood.  Any other centre takes the gap fill between the
+    nearest long runs around it.
+    """
+    radius, kappa = lifted.block_radius, lifted.kappa
+    edges = lifted.core_g.graph.edges
+    items = window.items
+    breaks = [
+        window.start + t
+        for t in range(1, len(items))
+        if edges[items[t - 1]][2] != edges[items[t]][0]
+    ]
+    runs = [
+        (s, e)
+        for s, e, _ in _runs(_window_edge_components(lifted, window), window.start)
+        if e - s >= 8 * kappa
+    ]
+
+    def at(center: int) -> int:
+        lo, hi = center - radius, center + radius
+        b = bisect_right(breaks, lo)
+        if b < len(breaks) and breaks[b] <= hi:
+            raise GraphFormatError("window edges do not compose")
+        long_runs = [  # in window order
+            (max(s, lo), min(e, hi))
+            for s, e in runs
+            if min(e, hi) - max(s, lo) >= 8 * kappa
+        ]
+        for s, e in long_runs:
+            if s <= center - kappa and center + kappa <= e:
+                seg = window.segment(center - kappa, center + kappa)
+                return _map_component_window(lifted, seg)[center]
+        rights = [run for run in long_runs if run[0] >= center - kappa]
+        if not rights:
+            raise VerificationError(
+                "block radius failed to capture a long component run on the right"
+            )
+        right = rights[0]
+        lefts = [run for run in long_runs if run[1] < right[0]]
+        if not lefts:
+            raise VerificationError(
+                "block radius failed to capture a long component run on the left"
+            )
+        left = lefts[-1]
+        # in block positions, which the fill's errors report
+        i, j = left[1] - 7 * kappa - lo, left[1] - lo
+        k, l = right[0] - lo, right[0] + 7 * kappa - lo
+        return _fill_between(lifted, window.shifted(-lo), i, j, k, l)[center - lo]
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -874,10 +951,10 @@ def _bfs_edge_path(g: LabeledGraph, source: int, target: int) -> Optional[list[i
     if source == target:
         return []
     parent: dict[int, tuple[int, int]] = {}
-    todo = [source]
+    todo = deque([source])
     seen = {source}
     while todo:
-        u = todo.pop(0)
+        u = todo.popleft()
         for k in g.out_edges(u):
             v = g.edges[k][2]
             if v in seen:

@@ -25,11 +25,16 @@ from soficovers import (
 )
 from soficovers.analysis import periodic_points
 from soficovers.codes import (
+    _component_windows,
+    _runs,
+    _unroll_cycle,
+    _window_edge_components,
     inverse_square,
     map_bundle_path,
     rule_entries,
     sample_core_windows,
 )
+from soficovers.covers import past_set_ray
 from soficovers.graphs import (
     LabeledGraph,
     edge_lookup,
@@ -302,6 +307,157 @@ def test_map_bundle_path_singletons(example_b):
     mapped = map_bundle_path(square, path)
     assert [m.members for m in mapped] == [be.members for be in path]
     assert [m.source_set for m in mapped] == [frozenset({0}), frozenset({1})]
+
+
+def test_map_bundle_path_empty(example_b):
+    square = identity_square(example_b)
+    assert map_bundle_path(square, []) == []
+    assert map_bundle_path(higher_block(example_b, 2).square, []) == []
+
+
+def criterion_7_square(name):
+    """A square that verify-paper's lifting suite lifts (or, for
+    "corrupted", the square its negative controls lift), with the
+    ``max_period`` and ``walks`` its diagram sweep uses."""
+    a, b = load_fixture("example_a"), load_fixture("example_b")
+    if name == "identity":
+        return identity_square(a), 3, 4
+    if name == "renaming":
+        renamed = LabeledGraph(b.symbols, ("x", "y"), b.edges)
+        return renaming_square(b, renamed, (0, 1)), 3, 4
+    if name == "higher-block":
+        return higher_block(b, 2).square, 4, 6
+    return _corrupted_higher_block_square(b, ("2", "2", "2")), 3, 3
+
+
+def diagram_windows(lifted, inverse_radius, max_period, walks):
+    """The core windows ``verify_lift_diagrams`` feeds the lifted code, by
+    family, drawn from the same seeded generator in the same order."""
+    d = lifted.block_radius
+    rng = random.Random(2026)  # verify_lift_diagrams' default seed
+    periodic = periodic_points(lifted.square.graph_g, max_period)
+    rays = [past_set_ray(lifted.core_g, p) for p in periodic]
+    sampled = sample_core_windows(lifted.core_g, 2 * d + 9, periodic, rng, walks)
+    component = _component_windows(lifted, rays, 2 * d + 5, rng)
+    rt_length = 2 * (d + inverse_radius) + 9
+    round_trip = sample_core_windows(lifted.core_g, rt_length, periodic, rng, walks)
+    rays_unrolled = [
+        Window(0, _unroll_cycle(ray.edges, 2 * d + ray.period)) for ray in rays
+    ]
+    return {
+        "sampled": sampled,
+        "component": component,
+        "round-trip": round_trip,
+        "periodic": rays_unrolled,
+    }
+
+
+def block_by_block(code, window):
+    """``apply_code`` with every (2 radius + 1)-block evaluated on its own."""
+    r = code.radius
+    items = tuple(
+        code.output_for(window.items[t : t + 2 * r + 1])
+        for t in range(len(window) - 2 * r)
+    )
+    return Window(window.start + r, items)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (GraphFormatError, VerificationError, LabelPathDiedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def crosses_components(lifted, window):
+    comps = _window_edge_components(lifted, window)
+    return None in comps or len(_runs(comps, 0)) > 1
+
+
+@pytest.mark.parametrize(
+    "name", ["identity", "renaming", "higher-block", "corrupted"]
+)
+def test_window_pass_matches_block_by_block(name):
+    square, max_period, walks = criterion_7_square(name)
+    by_window = lift_conjugacy(square, verify=False)
+    by_block = lift_conjugacy(square, verify=False)
+    back_by_window = lift_conjugacy(inverse_square(square), verify=False)
+    back_by_block = lift_conjugacy(inverse_square(square), verify=False)
+    families = diagram_windows(
+        by_window, back_by_window.block_radius, max_period, walks
+    )
+    sampled = families["sampled"] + families["round-trip"]
+    assert any(crosses_components(by_window, w) for w in sampled)
+    mids = []
+    for family, windows in families.items():
+        assert windows, family
+        for w in windows:
+            out = outcome(apply_code, by_window.code, w)
+            assert out == outcome(block_by_block, by_block.code, w), (family, w)
+            if family == "round-trip" and isinstance(out, Window):
+                mids.append(out)
+    if name != "corrupted":
+        assert len(mids) == len(families["round-trip"])
+    for mid in mids:
+        assert outcome(apply_code, back_by_window.code, mid) == outcome(
+            block_by_block, back_by_block.code, mid
+        )
+    assert rule_entries(by_window.code) == rule_entries(by_block.code)
+    assert rule_entries(back_by_window.code) == rule_entries(back_by_block.code)
+
+
+def test_window_pass_raises_what_blocks_raise(example_b):
+    lifted = lift_conjugacy(higher_block(example_b, 2).square, verify=False)
+    reference = lift_conjugacy(higher_block(example_b, 2).square, verify=False)
+    d = lifted.block_radius
+    _, window = components_crossing_window(example_b)
+    grown = grow_window(lifted, window, 2 * d + 6)
+    edges = lifted.core_g.graph.edges
+    cut = 2 * d + 4  # blocks 0..3 compose, blocks 4 and 5 hold the bad join
+    wrong = next(
+        k for k, (u, _, _) in enumerate(edges) if u != edges[grown.items[cut - 1]][2]
+    )
+    broken = Window(0, grown.items[:cut] + (wrong,) + grown.items[cut + 1 :])
+    with pytest.raises(GraphFormatError, match="^window edges do not compose$"):
+        apply_code(lifted.code, broken)
+    with pytest.raises(GraphFormatError, match="^window edges do not compose$"):
+        block_by_block(reference.code, broken)
+    assert len(rule_entries(lifted.code)) == 4
+    assert rule_entries(lifted.code) == rule_entries(reference.code)
+
+    with pytest.raises(
+        GraphFormatError, match=rf"^window of length {2 * d} is too short for radius {d}$"
+    ):
+        apply_code(lifted.code, grown.segment(0, 2 * d - 1))
+
+
+def corrupt_edge_code(square, block):
+    """``square`` with its edge rule on ``block`` (edge names) sent to the
+    least edge of another label, so member paths through it disagree."""
+    code = square.edge_code
+    labels = [e[1] for e in square.graph_h.edges]
+    key = tuple(code.input_alphabet.index(n) for n in block)
+    rule = dict(code.rule)
+    rule[key] = min(k for k, a in enumerate(labels) if a != labels[rule[key]])
+    return replace(square, edge_code=replace(code, rule=rule))
+
+
+@pytest.mark.parametrize("corrupted", ["label-rule", "edge-rule"])
+def test_segment_memo_keeps_no_failure(example_b, corrupted):
+    if corrupted == "label-rule":
+        square = _corrupted_higher_block_square(example_b, ("2", "2", "2"))
+    else:
+        square = corrupt_edge_code(higher_block(example_b, 2).square, ("a-2->a",) * 3)
+    lifted = lift_conjugacy(square, verify=False)
+    first = verify_lift_diagrams(lifted, max_period=3, walks=3)
+    assert not first.ok
+    if corrupted == "edge-rule":  # the member-path route itself fails
+        details = [c.detail for c in first.failures()]
+        assert any("bundled image edges disagree" in d for d in details)
+    assert lifted.segment_images
+    assert verify_lift_diagrams(lifted, max_period=3, walks=3) == first
+    fresh = lift_conjugacy(square, verify=False)
+    assert verify_lift_diagrams(fresh, max_period=3, walks=3) == first
 
 
 def test_lift_rejects_malformed_square(example_a, example_b):
