@@ -2,21 +2,23 @@
 
 Follower sets are the label sequences of right-infinite paths out of a
 vertex.  On an essential graph they are determined by the finite path
-labels, so partition refinement and the pair-set containment search below
+labels, so partition refinement and the pair containment search below
 are exact, not approximations.  One colour-refinement routine on the edge
 index gives both the follower classes (out-edges) and the isomorphism
-colouring (out- and in-edges).
+colouring (out- and in-edges).  A graph keeps its follower partition and
+follower quotient, and containment is searched on the quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import UnrealizableWordError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
+    kept,
     least_rotation,
     mask_image,
     primitive_root,
@@ -24,7 +26,6 @@ from .graphs import (
     require_right_resolving,
     words_up_to,
 )
-from .relations import symbol_relation
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,13 @@ def follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
     out-edges.
 
     Needs an essential right-resolving graph.  Classes are ordered by
-    their smallest vertex.
+    their smallest vertex.  The partition is kept on the graph
+    (:func:`graphs.kept`).
     """
+    return kept(g, "_follower_partition", _follower_partition)
+
+
+def _follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
     require_essential(g)
     require_right_resolving(g)
     colour = _refine([[g.edges[k][1:] for k in out] for out in g.index.out])
@@ -212,29 +218,73 @@ def is_follower_separated(g: LabeledGraph) -> bool:
     return all(len(c) == 1 for c in follower_partition(g))
 
 
+class FollowerQuotient(NamedTuple):
+    """A graph merged by equal follower sets.
+
+    ``factor[v]`` is the class of vertex v, numbered in
+    :func:`follower_partition` order.  ``cover`` has one vertex per class,
+    named after its smallest member, and one edge per distinct projected
+    edge ``(factor[u], a, factor[v])``, in order of first appearance.
+    """
+
+    factor: tuple[int, ...]
+    cover: LabeledGraph
+
+
+def follower_quotient(g: LabeledGraph) -> FollowerQuotient:
+    """The follower quotient of an essential right-resolving graph, kept on
+    the graph (:func:`graphs.kept`).
+
+    Each vertex has the follower set of its class, so the cover presents
+    the same shift; it is right-resolving and follower-separated
+    (``covers.merged_graph`` asserts both).
+    """
+    return kept(g, "_follower_quotient", _follower_quotient)
+
+
+def _follower_quotient(g: LabeledGraph) -> FollowerQuotient:
+    partition = follower_partition(g)
+    factor = [0] * len(g.vertices)
+    for c, block in enumerate(partition):
+        for v in block:
+            factor[v] = c
+    edges = dict.fromkeys((factor[u], a, factor[v]) for u, a, v in g.edges)
+    names = tuple(g.vertices[min(block)] for block in partition)
+    return FollowerQuotient(tuple(factor), LabeledGraph(g.symbols, names, tuple(edges)))
+
+
 def follower_contains(g: LabeledGraph, u: int, v: int) -> bool:
     """Whether every label sequence out of ``u`` also occurs out of ``v``.
 
-    Search over pairs (vertex on the u side, surviving subset on the v
-    side, as a bitmask); containment fails exactly when some reachable
-    pair can emit a symbol that kills the subset.  Finite-word containment
-    suffices on an essential graph.
+    Follower sets survive the follower merge, so the search runs on
+    :func:`follower_quotient`: two vertices of one class contain each
+    other, and otherwise it searches pairs (class on the u side, class on
+    the v side).  The quotient is right-resolving, so the v side stays
+    one class; containment fails exactly when some reachable pair has an
+    edge on the u side whose symbol the v side cannot emit.  Finite-word
+    containment suffices on an essential graph.  Raises IndexError for a
+    vertex outside ``range(len(g.vertices))``.
     """
-    require_essential(g)
-    require_right_resolving(g)
-    steps = [symbol_relation(g, a) for a in range(len(g.symbols))]
-    start = (u, 1 << v)
+    n = len(g.vertices)
+    for w in (u, v):
+        if not 0 <= w < n:
+            raise IndexError(f"vertex {w!r} out of range: the graph has vertices 0..{n - 1}")
+    factor, cover = follower_quotient(g)
+    start = (factor[u], factor[v])
+    if start[0] == start[1]:
+        return True
+    edges, edge_at, out = cover.edges, cover.index.edge_at, cover.index.out
     seen = {start}
     todo = [start]
     while todo:
-        u1, vs = todo.pop()
-        for k in g.index.out[u1]:
-            _, a, w = g.edges[k]
-            step = steps[a].image(vs)
-            if not step:
+        x, y = todo.pop()
+        for k in out[x]:
+            _, a, x1 = edges[k]
+            j = edge_at.get((y, a))
+            if j is None:
                 return False
-            state = (w, step)
-            if state not in seen:
+            state = (x1, edges[j][2])
+            if state[0] != state[1] and state not in seen:
                 seen.add(state)
                 todo.append(state)
     return True

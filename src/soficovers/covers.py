@@ -37,7 +37,12 @@ from .graphs import (
     require_essential,
     require_right_resolving,
 )
-from .analysis import follower_contains, follower_partition, require_realizable
+from .analysis import (
+    follower_contains,
+    follower_quotient,
+    is_follower_separated,
+    require_realizable,
+)
 from .relations import (
     DEFAULT_MONOID_BUDGET,
     BoolRelation,
@@ -355,35 +360,28 @@ class CoverBundle:
 
 
 def merged_graph(origin: LabeledGraph) -> CoverBundle:
-    """Quotient by equal follower sets.
+    """Quotient by equal follower sets, from the origin's kept
+    :func:`analysis.follower_quotient`.
 
-    Only the edges of the origin are scanned: each origin edge projects to
-    an edge between classes, and every quotient edge arises this way.  The
-    result is right-resolving and follower-separated; both are asserted.
+    Each origin edge projects to an edge between classes, and every
+    quotient edge arises this way.  The quotient is right-resolving and
+    follower-separated; both are asserted, and origin edge k projects to
+    the quotient edge its source class emits with its label.
     """
-    partition = follower_partition(origin)
-    factor = [0] * len(origin.vertices)
-    classes = []
-    for c, block in enumerate(partition):
-        classes.append(tuple(sorted(block)))
-        for v in block:
-            factor[v] = c
-    names = tuple(origin.vertices[cls[0]] for cls in classes)
-    edge_index: dict[tuple[int, int, int], int] = {}
-    edges: list[tuple[int, int, int]] = []
-    factor_edge = []
-    for u, a, v in origin.edges:
-        triple = (factor[u], a, factor[v])
-        if triple not in edge_index:
-            edge_index[triple] = len(edges)
-            edges.append(triple)
-        factor_edge.append(edge_index[triple])
-    cover = LabeledGraph(origin.symbols, names, tuple(edges))
+    factor, cover = follower_quotient(origin)
     require_right_resolving(cover, "merged graph")
-    if not all(len(c) == 1 for c in follower_partition(cover)):
+    if not is_follower_separated(cover):
         raise VerificationError("merged graph is not follower-separated")
+    edge_at = cover.index.edge_at
+    classes: list[list[int]] = [[] for _ in cover.vertices]
+    for v, c in enumerate(factor):
+        classes[c].append(v)
     return CoverBundle(
-        origin, cover, tuple(factor), tuple(factor_edge), tuple(classes)
+        origin,
+        cover,
+        factor,
+        tuple(edge_at[(factor[u], a)] for u, a, _ in origin.edges),
+        tuple(map(tuple, classes)),
     )
 
 
@@ -449,17 +447,20 @@ def check_regular(
 
     Vertex v qualifies exactly when some stable set D containing v has
     every member's follower set inside v's; then the tail realizing D has
-    future set equal to v's follower set.
+    future set equal to v's follower set.  Containment depends only on
+    the two follower classes, so each class pair is searched once.
     """
     require_essential(base)
     require_right_resolving(base, "regularity check")
     core = stable_core(base, budget)
-    memo: dict[tuple[int, int], bool] = {}
+    factor = follower_quotient(base).factor
+    memo: dict[tuple[int, int], bool] = {}  # by the pair's follower classes
 
     def contains(u: int, v: int) -> bool:
-        if (u, v) not in memo:
-            memo[(u, v)] = follower_contains(base, u, v)
-        return memo[(u, v)]
+        key = (factor[u], factor[v])
+        if key not in memo:
+            memo[key] = follower_contains(base, u, v)
+        return memo[key]
 
     verdicts = []
     witnesses: list[Optional[frozenset[int]]] = []

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyShiftError, GraphFormatError, NotRightResolvingError
 
 Edge = tuple[int, int, int]  # (source vertex, symbol, target vertex)
+T = TypeVar("T")
 
 
 class GraphIndex(NamedTuple):
@@ -104,6 +105,22 @@ class LabeledGraph:
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         return self.index.out[v]
+
+
+def kept(g: LabeledGraph, key: str, build: Callable[[LabeledGraph], T]) -> T:
+    """``build(g)``, computed on the first call for ``key`` and kept on g.
+
+    The value goes into the graph's instance dict, as ``LabeledGraph.index``
+    does, so it lives as long as the graph, and equality, hashing and
+    ``repr`` ignore it.  A build that raises keeps nothing, so every call
+    raises again.  A kept value must not refer to g, so that a graph is
+    still freed by reference counting alone.
+    """
+    try:
+        return g.__dict__[key]
+    except KeyError:
+        value = g.__dict__[key] = build(g)
+        return value
 
 
 def build_graph(data: Mapping) -> LabeledGraph:
@@ -272,7 +289,14 @@ class ResolvingReport:
 
 
 def check_right_resolving(g: LabeledGraph) -> ResolvingReport:
-    """A graph is right-resolving when no vertex emits a symbol twice."""
+    """A graph is right-resolving when no vertex emits a symbol twice.
+
+    The report is kept on the graph (see :func:`kept`).
+    """
+    return kept(g, "_resolving_report", _resolving_report)
+
+
+def _resolving_report(g: LabeledGraph) -> ResolvingReport:
     count: dict[tuple[int, int], int] = {}
     for u, a, _ in g.edges:
         count[(u, a)] = count.get((u, a), 0) + 1

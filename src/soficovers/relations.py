@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .graphs import LabeledGraph, bits, mask_image
+from .graphs import LabeledGraph, bits, kept, mask_image
 
 DEFAULT_MONOID_BUDGET = 200_000
-_KEPT = "_transition_monoid"  # instance-dict key of a graph's finished monoid
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -157,18 +156,13 @@ def transition_monoid(
 ) -> TransitionMonoid:
     """The full transition monoid of ``g``, generated on first use.
 
-    The finished monoid is kept in the graph's instance dict, as
-    ``LabeledGraph.index`` is, so it lives as long as the graph and
-    equality, hashing and ``repr`` ignore it.  Raises BudgetExceededError
-    (CLI exit 3) when the monoid has more than ``budget`` elements, whether
-    it is generated now or was kept from an earlier call; a generation that
-    overruns keeps nothing.
+    The finished monoid is kept on the graph (:func:`graphs.kept`).
+    Raises BudgetExceededError (CLI exit 3) when the monoid has more than
+    ``budget`` elements, whether it is generated now or was kept from an
+    earlier call; a generation that overruns keeps nothing.
     """
-    monoid = g.__dict__.get(_KEPT)
-    if monoid is None:
-        monoid = _generate_monoid(g, budget)
-        g.__dict__[_KEPT] = monoid
-    elif len(monoid) > budget:
+    monoid = kept(g, "_transition_monoid", lambda g: _generate_monoid(g, budget))
+    if len(monoid) > budget:
         raise _overrun(budget)
     return monoid
 

@@ -2,12 +2,14 @@
 graphs against the code they replace.
 
 ``graphs.trim`` removes dead nodes with a degree-counting worklist and
-``follower_contains`` searches over bitmask states read from the graph's
-edge index.  The references below keep the earlier code: the round-based
-fixpoint trimming loop (once inside ``essentialize`` and
-``fiber_count_periodic``) and the containment search that scans every
-edge for each subset step.  Inputs are seeded random graphs with dead-end
-tendrils on both sides, half of them right-resolving.
+``follower_contains`` searches pairs of classes on the follower quotient.
+The references below keep the earlier code: the round-based fixpoint
+trimming loop (once inside ``essentialize`` and ``fiber_count_periodic``)
+and the containment search on the original graph that scans every edge
+for each subset step.  Inputs are seeded random graphs with dead-end
+tendrils on both sides, half of them right-resolving; containment also
+runs on cyclic lifts of the fixtures, whose follower classes hold more
+than one vertex.
 
 ``bundle_graph`` and ``fiber_core`` close and assemble vertex masks with
 the subset graphs' closure and assembly.  The references keep the
@@ -115,6 +117,7 @@ MONOID_CAP = 1500
 WALK_WORD = 4
 WALK_GRAPHS = 6
 DOMINATED_PATH = 3
+LIFTS = ((2, 0), (3, 1))  # (fold, step): two disjoint sheets, a connected 3-fold lift
 
 
 def reference_trim(nodes, arcs):
@@ -286,7 +289,28 @@ def test_fiber_count_matches_fixpoint_loop(name, g):
         assert fiber_count_periodic(g, p) == want, word
 
 
-RESOLVING = [(name, g) for name, g in ESSENTIAL if check_right_resolving(g).ok]
+# Cyclic lifts of the fixtures: every fiber over a base vertex lies in one
+# follower class, so these have classes of more than one vertex.
+LIFTED = [
+    (f"{name}.x{fold}s{step}", cyclic_lift(load_fixture(name), fold, step))
+    for name in BASE_FIXTURES
+    for fold, step in LIFTS
+]
+RESOLVING = [(name, g) for name, g in ESSENTIAL + LIFTED if check_right_resolving(g).ok]
+
+
+def test_containment_cases_cover_every_kind_of_pair():
+    """Pairs in different classes with and without containment, and pairs
+    of distinct vertices in one class."""
+    kinds = set()
+    for _, g in RESOLVING:
+        class_of = {v: c for c, block in enumerate(follower_partition(g)) for v in block}
+        kinds |= {
+            (class_of[u] == class_of[v], reference_follower_contains(g, u, v))
+            for u, v in product(range(len(g.vertices)), repeat=2)
+            if u != v
+        }
+    assert kinds == {(False, True), (False, False), (True, True)}
 
 
 @pytest.mark.parametrize("name,g", RESOLVING, ids=[name for name, _ in RESOLVING])
@@ -613,7 +637,6 @@ def one_edge_changed(g, k):
     return None
 
 
-LIFTS = ((2, 0), (3, 1))  # (fold, step): two disjoint sheets, a connected 3-fold lift
 RINGS = (24, 60)
 # Not right-resolving: y0 gets two a-edges from the x vertices, y1 one,
 # and x0 sends two a-edges where x1 sends one.
@@ -625,11 +648,7 @@ IN_COUNTS = graph_from_parts(
 REFINE_CASES = (
     ESSENTIAL
     + [(f"walk-{name}", g) for name, g in WALK_CASES if name not in BASE_FIXTURES]
-    + [
-        (f"{name}.x{fold}s{step}", cyclic_lift(load_fixture(name), fold, step))
-        for name in BASE_FIXTURES
-        for fold, step in LIFTS
-    ]
+    + LIFTED
     + [(f"ring{n}", looped_ring(n)) for n in RINGS]
     + [("in-counts", IN_COUNTS)]
 )
