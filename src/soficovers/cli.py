@@ -297,42 +297,34 @@ def cmd_fibers(args: argparse.Namespace) -> int:
     return _finish(report, args)
 
 
+# The six parts of a square given file by file, in ConjugacySquare field
+# order, with their loaders.  Without its dashes, a name is also the
+# part's report input name.
+_SQUARE_PARTS = (
+    ("graph", load_graph),
+    ("--graph-h", load_graph),
+    ("--phi", load_code),
+    ("--phi-inv", load_code),
+    ("--psi", load_code),
+    ("--psi-inv", load_code),
+)
+
+
 def _square_from_args(args: argparse.Namespace) -> tuple[ConjugacySquare, dict[str, str]]:
     if args.square:
         return load_square(args.square), {"square": _input_note(args.square)}
-    parts = {
-        "graph": args.graph,
-        "--graph-h": args.graph_h,
-        "--phi": args.phi,
-        "--phi-inv": args.phi_inv,
-        "--psi": args.psi,
-        "--psi-inv": args.psi_inv,
+    paths = {
+        name: getattr(args, name.lstrip("-").replace("-", "_")) for name, _ in _SQUARE_PARTS
     }
-    missing = [name for name, value in parts.items() if not value]
+    missing = [name for name, path in paths.items() if not path]
     if missing:
+        flags = " ".join(name for name, _ in _SQUARE_PARTS[1:])
         raise GraphFormatError(
-            f"{args.command} needs --square FILE, or a graph argument plus "
-            "--graph-h --phi --phi-inv --psi --psi-inv (missing: "
-            + ", ".join(missing)
-            + ")"
+            f"{args.command} needs --square FILE, or a graph argument plus {flags}"
+            f" (missing: {', '.join(missing)})"
         )
-    square = ConjugacySquare(
-        load_graph(args.graph),
-        load_graph(args.graph_h),
-        load_code(args.phi),
-        load_code(args.phi_inv),
-        load_code(args.psi),
-        load_code(args.psi_inv),
-    )
-    inputs = {
-        "graph": _input_note(args.graph),
-        "graph-h": _input_note(args.graph_h),
-        "phi": _input_note(args.phi),
-        "phi-inv": _input_note(args.phi_inv),
-        "psi": _input_note(args.psi),
-        "psi-inv": _input_note(args.psi_inv),
-    }
-    return square, inputs
+    square = ConjugacySquare(*(load(paths[name]) for name, load in _SQUARE_PARTS))
+    return square, {name.lstrip("-"): _input_note(path) for name, path in paths.items()}
 
 
 def cmd_lift(args: argparse.Namespace) -> int:

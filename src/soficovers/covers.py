@@ -62,34 +62,35 @@ Step = Callable[[int], int]
 
 
 @dataclass(frozen=True)
-class SubsetGraph:
-    """Determinization of a labeled graph over a family of vertex subsets."""
+class SubsetFamily:
+    """A graph whose vertex i stands for the set ``members[i]`` of
+    vertices of ``base``."""
 
     base: LabeledGraph
     graph: LabeledGraph
     members: tuple[frozenset[int], ...]
-    mode: str
 
     def member_index(self) -> dict[frozenset[int], int]:
         return {m: i for i, m in enumerate(self.members)}
 
 
 @dataclass(frozen=True)
-class StableCore:
+class SubsetGraph(SubsetFamily):
+    """Determinization of a labeled graph over a family of vertex subsets."""
+
+    mode: str
+
+
+@dataclass(frozen=True)
+class StableCore(SubsetFamily):
     """Subset cover on the stabilized endpoint sets of left-infinite paths.
 
     ``witnesses[i]`` is a pair of words (u, v): reading v after infinitely
     many copies of u ends exactly in ``members[i]``.
     """
 
-    base: LabeledGraph
-    graph: LabeledGraph
-    members: tuple[frozenset[int], ...]
     witnesses: tuple[Witness, ...]
     monoid: TransitionMonoid
-
-    def member_index(self) -> dict[frozenset[int], int]:
-        return {m: i for i, m in enumerate(self.members)}
 
 
 def subset_key(mask: int) -> tuple[int, list[int]]:
@@ -447,27 +448,17 @@ def check_regular(
 
     Vertex v qualifies exactly when some stable set D containing v has
     every member's follower set inside v's; then the tail realizing D has
-    future set equal to v's follower set.  Containment depends only on
-    the two follower classes, so each class pair is searched once.
+    future set equal to v's follower set.
     """
     require_essential(base)
     require_right_resolving(base, "regularity check")
     core = stable_core(base, budget)
-    factor = follower_quotient(base).factor
-    memo: dict[tuple[int, int], bool] = {}  # by the pair's follower classes
-
-    def contains(u: int, v: int) -> bool:
-        key = (factor[u], factor[v])
-        if key not in memo:
-            memo[key] = follower_contains(base, u, v)
-        return memo[key]
-
     verdicts = []
     witnesses: list[Optional[frozenset[int]]] = []
     for v in range(len(base.vertices)):
         hit = None
         for members in core.members:
-            if v in members and all(contains(u, v) for u in members):
+            if v in members and all(follower_contains(base, u, v) for u in members):
                 hit = members
                 break
         verdicts.append(hit is not None)

@@ -34,6 +34,7 @@ from .analysis import forward_masks, periodic_points, require_realizable
 from .covers import (
     Step,
     StableCore,
+    SubsetFamily,
     all_subsets,
     assemble_subset_graph,
     closure_words,
@@ -67,38 +68,11 @@ class BundleEdge:
 
 
 @dataclass(frozen=True)
-class BundleGraph:
+class BundleGraph(SubsetFamily):
     """Subset graph under the every-member-emits rule."""
 
-    base: LabeledGraph
-    graph: LabeledGraph
-    members: tuple[frozenset[int], ...]
     bundle_edges: tuple[BundleEdge, ...]
     mode: str
-
-    def member_index(self) -> dict[frozenset[int], int]:
-        return {m: i for i, m in enumerate(self.members)}
-
-
-def bundle_step(
-    base: LabeledGraph,
-    emit: Mapping[tuple[int, int], int],
-    mask: int,
-    symbol: int,
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Target mask and member edges of the all-emit step, or None.
-
-    ``emit`` is the base's :func:`edge_lookup` table.
-    """
-    edges = []
-    target = 0
-    for v in bits(mask):
-        k = emit.get((v, symbol))
-        if k is None:
-            return None
-        edges.append(k)
-        target |= 1 << base.edges[k][2]
-    return target, tuple(edges)
 
 
 def _all_emit_steps(base: LabeledGraph) -> list[Step]:
@@ -112,6 +86,15 @@ def _all_emit_steps(base: LabeledGraph) -> list[Step]:
     return [all_emit(symbol_relation(base, a)) for a in range(len(base.symbols))]
 
 
+def _member_edges(
+    emit: Mapping[tuple[int, int], int], mask: int, symbol: int
+) -> tuple[int, ...]:
+    """The base edges reading ``symbol`` out of the members of ``mask``, in
+    increasing vertex order; ``emit`` is the base's :func:`edge_lookup`
+    table, and every member must emit the symbol."""
+    return tuple(emit[(v, symbol)] for v in bits(mask))
+
+
 def _assemble_bundle(
     base: LabeledGraph, family: Iterable[int]
 ) -> tuple[LabeledGraph, list[int], tuple[BundleEdge, ...]]:
@@ -120,7 +103,7 @@ def _assemble_bundle(
     emit = edge_lookup(base, "bundle graph")
     graph, masks = assemble_subset_graph(base, family, _all_emit_steps(base))
     bundles = tuple(
-        BundleEdge(i, a, j, tuple(emit[(v, a)] for v in bits(masks[i])))
+        BundleEdge(i, a, j, _member_edges(emit, masks[i], a))
         for i, a, j in graph.edges
     )
     return graph, masks, bundles
@@ -257,15 +240,15 @@ def fiber_ray(base: LabeledGraph, p: PeriodicWord) -> FiberRay:
     """
     fiber = _fiber_masks(base, p)[2]
     emit = edge_lookup(base, "bundle graph")
+    steps = _all_emit_steps(base)
     member_edges = []
     for k in range(p.period):
-        step = bundle_step(base, emit, fiber[k], p.at(k))
-        if step is None:
+        target = steps[p.at(k)](fiber[k])
+        if not target:
             raise VerificationError("fiber set fails the all-emit rule")
-        target, edges = step
         if target != fiber[(k + 1) % p.period]:
             raise VerificationError("fiber sets drift from the bundle step")
-        member_edges.append(edges)
+        member_edges.append(_member_edges(emit, fiber[k], p.at(k)))
     return FiberRay(p, tuple(map(set_of, fiber)), tuple(member_edges))
 
 
@@ -277,7 +260,7 @@ class SeedRecord:
 
 
 @dataclass(frozen=True)
-class FiberCore:
+class FiberCore(SubsetFamily):
     """Forward closure of the realized fiber source sets in the bundle graph.
 
     ``provenance[i]`` explains vertex i: a SeedRecord, or a
@@ -285,17 +268,11 @@ class FiberCore:
     bounded nature of the seed search visible.
     """
 
-    base: LabeledGraph
-    graph: LabeledGraph
-    members: tuple[frozenset[int], ...]
     bundle_edges: tuple[BundleEdge, ...]
     seeds: tuple[SeedRecord, ...]
     provenance: tuple[object, ...]
     max_period: int
     max_tail: int
-
-    def member_index(self) -> dict[frozenset[int], int]:
-        return {m: i for i, m in enumerate(self.members)}
 
 
 def _tail_seed_masks(
@@ -442,16 +419,15 @@ def maximal_dominated_path(core: StableCore, path: Sequence[int]) -> DominatedPa
     if not start:
         raise VerificationError("no member of the source set admits the label word")
     emit = edge_lookup(base, "bundle graph")
+    steps = _all_emit_steps(base)
     sets = [start]
     member_edges = []
-    current = start
     for a in word:
-        step = bundle_step(base, emit, current, a)
-        if step is None:
+        target = steps[a](sets[-1])
+        if not target:
             raise VerificationError("dominated path lost the all-emit property")
-        current, edges = step
-        sets.append(current)
-        member_edges.append(edges)
+        member_edges.append(_member_edges(emit, sets[-1], a))
+        sets.append(target)
     gamma_targets = [mask_of(core.members[core.graph.edges[k][2]]) for k in path]
     if sets[-1] != gamma_targets[-1]:
         raise VerificationError("dominated path misses the covering target set")

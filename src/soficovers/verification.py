@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -68,6 +68,8 @@ from .fibers import (
 )
 from .codes import (
     CheckOutcome,
+    ConjugacySquare,
+    LiftedCode,
     SquareReport,
     apply_code,
     fill_gap,
@@ -112,6 +114,14 @@ class CriterionResult:
 
 def _counts(g: LabeledGraph) -> str:
     return f"{len(g.vertices)} vertices / {len(g.edges)} edges"
+
+
+def _verdict(
+    name: str, bad: Sequence[str], detail: str, shown: Optional[int] = None
+) -> CheckOutcome:
+    """Pass with ``detail`` when nothing is bad; otherwise fail, listing the
+    first ``shown`` bad items (every one when ``shown`` is None)."""
+    return CheckOutcome(name, not bad, ", ".join(bad[:shown]) if bad else detail)
 
 
 def _iso_expected(
@@ -304,20 +314,9 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
         cover = merged_graph(core.graph).cover
         if not check_regular(cover, bounds.monoid_budget).ok:
             bad_covers.append(name)
-    checks.append(
-        CheckOutcome(
-            "stable-cores-regular",
-            not bad_cores,
-            f"{len(BASE_FIXTURES)} fixtures" if not bad_cores else ", ".join(bad_cores),
-        )
-    )
-    checks.append(
-        CheckOutcome(
-            "future-covers-regular",
-            not bad_covers,
-            f"{len(BASE_FIXTURES)} fixtures" if not bad_covers else ", ".join(bad_covers),
-        )
-    )
+    fixtures = f"{len(BASE_FIXTURES)} fixtures"
+    checks.append(_verdict("stable-cores-regular", bad_cores, fixtures))
+    checks.append(_verdict("future-covers-regular", bad_covers, fixtures))
     g = load_fixture("two_loops_vs_one")
     rep = check_regular(g, bounds.monoid_budget)
     q = g.vertex_index("q")
@@ -415,42 +414,14 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
                 source_words += 1
                 if data.count != info.multiplicity[c]:
                     count_bad.append(f"{name}:{p.word}")
-    checks.append(
-        CheckOutcome(
-            "fiber-sets-equal-past-sets",
-            not beta_bad,
-            f"{words} periodic words up to period {bounds.max_period}"
-            if not beta_bad
-            else ", ".join(beta_bad[:3]),
-        )
-    )
-    checks.append(
-        CheckOutcome(
-            "merge-respects-canonical-rays",
-            not natural_bad,
-            f"two routes per word, {words} words"
-            if not natural_bad
-            else ", ".join(natural_bad[:3]),
-        )
-    )
-    checks.append(
-        CheckOutcome(
-            "component-edges-in-fiber-core",
-            not comp_bad,
-            "every in-component stable-core edge appears as a bundle edge"
-            if not comp_bad
-            else ", ".join(comp_bad[:3]),
-        )
-    )
-    checks.append(
-        CheckOutcome(
-            "source-component-fiber-counts",
-            not count_bad,
-            f"{source_words} words with rays in source components"
-            if not count_bad
-            else ", ".join(count_bad[:3]),
-        )
-    )
+    up_to = f"{words} periodic words up to period {bounds.max_period}"
+    checks.append(_verdict("fiber-sets-equal-past-sets", beta_bad, up_to, 3))
+    routes = f"two routes per word, {words} words"
+    checks.append(_verdict("merge-respects-canonical-rays", natural_bad, routes, 3))
+    in_core = "every in-component stable-core edge appears as a bundle edge"
+    checks.append(_verdict("component-edges-in-fiber-core", comp_bad, in_core, 3))
+    in_sources = f"{source_words} words with rays in source components"
+    checks.append(_verdict("source-component-fiber-counts", count_bad, in_sources, 3))
     a = load_fixture("example_a")
     b = load_fixture("example_b")
     named_counts = [
@@ -463,13 +434,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         for name, g, p, want in named_counts
         if fiber_count_periodic(g, p) != want
     ]
-    checks.append(
-        CheckOutcome(
-            "named-fiber-counts",
-            not bad,
-            "constant words hit counts 3, 1 and 2" if not bad else ", ".join(bad),
-        )
-    )
+    checks.append(_verdict("named-fiber-counts", bad, "constant words hit counts 3, 1 and 2"))
     return checks
 
 
@@ -485,13 +450,7 @@ def _criterion_idempotence(bounds: VerifyBounds) -> list[CheckOutcome]:
         again = future_cover(fc.cover, bounds.monoid_budget)
         if not graphs_isomorphic(again.cover, fc.cover).isomorphic:
             bad.append(name)
-    return [
-        CheckOutcome(
-            "future-cover-idempotent",
-            not bad,
-            f"{len(BASE_FIXTURES)} fixtures" if not bad else ", ".join(bad),
-        )
-    ]
+    return [_verdict("future-cover-idempotent", bad, f"{len(BASE_FIXTURES)} fixtures")]
 
 
 # ---------------------------------------------------------------------------
@@ -504,79 +463,74 @@ def _prefixed(prefix: str, report: SquareReport) -> list[CheckOutcome]:
     ]
 
 
-def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
-    checks: list[CheckOutcome] = []
-    rng = random.Random(bounds.random_seed)
-
-    a = load_fixture("example_a")
-    lifted = lift_conjugacy(identity_square(a), budget=bounds.monoid_budget)
-    report = verify_lift_diagrams(lifted, inverse_lifted=lifted, max_period=3, walks=4)
-    checks.append(
-        CheckOutcome(
-            "identity-square-diagrams",
-            report.ok,
-            "all diagram checks pass"
-            if report.ok
-            else "; ".join(c.name for c in report.failures()),
-        )
-    )
+def _lifted_square_checks(
+    prefix: str,
+    square: ConjugacySquare,
+    inverse: Optional[ConjugacySquare],
+    edge_map: Callable[[LiftedCode], Mapping[int, int]],
+    window_check: tuple[str, str],
+    bounds: VerifyBounds,
+    rng: random.Random,
+) -> list[CheckOutcome]:
+    """Lift ``square`` and check its diagrams against the lift of
+    ``inverse`` (against itself when None); then the lifted code must send
+    each edge of core windows sampled with ``rng`` to its image under
+    ``edge_map(lifted)``.  ``window_check`` names that check and ends its
+    detail."""
+    budget = bounds.monoid_budget
+    lifted = lift_conjugacy(square, budget=budget)
+    back = lifted if inverse is None else lift_conjugacy(inverse, budget=budget)
+    report = verify_lift_diagrams(lifted, inverse_lifted=back, max_period=3, walks=4)
+    want = edge_map(lifted)
     D = lifted.block_radius
-    wins = sample_core_windows(
-        lifted.core_g, 2 * D + 9, periodic_points(a, 3), rng, walks=4
-    )
-    ident = all(
-        apply_code(lifted.code, w).items == w.segment(w.start + D, w.end - D).items
+    points = periodic_points(square.graph_g, 3)
+    wins = sample_core_windows(lifted.core_g, 2 * D + 9, points, rng, walks=4)
+    agree = all(
+        apply_code(lifted.code, w).items
+        == tuple(want[k] for k in w.segment(w.start + D, w.end - D).items)
         for w in wins
     )
-    checks.append(
-        CheckOutcome(
-            "identity-square-acts-identically",
-            ident,
-            f"{len(wins)} sampled windows reproduce themselves",
-        )
+    failed = "; ".join(c.name for c in report.failures())
+    name, detail = window_check
+    return [
+        CheckOutcome(f"{prefix}-diagrams", report.ok, failed or "all diagram checks pass"),
+        CheckOutcome(f"{prefix}-{name}", agree, f"{len(wins)} sampled windows {detail}"),
+    ]
+
+
+def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
+    rng = random.Random(bounds.random_seed)
+    checks = _lifted_square_checks(
+        "identity-square",
+        identity_square(load_fixture("example_a")),
+        None,
+        lambda lifted: {k: k for k in range(len(lifted.core_g.graph.edges))},
+        ("acts-identically", "reproduce themselves"),
+        bounds,
+        rng,
     )
+
+    def renamed_edges(lifted: LiftedCode) -> dict[int, int]:
+        # The renaming is the identity on vertex indices, hence on member sets.
+        h_index = lifted.core_h.member_index()
+        lookup = edge_lookup(lifted.core_h.graph)
+        core_g = lifted.core_g
+        return {
+            k: lookup[(h_index[core_g.members[u]], s)]
+            for k, (u, s, _) in enumerate(core_g.graph.edges)
+        }
 
     b = load_fixture("example_b")
-    renamed = LabeledGraph(b.symbols, ("x", "y"), b.edges)
-    square = renaming_square(b, renamed, (0, 1))
-    lifted = lift_conjugacy(square, budget=bounds.monoid_budget)
-    inverse = lift_conjugacy(inverse_square(square), budget=bounds.monoid_budget)
-    report = verify_lift_diagrams(lifted, inverse_lifted=inverse, max_period=3, walks=4)
-    checks.append(
-        CheckOutcome(
-            "renaming-square-diagrams",
-            report.ok,
-            "all diagram checks pass"
-            if report.ok
-            else "; ".join(c.name for c in report.failures()),
-        )
+    square = renaming_square(b, LabeledGraph(b.symbols, ("x", "y"), b.edges), (0, 1))
+    checks += _lifted_square_checks(
+        "renaming-square",
+        square,
+        inverse_square(square),
+        renamed_edges,
+        ("matches-subset-isomorphism", "follow the renamed member sets"),
+        bounds,
+        rng,
     )
-    vert_map = {
-        i: lifted.core_h.member_index()[frozenset({0: 0, 1: 1}[v] for v in m)]
-        for i, m in enumerate(lifted.core_g.members)
-    }
-    lookup = edge_lookup(lifted.core_h.graph)
-    edge_map = {
-        k: lookup[(vert_map[u], s)]
-        for k, (u, s, v) in enumerate(lifted.core_g.graph.edges)
-    }
-    D = lifted.block_radius
-    wins = sample_core_windows(
-        lifted.core_g, 2 * D + 9, periodic_points(b, 3), rng, walks=4
-    )
-    induced = all(
-        apply_code(lifted.code, w).items
-        == tuple(edge_map[k] for k in w.segment(w.start + D, w.end - D).items)
-        for w in wins
-    )
-    checks.append(
-        CheckOutcome(
-            "renaming-square-matches-subset-isomorphism",
-            induced,
-            f"{len(wins)} sampled windows follow the renamed member sets",
-        )
-    )
-
     hb = higher_block(b, 2)
     lifted = lift_conjugacy(hb.square, budget=bounds.monoid_budget)
     inverse = lift_conjugacy(inverse_square(hb.square), budget=bounds.monoid_budget)

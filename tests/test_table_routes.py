@@ -9,14 +9,17 @@ and the containment search on the original graph that scans every edge
 for each subset step.  Inputs are seeded random graphs with dead-end
 tendrils on both sides, half of them right-resolving; containment also
 runs on cyclic lifts of the fixtures, whose follower classes hold more
-than one vertex.
+than one vertex.  ``check_regular``'s verdicts and witnesses are held to
+the first stable set whose members all pass the reference search.
 
 ``bundle_graph`` and ``fiber_core`` close and assemble vertex masks with
 the subset graphs' closure and assembly.  The references keep the
 frozenset all-emit step, breadth-first closure and bundle assembly they
 replace; both routes must give the same members, edges, bundle edges,
 seeds and provenance on the fixtures and on seeded right-resolving graphs
-of up to 8 vertices.
+of up to 8 vertices.  ``fiber_ray`` and ``maximal_dominated_path`` step
+by the same all-emit step, and each of their member-edge tuples must be
+the frozenset step's.
 
 The past and forward sets of a periodic word come from one walk of the
 word's masks (``analysis.past_masks`` and ``forward_masks``).  The
@@ -65,7 +68,7 @@ from soficovers.analysis import (
     periodic_points,
     require_realizable,
 )
-from soficovers.covers import stable_core
+from soficovers.covers import check_regular, stable_core
 from soficovers.errors import (
     BudgetExceededError,
     EmptyShiftError,
@@ -80,6 +83,7 @@ from soficovers.fibers import (
     bundle_graph,
     fiber_core,
     fiber_count_periodic,
+    fiber_ray,
     fiber_sets_on_periodic,
     maximal_dominated_path,
 )
@@ -321,6 +325,36 @@ def test_follower_contains_matches_edge_scan(name, g):
     assert got == want
 
 
+def reference_regular_witnesses(g):
+    """Per vertex, the first stable set holding it whose every member's
+    follower set lies inside the vertex's, by the edge-scanning search."""
+    return tuple(
+        next(
+            (
+                members
+                for members in stable_core(g).members
+                if v in members
+                and all(reference_follower_contains(g, u, v) for u in members)
+            ),
+            None,
+        )
+        for v in range(len(g.vertices))
+    )
+
+
+def test_regularity_cases_include_irregular_vertices():
+    assert any(None in reference_regular_witnesses(g) for _, g in RESOLVING)
+
+
+@pytest.mark.parametrize("name,g", RESOLVING, ids=[name for name, _ in RESOLVING])
+def test_check_regular_matches_reference(name, g):
+    witnesses = reference_regular_witnesses(g)
+    report = check_regular(g)
+    assert report.witness == witnesses
+    assert report.regular == tuple(w is not None for w in witnesses)
+    assert report.ok == (None not in witnesses)
+
+
 def reference_bundle_step(base, emit, members, symbol):
     """Target set and member edges of the all-emit step, or None."""
     edges = []
@@ -440,6 +474,33 @@ def test_bundle_graphs_match_frozenset_routes(name, g):
     assert assembled(fcore) == assembly
     assert fcore.seeds == seed_records
     assert fcore.provenance == provenance
+
+
+@pytest.mark.parametrize("name,g", BUNDLE_CASES, ids=[name for name, _ in BUNDLE_CASES])
+def test_bundle_paths_match_frozenset_step(name, g):
+    """The member edges of fiber rays (every periodic word up to period 4)
+    and of maximal dominated paths, step by step."""
+    emit = edge_lookup(g)
+    for p in periodic_points(g, WALK_WORD):
+        ray = fiber_ray(g, p)
+        for k in range(p.period):
+            want = (ray.sets[(k + 1) % p.period], ray.member_edges[k])
+            assert reference_bundle_step(g, emit, ray.sets[k], p.at(k)) == want, p.word
+    try:
+        core = stable_core(g, MONOID_CAP)
+    except BudgetExceededError:
+        return
+    for length in range(1, DOMINATED_PATH + 1):
+        for path in paths_of_length(core.graph, length):
+            try:
+                dominated = maximal_dominated_path(core, path)
+            except VerificationError as exc:
+                assert "admits" in str(exc)
+                continue
+            word = [core.graph.edges[k][1] for k in path]
+            for j, a in enumerate(word):
+                want = (dominated.sets[j + 1], dominated.member_edges[j])
+                assert reference_bundle_step(g, emit, dominated.sets[j], a) == want, path
 
 
 def reference_phase_masks(g, word):
