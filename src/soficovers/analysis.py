@@ -12,7 +12,7 @@ follower quotient, and containment is searched on the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import UnrealizableWordError
 from .graphs import (
@@ -218,20 +218,25 @@ def is_follower_separated(g: LabeledGraph) -> bool:
     return all(len(c) == 1 for c in follower_partition(g))
 
 
-class FollowerQuotient(NamedTuple):
+@dataclass(frozen=True)
+class CoverBundle:
     """A graph merged by equal follower sets.
 
-    ``factor[v]`` is the class of vertex v, numbered in
-    :func:`follower_partition` order.  ``cover`` has one vertex per class,
-    named after its smallest member, and one edge per distinct projected
-    edge ``(factor[u], a, factor[v])``, in order of first appearance.
+    ``factor_vertex[v]`` is the class of vertex v, numbered in
+    :func:`follower_partition` order, and ``classes[c]`` lists the vertices
+    of class c in order.  ``cover`` has one vertex per class, named after
+    its smallest member, and one edge per distinct projected edge
+    ``(factor_vertex[u], a, factor_vertex[v])``, in order of first
+    appearance; ``factor_edge[k]`` is the cover edge under edge k.
     """
 
-    factor: tuple[int, ...]
     cover: LabeledGraph
+    factor_vertex: tuple[int, ...]
+    factor_edge: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
 
 
-def follower_quotient(g: LabeledGraph) -> FollowerQuotient:
+def follower_quotient(g: LabeledGraph) -> CoverBundle:
     """The follower quotient of an essential right-resolving graph, kept on
     the graph (:func:`graphs.kept`).
 
@@ -242,15 +247,23 @@ def follower_quotient(g: LabeledGraph) -> FollowerQuotient:
     return kept(g, "_follower_quotient", _follower_quotient)
 
 
-def _follower_quotient(g: LabeledGraph) -> FollowerQuotient:
+def _follower_quotient(g: LabeledGraph) -> CoverBundle:
     partition = follower_partition(g)
     factor = [0] * len(g.vertices)
     for c, block in enumerate(partition):
         for v in block:
             factor[v] = c
-    edges = dict.fromkeys((factor[u], a, factor[v]) for u, a, v in g.edges)
+    edges: dict[tuple[int, int, int], int] = {}
+    factor_edge = tuple(
+        edges.setdefault((factor[u], a, factor[v]), len(edges)) for u, a, v in g.edges
+    )
     names = tuple(g.vertices[min(block)] for block in partition)
-    return FollowerQuotient(tuple(factor), LabeledGraph(g.symbols, names, tuple(edges)))
+    return CoverBundle(
+        LabeledGraph(g.symbols, names, tuple(edges)),
+        tuple(factor),
+        factor_edge,
+        tuple(tuple(sorted(block)) for block in partition),
+    )
 
 
 def follower_contains(g: LabeledGraph, u: int, v: int) -> bool:
@@ -269,7 +282,8 @@ def follower_contains(g: LabeledGraph, u: int, v: int) -> bool:
     for w in (u, v):
         if not 0 <= w < n:
             raise IndexError(f"vertex {w!r} out of range: the graph has vertices 0..{n - 1}")
-    factor, cover = follower_quotient(g)
+    quotient = follower_quotient(g)
+    factor, cover = quotient.factor_vertex, quotient.cover
     start = (factor[u], factor[v])
     if start[0] == start[1]:
         return True

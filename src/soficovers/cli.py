@@ -39,7 +39,6 @@ from .errors import (
 from .fibers import bundle_graph, fiber_core, fiber_sets_on_periodic
 from .graphs import LabeledGraph, check_right_resolving, format_members, is_essential
 from .io import (
-    bundle_provenance,
     code_to_data,
     export_dot,
     factor_provenance,
@@ -213,7 +212,7 @@ def cmd_past_cover(args: argparse.Namespace) -> int:
 def cmd_future_cover(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     fc = future_cover(g, args.budget)
-    _emit_product(_graph_json(fc.cover, factor_provenance(fc.bundle)), args.output)
+    _emit_product(_graph_json(fc.cover, factor_provenance(fc.core.graph, fc.bundle)), args.output)
     _note(args, f"future-cover: {_size(fc.cover)} (past-cover: {_size(fc.core.graph)})")
     return 0
 
@@ -249,7 +248,7 @@ def cmd_gpp(args: argparse.Namespace) -> int:
     if args.mode == "seeded" and not seeds:
         raise GraphFormatError("seeded mode needs at least one --seed")
     bundle = bundle_graph(g, args.mode, seeds or None)
-    _emit_product(_graph_json(bundle.graph, bundle_provenance(bundle)), args.output)
+    _emit_product(_graph_json(bundle.graph, subset_provenance(bundle)), args.output)
     _note(args, f"gpp[{args.mode}]: {_size(bundle.graph)}")
     return 0
 
@@ -257,7 +256,7 @@ def cmd_gpp(args: argparse.Namespace) -> int:
 def cmd_gprime(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     fcore = fiber_core(g, args.max_period, args.max_tail, args.budget)
-    _emit_product(_graph_json(fcore.graph, bundle_provenance(fcore)), args.output)
+    _emit_product(_graph_json(fcore.graph, subset_provenance(fcore)), args.output)
     _note(args, f"gprime: {_size(fcore.graph)} ({len(fcore.seeds)} seed sets)")
     return 0
 

@@ -38,6 +38,7 @@ from .graphs import (
     require_right_resolving,
 )
 from .analysis import (
+    CoverBundle,
     follower_contains,
     follower_quotient,
     is_follower_separated,
@@ -47,7 +48,6 @@ from .relations import (
     DEFAULT_MONOID_BUDGET,
     BoolRelation,
     TransitionMonoid,
-    mask_of,
     set_of,
     stabilized_range,
     symbol_relation,
@@ -158,8 +158,7 @@ def subset_construction(base: LabeledGraph, mode: str = "reachable-from-full") -
     family: Iterable[int]
     if mode == "full":
         family = all_subsets(n, "subset")
-    elif mode in ("reachable-from-full", "reachable"):
-        mode = "reachable-from-full"
+    elif mode == "reachable-from-full":
         family = closure_words(steps, [(1 << n) - 1])
     else:
         raise GraphFormatError(f"unknown subset mode {mode!r}")
@@ -321,16 +320,17 @@ def past_set_ray(core: StableCore, p: PeriodicWord) -> PeriodicRay:
     k symbols, from one walk of the word (:func:`analysis.past_masks`).
     """
     past = require_realizable(core.base, p)
-    index = {mask_of(m): i for i, m in enumerate(core.members)}
+    index = core.member_index()
     lookup = edge_lookup(core.graph)
     verts = []
     for mask in past:
-        if mask not in index:
+        v = index.get(set_of(mask))
+        if v is None:
             raise VerificationError(
                 f"stabilized set {format_members(core.base, mask)} missing "
                 "from the stable core"
             )
-        verts.append(index[mask])
+        verts.append(v)
     edges = []
     for k in range(p.period):
         key = (verts[k], p.at(k))
@@ -344,46 +344,20 @@ def past_set_ray(core: StableCore, p: PeriodicWord) -> PeriodicRay:
     return PeriodicRay(p, tuple(verts), tuple(edges))
 
 
-@dataclass(frozen=True)
-class CoverBundle:
-    """A graph together with its follower-merged quotient.
-
-    ``factor_vertex[v]`` is the quotient vertex of origin vertex v;
-    ``classes[c]`` lists the origin vertices merged into quotient vertex
-    c; ``factor_edge[k]`` is the quotient edge under origin edge k.
-    """
-
-    origin: LabeledGraph
-    cover: LabeledGraph
-    factor_vertex: tuple[int, ...]
-    factor_edge: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-
-
 def merged_graph(origin: LabeledGraph) -> CoverBundle:
-    """Quotient by equal follower sets, from the origin's kept
-    :func:`analysis.follower_quotient`.
+    """Quotient by equal follower sets: the origin's kept
+    :func:`analysis.follower_quotient`, so every call returns the same
+    bundle.
 
     Each origin edge projects to an edge between classes, and every
     quotient edge arises this way.  The quotient is right-resolving and
-    follower-separated; both are asserted, and origin edge k projects to
-    the quotient edge its source class emits with its label.
+    follower-separated; both are asserted.
     """
-    factor, cover = follower_quotient(origin)
-    require_right_resolving(cover, "merged graph")
-    if not is_follower_separated(cover):
+    bundle = follower_quotient(origin)
+    require_right_resolving(bundle.cover, "merged graph")
+    if not is_follower_separated(bundle.cover):
         raise VerificationError("merged graph is not follower-separated")
-    edge_at = cover.index.edge_at
-    classes: list[list[int]] = [[] for _ in cover.vertices]
-    for v, c in enumerate(factor):
-        classes[c].append(v)
-    return CoverBundle(
-        origin,
-        cover,
-        factor,
-        tuple(edge_at[(factor[u], a)] for u, a, _ in origin.edges),
-        tuple(map(tuple, classes)),
-    )
+    return bundle
 
 
 @dataclass(frozen=True)

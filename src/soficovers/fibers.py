@@ -152,7 +152,6 @@ def co_stable_sets(base: LabeledGraph, budget: int = DEFAULT_MONOID_BUDGET):
     Computed as the stable family of the transposed graph; the result is
     ordered by (size, members).
     """
-    require_essential(base)
     rev = stable_core(transpose(base), budget)
     return rev.members
 

@@ -340,11 +340,8 @@ def words_up_to(g: LabeledGraph, max_len: int) -> set[tuple[int, ...]]:
     for _ in range(max_len):
         nxt: dict[tuple[int, ...], int] = {}
         for word, ends in frontier.items():
-            members = bits(ends)
             for a, rows in enumerate(g.index.rows):
-                step = 0
-                for v in members:
-                    step |= rows[v]
+                step = mask_image(rows, ends)
                 if step:
                     nxt[word + (a,)] = step
         words.update(nxt)

@@ -20,7 +20,10 @@ from .graphs import (
     build_graph,
     normalize_periodic,
 )
+from .analysis import CoverBundle
 from .codes import ConjugacySquare, SlidingBlockCode, rule_entries
+from .covers import StableCore, SubsetFamily, SubsetGraph
+from .fibers import BundleGraph, FiberCore
 
 
 def graph_to_data(g: LabeledGraph, provenance: Optional[Mapping] = None) -> dict:
@@ -61,64 +64,49 @@ def dump_graph(g: LabeledGraph, fh: TextIO, provenance: Optional[Mapping] = None
     fh.write("\n")
 
 
-def _member_names(base: LabeledGraph, members: Sequence[frozenset[int]]) -> list[list[str]]:
-    return [sorted(base.vertices[v] for v in s) for s in members]
-
-
-def subset_provenance(cover) -> dict:
-    """Provenance for SubsetGraph / StableCore style objects."""
+def subset_provenance(family: SubsetFamily) -> dict:
+    """Provenance of a subset family: its kind, base vertices and member
+    sets, then the witnesses of a StableCore, the member edges of a
+    BundleGraph or FiberCore, the seed sets of a FiberCore, and the mode of
+    a SubsetGraph or BundleGraph, in that order."""
+    base = family.base
     prov: dict[str, Any] = {
-        "kind": type(cover).__name__,
-        "base_vertices": list(cover.base.vertices),
-        "members": _member_names(cover.base, cover.members),
+        "kind": type(family).__name__,
+        "base_vertices": list(base.vertices),
+        "members": [sorted(base.vertices[v] for v in s) for s in family.members],
     }
-    witnesses = getattr(cover, "witnesses", None)
-    if witnesses is not None:
+    if isinstance(family, StableCore):
         prov["witnesses"] = [
             {
-                "idempotent_word": [cover.base.symbols[a] for a in u],
-                "continuation_word": [cover.base.symbols[a] for a in v],
+                "idempotent_word": [base.symbols[a] for a in u],
+                "continuation_word": [base.symbols[a] for a in v],
             }
-            for (u, v) in witnesses
+            for (u, v) in family.witnesses
         ]
-    mode = getattr(cover, "mode", None)
-    if mode is not None:
-        prov["mode"] = mode
-    return prov
-
-
-def bundle_provenance(bundle) -> dict:
-    """Provenance for BundleGraph / FiberCore style objects."""
-    prov: dict[str, Any] = {
-        "kind": type(bundle).__name__,
-        "base_vertices": list(bundle.base.vertices),
-        "members": _member_names(bundle.base, bundle.members),
-        "member_edges": [
-            [bundle.base.edge_name(k) for k in be.members]
-            for be in bundle.bundle_edges
-        ],
-    }
-    seeds = getattr(bundle, "seeds", None)
-    if seeds is not None:
+    if isinstance(family, (BundleGraph, FiberCore)):
+        prov["member_edges"] = [
+            [base.edge_name(k) for k in be.members] for be in family.bundle_edges
+        ]
+    if isinstance(family, FiberCore):
         prov["seeds"] = [
             {
                 "kind": s.kind,
                 "detail": s.detail,
-                "members": sorted(bundle.base.vertices[v] for v in s.members),
+                "members": sorted(base.vertices[v] for v in s.members),
             }
-            for s in seeds
+            for s in family.seeds
         ]
+    if isinstance(family, (SubsetGraph, BundleGraph)):
+        prov["mode"] = family.mode
     return prov
 
 
-def factor_provenance(bundle) -> dict:
-    """Provenance for CoverBundle (merged graph) objects."""
+def factor_provenance(origin: LabeledGraph, bundle: CoverBundle) -> dict:
+    """Provenance of the follower merge of ``origin``."""
     return {
         "kind": "CoverBundle",
-        "origin_vertices": list(bundle.origin.vertices),
-        "classes": [
-            [bundle.origin.vertices[v] for v in cls] for cls in bundle.classes
-        ],
+        "origin_vertices": list(origin.vertices),
+        "classes": [[origin.vertices[v] for v in cls] for cls in bundle.classes],
         "factor_vertex": list(bundle.factor_vertex),
     }
 

@@ -49,7 +49,7 @@ from .analysis import (
     periodic_points,
 )
 from .covers import (
-    FutureCover,
+    ExtendedFutureCover,
     check_regular,
     extended_future_cover,
     future_cover,
@@ -308,11 +308,10 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
     bad_covers: list[str] = []
     for name in BASE_FIXTURES:
         g = load_fixture(name)
-        core = stable_core(g, bounds.monoid_budget)
-        if not check_regular(core.graph, bounds.monoid_budget).ok:
+        fc = future_cover(g, bounds.monoid_budget)
+        if not check_regular(fc.core.graph, bounds.monoid_budget).ok:
             bad_cores.append(name)
-        cover = merged_graph(core.graph).cover
-        if not check_regular(cover, bounds.monoid_budget).ok:
+        if not check_regular(fc.cover, bounds.monoid_budget).ok:
             bad_covers.append(name)
     fixtures = f"{len(BASE_FIXTURES)} fixtures"
     checks.append(_verdict("stable-cores-regular", bad_cores, fixtures))
@@ -334,34 +333,32 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
 # criterion 5: periodic-point identities
 
 
-def _remerged(fc: FutureCover) -> tuple:
-    """The merged cover's own stable core, its merge, and the (unique, since
-    the cover is follower-separated) label-preserving isomorphism from that
-    merge back onto the cover, as a vertex map."""
-    core2 = stable_core(fc.cover)
-    merge2 = merged_graph(core2.graph)
-    iso = graphs_isomorphic(merge2.cover, fc.cover)
+def _remerged(ext: ExtendedFutureCover) -> tuple[int, ...]:
+    """The (unique, since the future cover is follower-separated)
+    label-preserving isomorphism from the merge of the cover's stable core
+    back onto the cover, as a vertex map."""
+    iso = graphs_isomorphic(ext.merge.cover, ext.future.cover)
     if not iso.isomorphic:
         raise VerificationError("merging the cover's stable core lost the cover")
-    return core2, merge2, iso.mapping
+    return iso.mapping
 
 
 def _alpha_edges_in_cover(
-    fc: FutureCover, remerged: tuple, p: PeriodicWord
+    ext: ExtendedFutureCover, to_cover: tuple[int, ...], p: PeriodicWord
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two routes to the canonical presentation of p in the merged cover.
+    """Two routes to the canonical presentation of p in the future cover.
 
     Route one factors the stable-core ray through the merge.  Route two
     computes the ray inside the cover's own stable core and transports it
     back to the cover along :func:`_remerged`.
     """
-    core2, merge2, to_cover = remerged
+    fc = ext.future
     factored = tuple(fc.bundle.factor_edge[e] for e in past_set_ray(fc.core, p).edges)
-    ray2 = past_set_ray(core2, p)
+    ray2 = past_set_ray(ext.core, p)
     lookup = edge_lookup(fc.cover)
     direct = []
     for k in range(p.period):
-        v = to_cover[merge2.factor_vertex[ray2.vertices[k]]]
+        v = to_cover[ext.merge.factor_vertex[ray2.vertices[k]]]
         e = lookup.get((v, p.at(k)))
         if e is None:
             raise VerificationError("cover misses an edge of the canonical ray")
@@ -379,9 +376,9 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
     source_words = 0
     for name in BASE_FIXTURES:
         g = load_fixture(name)
-        core = stable_core(g, bounds.monoid_budget)
-        fc = FutureCover(core, merged_graph(core.graph))
-        remerged = _remerged(fc)
+        ext = extended_future_cover(g, bounds.monoid_budget)
+        core = ext.future.core
+        to_cover = _remerged(ext)
         info = components_and_sources(core.graph, core.members)
         fcore = fiber_core(g, bounds.max_period, bounds.tail_bound, bounds.monoid_budget)
         fiber_index = fcore.member_index()
@@ -402,7 +399,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
             if data.fiber_sets != data.past_sets:
                 beta_bad.append(f"{name}:{p.word}")
             fiber_ray(g, p)  # asserts the all-emit bundle closes up
-            factored, direct = _alpha_edges_in_cover(fc, remerged, p)
+            factored, direct = _alpha_edges_in_cover(ext, to_cover, p)
             if factored != direct:
                 natural_bad.append(f"{name}:{p.word}")
             ray = past_set_ray(core, p)
@@ -636,24 +633,20 @@ def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
 # extra bounded properties used by the test suite
 
 
-def check_tail_asymptotics(
-    g: LabeledGraph,
-    max_period: int = 4,
-    max_connector: int = 2,
-    max_configs: int = 40,
-) -> CheckOutcome:
+def check_tail_asymptotics(g: LabeledGraph, max_period: int = 4) -> CheckOutcome:
     """Forward agreement of fiber sets with past sets on tailed points.
 
-    For configurations that read some word after infinitely many copies of
-    a periodic word and then repeat the periodic word forever, the fiber
-    source sets must equal the stabilized past sets from some index on.
-    The horizon covers every subset the image iteration can visit.
+    For configurations that read some word of length at most 2 after
+    infinitely many copies of a periodic word and then repeat the periodic
+    word forever, the fiber source sets must equal the stabilized past sets
+    from some index on; at most 40 configurations are checked.  The
+    horizon covers every subset the image iteration can visit.
     """
     configs = 0
     bad: list[str] = []
     n = len(g.vertices)
     connectors: list[tuple[int, ...]] = [()]
-    for length in range(1, max_connector + 1):
+    for length in range(1, 3):
         grow = []
         for w in connectors:
             if len(w) == length - 1:
@@ -662,7 +655,7 @@ def check_tail_asymptotics(
     for p in periodic_points(g, max_period):
         tail = omega_power(word_relation(g, p.word))
         for v_word in connectors:
-            if configs >= max_configs:
+            if configs >= 40:
                 break
             middle = word_relation(g, v_word) if v_word else None
             rel = tail if middle is None else tail.compose(middle).compose(tail)
@@ -719,7 +712,7 @@ def _synchronized_pairs(
     return trim({x for arc in arcs for x in arc}, arcs)
 
 
-def check_source_component_injectivity(core, detail_name: str = "") -> CheckOutcome:
+def check_source_component_injectivity(core) -> CheckOutcome:
     """The label map is injective on each source component, and distinct
     source components present disjoint sets of bi-infinite words.
 
@@ -743,7 +736,7 @@ def check_source_component_injectivity(core, detail_name: str = "") -> CheckOutc
             if _synchronized_pairs(core.graph, comp_a, comp_b):
                 bad.append("two source components share a word")
     return CheckOutcome(
-        "source-components-label-injective" + detail_name,
+        "source-components-label-injective",
         not bad,
         f"{len(sources)} source components" if not bad else "; ".join(sorted(set(bad))),
     )

@@ -12,10 +12,12 @@ from soficovers import (
     BASE_FIXTURES,
     GraphFormatError,
     build_graph,
+    bundle_graph,
     code_from_data,
     code_to_data,
     export_dot,
     extended_future_cover,
+    fiber_core,
     graph_from_parts,
     graph_to_data,
     higher_block,
@@ -24,11 +26,12 @@ from soficovers import (
     square_from_data,
     square_to_data,
     stable_core,
+    subset_construction,
     verify_square,
 )
 from soficovers.cli import main
 from soficovers.codes import rule_entries
-from soficovers.io import load_graph, subset_provenance
+from soficovers.io import dump_graph, load_graph, subset_provenance
 from test_golden import looped_ring, shuffled
 
 
@@ -55,6 +58,38 @@ def test_derived_graph_file_reloads(tmp_path, example_a):
     assert data["provenance"]["kind"] == "StableCore"
     back = load_graph(path)  # provenance is carried but ignored by the parser
     assert back.edges == core.graph.edges
+
+
+def test_dump_graph_round_trip(tmp_path, example_a):
+    core = stable_core(example_a)
+    path = tmp_path / "core.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_graph(core.graph, fh, subset_provenance(core))
+    assert load_graph(str(path)) == core.graph
+    assert json.loads(path.read_text())["provenance"] == subset_provenance(core)
+
+
+PROVENANCE = {
+    "SubsetGraph-full": (lambda g: subset_construction(g, "full"), ["mode"]),
+    "SubsetGraph-reachable": (subset_construction, ["mode"]),
+    "StableCore": (stable_core, ["witnesses"]),
+    "BundleGraph-full": (bundle_graph, ["member_edges", "mode"]),
+    "BundleGraph-seeded": (
+        lambda g: bundle_graph(g, "seeded", [{0}]), ["member_edges", "mode"]
+    ),
+    "FiberCore": (fiber_core, ["member_edges", "seeds"]),
+}
+
+
+@pytest.mark.parametrize("case", PROVENANCE)
+def test_provenance_keys_per_kind(case, example_a):
+    build, extra = PROVENANCE[case]
+    family = build(example_a)
+    prov = subset_provenance(family)
+    assert list(prov) == ["kind", "base_vertices", "members"] + extra
+    assert prov["kind"] == type(family).__name__ == case.split("-")[0]
+    if "mode" in extra:
+        assert prov["mode"] == family.mode
 
 
 def test_code_round_trip(example_b):

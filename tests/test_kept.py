@@ -65,8 +65,7 @@ def test_kept_values_are_reused():
     g = lift()
     for build in (check_right_resolving, follower_partition, follower_quotient):
         assert build(g) is build(g)
-    assert merged_graph(g).cover is follower_quotient(g).cover
-    assert merged_graph(g).factor_vertex is follower_quotient(g).factor
+    assert merged_graph(g) is follower_quotient(g)
 
 
 @pytest.mark.parametrize("name", BUILDS)
@@ -136,7 +135,8 @@ def test_quotient_cover_is_the_base_graph():
     """A cyclic lift merges back onto its base: one class per fiber, named
     after its sheet-0 vertex, with the base's edges in the base's order."""
     base = load_fixture("example_a")
-    factor, cover = follower_quotient(lift())
+    quotient = follower_quotient(lift())
+    factor, cover = quotient.factor_vertex, quotient.cover
     n = len(base.vertices)
     assert factor == tuple(v % n for v in range(3 * n))
     assert cover.vertices == tuple(f"{v}.0" for v in base.vertices)

@@ -9,7 +9,10 @@ and the containment search on the original graph that scans every edge
 for each subset step.  Inputs are seeded random graphs with dead-end
 tendrils on both sides, half of them right-resolving; containment also
 runs on cyclic lifts of the fixtures, whose follower classes hold more
-than one vertex.  ``check_regular``'s verdicts and witnesses are held to
+than one vertex.  ``merged_graph`` returns the follower quotient kept on
+the graph; the reference keeps the merge it replaced, which looked each
+edge's cover edge up by source class and label and listed each class by
+appending vertices in order.  ``check_regular``'s verdicts and witnesses are held to
 the first stable set whose members all pass the reference search.
 
 ``bundle_graph`` and ``fiber_core`` close and assemble vertex masks with
@@ -68,7 +71,7 @@ from soficovers.analysis import (
     periodic_points,
     require_realizable,
 )
-from soficovers.covers import check_regular, stable_core
+from soficovers.covers import check_regular, merged_graph, stable_core
 from soficovers.errors import (
     BudgetExceededError,
     EmptyShiftError,
@@ -353,6 +356,38 @@ def test_check_regular_matches_reference(name, g):
     assert report.witness == witnesses
     assert report.regular == tuple(w is not None for w in witnesses)
     assert report.ok == (None not in witnesses)
+
+
+def reference_merged_graph(origin):
+    """The follower merge as ``merged_graph`` built it from the quotient's
+    vertex factor and cover: each edge's cover edge looked up by its
+    source class and label, and each class listed by appending vertices
+    in order."""
+    partition = follower_partition(origin)
+    factor = [0] * len(origin.vertices)
+    for c, block in enumerate(partition):
+        for v in block:
+            factor[v] = c
+    edges = dict.fromkeys((factor[u], a, factor[v]) for u, a, v in origin.edges)
+    names = tuple(origin.vertices[min(block)] for block in partition)
+    cover = LabeledGraph(origin.symbols, names, tuple(edges))
+    edge_at = cover.index.edge_at
+    classes = [[] for _ in cover.vertices]
+    for v, c in enumerate(factor):
+        classes[c].append(v)
+    return (
+        cover,
+        tuple(factor),
+        tuple(edge_at[(factor[u], a)] for u, a, _ in origin.edges),
+        tuple(map(tuple, classes)),
+    )
+
+
+@pytest.mark.parametrize("name,g", RESOLVING, ids=[name for name, _ in RESOLVING])
+def test_merged_graph_matches_reference(name, g):
+    bundle = merged_graph(g)
+    got = (bundle.cover, bundle.factor_vertex, bundle.factor_edge, bundle.classes)
+    assert got == reference_merged_graph(g)
 
 
 def reference_bundle_step(base, emit, members, symbol):
