@@ -50,7 +50,7 @@ from .io import (
     subset_provenance,
 )
 from .relations import DEFAULT_MONOID_BUDGET, mask_of
-from .verification import VerifyBounds, headline_counts, run_acceptance, run_criterion
+from .verification import VerifyBounds, _counts, headline_counts, run_acceptance, run_criterion
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,6 @@ def _input_note(path: str) -> str:
     return f"{path} sha256:{_digest(path)}"
 
 
-def _size(g: LabeledGraph) -> str:
-    return f"{len(g.vertices)} vertices / {len(g.edges)} edges"
-
-
 def _elapsed(args: argparse.Namespace) -> float:
     return time.perf_counter() - args.started_at
 
@@ -197,7 +193,7 @@ def cmd_subset(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     sub = subset_construction(g, args.mode)
     _emit_product(_graph_json(sub.graph, subset_provenance(sub)), args.output)
-    _note(args, f"subset[{args.mode}]: {_size(sub.graph)}")
+    _note(args, f"subset[{args.mode}]: {_counts(sub.graph)}")
     return 0
 
 
@@ -205,7 +201,7 @@ def cmd_past_cover(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     core = stable_core(g, args.budget)
     _emit_product(_graph_json(core.graph, subset_provenance(core)), args.output)
-    _note(args, f"past-cover: {_size(core.graph)}")
+    _note(args, f"past-cover: {_counts(core.graph)}")
     return 0
 
 
@@ -213,7 +209,7 @@ def cmd_future_cover(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     fc = future_cover(g, args.budget)
     _emit_product(_graph_json(fc.cover, factor_provenance(fc.core.graph, fc.bundle)), args.output)
-    _note(args, f"future-cover: {_size(fc.cover)} (past-cover: {_size(fc.core.graph)})")
+    _note(args, f"future-cover: {_counts(fc.cover)} (past-cover: {_counts(fc.core.graph)})")
     return 0
 
 
@@ -221,7 +217,7 @@ def cmd_extended_future_cover(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     ext = extended_future_cover(g, args.budget)
     _emit_product(_graph_json(ext.graph, subset_provenance(ext.core)), args.output)
-    _note(args, f"extended-future-cover: {_size(ext.graph)}")
+    _note(args, f"extended-future-cover: {_counts(ext.graph)}")
     return 0
 
 
@@ -249,7 +245,7 @@ def cmd_gpp(args: argparse.Namespace) -> int:
         raise GraphFormatError("seeded mode needs at least one --seed")
     bundle = bundle_graph(g, args.mode, seeds or None)
     _emit_product(_graph_json(bundle.graph, subset_provenance(bundle)), args.output)
-    _note(args, f"gpp[{args.mode}]: {_size(bundle.graph)}")
+    _note(args, f"gpp[{args.mode}]: {_counts(bundle.graph)}")
     return 0
 
 
@@ -257,7 +253,7 @@ def cmd_gprime(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     fcore = fiber_core(g, args.max_period, args.max_tail, args.budget)
     _emit_product(_graph_json(fcore.graph, subset_provenance(fcore)), args.output)
-    _note(args, f"gprime: {_size(fcore.graph)} ({len(fcore.seeds)} seed sets)")
+    _note(args, f"gprime: {_counts(fcore.graph)} ({len(fcore.seeds)} seed sets)")
     return 0
 
 
@@ -342,7 +338,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     _note(
         args,
         f"lift: window radius {lifted.block_radius} (kappa {lifted.kappa}),"
-        f" cores {_size(lifted.core_g.graph)} -> {_size(lifted.core_h.graph)}",
+        f" cores {_counts(lifted.core_g.graph)} -> {_counts(lifted.core_h.graph)}",
     )
     return 0
 
@@ -350,8 +346,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     square, inputs = _square_from_args(args)
     report = RunReport("verify", inputs=inputs)
-    report.counts["graph-g"] = _size(square.graph_g)
-    report.counts["graph-h"] = _size(square.graph_h)
+    report.counts["graph-g"] = _counts(square.graph_g)
+    report.counts["graph-h"] = _counts(square.graph_h)
     outcome = verify_square(square, args.max_window, args.max_period)
     for check in outcome.checks:
         report.add(check.name, check.ok, check.detail)
@@ -415,8 +411,8 @@ def cmd_iso(args: argparse.Namespace) -> int:
         "iso",
         inputs={"graph1": _input_note(args.graph1), "graph2": _input_note(args.graph2)},
     )
-    report.counts["graph1"] = _size(g1)
-    report.counts["graph2"] = _size(g2)
+    report.counts["graph1"] = _counts(g1)
+    report.counts["graph2"] = _counts(g2)
     outcome = graphs_isomorphic(g1, g2)
     detail = ""
     if outcome.isomorphic and outcome.mapping is not None:
@@ -434,7 +430,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     _emit_product(export_dot(g, args.name), args.output)
-    _note(args, f"export[dot]: {_size(g)}")
+    _note(args, f"export[dot]: {_counts(g)}")
     return 0
 
 

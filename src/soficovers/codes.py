@@ -33,7 +33,6 @@ from .errors import (
 )
 from .graphs import (
     LabeledGraph,
-    PeriodicWord,
     Window,
     edge_lookup,
     least_rotation,
@@ -336,8 +335,11 @@ class CheckOutcome:
 
 @dataclass(frozen=True)
 class SquareReport:
-    ok: bool
     checks: tuple[CheckOutcome, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
 
     def failures(self) -> list[CheckOutcome]:
         return [c for c in self.checks if not c.ok]
@@ -467,7 +469,7 @@ def verify_square(
         )
     )
 
-    return SquareReport(all(c.ok for c in checks), tuple(checks))
+    return SquareReport(tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -632,18 +634,12 @@ def bundle_member_paths(
     return paths
 
 
-def map_bundle_path(
-    square: ConjugacySquare,
-    bundle_path: Sequence,
-    start: int = 0,
-    trim: Optional[int] = None,
-) -> list[MappedBundle]:
-    """Image of an all-member bundle path: unbundle, map each base path
-    through the edge code, bundle the images."""
+def map_bundle_path(square: ConjugacySquare, bundle_path: Sequence) -> list[MappedBundle]:
+    """Image of an all-member bundle path from position 0: unbundle, map
+    each base path through the edge code, bundle the images, trimmed by
+    the code radius."""
     paths = bundle_member_paths(square.graph_g, bundle_path)
-    if trim is None:
-        trim = square.edge_code.radius
-    return map_parallel_paths(square, paths, start, trim)
+    return map_parallel_paths(square, paths, 0, square.edge_code.radius)
 
 
 @dataclass
@@ -955,7 +951,7 @@ def _bfs_edge_path(g: LabeledGraph, source: int, target: int) -> Optional[list[i
     seen = {source}
     while todo:
         u = todo.popleft()
-        for k in g.out_edges(u):
+        for k in g.index.out[u]:
             v = g.edges[k][2]
             if v in seen:
                 continue
@@ -982,19 +978,18 @@ def _unroll_cycle(edges: Sequence[int], length: int) -> tuple[int, ...]:
 def sample_core_windows(
     core: StableCore,
     length: int,
-    periodic: Sequence[PeriodicWord],
+    rays: Sequence[PeriodicRay],
     rng: random.Random,
     walks: int = 6,
 ) -> list[Window]:
     """Deterministic window sample for bounded code verification.
 
-    Three families: unrollings of the periodic rays, windows centered on a
+    Three families: unrollings of the ``core`` rays, windows centered on a
     shortest connector between two different rays (these cross component
     boundaries when the rays sit in different components), and seeded
     random walks.  Windows are deduplicated by their edge content.
     """
     g = core.graph
-    rays = [past_set_ray(core, p) for p in periodic]
     found = [_unroll_cycle(ray.edges, length) for ray in rays]
     pairs = 0
     for r1 in rays:
@@ -1035,7 +1030,7 @@ def _walk(
 
 def _component_windows(
     lifted: LiftedCode,
-    rays,
+    rays: Sequence[PeriodicRay],
     length: int,
     rng: random.Random,
 ) -> list[Window]:
@@ -1082,7 +1077,7 @@ def verify_lift_diagrams(
     rng = random.Random(2026)
     periodic = periodic_points(g, max_period)
     rays = [past_set_ray(core_g, p) for p in periodic]
-    windows = sample_core_windows(core_g, length, periodic, rng, walks)
+    windows = sample_core_windows(core_g, length, rays, rng, walks)
     checks: list[CheckOutcome] = []
 
     def sweep(name: str, items, fn, detail: str) -> None:
@@ -1174,7 +1169,7 @@ def verify_lift_diagrams(
     if inverse_lifted is not None:
         D2 = inverse_lifted.block_radius
         rt_length = 2 * (D + D2) + 9
-        rt_windows = sample_core_windows(core_g, rt_length, periodic, rng, walks)
+        rt_windows = sample_core_windows(core_g, rt_length, rays, rng, walks)
 
         def check_round_trip(w: Window):
             mid = apply_code(lifted.code, w)
@@ -1199,4 +1194,4 @@ def verify_lift_diagrams(
             "not enumerated",
         )
     )
-    return SquareReport(all(c.ok for c in checks), tuple(checks))
+    return SquareReport(tuple(checks))

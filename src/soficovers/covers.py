@@ -24,6 +24,7 @@ Tests hold the package to exact agreement of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import GraphFormatError, VerificationError
@@ -34,6 +35,7 @@ from .graphs import (
     edge_lookup,
     format_members,
     is_essential,
+    mask_image,
     require_essential,
     require_right_resolving,
 )
@@ -110,9 +112,10 @@ def all_subsets(n: int, mode: str) -> range:
     return range(1, 1 << n)
 
 
-def subset_steps(base: LabeledGraph) -> list[Step]:
-    """The subset step along each symbol: endpoints of its edges out of a set."""
-    return [symbol_relation(base, a).image for a in range(len(base.symbols))]
+def subset_steps(table: Sequence[Sequence[int]]) -> list[Step]:
+    """The subset step along each symbol of a row table (a graph's
+    ``index.rows``, or ``index.pred`` to step backwards)."""
+    return [partial(mask_image, rows) for rows in table]
 
 
 def assemble_subset_graph(
@@ -154,7 +157,7 @@ def subset_construction(base: LabeledGraph, mode: str = "reachable-from-full") -
     """
     require_essential(base)
     n = len(base.vertices)
-    steps = subset_steps(base)
+    steps = subset_steps(base.index.rows)
     family: Iterable[int]
     if mode == "full":
         family = all_subsets(n, "subset")
@@ -235,7 +238,7 @@ def stable_core(
     """
     require_essential(base)
     monoid = transition_monoid(base, budget)
-    steps = subset_steps(base)
+    steps = subset_steps(base.index.rows)
     found: dict[int, Witness] = {}
     for e_idx in monoid.idempotent_indices():
         ran = monoid.elements[e_idx].ran_mask()

@@ -7,10 +7,10 @@ of base paths sharing one label sequence; the source sets of the paths in
 one label fiber are cut out by intersecting the stabilized past sets with
 their forward duals.
 
-Fibers of periodic words are counted through the product with a cyclic
-phase graph: after trimming, a disjoint union of cycles means one fiber
-point per phase-zero vertex, and any backward branching means the fiber
-is uncountable.
+Fibers of periodic words are counted on those fiber sets: a fiber
+vertex with two predecessors in the fiber set before it means the fiber
+is uncountable, and otherwise each phase-zero fiber vertex carries one
+fiber point.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import GraphFormatError, UnrealizableWordError, VerificationError
+from .errors import GraphFormatError, VerificationError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
@@ -28,7 +28,6 @@ from .graphs import (
     require_essential,
     require_right_resolving,
     transpose,
-    trim,
 )
 from .analysis import forward_masks, periodic_points, require_realizable
 from .covers import (
@@ -41,14 +40,7 @@ from .covers import (
     stable_core,
     subset_steps,
 )
-from .relations import (
-    DEFAULT_MONOID_BUDGET,
-    BoolRelation,
-    mask_of,
-    set_of,
-    symbol_relation,
-    transition_monoid,
-)
+from .relations import DEFAULT_MONOID_BUDGET, mask_of, set_of, transition_monoid
 
 INFINITE = "infinite"
 
@@ -79,11 +71,11 @@ def _all_emit_steps(base: LabeledGraph) -> list[Step]:
     """The subset step along each symbol, defined only on sets whose every
     member emits the symbol."""
 
-    def all_emit(rel: BoolRelation) -> Step:
-        emitters = rel.dom_mask()
-        return lambda mask: rel.image(mask) if mask & emitters == mask else 0
+    def all_emit(rows: tuple[int, ...]) -> Step:
+        emitters = mask_of(u for u, row in enumerate(rows) if row)
+        return lambda mask: mask_image(rows, mask) if mask & emitters == mask else 0
 
-    return [all_emit(symbol_relation(base, a)) for a in range(len(base.symbols))]
+    return [all_emit(rows) for rows in base.index.rows]
 
 
 def _member_edges(
@@ -146,13 +138,13 @@ def bundle_graph(
     return BundleGraph(base, graph, tuple(map(set_of, masks)), bundles, mode)
 
 
-def co_stable_sets(base: LabeledGraph, budget: int = DEFAULT_MONOID_BUDGET):
+def co_stable_sets(base: LabeledGraph):
     """Start-vertex sets of right-infinite labeled paths, stabilized.
 
     Computed as the stable family of the transposed graph; the result is
     ordered by (size, members).
     """
-    rev = stable_core(transpose(base), budget)
+    rev = stable_core(transpose(base))
     return rev.members
 
 
@@ -170,33 +162,24 @@ class FiberData:
 def fiber_count_periodic(base: LabeledGraph, p: PeriodicWord) -> Union[int, str]:
     """Number of bi-infinite paths labeled by the periodic word.
 
-    Product with the cyclic phase graph, trimmed to its bi-essential part.
-    A trimmed vertex with two incoming edges witnesses uncountably many
-    fiber points ("infinite"); otherwise the product is a disjoint union
-    of cycles and each phase-zero vertex carries exactly one fiber point.
+    The vertices such paths pass at phase k are the fiber set there,
+    ``fiber[k] = past[k] & forward[k]``, and a path enters v at phase k
+    from one of its predecessors along ``p.at(k - 1)`` in ``fiber[k - 1]``.
+    A fiber vertex with two of them witnesses uncountably many fiber
+    points ("infinite"); otherwise the paths are disjoint cycles through
+    the phases and each phase-zero fiber vertex carries exactly one.
     """
-    require_essential(base)
-    period = p.period
-    n = len(base.vertices)
-    nodes = {(v, k) for v in range(n) for k in range(period)}
-    arcs = [
-        ((u, k), (v, (k + 1) % period))
-        for k in range(period)
-        for u, a, v in base.edges
-        if a == p.at(k)
-    ]
-    nodes = trim(nodes, arcs)
-    if not nodes:
-        raise UnrealizableWordError(
-            f"word {p.word!r} has no bi-infinite labeled path"
-        )
-    indeg: dict = {}
-    for x, y in arcs:
-        if x in nodes and y in nodes:
-            indeg[y] = indeg.get(y, 0) + 1
-    if any(d >= 2 for d in indeg.values()):
-        return INFINITE
-    return sum(1 for (_, k) in nodes if k == 0)
+    return _fiber_count(base, p, _fiber_masks(base, p)[2])
+
+
+def _fiber_count(base: LabeledGraph, p: PeriodicWord, fiber: Sequence[int]) -> Union[int, str]:
+    """:func:`fiber_count_periodic` on the word's fiber masks."""
+    pred = base.index.pred
+    for k in range(p.period):
+        rows, before = pred[p.at(k - 1)], fiber[k - 1]
+        if any((rows[v] & before).bit_count() >= 2 for v in bits(fiber[k])):
+            return INFINITE
+    return fiber[0].bit_count()
 
 
 def _fiber_masks(
@@ -217,7 +200,7 @@ def fiber_sets_on_periodic(base: LabeledGraph, p: PeriodicWord) -> FiberData:
     exactly the source-vertex sets of the word's fiber paths."""
     masks = _fiber_masks(base, p)
     return FiberData(
-        p, *(tuple(map(set_of, m)) for m in masks), fiber_count_periodic(base, p)
+        p, *(tuple(map(set_of, m)) for m in masks), _fiber_count(base, p, masks[2])
     )
 
 
@@ -297,12 +280,12 @@ def _tail_seed_masks(
         return "".join(base.symbols[a] for a in word)
 
     past = closure_words(
-        subset_steps(base),
+        subset_steps(base.index.rows),
         [monoid.elements[e].ran_mask() for e in idempotents],
         max_depth=max_tail,
     )
     forward = closure_words(
-        subset_steps(transpose(base)),
+        subset_steps(base.index.pred),
         [monoid.elements[f].dom_mask() for f in idempotents],
         max_depth=max_tail,
         prepend=True,

@@ -103,9 +103,6 @@ class LabeledGraph:
             raise GraphFormatError(f"two edges share the name {repeated!r}")
         return names
 
-    def out_edges(self, v: int) -> tuple[int, ...]:
-        return self.index.out[v]
-
 
 def kept(g: LabeledGraph, key: str, build: Callable[[LabeledGraph], T]) -> T:
     """``build(g)``, computed on the first call for ``key`` and kept on g.

@@ -33,6 +33,7 @@ from .errors import BudgetExceededError
 from .graphs import LabeledGraph, bits, kept, mask_image
 
 DEFAULT_MONOID_BUDGET = 200_000
+OMEGA_POWER_STEPS = 1_000_000
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -107,19 +108,20 @@ def word_relation(g: LabeledGraph, word: Sequence[int]) -> BoolRelation:
     return rel
 
 
-def omega_power(rel: BoolRelation, budget: int = 1_000_000) -> BoolRelation:
+def omega_power(rel: BoolRelation) -> BoolRelation:
     """The unique idempotent power of ``rel``.
 
     Powers of a single relation form a cyclic semigroup, so the first
-    idempotent encountered is the only one.  The budget is a safety net;
-    at desk scale the loop ends after a few steps.
+    idempotent encountered is the only one.  A budget of
+    ``OMEGA_POWER_STEPS`` powers is a safety net; at desk scale the loop
+    ends after a few steps.
     """
     power = rel
-    for _ in range(budget):
+    for _ in range(OMEGA_POWER_STEPS):
         if power.compose(power) == power:
             return power
         power = power.compose(rel)
-    raise BudgetExceededError("no idempotent power found within budget", budget)
+    raise BudgetExceededError("no idempotent power found within budget", OMEGA_POWER_STEPS)
 
 
 class TransitionMonoid:

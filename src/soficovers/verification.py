@@ -13,6 +13,7 @@ bound.  The bounds are part of each criterion's reported detail.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
@@ -97,19 +98,12 @@ class VerifyBounds:
 
 
 @dataclass(frozen=True)
-class CriterionResult:
-    """Outcome of one numbered acceptance criterion."""
+class CriterionResult(SquareReport):
+    """Outcome of one numbered acceptance criterion: its checks, with the
+    criterion's number and title."""
 
     number: int
     title: str
-    checks: tuple[CheckOutcome, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[CheckOutcome]:
-        return [c for c in self.checks if not c.ok]
 
 
 def _counts(g: LabeledGraph) -> str:
@@ -240,24 +234,21 @@ def _criterion_example_b(bounds: VerifyBounds) -> list[CheckOutcome]:
 
 
 def random_right_resolving_graphs(
-    count: int,
-    seed: int,
-    max_vertices: int = 6,
-    max_symbols: int = 4,
-    budget: int = 4000,
+    count: int, seed: int, max_vertices: int = 6
 ) -> list[LabeledGraph]:
-    """Deterministic essential right-resolving test graphs.
+    """Deterministic essential right-resolving test graphs on at most 4
+    symbols.
 
     Each vertex gets a random nonempty set of out-labels with one target
     per label, so the graph is right-resolving by construction; drafts
-    that trim to nothing or whose transition monoid exceeds the budget are
-    skipped (the retry sequence is part of the seeded stream).
+    that trim to nothing or whose transition monoid exceeds 4000 elements
+    are skipped (the retry sequence is part of the seeded stream).
     """
     rng = random.Random(seed)
     out: list[LabeledGraph] = []
     while len(out) < count:
         n = rng.randint(1, max_vertices)
-        s = rng.randint(1, max_symbols)
+        s = rng.randint(1, 4)
         triples = []
         for v in range(n):
             for a in sorted(rng.sample(range(s), rng.randint(1, s))):
@@ -267,7 +258,7 @@ def random_right_resolving_graphs(
         )
         try:
             g = essentialize(g)
-            transition_monoid(g, budget)
+            transition_monoid(g, 4000)
         except (EmptyShiftError, BudgetExceededError):
             continue
         out.append(g)
@@ -382,16 +373,14 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         info = components_and_sources(core.graph, core.members)
         fcore = fiber_core(g, bounds.max_period, bounds.tail_bound, bounds.monoid_budget)
         fiber_index = fcore.member_index()
-        by_source_symbol = {
-            (be.source, be.symbol): be for be in fcore.bundle_edges
-        }
+        fiber_edges, fiber_edge_at = fcore.graph.edges, fcore.graph.index.edge_at
         for k, (u, a, v) in enumerate(core.graph.edges):
             cu = info.component_of[u]
             if cu is None or cu != info.component_of[v]:
                 continue
             su = fiber_index.get(core.members[u])
-            be = None if su is None else by_source_symbol.get((su, a))
-            if be is None or fcore.members[be.target] != core.members[v]:
+            e = None if su is None else fiber_edge_at.get((su, a))
+            if e is None or fcore.members[fiber_edges[e][2]] != core.members[v]:
                 comp_bad.append(f"{name}:{core.graph.edge_name(k)}")
         for p in periodic_points(g, bounds.max_period):
             words += 1
@@ -480,8 +469,8 @@ def _lifted_square_checks(
     report = verify_lift_diagrams(lifted, inverse_lifted=back, max_period=3, walks=4)
     want = edge_map(lifted)
     D = lifted.block_radius
-    points = periodic_points(square.graph_g, 3)
-    wins = sample_core_windows(lifted.core_g, 2 * D + 9, points, rng, walks=4)
+    rays = [past_set_ray(lifted.core_g, p) for p in periodic_points(square.graph_g, 3)]
+    wins = sample_core_windows(lifted.core_g, 2 * D + 9, rays, rng, walks=4)
     agree = all(
         apply_code(lifted.code, w).items
         == tuple(want[k] for k in w.segment(w.start + D, w.end - D).items)
@@ -633,26 +622,25 @@ def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
 # extra bounded properties used by the test suite
 
 
-def check_tail_asymptotics(g: LabeledGraph, max_period: int = 4) -> CheckOutcome:
+def check_tail_asymptotics(g: LabeledGraph) -> CheckOutcome:
     """Forward agreement of fiber sets with past sets on tailed points.
 
     For configurations that read some word of length at most 2 after
-    infinitely many copies of a periodic word and then repeat the periodic
-    word forever, the fiber source sets must equal the stabilized past sets
-    from some index on; at most 40 configurations are checked.  The
-    horizon covers every subset the image iteration can visit.
+    infinitely many copies of a periodic word of period at most 4 and
+    then repeat the periodic word forever, the fiber source sets must
+    equal the stabilized past sets from some index on; at most 40
+    configurations are checked.  The horizon covers every subset the
+    image iteration can visit.
     """
     configs = 0
     bad: list[str] = []
     n = len(g.vertices)
-    connectors: list[tuple[int, ...]] = [()]
-    for length in range(1, 3):
-        grow = []
-        for w in connectors:
-            if len(w) == length - 1:
-                grow.extend(w + (a,) for a in range(len(g.symbols)))
-        connectors.extend(grow)
-    for p in periodic_points(g, max_period):
+    connectors = [
+        w
+        for length in range(3)
+        for w in itertools.product(range(len(g.symbols)), repeat=length)
+    ]
+    for p in periodic_points(g, 4):
         tail = omega_power(word_relation(g, p.word))
         for v_word in connectors:
             if configs >= 40:
@@ -762,14 +750,14 @@ def run_criterion(number: int, bounds: Optional[VerifyBounds] = None) -> Criteri
     bounds = bounds or VerifyBounds()
     for num, title, fn in CRITERIA:
         if num == number:
-            return CriterionResult(num, title, tuple(fn(bounds)))
+            return CriterionResult(tuple(fn(bounds)), num, title)
     raise KeyError(f"no criterion numbered {number}")
 
 
 def run_acceptance(bounds: Optional[VerifyBounds] = None) -> list[CriterionResult]:
     bounds = bounds or VerifyBounds()
     return [
-        CriterionResult(num, title, tuple(fn(bounds))) for num, title, fn in CRITERIA
+        CriterionResult(tuple(fn(bounds)), num, title) for num, title, fn in CRITERIA
     ]
 
 
@@ -783,7 +771,7 @@ def headline_counts(bounds: Optional[VerifyBounds] = None) -> list[str]:
     fcore = fiber_core(a, bounds.max_period, bounds.tail_bound, bounds.monoid_budget)
     ext = extended_future_cover(b, bounds.monoid_budget)
     return [
-        f"subset(Example-A): {len(sub.graph.vertices)} vertices / {len(sub.graph.edges)} edges",
+        f"subset(Example-A): {_counts(sub.graph)}",
         f"past-cover(Example-A): {len(core.graph.vertices)} / {len(core.graph.edges)}",
         f"gprime(Example-A): {len(fcore.graph.vertices)} / {len(fcore.graph.edges)}",
         f"extended(Example-B): {len(ext.graph.vertices)} / {len(ext.graph.edges)}",

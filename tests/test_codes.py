@@ -337,10 +337,10 @@ def diagram_windows(lifted, inverse_radius, max_period, walks):
     rng = random.Random(2026)  # verify_lift_diagrams' default seed
     periodic = periodic_points(lifted.square.graph_g, max_period)
     rays = [past_set_ray(lifted.core_g, p) for p in periodic]
-    sampled = sample_core_windows(lifted.core_g, 2 * d + 9, periodic, rng, walks)
+    sampled = sample_core_windows(lifted.core_g, 2 * d + 9, rays, rng, walks)
     component = _component_windows(lifted, rays, 2 * d + 5, rng)
     rt_length = 2 * (d + inverse_radius) + 9
-    round_trip = sample_core_windows(lifted.core_g, rt_length, periodic, rng, walks)
+    round_trip = sample_core_windows(lifted.core_g, rt_length, rays, rng, walks)
     rays_unrolled = [
         Window(0, _unroll_cycle(ray.edges, 2 * d + ray.period)) for ray in rays
     ]
@@ -471,9 +471,9 @@ def test_lift_rejects_malformed_square(example_a, example_b):
 def test_sampled_core_windows_are_paths(name):
     g = load_fixture(name)
     core = stable_core(g)
-    periodic = periodic_points(g, 4)
+    rays = [past_set_ray(core, p) for p in periodic_points(g, 4)]
     for length in (5, 8, 29):
-        windows = sample_core_windows(core, length, periodic, random.Random(length))
+        windows = sample_core_windows(core, length, rays, random.Random(length))
         assert len({w.items for w in windows}) == len(windows)
         for w in windows:
             assert len(w) == length

@@ -174,8 +174,8 @@ def small_essential_graphs(count, seed):
 
 
 def test_empty_past_set_means_unrealizable():
-    """fiber_sets_on_periodic rejects exactly the words that the trimmed
-    phase product of fiber_count_periodic finds no path for."""
+    """fiber_sets_on_periodic rejects exactly the words that
+    fiber_count_periodic finds no bi-infinite path for."""
     graphs = [load_fixture(name) for name in BASE_FIXTURES] + small_essential_graphs(40, 3)
     rejected = 0
     for g in graphs:

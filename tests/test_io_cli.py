@@ -32,6 +32,7 @@ from soficovers import (
 from soficovers.cli import main
 from soficovers.codes import rule_entries
 from soficovers.io import dump_graph, load_graph, subset_provenance
+from soficovers.verification import _corrupted_higher_block_square
 from test_golden import looped_ring, shuffled
 
 
@@ -464,6 +465,71 @@ def test_cli_lift_product(tmp_path, capsys):
 def test_cli_lift_missing_flags(tmp_path, capsys):
     assert main(["lift", fixture_file(tmp_path, "example_b")]) == 2
     assert "--psi" in capsys.readouterr().err
+
+
+def write_square_parts(tmp_path, square):
+    """The six parts of ``square`` in files, as the part flags of ``lift``
+    and ``verify`` (graph positional first)."""
+    data = square_to_data(square)
+    argv = []
+    for flag, key in [
+        (None, "graph_g"),
+        ("--graph-h", "graph_h"),
+        ("--phi", "edge_code"),
+        ("--phi-inv", "edge_code_inv"),
+        ("--psi", "label_code"),
+        ("--psi-inv", "label_code_inv"),
+    ]:
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(data[key]))
+        argv += [str(path)] if flag is None else [flag, str(path)]
+    return argv
+
+
+def test_cli_square_parts_match_the_square_file(tmp_path, capsys):
+    square = higher_block(load_fixture("example_b"), 2).square
+    whole = tmp_path / "square.json"
+    whole.write_text(json.dumps(square_to_data(square)))
+    parts = write_square_parts(tmp_path, square)
+    assert main(["verify", "--square", str(whole), "--json"]) == 0
+    by_file = json.loads(capsys.readouterr().out)
+    assert main(["verify", *parts, "--json"]) == 0
+    by_parts = json.loads(capsys.readouterr().out)
+    assert list(by_parts["inputs"]) == ["graph", "graph-h", "phi", "phi-inv", "psi", "psi-inv"]
+    assert by_parts["checks"] == by_file["checks"]
+    lifted = [tmp_path / "by_file.json", tmp_path / "by_parts.json"]
+    assert main(["lift", "--square", str(whole), "-o", str(lifted[0])]) == 0
+    assert main(["lift", *parts, "-o", str(lifted[1])]) == 0
+    assert lifted[0].read_bytes() == lifted[1].read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_fibers_skips_the_past_set_check_off_right_resolving(tmp_path, capsys):
+    g = graph_from_parts("a", "uv", [("u", "a", "u"), ("u", "a", "v"), ("v", "a", "u")])
+    assert main(["fibers", write_graph(tmp_path, "fan", g), "--period", "a", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["count"] == "infinite"
+    assert report["checks"] == [
+        {
+            "name": "fiber-equals-past-sets",
+            "status": "skip",
+            "detail": "graph is not right-resolving",
+        }
+    ]
+
+
+def test_cli_verify_skips_the_diagrams_of_a_broken_square(tmp_path, capsys):
+    square = _corrupted_higher_block_square(load_fixture("example_b"), ("2", "2", "2"))
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(square_to_data(square)))
+    assert main(["verify", "--square", str(path), "--diagrams", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "fail" in {c["status"] for c in checks[:-1]}
+    assert checks[-1] == {
+        "name": "diagrams",
+        "status": "skip",
+        "detail": "square identities failed; nothing to lift",
+    }
 
 
 def test_cli_export_dot(tmp_path, capsys):
