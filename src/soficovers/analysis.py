@@ -19,12 +19,10 @@ from .graphs import (
     LabeledGraph,
     PeriodicWord,
     kept,
-    least_rotation,
+    lyndon_words,
     mask_image,
-    primitive_root,
     require_essential,
     require_right_resolving,
-    words_up_to,
 )
 
 
@@ -347,19 +345,28 @@ def forward_masks(g: LabeledGraph, word: Sequence[int]) -> list[int]:
 
 def periodic_points(g: LabeledGraph, max_period: int) -> list[PeriodicWord]:
     """Periodic label words of least period <= max_period with a bi-infinite
-    realization, in primitive least-rotation form, without duplicates.
+    realization, in primitive least-rotation form, without duplicates,
+    shortest first and then in lexicographic order.
 
-    A word repeats forever in the graph exactly when its past set at
-    phase 0 is nonempty.  A realizable word in least-rotation form is
-    itself a path word, so only the enumerated words already in that form
-    need testing.
+    The primitive least rotations are the Lyndon words, which
+    :func:`graphs.lyndon_words` generates directly.  Each prefix walks its
+    set of path ends from the full vertex set, so a prefix that no path
+    carries is dropped with all its extensions; a realizable word is a
+    path word, so none is lost.  A Lyndon word repeats forever in the
+    graph exactly when its past set at phase 0 is nonempty.
     """
     require_essential(g)
-    found = [
-        w
-        for w in words_up_to(g, max_period)
-        if w == least_rotation(primitive_root(w)) and past_masks(g, w)[0]
-    ]
+    rows = g.index.rows
+
+    def moves(ends: int, least: int) -> list[tuple[int, int]]:
+        return [
+            (a, step)
+            for a in range(least, len(rows))
+            if (step := mask_image(rows[a], ends))
+        ]
+
+    full = (1 << len(g.vertices)) - 1
+    found = [w for w in lyndon_words(max_period, full, moves) if _greatest_cycle(rows, w)[0]]
     return [PeriodicWord(w) for w in sorted(found, key=lambda w: (len(w), w))]
 
 

@@ -35,9 +35,8 @@ from .graphs import (
     LabeledGraph,
     Window,
     edge_lookup,
-    least_rotation,
+    lyndon_words,
     paths_of_length,
-    primitive_root,
     require_essential,
     require_right_resolving,
     window_labels,
@@ -346,15 +345,25 @@ class SquareReport:
 
 
 def _edge_cycles(g: LabeledGraph, max_period: int) -> list[tuple[int, ...]]:
-    """Primitive edge cycles up to rotation, by least rotation order."""
-    found = set()
-    for length in range(1, max_period + 1):
-        for p in paths_of_length(g, length):
-            if g.edges[p[-1]][2] != g.edges[p[0]][0]:
-                continue
-            if primitive_root(p) != p:
-                continue
-            found.add(least_rotation(p))
+    """Primitive edge cycles of length <= max_period up to rotation, each
+    as its least rotation, in lexicographic order.
+
+    The least rotations of primitive cycles are the Lyndon words over edge
+    indices that are closed paths.  :func:`graphs.lyndon_words` extends a
+    prefix only by the edges leaving its last edge's target, so every
+    prefix is a path, and a Lyndon path is kept when it returns to its
+    first edge's source.
+    """
+    edges, out = g.edges, g.index.out
+
+    def moves(after: Sequence[int], least: int) -> list[tuple[int, Sequence[int]]]:
+        return [(k, out[edges[k][2]]) for k in after if k >= least]
+
+    found = [
+        p
+        for p in lyndon_words(max_period, range(len(edges)), moves)
+        if edges[p[-1]][2] == edges[p[0]][0]
+    ]
     return sorted(found)
 
 

@@ -16,7 +16,7 @@ Two independent routes compute the stable vertex family:
   alphabetically least, continuation word;
 * :func:`stable_sets_from_tails` iterates the range of each candidate
   tail relation to its fixpoint, one eventually periodic left tail at a
-  time.
+  time, and pushes each distinct fixpoint through every relation once.
 
 Tests hold the package to exact agreement of the two.
 """
@@ -265,6 +265,12 @@ def stable_sets_from_tails(
     relation are collapsed, which loses nothing: the result depends on the
     relation alone.  With max_len at least the longest shortest word of a
     monoid element, this enumerates every stabilized set.
+
+    Relations are taken shortest word first, then alphabetically.  A set's
+    witness is (u, v) for the first tail u whose fixpoint reaches it and
+    the first v that gets there, with v empty for the fixpoint itself.  A
+    fixpoint that an earlier tail already had is not pushed again: that
+    push would reach only sets the first one found.
     """
     require_essential(base)
     n = len(base.vertices)
@@ -289,10 +295,12 @@ def stable_sets_from_tails(
     relations = [(BoolRelation(n, rows), word) for rows, word in by_rows.items()]
     relations.sort(key=lambda rw: (len(rw[1]), rw[1]))
     result: dict[int, Witness] = {}
+    pushed: set[int] = set()
     for tail_rel, u_word in relations:
         stable = stabilized_range(tail_rel)
-        if not stable:
+        if not stable or stable in pushed:
             continue
+        pushed.add(stable)
         if stable not in result:
             result[stable] = (u_word, ())
         for cont_rel, v_word in relations:

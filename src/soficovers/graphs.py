@@ -20,6 +20,7 @@ from .errors import EmptyShiftError, GraphFormatError, NotRightResolvingError
 
 Edge = tuple[int, int, int]  # (source vertex, symbol, target vertex)
 T = TypeVar("T")
+S = TypeVar("S")
 
 
 class GraphIndex(NamedTuple):
@@ -324,28 +325,37 @@ def transpose(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.symbols, g.vertices, tuple((v, a, u) for u, a, v in g.edges))
 
 
-def words_up_to(g: LabeledGraph, max_len: int) -> set[tuple[int, ...]]:
-    """All label words of paths of length 1..max_len, as symbol-index tuples.
+def lyndon_words(
+    max_len: int, start: S, moves: Callable[[S, int], Sequence[tuple[int, S]]]
+) -> Iterator[tuple[int, ...]]:
+    """Lyndon words of length 1..max_len whose walk from ``start`` never
+    dies, in lexicographic order.
 
-    The graph must be essential, so these are exactly the finite words of
-    the presented shift.  Enumeration tracks the endpoint set per word,
-    which keeps it polynomial in the number of distinct words.
+    ``moves(state, least)`` lists the letters b >= least that continue a
+    walk at ``state``, each with the state after it, in increasing letter
+    order.  Prefixes are generated as prenecklaces (Fredricksen, Kessler &
+    Maiorana): a prefix of length t whose longest Lyndon prefix has length
+    p extends only by letters b >= word[t - p], keeping p when b is that
+    letter and making the whole prefix Lyndon otherwise, and the prefix is
+    a Lyndon word exactly when p == t.  A prefix with no moves is dropped
+    with all its extensions.  The depth-first search keeps an explicit
+    stack, so max_len is not limited by the recursion depth.
     """
-    require_essential(g)
-    words: set[tuple[int, ...]] = set()
-    frontier: dict[tuple[int, ...], int] = {(): (1 << len(g.vertices)) - 1}
-    for _ in range(max_len):
-        nxt: dict[tuple[int, ...], int] = {}
-        for word, ends in frontier.items():
-            for a, rows in enumerate(g.index.rows):
-                step = mask_image(rows, ends)
-                if step:
-                    nxt[word + (a,)] = step
-        words.update(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return words
+    if max_len <= 0:
+        return
+    word: list[int] = []
+    stack = [(0, b, 1, after) for b, after in reversed(moves(start, 0))]
+    while stack:
+        t, b, p, state = stack.pop()
+        del word[t:]
+        word.append(b)
+        t += 1
+        if p == t:
+            yield tuple(word)
+        if t < max_len:
+            least = word[t - p]
+            for c, after in reversed(moves(state, least)):
+                stack.append((t, c, p if c == least else t + 1, after))
 
 
 def paths_of_length(g: LabeledGraph, length: int) -> Iterator[tuple[int, ...]]:

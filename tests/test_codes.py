@@ -111,6 +111,13 @@ def test_verify_square_higher_block(example_b):
     assert verify_square(higher_block(example_b, 2).square).ok
 
 
+def test_verify_square_at_period_zero(example_b):
+    report = verify_square(higher_block(example_b, 2).square, max_period=0)
+    (cycles,) = [c for c in report.checks if c.name == "periodic-points"]
+    assert cycles.ok
+    assert cycles.detail == "0 primitive cycles up to period 0"
+
+
 def corrupt_label_code(square):
     rule = dict(square.label_code.rule)
     block = tuple(square.label_code.input_alphabet.index(s) for s in ("2", "2", "2"))

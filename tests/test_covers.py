@@ -17,9 +17,16 @@ from soficovers import (
     stable_sets_from_tails,
     subset_construction,
 )
+from soficovers import covers
 from soficovers.analysis import follower_partition
-from soficovers.graphs import check_right_resolving, format_members
-from soficovers.relations import mask_of, symbol_relation
+from soficovers.graphs import check_right_resolving, format_members, mask_image
+from soficovers.relations import (
+    BoolRelation,
+    mask_of,
+    stabilized_range,
+    symbol_relation,
+    transition_monoid,
+)
 from soficovers.verification import random_right_resolving_graphs
 from test_closure_routes import random_essential_graphs
 
@@ -137,6 +144,33 @@ def test_oracle_agrees_on_random_graphs():
         core = stable_core(g)
         oracle = stable_sets_from_tails(g, 2 * len(core.monoid.elements))
         assert set(oracle) == set(core.members)
+
+
+def test_tail_oracle_pushes_each_range_once(example_a, monkeypatch):
+    """At most one push of each distinct nonempty stabilized range through
+    each relation; the image calls that find a range do not count."""
+    relations = transition_monoid(example_a).elements  # the words up to max_len reach all
+    ranges = {stabilized_range(rel) for rel in relations} - {0}
+    pushes = 0
+    stabilizing = False
+
+    def image(rel, mask):
+        nonlocal pushes
+        pushes += not stabilizing
+        return mask_image(rel.rows, mask)
+
+    def stabilized(rel):
+        nonlocal stabilizing
+        stabilizing = True
+        try:
+            return stabilized_range(rel)
+        finally:
+            stabilizing = False
+
+    monkeypatch.setattr(BoolRelation, "image", image)
+    monkeypatch.setattr(covers, "stabilized_range", stabilized)
+    stable_sets_from_tails(example_a, 2 * len(relations))
+    assert 0 < pushes <= len(ranges) * len(relations)
 
 
 def test_chain_needs_stabilization():

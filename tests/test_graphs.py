@@ -14,7 +14,33 @@ from soficovers import (
     normalize_periodic,
     path_window,
 )
-from soficovers.graphs import LabeledGraph, window_labels, words_up_to
+from soficovers.graphs import LabeledGraph, mask_image, require_essential, window_labels
+
+
+def words_up_to(g, max_len):
+    """All label words of paths of length 1..max_len, as symbol-index tuples.
+
+    The graph must be essential, so these are exactly the finite words of
+    the presented shift.  Each word carries its set of path ends, so the
+    enumeration is polynomial in the number of distinct words.  The tests
+    keep it as the reference that lists every word; the package generates
+    only the Lyndon words it needs (``graphs.lyndon_words``).
+    """
+    require_essential(g)
+    words = set()
+    frontier = {(): (1 << len(g.vertices)) - 1}
+    for _ in range(max_len):
+        nxt = {}
+        for word, ends in frontier.items():
+            for a, rows in enumerate(g.index.rows):
+                step = mask_image(rows, ends)
+                if step:
+                    nxt[word + (a,)] = step
+        words.update(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return words
 
 
 def test_build_graph_round_fields(example_a):

@@ -43,6 +43,14 @@ controls; cyclic lifts of the fixtures have nontrivial automorphisms, so
 they also pin which mapping is found, and looped rings need one
 refinement round per vertex.
 
+``periodic_points`` and ``codes._edge_cycles`` generate only Lyndon
+words, pruned by a walk along each prefix.  The references list every
+path word or edge path up to the bound and keep the primitive ones in
+least-rotation form; both routes must give the same lists up to period 6.
+The tail oracle pushes each distinct stabilized range through the
+relations once; the reference pushes every tail's range, and the two
+dicts, witnesses and order included, must be equal.
+
 ``transition_monoid`` searches breadth-first over row tuples and flags an
 idempotent by walking its own word along the right Cayley graph that the
 search records.  The reference composes ``BoolRelation``s from a popped
@@ -71,7 +79,8 @@ from soficovers.analysis import (
     periodic_points,
     require_realizable,
 )
-from soficovers.covers import check_regular, merged_graph, stable_core
+from soficovers.codes import _edge_cycles, higher_block
+from soficovers.covers import check_regular, merged_graph, stable_core, stable_sets_from_tails
 from soficovers.errors import (
     BudgetExceededError,
     EmptyShiftError,
@@ -96,14 +105,16 @@ from soficovers.graphs import (
     edge_lookup,
     essentialize,
     graph_from_parts,
+    least_rotation,
     normalize_periodic,
     paths_of_length,
+    primitive_root,
     require_essential,
     require_right_resolving,
     trim,
-    words_up_to,
 )
 from soficovers.relations import (
+    BoolRelation,
     mask_of,
     omega_power,
     stabilized_domain,
@@ -112,9 +123,10 @@ from soficovers.relations import (
     transition_monoid,
     word_relation,
 )
-from soficovers.verification import random_right_resolving_graphs
+from soficovers.verification import VerifyBounds, random_right_resolving_graphs
 from test_closure_routes import random_essential_graphs
 from test_golden import cyclic_lift, looped_ring
+from test_graphs import words_up_to
 from test_relations import is_idempotent
 
 GRAPHS_PER_KIND = 12
@@ -122,6 +134,8 @@ MAX_WORD = 3
 BUNDLE_GRAPHS = 16
 MONOID_CAP = 1500
 WALK_WORD = 4
+LYNDON_PERIOD = 6
+DEEP_PERIOD = 2000  # deeper than the default recursion limit
 WALK_GRAPHS = 6
 DOMINATED_PATH = 3
 LIFTS = ((2, 0), (3, 1))  # (fold, step): two disjoint sheets, a connected 3-fold lift
@@ -595,6 +609,106 @@ def test_periodic_points_match_idempotent_filter(name, g):
         if not reference_realizable(g, p.word):
             with pytest.raises(UnrealizableWordError):
                 require_realizable(g, p)
+
+
+def reference_edge_cycles(g, max_period):
+    """Every closed edge path up to the bound, kept when primitive, as its
+    least rotation."""
+    found = set()
+    for length in range(1, max_period + 1):
+        for p in paths_of_length(g, length):
+            if g.edges[p[-1]][2] != g.edges[p[0]][0]:
+                continue
+            if primitive_root(p) != p:
+                continue
+            found.add(least_rotation(p))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", BASE_FIXTURES)
+def test_periodic_points_match_reference_to_period_six(name):
+    g = load_fixture(name)
+    got = [p.word for p in periodic_points(g, LYNDON_PERIOD)]
+    assert got == reference_periodic_points(g, LYNDON_PERIOD)
+
+
+CYCLE_CASES = WALK_CASES + [
+    (f"{name}.2block", higher_block(load_fixture(name), 2).graph) for name in BASE_FIXTURES
+]
+
+
+@pytest.mark.parametrize("name,g", CYCLE_CASES, ids=[name for name, _ in CYCLE_CASES])
+def test_edge_cycles_match_rotation_filter(name, g):
+    assert _edge_cycles(g, LYNDON_PERIOD) == reference_edge_cycles(g, LYNDON_PERIOD)
+
+
+def test_enumerations_at_zero_and_deep_bounds():
+    """A bound below 1 gives nothing; a bound past the recursion limit
+    still finds the one loop of ``single_loop``."""
+    g = load_fixture("single_loop")
+    for bound in (0, -1):
+        assert periodic_points(g, bound) == []
+        assert _edge_cycles(g, bound) == []
+    assert periodic_points(g, DEEP_PERIOD) == [normalize_periodic((0,))]
+    assert _edge_cycles(g, DEEP_PERIOD) == [(0,)]
+
+
+def reference_tail_oracle(base, max_len):
+    """Every tail's stabilized range pushed through every relation, even
+    when an earlier tail had the same range."""
+    n = len(base.vertices)
+    generators = [symbol_relation(base, a) for a in range(len(base.symbols))]
+    by_rows = {}
+    layer = []
+    for a, rel in enumerate(generators):
+        if rel.rows not in by_rows:
+            by_rows[rel.rows] = (a,)
+            layer.append(rel)
+    for _ in range(max_len - 1):
+        nxt = []
+        for rel in layer:
+            for a, gen in enumerate(generators):
+                comp = rel.compose(gen)
+                if comp.rows not in by_rows:
+                    by_rows[comp.rows] = by_rows[rel.rows] + (a,)
+                    nxt.append(comp)
+        layer = nxt
+        if not layer:
+            break
+    relations = [(BoolRelation(n, rows), word) for rows, word in by_rows.items()]
+    relations.sort(key=lambda rw: (len(rw[1]), rw[1]))
+    result = {}
+    for tail_rel, u_word in relations:
+        stable = stabilized_range(tail_rel)
+        if not stable:
+            continue
+        if stable not in result:
+            result[stable] = (u_word, ())
+        for cont_rel, v_word in relations:
+            mask = cont_rel.image(stable)
+            if mask and mask not in result:
+                result[mask] = (u_word, v_word)
+    return {frozenset(v for v in range(n) if mask >> v & 1): w for mask, w in result.items()}
+
+
+ORACLE_CASES = (
+    [(name, load_fixture(name)) for name in BASE_FIXTURES]
+    + [
+        (f"criterion3-{i}", g)
+        for i, g in enumerate(
+            random_right_resolving_graphs(VerifyBounds.random_graphs, VerifyBounds.random_seed)
+        )
+    ]
+    + [(name, g) for name, g in WALK_CASES if not check_right_resolving(g).ok]
+)
+
+
+@pytest.mark.parametrize("name,g", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
+def test_tail_oracle_matches_all_tails_push(name, g):
+    """The whole dict, witnesses and insertion order included."""
+    max_len = 2 * len(transition_monoid(g).elements)
+    got = stable_sets_from_tails(g, max_len)
+    assert list(got.items()) == list(reference_tail_oracle(g, max_len).items())
 
 
 WALK_RESOLVING = [(name, g) for name, g in WALK_CASES if check_right_resolving(g).ok]
