@@ -251,7 +251,7 @@ def cmd_gpp(args: argparse.Namespace) -> int:
 
 def cmd_gprime(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    fcore = fiber_core(g, args.max_period, args.max_tail, args.budget)
+    fcore = fiber_core(g, args.max_tail, args.budget)
     _emit_product(_graph_json(fcore.graph, subset_provenance(fcore)), args.output)
     _note(args, f"gprime: {_counts(fcore.graph)} ({len(fcore.seeds)} seed sets)")
     return 0
@@ -552,9 +552,9 @@ COMMANDS = (
     ),
     Command(
         "gprime",
-        "Bundle subgraph generated by the fiber sets of short periodic words",
+        "Bundle subgraph generated by the fiber sets of doubly-tailed points",
         cmd_gprime,
-        (_GRAPH, _MAX_PERIOD, _MAX_TAIL, _BUDGET, _OUTPUT),
+        (_GRAPH, _MAX_TAIL, _BUDGET, _OUTPUT),
     ),
     Command(
         "fibers",

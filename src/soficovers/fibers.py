@@ -11,6 +11,9 @@ Fibers of periodic words are counted on those fiber sets: a fiber
 vertex with two predecessors in the fiber set before it means the fiber
 is uncountable, and otherwise each phase-zero fiber vertex carries one
 fiber point.
+
+The fiber core closes the fiber sets of doubly-tailed points; a periodic
+point is one with no middle word, so it needs no search of its own.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from .graphs import (
     mask_image,
     require_essential,
     require_right_resolving,
-    transpose,
 )
-from .analysis import forward_masks, periodic_points, require_realizable
+from .analysis import forward_masks, require_realizable
 from .covers import (
     Step,
     StableCore,
@@ -37,7 +39,7 @@ from .covers import (
     all_subsets,
     assemble_subset_graph,
     closure_words,
-    stable_core,
+    subset_key,
     subset_steps,
 )
 from .relations import DEFAULT_MONOID_BUDGET, mask_of, set_of, transition_monoid
@@ -138,14 +140,17 @@ def bundle_graph(
     return BundleGraph(base, graph, tuple(map(set_of, masks)), bundles, mode)
 
 
-def co_stable_sets(base: LabeledGraph):
+def co_stable_sets(base: LabeledGraph) -> tuple[frozenset[int], ...]:
     """Start-vertex sets of right-infinite labeled paths, stabilized.
 
-    Computed as the stable family of the transposed graph; the result is
-    ordered by (size, members).
+    The backward closure of the idempotent domains, mirroring
+    :func:`covers.stable_core`; ordered by (size, members).
     """
-    rev = stable_core(transpose(base))
-    return rev.members
+    require_essential(base)
+    monoid = transition_monoid(base)
+    domains = [monoid.elements[f].dom_mask() for f in monoid.idempotent_indices()]
+    family = closure_words(subset_steps(base.index.pred), domains)
+    return tuple(map(set_of, sorted(family, key=subset_key)))
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,6 @@ def fiber_ray(base: LabeledGraph, p: PeriodicWord) -> FiberRay:
 
 @dataclass(frozen=True)
 class SeedRecord:
-    kind: str  # "periodic" or "tail"
     detail: str
     members: frozenset[int]
 
@@ -253,7 +257,6 @@ class FiberCore(SubsetFamily):
     bundle_edges: tuple[BundleEdge, ...]
     seeds: tuple[SeedRecord, ...]
     provenance: tuple[object, ...]
-    max_period: int
     max_tail: int
 
 
@@ -305,27 +308,23 @@ def _tail_seed_masks(
 
 def fiber_core(
     base: LabeledGraph,
-    max_period: int = 6,
     max_tail: int = 8,
     budget: int = DEFAULT_MONOID_BUDGET,
 ) -> FiberCore:
     """Bundle subgraph generated by realized fiber source sets.
 
-    Seeds are the fiber sets of all periodic words up to ``max_period``
-    and of the doubly-tailed points ``...u u w1|w2 v v...`` whose middle
-    words fit in ``max_tail``; the vertex set is their forward closure.
-    Both bounds are recorded, as the seed search is an explicitly bounded
+    Seeds are the fiber sets of the doubly-tailed points ``...e|m &
+    |m'f...`` whose middle words fit in ``max_tail``; the vertex set is
+    their forward closure.  A periodic point is the one with e = f and
+    empty middle words, so every periodic fiber set is a seed.  The bound
+    is recorded, as the seed search is an explicitly bounded
     under-approximation of all realized fiber sets.
     """
+    if max_tail < 0:
+        raise GraphFormatError(f"max_tail must be at least 0, got {max_tail}")
     require_essential(base)
     require_right_resolving(base, "fiber core")
-    seeds: dict[int, tuple[str, str]] = {}  # mask -> (kind, detail), in seed order
-
-    for p in periodic_points(base, max_period):
-        text = "".join(base.symbols[a] for a in p.word)
-        for k, mask in enumerate(_fiber_masks(base, p)[2]):
-            if mask not in seeds:
-                seeds[mask] = ("periodic", f"({text})*@{k}")
+    seeds: dict[int, str] = {}  # mask -> detail, in seed order
 
     past_list, forward_list = _tail_seed_masks(base, max_tail, budget)
     for p_mask, p_cost, p_desc in past_list:
@@ -334,13 +333,13 @@ def fiber_core(
                 continue
             mask = p_mask & f_mask
             if mask and mask not in seeds:
-                seeds[mask] = ("tail", f"{p_desc} & {f_desc}")
+                seeds[mask] = f"{p_desc} & {f_desc}"
 
     graph, masks, bundles = _assemble_bundle(
         base, closure_words(_all_emit_steps(base), list(seeds))
     )
     index = {mask: i for i, mask in enumerate(masks)}
-    records = [SeedRecord(kind, text, set_of(mask)) for mask, (kind, text) in seeds.items()]
+    records = [SeedRecord(text, set_of(mask)) for mask, text in seeds.items()]
     provenance: list[object] = [None] * len(masks)
     for mask, record in zip(seeds, records):
         provenance[index[mask]] = record
@@ -360,7 +359,6 @@ def fiber_core(
         bundles,
         tuple(records),
         tuple(provenance),
-        max_period,
         max_tail,
     )
 

@@ -321,10 +321,6 @@ def edge_lookup(g: LabeledGraph, what: str = "operation") -> Mapping[tuple[int, 
     return g.index.edge_at
 
 
-def transpose(g: LabeledGraph) -> LabeledGraph:
-    return LabeledGraph(g.symbols, g.vertices, tuple((v, a, u) for u, a, v in g.edges))
-
-
 def lyndon_words(
     max_len: int, start: S, moves: Callable[[S, int], Sequence[tuple[int, S]]]
 ) -> Iterator[tuple[int, ...]]:

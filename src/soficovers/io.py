@@ -90,7 +90,6 @@ def subset_provenance(family: SubsetFamily) -> dict:
     if isinstance(family, FiberCore):
         prov["seeds"] = [
             {
-                "kind": s.kind,
                 "detail": s.detail,
                 "members": sorted(base.vertices[v] for v in s.members),
             }

@@ -51,6 +51,7 @@ from .analysis import (
 )
 from .covers import (
     ExtendedFutureCover,
+    PeriodicRay,
     check_regular,
     extended_future_cover,
     future_cover,
@@ -174,7 +175,7 @@ def _criterion_example_a(bounds: VerifyBounds) -> list[CheckOutcome]:
             "merging the stable core changes nothing here",
         )
     )
-    fcore = fiber_core(g, bounds.max_period, bounds.tail_bound, bounds.monoid_budget)
+    fcore = fiber_core(g, bounds.tail_bound, bounds.monoid_budget)
     checks.append(
         _iso_expected("fiber-core", fcore.graph, "example_a", "fiber_core", (7, 18))
     )
@@ -335,16 +336,18 @@ def _remerged(ext: ExtendedFutureCover) -> tuple[int, ...]:
 
 
 def _alpha_edges_in_cover(
-    ext: ExtendedFutureCover, to_cover: tuple[int, ...], p: PeriodicWord
+    ext: ExtendedFutureCover, to_cover: tuple[int, ...], ray: PeriodicRay
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two routes to the canonical presentation of p in the future cover.
+    """Two routes to the canonical presentation of ``ray.word`` in the
+    future cover.
 
-    Route one factors the stable-core ray through the merge.  Route two
-    computes the ray inside the cover's own stable core and transports it
-    back to the cover along :func:`_remerged`.
+    Route one factors ``ray``, the stable-core ray, through the merge.
+    Route two computes the ray inside the cover's own stable core and
+    transports it back to the cover along :func:`_remerged`.
     """
     fc = ext.future
-    factored = tuple(fc.bundle.factor_edge[e] for e in past_set_ray(fc.core, p).edges)
+    p = ray.word
+    factored = tuple(fc.bundle.factor_edge[e] for e in ray.edges)
     ray2 = past_set_ray(ext.core, p)
     lookup = edge_lookup(fc.cover)
     direct = []
@@ -371,7 +374,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         core = ext.future.core
         to_cover = _remerged(ext)
         info = components_and_sources(core.graph, core.members)
-        fcore = fiber_core(g, bounds.max_period, bounds.tail_bound, bounds.monoid_budget)
+        fcore = fiber_core(g, bounds.tail_bound, bounds.monoid_budget)
         fiber_index = fcore.member_index()
         fiber_edges, fiber_edge_at = fcore.graph.edges, fcore.graph.index.edge_at
         for k, (u, a, v) in enumerate(core.graph.edges):
@@ -388,10 +391,10 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
             if data.fiber_sets != data.past_sets:
                 beta_bad.append(f"{name}:{p.word}")
             fiber_ray(g, p)  # asserts the all-emit bundle closes up
-            factored, direct = _alpha_edges_in_cover(ext, to_cover, p)
+            ray = past_set_ray(core, p)
+            factored, direct = _alpha_edges_in_cover(ext, to_cover, ray)
             if factored != direct:
                 natural_bad.append(f"{name}:{p.word}")
-            ray = past_set_ray(core, p)
             comps = {info.component_of[v] for v in ray.vertices}
             c = comps.pop()
             if comps or c is None:
@@ -630,7 +633,7 @@ def check_tail_asymptotics(g: LabeledGraph) -> CheckOutcome:
     then repeat the periodic word forever, the fiber source sets must
     equal the stabilized past sets from some index on; at most 40
     configurations are checked.  The horizon covers every subset the
-    image iteration can visit.
+    image iteration can visit on up to 8 vertices, and is capped there.
     """
     configs = 0
     bad: list[str] = []
@@ -768,7 +771,7 @@ def headline_counts(bounds: Optional[VerifyBounds] = None) -> list[str]:
     b = load_fixture("example_b")
     sub = subset_construction(a, "full")
     core = stable_core(a, bounds.monoid_budget)
-    fcore = fiber_core(a, bounds.max_period, bounds.tail_bound, bounds.monoid_budget)
+    fcore = fiber_core(a, bounds.tail_bound, bounds.monoid_budget)
     ext = extended_future_cover(b, bounds.monoid_budget)
     return [
         f"subset(Example-A): {_counts(sub.graph)}",

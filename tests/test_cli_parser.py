@@ -29,7 +29,7 @@ CASES = {
         ["g.json", "--mode", "partial"],
     ),
     "gprime": (
-        ["g.json", "--max-period", "0", "--max-tail", "3"], [], ["g.json", "--max-tail", "-1"]
+        ["g.json", "--max-tail", "3"], [], ["g.json", "--max-tail", "-1"]
     ),
     "fibers": (["g.json", "--period", "0,1", "--json"], ["g.json"], ["g.json", "--period"]),
     "lift": (

@@ -5,6 +5,11 @@ fiber tail seeds as closures of idempotent ranges and domains under the
 subset step.  The reference functions below keep the direct loops: every
 idempotent pushed through every monoid element.  Both routes must give
 the same members, witnesses, masks, costs and descriptions.
+
+``co_stable_sets`` closes the idempotent domains under the backward step
+of the graph itself; the reference keeps the route it replaces, the
+stable family of the transposed graph, and the two must list the same
+sets in the same order.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import pytest
 from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.covers import stable_core
 from soficovers.errors import BudgetExceededError, EmptyShiftError
-from soficovers.fibers import _tail_seed_masks
-from soficovers.graphs import essentialize, graph_from_parts
+from soficovers.fibers import _tail_seed_masks, co_stable_sets
+from soficovers.graphs import LabeledGraph, essentialize, graph_from_parts
 from soficovers.relations import set_of, transition_monoid
 from soficovers.verification import random_right_resolving_graphs
 
@@ -154,3 +159,9 @@ def test_short_tail_bounds_match(max_tail):
         assert _tail_seed_masks(g, max_tail, MONOID_CAP) == reference_tail_seed_masks(
             g, monoid, max_tail
         )
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_co_stable_sets_match_transposed_stable_core(name, g):
+    transposed = LabeledGraph(g.symbols, g.vertices, tuple((v, a, u) for u, a, v in g.edges))
+    assert co_stable_sets(g) == stable_core(transposed).members

@@ -21,6 +21,7 @@ from soficovers import (
     normalize_periodic,
     stable_core,
 )
+from soficovers import fibers
 from soficovers.fibers import maximal_dominated_path
 from soficovers.graphs import bits, edge_lookup
 from soficovers.relations import mask_of, symbol_relation
@@ -129,9 +130,24 @@ def test_fiber_core_example_a(example_a):
     fcore = fiber_core(example_a)
     assert len(fcore.graph.vertices) == 7
     assert len(fcore.graph.edges) == 18
-    assert all(seed.kind in ("periodic", "tail") for seed in fcore.seeds)
     realized = {record.members for record in fcore.seeds}
     assert realized <= set(fcore.members)
+
+
+def test_fiber_core_walks_no_periodic_word(example_a, monkeypatch):
+    """The seed search reads the monoid only: no periodic word's fiber
+    masks are walked."""
+    calls = []
+    walk = fibers._fiber_masks
+    monkeypatch.setattr(fibers, "_fiber_masks", lambda *a: calls.append(a) or walk(*a))
+    fcore = fiber_core(example_a)
+    assert len(fcore.graph.vertices) == 7
+    assert calls == []
+
+
+def test_fiber_core_rejects_negative_tail_bound(example_a):
+    with pytest.raises(GraphFormatError, match="max_tail must be at least 0"):
+        fiber_core(example_a, max_tail=-1)
 
 
 def test_unrealizable_word_rejected(even_shift):

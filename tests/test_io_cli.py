@@ -329,7 +329,7 @@ def test_cli_budget_exceeded(tmp_path, capsys):
 
 OUT_OF_RANGE = [
     ("--budget", ["past-cover", "{graph}", "--budget", "0"]),
-    ("--max-period", ["gprime", "{graph}", "--max-period", "-1"]),
+    ("--max-period", ["verify", "--square", "{graph}", "--max-period", "-1"]),
     ("--max-tail", ["gprime", "{graph}", "--max-tail", "-1"]),
     ("--max-window", ["verify", "--square", "{graph}", "--max-window", "-1"]),
     ("--random-graphs", ["verify-paper", "--random-graphs", "-1", "--criterion", "3"]),
