@@ -118,7 +118,9 @@ def components_and_sources(
     )
 
 
-def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+def _refine(
+    adjacency: Sequence[Sequence[tuple[int, int]]], half: int = 0
+) -> Optional[list[int]]:
     """The coarsest equitable partition of the ``(tag, w)`` arcs in
     ``adjacency[v]``, as a class id per vertex.
 
@@ -132,6 +134,23 @@ def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     those into the old class minus those into the other pieces.  Once
     every class is a single vertex nothing can split, so the search stops.
     Ids are not canonical; only the partition is.
+
+    A nonzero ``half`` marks ``adjacency`` as the disjoint union of two
+    graphs of ``half`` vertices each, the first graph's vertices first.
+    Then refinement stops, returning None, as soon as it makes a class
+    with unequal numbers of vertices from the two graphs.  The stop is
+    sound both ways:
+
+    - Non-isomorphic graphs.  The final partition refines every earlier
+      one, so an unbalanced class contains an unbalanced final class,
+      and no isomorphism maps each final class onto itself.
+    - Isomorphic graphs.  An isomorphism that swaps the two halves maps
+      every class onto itself, so every class stays balanced.  The stop
+      never fires, and the partition and its ids are those of the full
+      refinement.
+
+    Only new pieces are checked.  The starting class is balanced, and the
+    piece that keeps an old id is a balanced class minus balanced pieces.
     """
     n = len(adjacency)
     into: list[dict[int, list[int]]] = [{} for _ in range(n)]  # w -> tag -> sources
@@ -183,8 +202,13 @@ def _refine(adjacency: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
                     new = len(members)
                     members.append(set(group))
                     old.difference_update(group)
+                    first = 0  # vertices of the first graph
                     for v in group:
                         colour[v] = new
+                        if v < half:
+                            first += 1
+                    if half and 2 * first != len(group):
+                        return None
                     todo.append(new)
     return colour
 
@@ -394,10 +418,12 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     alphabets in different orders.  One :func:`_refine` call on the
     disjoint union of both graphs, g2's vertices after g1's, colours both
     with shared class ids.  Each class must hold as many vertices of g1 as
-    of g2, and a vertex is only tried against g2's vertices of its class,
-    in vertex order; an isomorphism maps every vertex into its class.
-    Refinement counts each arc O(log n) times; the backtracking can still
-    take exponential time where refinement leaves large classes.
+    of g2, so the refinement stops at the first class that does not, and
+    the graphs are not isomorphic.  Otherwise a vertex is only tried
+    against g2's vertices of its class, in vertex order; an isomorphism
+    maps every vertex into its class.  Refinement counts each arc
+    O(log n) times; the backtracking can still take exponential time
+    where refinement leaves large classes.
     """
     n = len(g1.vertices)
     if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
@@ -411,8 +437,8 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
         for u, a, v in g.edges:
             arcs[u + offset].append((sym[a], v + offset))
             arcs[v + offset].append((sym[a] + 1, u + offset))
-    colour = _refine(arcs)
-    if sorted(colour[:n]) != sorted(colour[n:]):  # per-class counts differ
+    colour = _refine(arcs, half=n)
+    if colour is None:  # some class holds more vertices of one graph
         return IsomorphismResult(False, None)
     of_colour: dict[int, list[int]] = {}
     for w in range(n, 2 * n):

@@ -11,10 +11,11 @@ matter at the boundaries (files, reports, DOT output).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyShiftError, GraphFormatError, NotRightResolvingError
 
@@ -161,26 +162,25 @@ def build_graph(data: Mapping) -> LabeledGraph:
     triples: list[Edge] = []
     seen: set[Edge] = set()
     for pos, rec in enumerate(edges):
-        where = f"edges[{pos}]"
         if not isinstance(rec, Mapping):
-            raise GraphFormatError(f"{where}: edge record must be a mapping")
+            raise GraphFormatError(f"edges[{pos}]: edge record must be a mapping")
         for key in ("from", "label", "to"):
             if key not in rec:
-                raise GraphFormatError(f"{where}: missing key {key!r}")
+                raise GraphFormatError(f"edges[{pos}]: missing key {key!r}")
             if not isinstance(rec[key], str):
                 raise GraphFormatError(
-                    f"{where}: {key!r} must be a string, got {rec[key]!r}"
+                    f"edges[{pos}]: {key!r} must be a string, got {rec[key]!r}"
                 )
         src, lab, dst = rec["from"], rec["label"], rec["to"]
         if src not in ver_index:
-            raise GraphFormatError(f"{where}: unknown vertex {src!r}")
+            raise GraphFormatError(f"edges[{pos}]: unknown vertex {src!r}")
         if dst not in ver_index:
-            raise GraphFormatError(f"{where}: unknown vertex {dst!r}")
+            raise GraphFormatError(f"edges[{pos}]: unknown vertex {dst!r}")
         if lab not in sym_index:
-            raise GraphFormatError(f"{where}: unknown symbol {lab!r}")
+            raise GraphFormatError(f"edges[{pos}]: unknown symbol {lab!r}")
         triple = (ver_index[src], sym_index[lab], ver_index[dst])
         if triple in seen:
-            raise GraphFormatError(f"{where}: duplicate edge {src!r} -{lab!r}-> {dst!r}")
+            raise GraphFormatError(f"edges[{pos}]: duplicate edge {src!r} -{lab!r}-> {dst!r}")
         seen.add(triple)
         triples.append(triple)
     return LabeledGraph(symbols, names, tuple(triples))

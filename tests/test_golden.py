@@ -21,8 +21,10 @@ whose criterion details count the periodic words each check swept; of
 disjoint union of ``example_b`` and a cyclic 3-fold lift of
 ``example_a``, each against a seeded shuffle, which pins the mapping the
 search returns when several exist; of ``iso --json`` on a 200-vertex
-``a``-ring with one ``b`` loop, against itself and against a seeded
-shuffle, whose colour refinement splits off one vertex at a time; and
+``a``-ring with one ``b`` loop, against itself, against a seeded
+shuffle, whose colour refinement splits off one vertex at a time, and
+against a shuffled copy with one ``a``-edge relabelled ``b``, which is
+not isomorphic to it (exit 1); and
 ``MANIFEST.json`` with the exit code of every case.  Each square file is ``<fixture>.square.json``,
 each broken copy ``example_b.<kind>.square.json``.  The products carry the stable-core witnesses
 and the fiber-core seed descriptions, so any change to how those are
@@ -125,6 +127,7 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     ring = f"ring{RING}"
     cases.append((f"{ring}.iso.self", ["iso", f"{ring}.json", f"{ring}.json", "--json"]))
     cases.append((f"{ring}.iso", ["iso", f"{ring}.json", f"{ring}.permuted.json", "--json"]))
+    cases.append((f"{ring}.iso.control", ["iso", f"{ring}.json", f"{ring}.control.json", "--json"]))
     return cases
 
 
@@ -208,6 +211,11 @@ def write_fixtures(directory: Path) -> None:
     (directory / f"ring{RING}.json").write_text(json.dumps(data, indent=2) + "\n")
     (directory / f"ring{RING}.permuted.json").write_text(
         json.dumps(shuffled(data, RING), indent=2) + "\n"
+    )
+    control = graph_to_data(looped_ring(RING))
+    control["edges"][RING // 2]["label"] = "b"
+    (directory / f"ring{RING}.control.json").write_text(
+        json.dumps(shuffled(control, RING + 1), indent=2) + "\n"
     )
 
 

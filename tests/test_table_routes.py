@@ -41,7 +41,11 @@ the same partition on random tagged arc lists with repeated arcs.  Each
 graph is compared with two shuffled twins and with one-edge-changed
 controls; cyclic lifts of the fixtures have nontrivial automorphisms, so
 they also pin which mapping is found, and looped rings need one
-refinement round per vertex.
+refinement round per vertex.  On the disjoint union of two arc lists the
+refinement stops at the first class with unequal numbers of vertices
+from the two; it must stop exactly when ``rank_rounds`` ends with such a
+class, and on the lifts' one-edge-changed controls it must stop after
+fewer splitter pops than the full refinement makes.
 
 ``periodic_points`` and ``codes._edge_cycles`` generate only Lyndon
 words, pruned by a walk along each prefix.  The references list every
@@ -61,6 +65,7 @@ must agree on the walk cases and on lifts of up to 20 vertices.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -963,6 +968,88 @@ def test_refine_matches_rank_rounds_on_graphs(name, g):
         both[v].append((len(g.symbols) + a, u))
     for adjacency in (out, both):
         assert classes_of(_refine(adjacency)) == classes_of(rank_rounds(adjacency))
+
+
+@st.composite
+def perturbed_union(draw):
+    """A ``tagged_adjacency`` draw beside a copy with its vertices
+    permuted, in which one arc may get a new tag and target; the copy's
+    vertex v is ``n + v``.  Returns the union and n."""
+    adjacency = draw(tagged_adjacency())
+    n = len(adjacency)
+    place = draw(st.permutations(range(n)))
+    copy = [[] for _ in range(n)]
+    for v, arcs in enumerate(adjacency):
+        copy[place[v]] = [(tag, place[w]) for tag, w in arcs]
+    slots = [(v, i) for v in range(n) for i in range(len(copy[v]))]
+    if slots and draw(st.booleans()):
+        v, i = draw(st.sampled_from(slots))
+        copy[v][i] = (draw(st.integers(0, 3)), draw(st.integers(0, n - 1)))
+    return adjacency + [[(tag, n + w) for tag, w in arcs] for arcs in copy], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_union())
+def test_refine_stops_exactly_at_an_unbalanced_class(drawn):
+    union, half = drawn
+    classes = classes_of(rank_rounds(union))
+    balanced = all(2 * sum(v < half for v in c) == len(c) for c in classes)
+    colour = _refine(union, half)
+    assert (colour is not None) == balanced
+    if colour is not None:
+        assert classes_of(colour) == classes
+    assert classes_of(_refine(union)) == classes
+
+
+def union_arcs(g, h):
+    """The disjoint union ``graphs_isomorphic`` refines: out-edges tagged
+    2 * symbol rank, in-edges 2 * symbol rank + 1, h's vertex w at
+    ``len(g.vertices) + w``."""
+    n = len(g.vertices)
+    shared = sorted(set(g.symbols) | set(h.symbols))
+    arcs = [[] for _ in range(2 * n)]
+    for graph, offset in ((g, 0), (h, n)):
+        sym = [2 * shared.index(s) for s in graph.symbols]
+        for u, a, v in graph.edges:
+            arcs[u + offset].append((sym[a], v + offset))
+            arcs[v + offset].append((sym[a] + 1, u + offset))
+    return arcs
+
+
+def splitter_pops(adjacency, half=0):
+    """``_refine``'s result and the number of splitter classes it popped,
+    counted as its calls of ``list.pop``."""
+    pops = 0
+
+    def profile(frame, event, arg):
+        nonlocal pops
+        if event == "c_call" and frame.f_code is _refine.__code__ and arg.__name__ == "pop":
+            pops += 1
+
+    sys.setprofile(profile)
+    try:
+        colour = _refine(adjacency, half)
+    finally:
+        sys.setprofile(None)
+    return colour, pops
+
+
+@pytest.mark.parametrize("name,g", LIFTED, ids=[name for name, _ in LIFTED])
+def test_union_refinement_stops_early_on_controls(name, g):
+    """Every one-edge-changed control of a lift stops the refinement of the
+    union before the full refinement ends."""
+    controls = 0
+    for k in range(len(g.edges)):
+        control = one_edge_changed(g, k)
+        if control is None:
+            continue
+        controls += 1
+        union = union_arcs(g, shuffled_twin(control, f"{name}/c{k}"))
+        colour, pops = splitter_pops(union, len(g.vertices))
+        full, full_pops = splitter_pops(union)
+        assert colour is None and full is not None, k
+        assert pops < full_pops, k
+    assert controls
 
 
 def reference_transition_monoid(g):
