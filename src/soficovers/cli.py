@@ -411,10 +411,9 @@ def cmd_iso(args: argparse.Namespace) -> int:
         "iso",
         inputs={"graph1": _input_note(args.graph1), "graph2": _input_note(args.graph2)},
     )
-    report.counts["graph1"] = _counts(g1)
-    report.counts["graph2"] = _counts(g2)
+    report.counts["graph1"] = first = _counts(g1)
+    report.counts["graph2"] = second = _counts(g2)
     outcome = graphs_isomorphic(g1, g2)
-    detail = ""
     if outcome.isomorphic and outcome.mapping is not None:
         pairs = [
             f"{g1.vertices[u]}->{g2.vertices[v]}" for u, v in enumerate(outcome.mapping)
@@ -423,6 +422,10 @@ def cmd_iso(args: argparse.Namespace) -> int:
         report.result = {
             "mapping": {g1.vertices[u]: g2.vertices[v] for u, v in enumerate(outcome.mapping)}
         }
+    elif first != second:
+        detail = f"sizes differ: {first} against {second}"
+    else:
+        detail = "no label-preserving vertex map"
     report.add("isomorphic", outcome.isomorphic, detail)
     return _finish(report, args)
 

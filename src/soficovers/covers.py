@@ -11,9 +11,9 @@ Two independent routes compute the stable vertex family:
 
 * :func:`stable_core` takes the ranges of the idempotents of the
   transition monoid (an idempotent's range is already stabilized) and
-  closes them forward under the subset step; breadth-first search with
-  symbols in alphabet order gives each set its shortest, then
-  alphabetically least, continuation word;
+  closes them forward under the subset step, all at once: each set gets
+  its shortest continuation word from any range, ties going to the
+  earlier idempotent, then to the alphabetically least word;
 * :func:`stable_sets_from_tails` iterates the range of each candidate
   tail relation to its fixpoint, one eventually periodic left tail at a
   time, and pushes each distinct fixpoint through every relation once.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import GraphFormatError, VerificationError
 from .graphs import (
@@ -174,7 +174,6 @@ def closure_words(
     sources: Sequence[int],
     max_depth: Optional[int] = None,
     prepend: bool = False,
-    known: Container[int] = (),
 ) -> dict[int, tuple[int, int, tuple[int, ...]]]:
     """Vertex masks reachable from ``sources`` along the subset step.
 
@@ -183,8 +182,8 @@ def closure_words(
     such pair, words compared letter by letter.  Reading symbol a maps a
     mask to ``steps[a](mask)``; with ``prepend`` the words grow at
     the front, as they do for a backward step.  Search runs level by
-    level, up to ``max_depth`` steps when given.  The empty mask and masks
-    in ``known`` are neither entered nor expanded.
+    level, up to ``max_depth`` steps when given.  The empty mask is neither
+    entered nor expanded.
 
     A least word of depth d+1 is a letter plus a least word of depth d (or
     the reverse), and the words it extends reach masks of depth exactly d,
@@ -193,7 +192,7 @@ def closure_words(
     found: dict[int, tuple[int, int, tuple[int, ...]]] = {}
     frontier: dict[int, tuple[int, tuple[int, ...]]] = {}
     for pos, mask in enumerate(sources):
-        if mask and mask not in known and mask not in frontier:
+        if mask and mask not in frontier:
             frontier[mask] = (pos, ())
     depth = 0
     while frontier:
@@ -206,7 +205,7 @@ def closure_words(
         for mask, (pos, word) in frontier.items():
             for a, step in enumerate(steps):
                 target = step(mask)
-                if not target or target in found or target in known:
+                if not target or target in found:
                     continue
                 label = (pos, (a,) + word if prepend else word + (a,))
                 if target not in nxt or label < nxt[target]:
@@ -224,34 +223,28 @@ def stable_core(
     the transition monoid and an element m (or nothing) after it: the
     left tail repeats e's word forever and then reads m's word.  Since
     ran(e . m) is the subset step from ran(e) along m's word, the family
-    is the forward closure of the idempotent ranges.  Only the idempotents'
-    ranges and words are read from the monoid, which ``base`` keeps after
-    its first generation (see :func:`transition_monoid`); the closure and
-    the subset graph are built again on every call.
+    is the forward closure of the idempotent ranges, one
+    :func:`closure_words` call.  Only the idempotents' ranges and words are
+    read from the monoid, which ``base`` keeps after its first generation
+    (see :func:`transition_monoid`); the closure and the subset graph are
+    built again on every call.
 
-    Idempotents are taken in monoid order.  A set's witness is (e's word,
-    v) for the first e whose range reaches it, with v the shortest, then
-    alphabetically least, word that gets there; this is the first monoid
-    element that does.  The closure from a range already in the family
-    adds nothing, so each stable set is expanded once.  The family's
+    A set's witness is (e's word, m) for the shortest m that takes some
+    idempotent range to it, ties going to the earlier idempotent in monoid
+    order, then to the alphabetically least m: the rule of the fiber
+    core's past-side tail seeds, so both name the same tail.  The family's
     closure under the subset step is asserted, never repaired.
     """
     require_essential(base)
     monoid = transition_monoid(base, budget)
+    ranges, _, words = monoid.idempotent_ends
     steps = subset_steps(base.index.rows)
-    found: dict[int, Witness] = {}
-    for e_idx in monoid.idempotent_indices():
-        ran = monoid.elements[e_idx].ran_mask()
-        if not ran or ran in found:
-            continue
-        e_word = monoid.word_of(e_idx)
-        for mask, (_, _, word) in closure_words(steps, [ran], known=found).items():
-            found[mask] = (e_word, word)
+    found = closure_words(steps, ranges)
     graph, masks = assemble_subset_graph(base, found, steps)
     if not is_essential(graph):
         raise VerificationError("stable core came out non-essential")
     require_right_resolving(graph, "stable core")
-    witnesses = tuple(found[mask] for mask in masks)
+    witnesses = tuple((words[found[m][1]], found[m][2]) for m in masks)
     return StableCore(base, graph, tuple(map(set_of, masks)), witnesses, monoid)
 
 
@@ -418,9 +411,12 @@ def extended_future_cover(
 class RegularityReport:
     """Per-vertex regularity verdicts with witnessing stable sets."""
 
-    ok: bool
     regular: tuple[bool, ...]
     witness: tuple[Optional[frozenset[int]], ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(self.regular)
 
     def failing_vertices(self) -> list[int]:
         return [v for v, good in enumerate(self.regular) if not good]
@@ -448,4 +444,4 @@ def check_regular(
                 break
         verdicts.append(hit is not None)
         witnesses.append(hit)
-    return RegularityReport(all(verdicts), tuple(verdicts), tuple(witnesses))
+    return RegularityReport(tuple(verdicts), tuple(witnesses))

@@ -147,8 +147,7 @@ def co_stable_sets(base: LabeledGraph) -> tuple[frozenset[int], ...]:
     :func:`covers.stable_core`; ordered by (size, members).
     """
     require_essential(base)
-    monoid = transition_monoid(base)
-    domains = [monoid.elements[f].dom_mask() for f in monoid.idempotent_indices()]
+    _, domains, _ = transition_monoid(base).idempotent_ends
     family = closure_words(subset_steps(base.index.pred), domains)
     return tuple(map(set_of, sorted(family, key=subset_key)))
 
@@ -271,34 +270,24 @@ def _tail_seed_masks(
     closure of the idempotent domains.  Both stop at words of length
     ``max_tail``.  Each mask keeps its shortest middle word m; on a tie
     the earlier idempotent in monoid order, then the alphabetically least
-    m.  Its description spells the tail ``...e|m`` or the head ``|mf...``.
+    m, as in :func:`covers.stable_core`, whose witness is the tail
+    ``...e|m`` the description spells; a head is spelled ``|mf...``.
     """
-    monoid = transition_monoid(base, budget)
-    idempotents = [
-        i for i in monoid.idempotent_indices()
-        if not monoid.elements[i].is_empty()
-    ]
+    ranges, domains, words = transition_monoid(base, budget).idempotent_ends
 
     def word_str(word: tuple[int, ...]) -> str:
         return "".join(base.symbols[a] for a in word)
 
-    past = closure_words(
-        subset_steps(base.index.rows),
-        [monoid.elements[e].ran_mask() for e in idempotents],
-        max_depth=max_tail,
-    )
+    past = closure_words(subset_steps(base.index.rows), ranges, max_depth=max_tail)
     forward = closure_words(
-        subset_steps(base.index.pred),
-        [monoid.elements[f].dom_mask() for f in idempotents],
-        max_depth=max_tail,
-        prepend=True,
+        subset_steps(base.index.pred), domains, max_depth=max_tail, prepend=True
     )
     past_list = [
-        (mask, cost, f"...{word_str(monoid.words[idempotents[pos]])}|{word_str(m)}")
+        (mask, cost, f"...{word_str(words[pos])}|{word_str(m)}")
         for mask, (cost, pos, m) in past.items()
     ]
     forward_list = [
-        (mask, cost, f"|{word_str(m)}{word_str(monoid.words[idempotents[pos]])}...")
+        (mask, cost, f"|{word_str(m)}{word_str(words[pos])}...")
         for mask, (cost, pos, m) in forward.items()
     ]
     past_list.sort()

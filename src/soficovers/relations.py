@@ -27,6 +27,7 @@ domains stay here as the independent route: the tail oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -149,8 +150,18 @@ class TransitionMonoid:
     def idempotent_indices(self) -> list[int]:
         return [i for i, flag in enumerate(self.idempotent_flags) if flag]
 
-    def word_of(self, index: int) -> tuple[int, ...]:
-        return self.words[index]
+    @cached_property
+    def idempotent_ends(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Ranges, domains and words of the idempotents in monoid order, built
+        once per monoid: the sources of the stable and co-stable closures."""
+        chosen = self.idempotent_indices()
+        return (
+            tuple(self.elements[i].ran_mask() for i in chosen),
+            tuple(self.elements[i].dom_mask() for i in chosen),
+            tuple(self.words[i] for i in chosen),
+        )
 
 
 def transition_monoid(

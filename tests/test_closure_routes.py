@@ -2,9 +2,11 @@
 
 ``stable_core`` and ``_tail_seed_masks`` compute the stable family and the
 fiber tail seeds as closures of idempotent ranges and domains under the
-subset step.  The reference functions below keep the direct loops: every
+subset step.  The reference function below keeps the direct loops: every
 idempotent pushed through every monoid element.  Both routes must give
-the same members, witnesses, masks, costs and descriptions.
+the same members, masks, costs and descriptions, and a stable set's
+witness must spell the tail that the unbounded past loop names for it,
+as must the fiber core's past-side tail seeds.
 
 ``co_stable_sets`` closes the idempotent domains under the backward step
 of the graph itself; the reference keeps the route it replaces, the
@@ -14,6 +16,7 @@ sets in the same order.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -28,23 +31,6 @@ from soficovers.verification import random_right_resolving_graphs
 
 MONOID_CAP = 1500
 MAX_TAIL = 8
-
-
-def reference_stable_witnesses(g, monoid):
-    """Stable set -> (e word, m word): first idempotent, then first element."""
-    found = {}
-    for e_idx in monoid.idempotent_indices():
-        base_mask = monoid.elements[e_idx].ran_mask()
-        if not base_mask:
-            continue
-        e_word = monoid.word_of(e_idx)
-        candidates = [(base_mask, ())]
-        for m_idx, m in enumerate(monoid.elements):
-            candidates.append((m.image(base_mask), monoid.word_of(m_idx)))
-        for mask, m_word in candidates:
-            if mask and set_of(mask) not in found:
-                found[set_of(mask)] = (e_word, m_word)
-    return found
 
 
 def reference_tail_seed_masks(g, monoid, max_tail):
@@ -131,12 +117,19 @@ GRAPHS = (
 )
 
 
+def tail_text(g, witness):
+    """A stable-core witness (e, m) spelled as a past tail ``...e|m``."""
+    e_word, m_word = ("".join(g.symbols[a] for a in w) for w in witness)
+    return f"...{e_word}|{m_word}"
+
+
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_closure_routes_match_monoid_loops(name, g):
     core = stable_core(g)
-    expected = reference_stable_witnesses(g, core.monoid)
+    past, _ = reference_tail_seed_masks(g, core.monoid, math.inf)
+    expected = {set_of(mask): text for mask, _, text in past}
     assert set(core.members) == set(expected)
-    assert dict(zip(core.members, core.witnesses)) == expected
+    assert {m: tail_text(g, w) for m, w in zip(core.members, core.witnesses)} == expected
     assert _tail_seed_masks(g, MAX_TAIL, MONOID_CAP) == reference_tail_seed_masks(
         g, core.monoid, MAX_TAIL
     )
@@ -159,6 +152,17 @@ def test_short_tail_bounds_match(max_tail):
         assert _tail_seed_masks(g, max_tail, MONOID_CAP) == reference_tail_seed_masks(
             g, monoid, max_tail
         )
+
+
+@pytest.mark.parametrize("max_tail", [0, MAX_TAIL])
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_tail_seeds_name_the_past_cover_witnesses(name, g, max_tail):
+    core = stable_core(g, MONOID_CAP)
+    witness = dict(zip(core.members, core.witnesses))
+    past, _ = _tail_seed_masks(g, max_tail, MONOID_CAP)
+    assert past
+    for mask, _, text in past:
+        assert text == tail_text(g, witness[set_of(mask)])
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])

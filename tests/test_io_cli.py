@@ -405,6 +405,22 @@ def test_cli_iso_example(tmp_path, capsys):
     assert main(["iso", b, ext_path]) == 1
 
 
+@pytest.mark.parametrize(
+    "first,second,detail",
+    [
+        ("example_b", "even_shift", "sizes differ: 2 vertices / 5 edges against 2 vertices / 3 edges"),
+        ("even_shift", "two_loops_vs_one", "no label-preserving vertex map"),
+    ],
+)
+def test_cli_iso_failure_names_its_reason(tmp_path, capsys, first, second, detail):
+    paths = [fixture_file(tmp_path, name) for name in (first, second)]
+    assert main(["iso", "--json", *paths]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == [{"name": "isomorphic", "status": "fail", "detail": detail}]
+    assert main(["iso", *paths]) == 1
+    assert f"[fail] isomorphic: {detail}\n" in capsys.readouterr().out
+
+
 def test_cli_iso_deeper_than_the_recursion_limit(tmp_path, capsys):
     """The backtracking keeps one stack entry per vertex, not one call
     frame.  On a cycle every vertex gets one colour, since refinement finds
