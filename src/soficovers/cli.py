@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -217,7 +218,14 @@ def cmd_extended_future_cover(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     ext = extended_future_cover(g, args.budget)
     _emit_product(_graph_json(ext.graph, subset_provenance(ext.core)), args.output)
-    _note(args, f"extended-future-cover: {_counts(ext.graph)}")
+    n = len(ext.future.cover.vertices)
+    shared = sum(1 for count in Counter(ext.factor_vertex).values() if count > 1)
+    verdict = (
+        f"genuine extension: {shared} of {n} future-cover vertices have more than one preimage"
+        if shared
+        else "isomorphic to the future cover"
+    )
+    _note(args, f"extended-future-cover: {_counts(ext.graph)}; {verdict}")
     return 0
 
 

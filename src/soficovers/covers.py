@@ -19,6 +19,14 @@ Two independent routes compute the stable vertex family:
   time, and pushes each distinct fixpoint through every relation once.
 
 Tests hold the package to exact agreement of the two.
+
+The extended future cover, the stable core of the future cover, is built
+from the same monoid: the future cover's monoid is an image of the base
+monoid, so the base idempotent words give the cover's idempotent ranges,
+and :func:`extended_future_cover` closes those with the same routine as
+:func:`stable_core`.  Its factor map onto the future cover is read off the
+witnesses: a vertex with witness (u, v) maps to the class of the base
+stable set at the end of the left ray ...uuuv.
 """
 
 from __future__ import annotations
@@ -88,7 +96,11 @@ class StableCore(SubsetFamily):
     """Subset cover on the stabilized endpoint sets of left-infinite paths.
 
     ``witnesses[i]`` is a pair of words (u, v): reading v after infinitely
-    many copies of u ends exactly in ``members[i]``.
+    many copies of u ends exactly in ``members[i]``.  u is the word of an
+    idempotent of ``monoid``, the transition monoid of the graph the
+    covers are built from: ``base``'s own, or on the extended future cover
+    (the stable core of a future cover) the monoid of the presentation
+    under the future cover.
     """
 
     witnesses: tuple[Witness, ...]
@@ -237,7 +249,17 @@ def stable_core(
     """
     require_essential(base)
     monoid = transition_monoid(base, budget)
-    ranges, _, words = monoid.idempotent_ends
+    return _closed_core(base, monoid.idempotent_ends[0], monoid)
+
+
+def _closed_core(
+    base: LabeledGraph, ranges: Sequence[int], monoid: TransitionMonoid
+) -> StableCore:
+    """The stable core of ``base`` from the ranges on ``base`` of the
+    idempotents of ``monoid``, in monoid order: their forward closure,
+    its subset graph, and each set's witness (idempotent word, least
+    continuation), as :func:`stable_core` describes."""
+    words = monoid.idempotent_ends[2]
     steps = subset_steps(base.index.rows)
     found = closure_words(steps, ranges)
     graph, masks = assemble_subset_graph(base, found, steps)
@@ -388,23 +410,76 @@ def future_cover(base: LabeledGraph, budget: int = DEFAULT_MONOID_BUDGET) -> Fut
 
 @dataclass(frozen=True)
 class ExtendedFutureCover:
-    """Stable core of the future cover, with the factor map back onto it."""
+    """Stable core of the future cover, with the factor map back onto it.
+
+    ``factor_vertex[i]`` is the future-cover vertex under vertex i of the
+    extended cover.  The map is injective exactly when the extended cover
+    is isomorphic to the future cover; otherwise it is a genuine extension.
+    """
 
     future: FutureCover
     core: StableCore
-    merge: CoverBundle
+    factor_vertex: tuple[int, ...]
 
     @property
     def graph(self) -> LabeledGraph:
         return self.core.graph
 
 
+def _word_image(g: LabeledGraph, mask: int, word: Sequence[int]) -> int:
+    """The subset step from ``mask`` along each symbol of ``word`` in turn."""
+    rows = g.index.rows
+    for a in word:
+        mask = mask_image(rows[a], mask)
+    return mask
+
+
 def extended_future_cover(
     base: LabeledGraph, budget: int = DEFAULT_MONOID_BUDGET
 ) -> ExtendedFutureCover:
+    """The stable core of the future cover and its factor map onto the
+    future cover, both from ``base``'s one transition monoid.
+
+    A word's relation on ``base`` fixes its step on the stable sets and so
+    on their follower classes: the future cover's transition monoid is an
+    image of the base monoid.  In a finite monoid the image of s^ω is the
+    image of s, raised to ω, so every idempotent of the image is the image
+    of a base idempotent, and the cover's idempotent ranges are the images
+    of its whole vertex set under the base idempotent words.  Their closure
+    (:func:`_closed_core`) is the cover's stable family; witnesses name
+    base idempotent words, ties going to the earlier one in base monoid
+    order.
+
+    A vertex D with witness (u, v) maps to the class of the base stable
+    set reached from every base vertex along uv: the past-cover vertex of
+    the left ray ...uuuv, whose class is the member of D whose follower
+    set contains every other member's.  That the map is a label-preserving
+    homomorphism onto the future cover is asserted, never repaired.
+    """
     future = future_cover(base, budget)
-    core = stable_core(future.cover, budget)
-    return ExtendedFutureCover(future, core, merged_graph(core.graph))
+    cover, monoid = future.cover, future.core.monoid
+    cover_full = (1 << len(cover.vertices)) - 1
+    core = _closed_core(
+        cover, [_word_image(cover, cover_full, u) for u in monoid.idempotent_ends[2]], monoid
+    )
+    index = future.core.member_index()
+    base_full = (1 << len(base.vertices)) - 1
+    classes = future.bundle.factor_vertex
+    factor = tuple(
+        classes[index[set_of(_word_image(base, base_full, u + v))]]
+        for u, v in core.witnesses
+    )
+    edge_at, hit = cover.index.edge_at, set()
+    for e, (i, a, j) in enumerate(core.graph.edges):
+        k = edge_at.get((factor[i], a))
+        if k is None or cover.edges[k][2] != factor[j]:
+            raise VerificationError(
+                f"factor map sends edge {core.graph.edge_name(e)} off the future cover"
+            )
+        hit.add(k)
+    if len(hit) != len(cover.edges):
+        raise VerificationError("factor map misses an edge of the future cover")
+    return ExtendedFutureCover(future, core, factor)
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,11 @@ class BoolRelation:
         return acc
 
     def dom_mask(self) -> int:
-        return mask_of(u for u, row in enumerate(self.rows) if row)
+        acc = 0
+        for u, row in enumerate(self.rows):
+            if row:
+                acc |= 1 << u
+        return acc
 
     def is_empty(self) -> bool:
         return all(row == 0 for row in self.rows)

@@ -223,7 +223,7 @@ def _criterion_example_b(bounds: VerifyBounds) -> list[CheckOutcome]:
     checks.append(
         CheckOutcome(
             "extended-merge-reproduces-base",
-            graphs_isomorphic(ext.merge.cover, g).isomorphic,
+            graphs_isomorphic(merged_graph(ext.graph).cover, g).isomorphic,
             "merging the extended cover recovers the original presentation",
         )
     )
@@ -325,25 +325,15 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
 # criterion 5: periodic-point identities
 
 
-def _remerged(ext: ExtendedFutureCover) -> tuple[int, ...]:
-    """The (unique, since the future cover is follower-separated)
-    label-preserving isomorphism from the merge of the cover's stable core
-    back onto the cover, as a vertex map."""
-    iso = graphs_isomorphic(ext.merge.cover, ext.future.cover)
-    if not iso.isomorphic:
-        raise VerificationError("merging the cover's stable core lost the cover")
-    return iso.mapping
-
-
 def _alpha_edges_in_cover(
-    ext: ExtendedFutureCover, to_cover: tuple[int, ...], ray: PeriodicRay
+    ext: ExtendedFutureCover, ray: PeriodicRay
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two routes to the canonical presentation of ``ray.word`` in the
     future cover.
 
     Route one factors ``ray``, the stable-core ray, through the merge.
     Route two computes the ray inside the cover's own stable core and
-    transports it back to the cover along :func:`_remerged`.
+    carries it back to the cover along the extended cover's factor map.
     """
     fc = ext.future
     p = ray.word
@@ -352,7 +342,7 @@ def _alpha_edges_in_cover(
     lookup = edge_lookup(fc.cover)
     direct = []
     for k in range(p.period):
-        v = to_cover[ext.merge.factor_vertex[ray2.vertices[k]]]
+        v = ext.factor_vertex[ray2.vertices[k]]
         e = lookup.get((v, p.at(k)))
         if e is None:
             raise VerificationError("cover misses an edge of the canonical ray")
@@ -372,7 +362,6 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         g = load_fixture(name)
         ext = extended_future_cover(g, bounds.monoid_budget)
         core = ext.future.core
-        to_cover = _remerged(ext)
         info = components_and_sources(core.graph, core.members)
         fcore = fiber_core(g, bounds.tail_bound, bounds.monoid_budget)
         fiber_index = fcore.member_index()
@@ -392,7 +381,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
                 beta_bad.append(f"{name}:{p.word}")
             fiber_ray(g, p)  # asserts the all-emit bundle closes up
             ray = past_set_ray(core, p)
-            factored, direct = _alpha_edges_in_cover(ext, to_cover, ray)
+            factored, direct = _alpha_edges_in_cover(ext, ray)
             if factored != direct:
                 natural_bad.append(f"{name}:{p.word}")
             comps = {info.component_of[v] for v in ray.vertices}

@@ -12,6 +12,14 @@ as must the fiber core's past-side tail seeds.
 of the graph itself; the reference keeps the route it replaces, the
 stable family of the transposed graph, and the two must list the same
 sets in the same order.
+
+``extended_future_cover`` closes the future cover's idempotent ranges,
+taken as images under the base monoid's idempotent words, and reads its
+factor map off the witnesses.  It must give the family and graph of the
+cover's own stable core, witnesses that replay on the cover, and the
+factor map that the follower-maximal members and the route it replaces
+(merge the extended cover, then map the merge onto the cover by
+isomorphism) both name.
 """
 
 from __future__ import annotations
@@ -22,11 +30,12 @@ import random
 import pytest
 
 from soficovers import BASE_FIXTURES, load_fixture
-from soficovers.covers import stable_core
+from soficovers.analysis import follower_contains, graphs_isomorphic
+from soficovers.covers import extended_future_cover, merged_graph, stable_core
 from soficovers.errors import BudgetExceededError, EmptyShiftError
 from soficovers.fibers import _tail_seed_masks, co_stable_sets
 from soficovers.graphs import LabeledGraph, essentialize, graph_from_parts
-from soficovers.relations import set_of, transition_monoid
+from soficovers.relations import mask_of, set_of, transition_monoid, word_relation
 from soficovers.verification import random_right_resolving_graphs
 
 MONOID_CAP = 1500
@@ -169,3 +178,34 @@ def test_tail_seeds_name_the_past_cover_witnesses(name, g, max_tail):
 def test_co_stable_sets_match_transposed_stable_core(name, g):
     transposed = LabeledGraph(g.symbols, g.vertices, tuple((v, a, u) for u, a, v in g.edges))
     assert co_stable_sets(g) == stable_core(transposed).members
+
+
+def remerged(ext):
+    """The factor map by the route it replaced: merge the extended cover by
+    follower sets, then carry each class onto the future cover along the
+    label-preserving isomorphism, unique as the cover is follower-separated."""
+    merge = merged_graph(ext.graph)
+    iso = graphs_isomorphic(merge.cover, ext.future.cover)
+    assert iso.isomorphic
+    return tuple(iso.mapping[c] for c in merge.factor_vertex)
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_extended_cover_matches_the_covers_own_stable_core(name, g):
+    ext = extended_future_cover(g)
+    cover = ext.future.cover
+    assert "_transition_monoid" not in vars(cover)
+    assert ext.core.monoid is ext.future.core.monoid
+    own = stable_core(cover)
+    assert ext.core.members == own.members
+    assert ext.graph == own.graph
+    for members, (u, v) in zip(ext.core.members, ext.core.witnesses):
+        e = word_relation(cover, u)
+        assert e.compose(e) == e
+        assert word_relation(cover, v).image(e.ran_mask()) == mask_of(members)
+    maximal = [
+        [x for x in sorted(members) if all(follower_contains(cover, y, x) for y in members)]
+        for members in ext.core.members
+    ]
+    assert maximal == [[x] for x in ext.factor_vertex]
+    assert ext.factor_vertex == remerged(ext)

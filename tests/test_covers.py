@@ -235,7 +235,7 @@ def test_extended_future_cover_example_b(example_b):
     ext = extended_future_cover(example_b)
     assert len(ext.graph.vertices) == 3
     assert len(ext.graph.edges) == 8
-    assert graphs_isomorphic(ext.merge.cover, example_b).isomorphic
+    assert graphs_isomorphic(merged_graph(ext.graph).cover, example_b).isomorphic
 
 
 def test_extended_matches_future_when_separated(example_a):

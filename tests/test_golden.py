@@ -24,7 +24,9 @@ search returns when several exist; of ``iso --json`` on a 200-vertex
 ``a``-ring with one ``b`` loop, against itself, against a seeded
 shuffle, whose colour refinement splits off one vertex at a time, and
 against a shuffled copy with one ``a``-edge relabelled ``b``, which is
-not isomorphic to it (exit 1); and
+not isomorphic to it (exit 1); of ``extended-future-cover`` on
+``nr70.json``, a genuine extension whose factor map has fibres of 3 and 2,
+which pins the rule that names each witness by a base idempotent word; and
 ``MANIFEST.json`` with the exit code of every case.  Each square file is ``<fixture>.square.json``,
 each broken copy ``example_b.<kind>.square.json``.  The products carry the stable-core witnesses
 and the fiber-core seed descriptions, so any change to how those are
@@ -48,7 +50,7 @@ from pathlib import Path
 
 import pytest
 
-from soficovers import BASE_FIXTURES, load_fixture
+from soficovers import BASE_FIXTURES, graph_from_parts, load_fixture
 from soficovers.analysis import periodic_points
 from soficovers.cli import main
 from soficovers.codes import higher_block
@@ -73,6 +75,18 @@ SQUARE_FIXTURES = ("example_a", "example_b", "even_shift", "chain_stabilization"
 BROKEN_SQUARES = ("bad-label-rule", "missing-edge-rule")
 LIFTS = (("example_b", "sheets2", 2, 0), ("example_a", "lift3", 3, 1))  # fixture, tag, fold, voltage step
 RING = 200
+# The bench pool's nr70 candidate 1 (ladder generator seed 13000321): its
+# future cover has 6 vertices and its extended cover 9.
+NR70 = graph_from_parts(
+    "ab",
+    ["v1", "v2", "v3", "v4", "v5", "v6"],
+    [
+        ("v1", "a", "v5"), ("v1", "b", "v1"), ("v1", "b", "v2"), ("v2", "a", "v2"),
+        ("v2", "a", "v6"), ("v2", "b", "v4"), ("v2", "b", "v5"), ("v3", "a", "v2"),
+        ("v3", "a", "v6"), ("v4", "b", "v6"), ("v5", "b", "v5"), ("v5", "b", "v6"),
+        ("v6", "a", "v3"), ("v6", "a", "v5"),
+    ],
+)
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
@@ -128,6 +142,7 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     cases.append((f"{ring}.iso.self", ["iso", f"{ring}.json", f"{ring}.json", "--json"]))
     cases.append((f"{ring}.iso", ["iso", f"{ring}.json", f"{ring}.permuted.json", "--json"]))
     cases.append((f"{ring}.iso.control", ["iso", f"{ring}.json", f"{ring}.control.json", "--json"]))
+    cases.append(("nr70.extended-future-cover", ["extended-future-cover", "nr70.json"]))
     return cases
 
 
@@ -217,6 +232,7 @@ def write_fixtures(directory: Path) -> None:
     (directory / f"ring{RING}.control.json").write_text(
         json.dumps(shuffled(control, RING + 1), indent=2) + "\n"
     )
+    (directory / "nr70.json").write_text(json.dumps(graph_to_data(NR70), indent=2) + "\n")
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:

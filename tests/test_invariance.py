@@ -20,6 +20,7 @@ compared.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -125,7 +126,7 @@ def extension_summary(g: LabeledGraph):
     """The extended future cover, the sorted class sizes of its factor map
     onto the future cover, and whether it is a genuine extension."""
     ext = extended_future_cover(g)
-    sizes = sorted(len(cls) for cls in ext.merge.classes)
+    sizes = sorted(Counter(ext.factor_vertex).values())
     return ext, sizes, len(ext.graph.vertices) > len(ext.future.cover.vertices)
 
 

@@ -20,8 +20,10 @@ from soficovers import (
     fiber_core,
     graph_from_parts,
     graph_to_data,
+    graphs_isomorphic,
     higher_block,
     load_fixture,
+    merged_graph,
     parse_periodic,
     square_from_data,
     square_to_data,
@@ -33,6 +35,7 @@ from soficovers.cli import main
 from soficovers.codes import rule_entries
 from soficovers.io import dump_graph, load_graph, subset_provenance
 from soficovers.verification import _corrupted_higher_block_square
+from test_closure_routes import GRAPHS as CLOSURE_GRAPHS
 from test_golden import looped_ring, shuffled
 
 
@@ -395,7 +398,7 @@ def test_cli_rejects_non_string_names_and_loose_format(tmp_path, capsys, change)
 
 def test_cli_iso_example(tmp_path, capsys):
     b = fixture_file(tmp_path, "example_b")
-    merged = extended_future_cover(load_fixture("example_b")).merge.cover
+    merged = merged_graph(extended_future_cover(load_fixture("example_b")).graph).cover
     merged_path = write_graph(tmp_path, "merged_ext", merged)
     assert main(["iso", b, merged_path]) == 0
     assert "[pass] isomorphic" in capsys.readouterr().out
@@ -403,6 +406,33 @@ def test_cli_iso_example(tmp_path, capsys):
         tmp_path, "ext", extended_future_cover(load_fixture("example_b")).graph
     )
     assert main(["iso", b, ext_path]) == 1
+
+
+@pytest.mark.parametrize(
+    "name,verdict",
+    [
+        ("example_a", "isomorphic to the future cover"),
+        (
+            "example_b",
+            "genuine extension: 1 of 2 future-cover vertices have more than one preimage",
+        ),
+    ],
+)
+def test_cli_extended_future_cover_verdict(tmp_path, capsys, name, verdict):
+    assert main(["extended-future-cover", fixture_file(tmp_path, name)]) == 0
+    captured = capsys.readouterr()
+    assert f"; {verdict} (" in captured.err
+    assert build_graph(json.loads(captured.out)) == extended_future_cover(load_fixture(name)).graph
+
+
+def test_factor_map_injective_exactly_when_isomorphic():
+    verdicts = set()
+    for _, g in CLOSURE_GRAPHS:
+        ext = extended_future_cover(g)
+        injective = len(set(ext.factor_vertex)) == len(ext.factor_vertex)
+        assert injective == graphs_isomorphic(ext.graph, ext.future.cover).isomorphic
+        verdicts.add(injective)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
