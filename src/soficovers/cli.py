@@ -670,10 +670,21 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# Parsers built so far in this process, by command name (None: the full
+# parser, which every unknown first argument gets), so in-process callers
+# build each parser once; parse_args leaves no state in a parser.
+_PARSERS: dict[Optional[str], argparse.ArgumentParser] = {}
+_COMMAND_NAMES = frozenset(c.name for c in COMMANDS)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Building all 13 subparsers costs more than most commands on small graphs.
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = build_parser(command)
+    args = parser.parse_args(argv)
     args.started_at = time.perf_counter()
     try:
         return args.handler(args)

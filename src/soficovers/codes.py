@@ -146,11 +146,15 @@ def apply_code(code: SlidingBlockCode, window: Window) -> Window:
         )
     if isinstance(code.rule, CachedRule):
         return Window(window.start + r, code.rule.apply(window, r))
-    items = tuple(
-        code.output_for(tuple(window.items[t : t + 2 * r + 1]))
-        for t in range(len(window) - 2 * r)
-    )
-    return Window(window.start + r, items)
+    items = tuple(window.items)
+    blocks = [items[t : t + 2 * r + 1] for t in range(len(items) - 2 * r)]
+    if callable(code.rule):
+        return Window(window.start + r, tuple(map(code.output_for, blocks)))
+    outs = list(map(code.rule.get, blocks))
+    for t, out in enumerate(outs):
+        if out is None:  # output_for raises the missing-block error
+            outs[t] = code.output_for(blocks[t])
+    return Window(window.start + r, tuple(outs))
 
 
 def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int, ...]:
@@ -659,8 +663,9 @@ class LiftedCode:
     that every block contains the long component intervals the
     construction needs.  Its rule is a :class:`CachedRule`, so
     :func:`apply_code` evaluates a window in one pass: the joins, edge
-    components and component runs are found once, and each centre reads
-    them clipped to its own block.  ``segment_images`` memoizes the
+    components and component runs are found once; a centre deep inside a
+    long run reads its segment's image, and any other centre reads the
+    runs clipped to its own block.  ``segment_images`` memoizes the
     member-path route by the edge tuple of the segment it maps; it holds
     successes only, so a failing segment raises again.  Names are only
     produced when the code is serialized.
@@ -853,13 +858,16 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
     The joins and the long component runs are found once for the window;
     each centre sees them clipped to its block, so a block gives the output
     and raises the error that it gives as a window of its own.  A centre
-    well inside a long run takes the member-path route on its
-    kappa-neighbourhood.  Any other centre takes the gap fill between the
-    nearest long runs around it.
+    at least kappa inside a long run reads the member-path image of its
+    kappa-neighbourhood from ``segment_images``.  Clipping that run to the
+    centre's block leaves it long, since the block radius is at least
+    8 kappa + 2, and a long clipped run lies inside a long run, so the
+    centre's block on its own takes the same route.  Any other centre
+    takes the gap fill between the nearest long runs around it.
     """
     radius, kappa = lifted.block_radius, lifted.kappa
     edges = lifted.core_g.graph.edges
-    items = window.items
+    items = tuple(window.items)
     breaks = [
         window.start + t
         for t in range(1, len(items))
@@ -870,21 +878,27 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
         for s, e, _ in _runs(_window_edge_components(lifted, window), window.start)
         if e - s >= 8 * kappa
     ]
+    deep_starts = [s + kappa for s, _ in runs]
+    images = lifted.segment_images
 
     def at(center: int) -> int:
         lo, hi = center - radius, center + radius
         b = bisect_right(breaks, lo)
         if b < len(breaks) and breaks[b] <= hi:
             raise GraphFormatError("window edges do not compose")
+        d = bisect_right(deep_starts, center) - 1
+        if d >= 0 and center + kappa <= runs[d][1]:
+            first = center - kappa
+            key = items[first - window.start : center + kappa + 1 - window.start]
+            image = images.get(key)
+            if image is None:
+                image = images[key] = _member_path_image(lifted, Window(first, key))
+            return image[0]
         long_runs = [  # in window order
             (max(s, lo), min(e, hi))
             for s, e in runs
             if min(e, hi) - max(s, lo) >= 8 * kappa
         ]
-        for s, e in long_runs:
-            if s <= center - kappa and center + kappa <= e:
-                seg = window.segment(center - kappa, center + kappa)
-                return _map_component_window(lifted, seg)[center]
         rights = [run for run in long_runs if run[0] >= center - kappa]
         if not rights:
             raise VerificationError(

@@ -5,14 +5,29 @@ first argument gets the full parser.  Each case here runs the same argv
 through ``build_parser(command)`` and ``build_parser()`` in this
 interpreter and compares the namespace, stdout, stderr and exit code,
 so the comparison holds whatever argparse version formats the text.
+
+``main`` keeps each parser it builds for the rest of the process, keyed
+by command name (``None`` for the full parser).  A kept parser must
+carry nothing from one call to the next: repeated flags, a failed call
+and a later valid one all behave as in a fresh process.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from soficovers import cli
+import soficovers
+from soficovers import cli, load_fixture
 from soficovers.cli import COMMANDS, build_parser, main
+from soficovers.graphs import LabeledGraph
+from soficovers.io import graph_to_data
 
 # command -> (valid argv, missing argument, bad value); each argv follows the command name
 CASES = {
@@ -116,7 +131,79 @@ def test_main_builds_only_the_named_command(monkeypatch, tmp_path, capsys):
         return parser
 
     monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_PARSERS", {})  # an earlier test may have built "check"
     path = tmp_path / "g.json"
     path.write_text("{}")
     assert main(["check", str(path)]) == 2
     assert built == [("check", ["check"])]
+
+
+def test_main_keeps_one_parser_per_command(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    for argv in (["check", "--help"], ["check", "-h"], ["nope"], ["--help"], []):
+        outcome(main, argv, capsys)
+    assert list(cli._PARSERS) == ["check", None]  # unknown names share the full parser
+    kept = dict(cli._PARSERS)
+    outcome(main, ["check", "--help"], capsys)
+    outcome(main, ["chec"], capsys)
+    assert cli._PARSERS == kept
+    assert all(cli._PARSERS[k] is kept[k] for k in kept)
+
+
+def two_vertex_graph(tmp_path):
+    """``example_b`` with its vertices named "0" and "1"."""
+    b = load_fixture("example_b")
+    path = tmp_path / "g01.json"
+    path.write_text(json.dumps(graph_to_data(LabeledGraph(b.symbols, ("0", "1"), b.edges))))
+    return str(path)
+
+
+def run_in_process(argv, capsys):
+    """(exit code, stdout, stderr without the elapsed time) of ``main``."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, without_time(captured.err)
+
+
+def without_time(err):
+    return re.sub(r" \(\d+ ms\)$", "", err, flags=re.M)
+
+
+def run_fresh(argv):
+    """The same triple from a new ``python -m soficovers`` process."""
+    path = [str(Path(soficovers.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-m", "soficovers", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    return done.returncode, done.stdout, without_time(done.stderr)
+
+
+def test_kept_parser_carries_nothing_between_calls(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    graph = two_vertex_graph(tmp_path)
+    seeded = ["gpp", graph, "--mode", "seeded", "--seed", "0", "--seed", "1"]
+    first = run_in_process(seeded, capsys)
+    second = run_in_process(seeded, capsys)
+    assert first[0] == 0 and first == second
+    assert cli._PARSERS["gpp"].parse_args(seeded).seed == ["0", "1"]
+    assert json.loads(first[1])["provenance"]["members"][:2] == [["0"], ["1"]]
+
+    valid = ["gpp", graph, "--mode", "seeded", "--seed", "1"]
+    fresh = run_fresh(valid)
+    assert fresh[0] == 0
+    failing = (
+        ["gpp", graph, "--mode", "partial"],  # argparse rejects the choice
+        ["gpp", graph, "--mode", "seeded"],  # the handler rejects the seeds
+    )
+    for bad in failing:
+        assert run_in_process(bad, capsys)[0] == 2
+        assert run_in_process(valid, capsys) == fresh

@@ -19,7 +19,10 @@ factor map off the witnesses.  It must give the family and graph of the
 cover's own stable core, witnesses that replay on the cover, and the
 factor map that the follower-maximal members and the route it replaces
 (merge the extended cover, then map the merge onto the cover by
-isomorphism) both name.
+isomorphism) both name.  That the cover's monoid is an image of the base
+monoid is checked directly: the base words' relations on the cover, first
+word kept, must be the cover's own transition monoid in elements, order
+and words.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import pytest
 
 from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import follower_contains, graphs_isomorphic
-from soficovers.covers import extended_future_cover, merged_graph, stable_core
+from soficovers.covers import extended_future_cover, future_cover, merged_graph, stable_core
 from soficovers.errors import BudgetExceededError, EmptyShiftError
 from soficovers.fibers import _tail_seed_masks, co_stable_sets
 from soficovers.graphs import LabeledGraph, essentialize, graph_from_parts
@@ -209,3 +212,20 @@ def test_extended_cover_matches_the_covers_own_stable_core(name, g):
     ]
     assert maximal == [[x] for x in ext.factor_vertex]
     assert ext.factor_vertex == remerged(ext)
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_cover_monoid_is_the_image_of_the_base_monoid(name, g):
+    """Each base word acts on the future cover through its base relation, so
+    the base monoid's elements, in order, map onto the cover's monoid; the
+    first base word of each image is the cover's own breadth-first word."""
+    fc = future_cover(g)
+    cover = fc.cover
+    assert cover.symbols == g.symbols
+    fresh = LabeledGraph(cover.symbols, cover.vertices, cover.edges)  # keeps no monoid
+    image = {}
+    for word in fc.core.monoid.words:
+        image.setdefault(word_relation(fresh, word), word)
+    own = transition_monoid(fresh)
+    assert list(image) == own.elements
+    assert list(image.values()) == own.words

@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_right
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -23,11 +25,17 @@ from soficovers import (
     verify_lift_diagrams,
     verify_square,
 )
+from soficovers import verification
 from soficovers.analysis import periodic_points
 from soficovers.codes import (
+    CachedRule,
     _component_windows,
+    _fill_between,
+    _lifted_rule,
+    _map_component_window,
     _runs,
     _unroll_cycle,
+    _walk,
     _window_edge_components,
     inverse_square,
     map_bundle_path,
@@ -42,7 +50,7 @@ from soficovers.graphs import (
     path_window,
     window_labels,
 )
-from soficovers.verification import _corrupted_higher_block_square
+from soficovers.verification import _corrupted_higher_block_square, run_criterion
 
 
 def identity_code(alphabet):
@@ -74,6 +82,61 @@ def test_apply_code_rejects_unmapped_block():
     partial = SlidingBlockCode(("a", "b"), ("x",), 0, {(0,): 0})
     with pytest.raises(GraphFormatError, match=r"block \('b',\)"):
         apply_code(partial, Window(0, (1,)))
+
+
+def table_code_windows(square, rng):
+    """Seeded windows for each code of ``square``: walks on the graph the
+    code reads (their labels for a label code), and as many sequences drawn
+    from the input alphabet, which need not be paths."""
+    g, h = square.graph_g, square.graph_h
+    for code, graph, labels in (
+        (square.edge_code, g, False),
+        (square.edge_code_inv, h, False),
+        (square.label_code, g, True),
+        (square.label_code_inv, h, True),
+    ):
+        windows = []
+        for length in range(2 * code.radius + 1, 2 * code.radius + 9):
+            items = _walk(graph, graph.index.out, rng.randrange(len(graph.vertices)), length, rng)
+            if labels:
+                items = tuple(graph.edges[k][1] for k in items)
+            drawn = tuple(rng.randrange(len(code.input_alphabet)) for _ in range(length))
+            windows += [Window(length, items), Window(-length, drawn)]
+        yield code, windows
+
+
+def test_table_rules_apply_as_block_by_block():
+    missing = 0
+    rng = random.Random(22)
+    for name, n in product(BASE_FIXTURES, (1, 2, 3)):
+        for code, windows in table_code_windows(higher_block(load_fixture(name), n).square, rng):
+            assert not callable(code.rule)
+            for w in windows:
+                out = outcome(apply_code, code, w)
+                assert out == outcome(block_by_block, code, w), (name, n, w)
+                if isinstance(out, tuple):
+                    assert out[0] == "GraphFormatError"
+                    assert out[1].startswith("code has no rule for block (")
+                    missing += 1
+    assert missing
+
+
+def test_callable_rules_apply_block_by_block():
+    calls = []
+
+    def rule(block):
+        calls.append(block)
+        if block == (1, 1, 1):
+            raise GraphFormatError("no rule for the all-b block")
+        return block[1]
+
+    code = SlidingBlockCode(("a", "b"), ("a", "b"), 1, rule)
+    assert apply_code(code, Window(3, (0, 1, 0, 1))) == Window(4, (1, 0))
+    assert calls == [(0, 1, 0), (1, 0, 1)]
+    calls.clear()
+    with pytest.raises(GraphFormatError, match="^no rule for the all-b block$"):
+        apply_code(code, Window(0, (0, 1, 1, 1, 0)))
+    assert calls == [(0, 1, 1), (1, 1, 1)]
 
 
 def test_apply_code_cyclic_constant(example_b):
@@ -508,3 +571,191 @@ SHARED_EDGE_NAME = graph_from_parts(
 def test_squares_reject_shared_edge_names(build):
     with pytest.raises(GraphFormatError, match="'p-q-r->s'"):
         build(SHARED_EDGE_NAME)
+
+
+# ---------------------------------------------------------------------------
+# The lifted rule against the per-centre clipping route it shortcuts.
+#
+# ``codes._lifted_rule`` sends a centre at least kappa inside a long
+# component run of the window straight to ``segment_images``.  The
+# reference keeps the route it replaced: every centre clips every long
+# run to its own block and maps its kappa-neighbourhood through
+# ``_map_component_window`` when a clipped long run holds it.  The two
+# agree whenever the block radius is at least 8 kappa + 2, which every
+# lift's radius is; the windows below run both at the lift's radius and
+# at 8 kappa + 2, where blocks can miss a long run on either side.
+
+
+def reference_lifted_rule(lifted, window):
+    radius, kappa = lifted.block_radius, lifted.kappa
+    edges = lifted.core_g.graph.edges
+    items = window.items
+    breaks = [
+        window.start + t
+        for t in range(1, len(items))
+        if edges[items[t - 1]][2] != edges[items[t]][0]
+    ]
+    runs = [
+        (s, e)
+        for s, e, _ in _runs(_window_edge_components(lifted, window), window.start)
+        if e - s >= 8 * kappa
+    ]
+
+    def at(center):
+        lo, hi = center - radius, center + radius
+        b = bisect_right(breaks, lo)
+        if b < len(breaks) and breaks[b] <= hi:
+            raise GraphFormatError("window edges do not compose")
+        long_runs = [
+            (max(s, lo), min(e, hi))
+            for s, e in runs
+            if min(e, hi) - max(s, lo) >= 8 * kappa
+        ]
+        for s, e in long_runs:
+            if s <= center - kappa and center + kappa <= e:
+                seg = window.segment(center - kappa, center + kappa)
+                return _map_component_window(lifted, seg)[center]
+        rights = [run for run in long_runs if run[0] >= center - kappa]
+        if not rights:
+            raise VerificationError(
+                "block radius failed to capture a long component run on the right"
+            )
+        right = rights[0]
+        lefts = [run for run in long_runs if run[1] < right[0]]
+        if not lefts:
+            raise VerificationError(
+                "block radius failed to capture a long component run on the left"
+            )
+        left = lefts[-1]
+        i, j = left[1] - 7 * kappa - lo, left[1] - lo
+        k, l = right[0] - lo, right[0] + 7 * kappa - lo
+        return _fill_between(lifted, window.shifted(-lo), i, j, k, l)[center - lo]
+
+    return at
+
+
+def relifted(lifted, rule, radius=None):
+    """A copy of ``lifted`` with its own empty memos, whose code evaluates
+    ``rule(copy, window)`` at block radius ``radius`` (default the lift's)."""
+    radius = lifted.block_radius if radius is None else radius
+    copy = replace(lifted, block_radius=radius, segment_images={})
+    copy.code = replace(
+        lifted.code, radius=radius, rule=CachedRule(lambda w: rule(copy, w))
+    )
+    return copy
+
+
+def test_criterion_7_blocks_match_reference_route(monkeypatch):
+    lifts = {}
+
+    def recording(route):
+        def lift(square, *args, **kwargs):
+            lifted = lift_conjugacy(square, *args, **kwargs)
+            if route == "reference":
+                lifted = relifted(lifted, reference_lifted_rule)
+            lifts.setdefault(route, []).append(lifted)
+            return lifted
+
+        return lift
+
+    checks = {}
+    for route in ("package", "reference"):
+        monkeypatch.setattr(verification, "lift_conjugacy", recording(route))
+        checks[route] = run_criterion(7).checks
+    assert checks["package"] == checks["reference"]
+    assert all(c.ok for c in checks["package"])
+    assert len(lifts["package"]) == len(lifts["reference"]) == 5
+    for lifted, reference in zip(lifts["package"], lifts["reference"]):
+        assert lifted.code.rule
+        assert rule_entries(lifted.code) == rule_entries(reference.code)
+        alone = relifted(lifted, reference_lifted_rule)
+        for block, out in lifted.code.rule.items():
+            assert alone.code.output_for(block) == out
+
+
+def scheduled_walk(lifted, v, length, leave_at, rng):
+    """A seeded core walk from ``v`` that keeps to its component's edges
+    until step ``leave_at``, then leaves at the first chance and keeps to
+    the next component it enters."""
+    g, comp = lifted.core_g.graph, lifted.components.component_of
+    items, left = [], False
+    for i in range(length):
+        outs = g.index.out[v]
+        inside = [k for k in outs if comp[v] is not None and comp[g.edges[k][2]] == comp[v]]
+        leaving = [k for k in outs if k not in inside]
+        if inside and (left or i < leave_at or not leaving):
+            pool = inside
+        else:
+            pool = leaving
+            left = left or i >= leave_at
+        k = rng.choice(pool)
+        items.append(k)
+        v = g.edges[k][2]
+    return tuple(items)
+
+
+def route_windows(lifted, seed):
+    """Seeded core walks at the lift's radius, the same walks with one edge
+    swapped for one that does not compose, and scheduled component
+    crossings for radius 8 kappa + 2."""
+    g = lifted.core_g.graph
+    edges = g.edges
+    rng = random.Random(seed)
+    d = lifted.block_radius
+    walks = [
+        Window(0, _walk(g, g.index.out, rng.randrange(len(g.vertices)), length, rng))
+        for length in range(2 * d + 1, 2 * d + 13)
+    ]
+    broken = []
+    for w in walks[:6]:
+        for t in (1, len(w) // 2, len(w) - 1):
+            wrong = [k for k, (u, _, _) in enumerate(edges) if u != edges[w.items[t - 1]][2]]
+            if wrong:
+                items = w.items[:t] + (rng.choice(wrong),) + w.items[t + 1 :]
+                broken.append(Window(0, items))
+    r = 8 * lifted.kappa + 2
+    crossings = [
+        Window(0, scheduled_walk(lifted, v, length, leave_at, rng))
+        for length in (2 * r + 1, 2 * r + 3)
+        for v in range(len(g.vertices))
+        for leave_at in range(length)
+    ]
+    return walks + broken, crossings
+
+
+def route_outcomes(lifted, reference, windows):
+    outs = [outcome(apply_code, lifted.code, w) for w in windows]
+    for w, out in zip(windows, outs):
+        assert out == outcome(apply_code, reference.code, w), w
+    assert rule_entries(lifted.code) == rule_entries(reference.code)
+    return outs
+
+
+LIFTS = [(name, inverse) for name in ("identity", "renaming", "higher-block", "corrupted")
+         for inverse in (False, True)]
+
+
+def lift_of(name, inverse):
+    square, _, _ = criterion_7_square(name)
+    return lift_conjugacy(inverse_square(square) if inverse else square, verify=False)
+
+
+def test_lifted_rule_matches_reference_route():
+    errors = set()
+    for name, inverse in LIFTS:
+        lifted = lift_of(name, inverse)
+        at_radius, crossings = route_windows(lifted, 2026)
+        r = 8 * lifted.kappa + 2
+        assert r <= lifted.block_radius
+        short = relifted(lifted, _lifted_rule, r)
+        for outs in (
+            route_outcomes(lifted, relifted(lifted, reference_lifted_rule), at_radius),
+            route_outcomes(short, relifted(lifted, reference_lifted_rule, r), crossings),
+        ):
+            errors |= {out[1] for out in outs if isinstance(out, tuple)}
+        assert lifted.segment_images and short.segment_images, (name, inverse)
+    assert {
+        "window edges do not compose",
+        "block radius failed to capture a long component run on the right",
+        "block radius failed to capture a long component run on the left",
+    } <= errors
