@@ -688,14 +688,16 @@ class LiftedCode:
 def _map_component_window(lifted: "LiftedCode", window: Window) -> Window:
     """Image of a homogeneous component window, as core-of-h edges on the
     window indices shrunk by kappa."""
-    key = tuple(window.items)
-    images = lifted.segment_images
-    if key not in images:
-        images[key] = _member_path_image(lifted, window)
-    return Window(window.start + lifted.kappa, images[key])
+    return Window(window.start + lifted.kappa, _member_path_image(lifted, window))
 
 
 def _member_path_image(lifted: "LiftedCode", window: Window) -> Block:
+    """Core-of-h edges of the window's member paths, memoized on
+    ``lifted.segment_images`` by the window's edge tuple."""
+    items = tuple(window.items)
+    image = lifted.segment_images.get(items)
+    if image is not None:
+        return image
     paths = member_paths_of_window(lifted.core_g, window)
     bundles = map_parallel_paths(
         lifted.square, paths, window.start, lifted.kappa
@@ -715,7 +717,8 @@ def _member_path_image(lifted: "LiftedCode", window: Window) -> Block:
         if lifted.core_h.members[lifted.core_h.graph.edges[k][2]] != b.target_set:
             raise VerificationError("image bundle drifts from the target core")
         edges.append(k)
-    return tuple(edges)
+    image = lifted.segment_images[items] = tuple(edges)
+    return image
 
 
 def fill_gap(
@@ -879,7 +882,6 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
         if e - s >= 8 * kappa
     ]
     deep_starts = [s + kappa for s, _ in runs]
-    images = lifted.segment_images
 
     def at(center: int) -> int:
         lo, hi = center - radius, center + radius
@@ -890,10 +892,7 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
         if d >= 0 and center + kappa <= runs[d][1]:
             first = center - kappa
             key = items[first - window.start : center + kappa + 1 - window.start]
-            image = images.get(key)
-            if image is None:
-                image = images[key] = _member_path_image(lifted, Window(first, key))
-            return image[0]
+            return _member_path_image(lifted, Window(first, key))[0]
         long_runs = [  # in window order
             (max(s, lo), min(e, hi))
             for s, e in runs

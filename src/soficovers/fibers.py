@@ -120,14 +120,16 @@ def bundle_graph(
     """Build the all-emit subset graph.
 
     ``full`` enumerates every nonempty subset (base capped at 16
-    vertices); ``seeded`` takes the forward closure of the given sets,
-    whose members must be vertex indices.
+    vertices) and takes no seeds; ``seeded`` takes the forward closure of
+    the given sets, whose members must be vertex indices.
     """
     require_essential(base)
     require_right_resolving(base, "bundle graph")
     n = len(base.vertices)
     family: Iterable[int]
     if mode == "full":
+        if seeds is not None:
+            raise GraphFormatError("full bundle mode takes no seed sets")
         family = all_subsets(n, "bundle")
     elif mode == "seeded":
         if seeds is None:

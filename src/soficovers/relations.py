@@ -13,7 +13,9 @@ are built from, so the monoid's idempotents seed the stable family.
 tuples, one subset step per row and symbol, flags the idempotents by
 walking the right Cayley graph the search records, and keeps the result
 on the graph: each graph's monoid is generated once, however many
-constructions read it.
+constructions read it.  It keeps one word per element and the ranges,
+domains and words of the idempotents, which is all the constructions
+read; :func:`word_relation` rebuilds any element from its word.
 
 For one word the constructions walk vertex masks instead of composing
 relations: the past and forward sets of a periodic word come from
@@ -27,7 +29,6 @@ domains stay here as the independent route: the tail oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -129,43 +130,28 @@ def omega_power(rel: BoolRelation) -> BoolRelation:
     raise BudgetExceededError("no idempotent power found within budget", OMEGA_POWER_STEPS)
 
 
+@dataclass(eq=False, repr=False)
 class TransitionMonoid:
     """Closure of the single-symbol relations under composition.
 
-    ``elements`` are the relations of nonempty words, in breadth-first
-    (shortest word first, symbols in alphabet order) discovery order, with
-    one witness word each; ``idempotent_flags[i]`` says whether
-    ``elements[i]`` composed with itself is itself.
+    ``words`` holds one witness word per element of the monoid, in
+    breadth-first (shortest word first, symbols in alphabet order)
+    discovery order; ``idempotent_flags[i]`` says whether the relation of
+    ``words[i]`` composed with itself is itself.  ``idempotent_ends`` holds
+    the ranges, domains and words of the idempotents in monoid order: the
+    sources of the stable and co-stable closures.  The elements themselves
+    are not kept; :func:`word_relation` rebuilds any of them from its word.
     """
 
-    def __init__(
-        self,
-        elements: list[BoolRelation],
-        words: list[tuple[int, ...]],
-        idempotent_flags: list[bool],
-    ):
-        self.elements = elements
-        self.words = words
-        self.idempotent_flags = idempotent_flags
+    words: list[tuple[int, ...]]
+    idempotent_flags: list[bool]
+    idempotent_ends: tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     def idempotent_indices(self) -> list[int]:
         return [i for i, flag in enumerate(self.idempotent_flags) if flag]
-
-    @cached_property
-    def idempotent_ends(
-        self,
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Ranges, domains and words of the idempotents in monoid order, built
-        once per monoid: the sources of the stable and co-stable closures."""
-        chosen = self.idempotent_indices()
-        return (
-            tuple(self.elements[i].ran_mask() for i in chosen),
-            tuple(self.elements[i].dom_mask() for i in chosen),
-            tuple(self.words[i] for i in chosen),
-        )
 
 
 def transition_monoid(
@@ -194,8 +180,9 @@ def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:
     Row u of x·a is the ``a``-step of row u of x, so each distinct row is
     stepped along every symbol once and the products x·a are read off by
     column.  The search records the right Cayley graph, ``right[i][a]``
-    being the index of elements[i]·a; an element e is idempotent exactly
-    when following e's own word from e along ``right`` comes back to e.
+    being the index of found[i]·a; an element e is idempotent exactly
+    when following e's own word from e along ``right`` comes back to e,
+    and its range and domain are read off its rows there and then.
     """
     base = g.index.rows
     found: list[tuple[int, ...]] = []
@@ -229,14 +216,18 @@ def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:
             out.append(add(rows, words[i] + (a,)) if j is None else j)
         right.append(out)
         i += 1
-    flags = []
+    flags, ranges, domains, ends = [], [], [], []
     for e, word in enumerate(words):
         j = e
         for a in word:
             j = right[j][a]
         flags.append(j == e)
-    size = len(g.vertices)
-    return TransitionMonoid([BoolRelation(size, rows) for rows in found], words, flags)
+        if j == e:
+            rel = BoolRelation(len(g.vertices), found[e])
+            ranges.append(rel.ran_mask())
+            domains.append(rel.dom_mask())
+            ends.append(word)
+    return TransitionMonoid(words, flags, (tuple(ranges), tuple(domains), tuple(ends)))
 
 
 def stabilized_range(rel: BoolRelation) -> int:

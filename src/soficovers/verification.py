@@ -279,7 +279,7 @@ def _criterion_oracle(bounds: VerifyBounds) -> list[CheckOutcome]:
     bad: list[str] = []
     for name, g in named + randoms:
         core = stable_core(g, bounds.monoid_budget)
-        oracle = stable_sets_from_tails(g, 2 * len(core.monoid.elements))
+        oracle = stable_sets_from_tails(g, 2 * len(core.monoid))
         if set(oracle) != set(core.members):
             bad.append(name)
     detail = (

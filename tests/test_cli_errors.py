@@ -128,6 +128,9 @@ CASES = {
     "seeded-without-seeds": (
         "gpp", None, ["--mode", "seeded"], "seeded mode needs at least one --seed"
     ),
+    "full-with-seeds": (
+        "gpp", None, ["--mode", "full", "--seed", "a"], "full bundle mode takes no seed sets"
+    ),
 }
 
 

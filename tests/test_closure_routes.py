@@ -46,9 +46,8 @@ MAX_TAIL = 8
 
 
 def reference_tail_seed_masks(g, monoid, max_tail):
-    idempotents = [
-        i for i in monoid.idempotent_indices() if not monoid.elements[i].is_empty()
-    ]
+    elements = [word_relation(g, w) for w in monoid.words]
+    idempotents = [i for i in monoid.idempotent_indices() if not elements[i].is_empty()]
     middles = [(None, 0)] + [
         (i, len(w)) for i, w in enumerate(monoid.words) if len(w) <= max_tail
     ]
@@ -56,16 +55,16 @@ def reference_tail_seed_masks(g, monoid, max_tail):
     def word_str(idx):
         return "" if idx is None else "".join(g.symbols[a] for a in monoid.words[idx])
 
-    transposes = [m.transpose() for m in monoid.elements]
+    transposes = [m.transpose() for m in elements]
     past, forward = {}, {}
     for e in idempotents:
-        ran_mask = monoid.elements[e].ran_mask()
+        ran_mask = elements[e].ran_mask()
         for m, cost in middles:
-            mask = ran_mask if m is None else monoid.elements[m].image(ran_mask)
+            mask = ran_mask if m is None else elements[m].image(ran_mask)
             if mask and (mask not in past or cost < past[mask][0]):
                 past[mask] = (cost, f"...{word_str(e)}|{word_str(m)}")
     for f in idempotents:
-        dom_mask = monoid.elements[f].dom_mask()
+        dom_mask = elements[f].dom_mask()
         for m, cost in middles:
             if m is None:
                 mask = dom_mask
@@ -227,5 +226,5 @@ def test_cover_monoid_is_the_image_of_the_base_monoid(name, g):
     for word in fc.core.monoid.words:
         image.setdefault(word_relation(fresh, word), word)
     own = transition_monoid(fresh)
-    assert list(image) == own.elements
+    assert list(image) == [word_relation(fresh, w) for w in own.words]
     assert list(image.values()) == own.words

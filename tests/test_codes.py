@@ -25,7 +25,7 @@ from soficovers import (
     verify_lift_diagrams,
     verify_square,
 )
-from soficovers import verification
+from soficovers import codes, verification
 from soficovers.analysis import periodic_points
 from soficovers.codes import (
     CachedRule,
@@ -528,6 +528,20 @@ def test_segment_memo_keeps_no_failure(example_b, corrupted):
     assert verify_lift_diagrams(lifted, max_period=3, walks=3) == first
     fresh = lift_conjugacy(square, verify=False)
     assert verify_lift_diagrams(fresh, max_period=3, walks=3) == first
+
+
+def test_segment_memo_is_keyed_by_the_segments_edges(example_b, monkeypatch):
+    lifted = lift_conjugacy(higher_block(example_b, 2).square)
+    first = verify_lift_diagrams(lifted, max_period=3, walks=3)
+    edges = lifted.core_g.graph.edges
+    assert lifted.segment_images
+    for items, image in lifted.segment_images.items():
+        assert all(edges[e][2] == edges[f][0] for e, f in zip(items, items[1:]))
+        assert len(image) == len(items) - 2 * lifted.kappa
+    calls = []
+    monkeypatch.setattr(codes, "member_paths_of_window", lambda *args: calls.append(args))
+    assert verify_lift_diagrams(lifted, max_period=3, walks=3) == first
+    assert calls == []
 
 
 def test_lift_rejects_malformed_square(example_a, example_b):

@@ -26,6 +26,7 @@ from soficovers.relations import (
     stabilized_range,
     symbol_relation,
     transition_monoid,
+    word_relation,
 )
 from soficovers.verification import random_right_resolving_graphs
 from test_closure_routes import random_essential_graphs
@@ -132,7 +133,7 @@ def test_oracle_agrees_on_fixtures():
     for name in BASE_FIXTURES:
         g = load_fixture(name)
         core = stable_core(g)
-        oracle = stable_sets_from_tails(g, 2 * len(core.monoid.elements))
+        oracle = stable_sets_from_tails(g, 2 * len(core.monoid))
         assert set(oracle) == set(core.members), name
 
 
@@ -142,14 +143,15 @@ def test_oracle_agrees_on_random_graphs():
     assert not all(check_right_resolving(g).ok for g in graphs)
     for g in graphs:
         core = stable_core(g)
-        oracle = stable_sets_from_tails(g, 2 * len(core.monoid.elements))
+        oracle = stable_sets_from_tails(g, 2 * len(core.monoid))
         assert set(oracle) == set(core.members)
 
 
 def test_tail_oracle_pushes_each_range_once(example_a, monkeypatch):
     """At most one push of each distinct nonempty stabilized range through
     each relation; the image calls that find a range do not count."""
-    relations = transition_monoid(example_a).elements  # the words up to max_len reach all
+    # the words up to max_len reach all
+    relations = [word_relation(example_a, w) for w in transition_monoid(example_a).words]
     ranges = {stabilized_range(rel) for rel in relations} - {0}
     pushes = 0
     stabilizing = False

@@ -68,6 +68,11 @@ def test_bundle_seeded_rejects_non_index_seeds(example_b, seed):
         bundle_graph(example_b, "seeded", [seed])
 
 
+def test_bundle_full_rejects_seed_sets(example_b):
+    with pytest.raises(GraphFormatError, match="full bundle mode takes no seed sets"):
+        bundle_graph(example_b, "full", [frozenset({0})])
+
+
 def test_bundle_rejects_non_right_resolving():
     g = graph_from_parts(
         ("0",), ("u", "v"), (("u", "0", "u"), ("u", "0", "v"), ("v", "0", "u"))

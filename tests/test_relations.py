@@ -67,9 +67,11 @@ def test_omega_power_needs_iteration():
 
 def test_monoid_closed_under_composition(example_b):
     monoid = transition_monoid(example_b)
-    elements = set(monoid.elements)
-    for x in monoid.elements:
-        for y in monoid.elements:
+    relations = [word_relation(example_b, word) for word in monoid.words]
+    elements = set(relations)
+    assert len(elements) == len(monoid)
+    for x in relations:
+        for y in relations:
             product = x.compose(y)
             if not product.is_empty():
                 assert product in elements
@@ -77,8 +79,9 @@ def test_monoid_closed_under_composition(example_b):
 
 def test_monoid_words_reproduce_elements(example_a):
     monoid = transition_monoid(example_a)
-    for rel, word in zip(monoid.elements, monoid.words):
-        assert word_relation(example_a, word) == rel
+    relations = [word_relation(example_a, word) for word in monoid.words]
+    assert len(set(relations)) == len(monoid)
+    assert [is_idempotent(rel) for rel in relations] == monoid.idempotent_flags
 
 
 def test_monoid_budget_exceeded(example_a):

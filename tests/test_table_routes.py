@@ -721,7 +721,7 @@ ORACLE_CASES = (
 @pytest.mark.parametrize("name,g", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
 def test_tail_oracle_matches_all_tails_push(name, g):
     """The whole dict, witnesses and insertion order included."""
-    max_len = 2 * len(transition_monoid(g).elements)
+    max_len = 2 * len(transition_monoid(g))
     got = stable_sets_from_tails(g, max_len)
     assert list(got.items()) == list(reference_tail_oracle(g, max_len).items())
 
@@ -1096,6 +1096,12 @@ def test_monoid_cases_cover_both_kinds_and_large_graphs():
 def test_transition_monoid_matches_compose_route(name, g):
     monoid = transition_monoid(g)
     elements, words, flags = reference_transition_monoid(g)
-    assert monoid.elements == elements
+    assert [word_relation(g, w) for w in monoid.words] == elements
     assert monoid.words == words
     assert monoid.idempotent_flags == flags
+    idempotents = [(rel, w) for rel, w, flag in zip(elements, words, flags) if flag]
+    assert monoid.idempotent_ends == (
+        tuple(rel.ran_mask() for rel, _ in idempotents),
+        tuple(rel.dom_mask() for rel, _ in idempotents),
+        tuple(w for _, w in idempotents),
+    )
