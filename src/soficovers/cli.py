@@ -248,10 +248,7 @@ def _parse_seeds(g: LabeledGraph, specs: Optional[Sequence[str]]) -> list[frozen
 
 def cmd_gpp(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    seeds = _parse_seeds(g, args.seed)
-    if args.mode == "seeded" and not seeds:
-        raise GraphFormatError("seeded mode needs at least one --seed")
-    bundle = bundle_graph(g, args.mode, seeds or None)
+    bundle = bundle_graph(g, args.mode, _parse_seeds(g, args.seed) or None)
     _emit_product(_graph_json(bundle.graph, subset_provenance(bundle)), args.output)
     _note(args, f"gpp[{args.mode}]: {_counts(bundle.graph)}")
     return 0

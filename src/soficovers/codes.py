@@ -24,7 +24,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -53,7 +53,6 @@ from .covers import (
 from .relations import DEFAULT_MONOID_BUDGET, set_of
 
 Block = tuple[int, ...]
-RuleMap = Union[Mapping[Block, int], Callable[[Block], int]]
 
 _CONNECTOR_PAIRS = 12  # ray pairs joined by a connector window per sample
 _COMPONENT_WALKS = 2  # seeded walks per component in the component windows
@@ -64,9 +63,10 @@ class CachedRule(dict):
     block evaluated so far.
 
     ``prepare(window)`` does the work that the blocks of ``window`` share
-    and returns the output at a centre position of the window.  One block
-    is evaluated as the one-block window ``Window(0, block)``;
-    :meth:`apply` evaluates every block of a longer window in one pass.
+    and returns the output at a centre position of the window.  A block
+    the dict lacks, ``rule[block]``, is evaluated alone as the one-block
+    window ``Window(0, block)``; :meth:`apply` evaluates every block of a
+    longer window in one pass.
     """
 
     def __init__(self, prepare: Callable[[Window], Callable[[int], int]]):
@@ -76,9 +76,6 @@ class CachedRule(dict):
     def __missing__(self, block: Block) -> int:
         out = self[block] = self.prepare(Window(0, block))(len(block) // 2)
         return out
-
-    def __call__(self, block: Block) -> int:
-        return self[block]
 
     def apply(self, window: Window, radius: int) -> tuple[int, ...]:
         """The outputs on the (2 radius + 1)-blocks of ``window`` in order.
@@ -107,14 +104,15 @@ class SlidingBlockCode:
 
     Blocks and outputs are indices into the alphabets: edge indices for an
     edge code, symbol indices for a label code.  The alphabets hold the
-    names, which appear only in files and messages.  ``rule`` is either a
-    table or a callable; tables are validated lazily, at application time.
+    names, which appear only in files and messages.  ``rule`` maps blocks
+    to outputs: a plain table, or a :class:`CachedRule` that evaluates a
+    block it lacks.  A missing block is reported at application time.
     """
 
     input_alphabet: tuple[str, ...]
     output_alphabet: tuple[str, ...]
     radius: int
-    rule: RuleMap
+    rule: Mapping[Block, int]
 
     def output_for(self, block: Block) -> int:
         if len(block) != 2 * self.radius + 1:
@@ -122,8 +120,6 @@ class SlidingBlockCode:
                 f"rule expects blocks of length {2 * self.radius + 1}, "
                 f"got {len(block)}"
             )
-        if callable(self.rule):
-            return self.rule(block)
         try:
             return self.rule[block]
         except KeyError:
@@ -148,8 +144,6 @@ def apply_code(code: SlidingBlockCode, window: Window) -> Window:
         return Window(window.start + r, code.rule.apply(window, r))
     items = tuple(window.items)
     blocks = [items[t : t + 2 * r + 1] for t in range(len(items) - 2 * r)]
-    if callable(code.rule):
-        return Window(window.start + r, tuple(map(code.output_for, blocks)))
     outs = list(map(code.rule.get, blocks))
     for t, out in enumerate(outs):
         if out is None:  # output_for raises the missing-block error
@@ -169,13 +163,12 @@ def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int,
 
 
 def rule_entries(code: SlidingBlockCode) -> tuple[tuple[tuple[str, ...], str], ...]:
-    """The known rule entries in names, sorted; for a callable rule this is
-    only what a :class:`CachedRule` has evaluated."""
-    rule = code.rule if isinstance(code.rule, Mapping) else {}
+    """The rule entries in names, sorted; for a :class:`CachedRule` these
+    are the blocks it has evaluated so far."""
     return tuple(
         sorted(
             (code.block_names(block), code.output_alphabet[out])
-            for block, out in rule.items()
+            for block, out in code.rule.items()
         )
     )
 
@@ -234,11 +227,7 @@ def inverse_square(square: ConjugacySquare) -> ConjugacySquare:
 
 
 def identity_square(g: LabeledGraph) -> ConjugacySquare:
-    edge_rule = {(k,): k for k in range(len(g.edges))}
-    label_rule = {(a,): a for a in range(len(g.symbols))}
-    edge = SlidingBlockCode(g.edge_names(), g.edge_names(), 0, edge_rule)
-    label = SlidingBlockCode(g.symbols, g.symbols, 0, label_rule)
-    return ConjugacySquare(g, g, edge, edge, label, label)
+    return renaming_square(g, g, range(len(g.vertices)))
 
 
 def renaming_square(
@@ -275,22 +264,16 @@ def renaming_square(
     )
 
 
-@dataclass(frozen=True)
-class HigherBlockRecoding:
-    """A presentation on length-n paths with the canonical conjugacy onto it."""
-
-    graph: LabeledGraph
-    square: ConjugacySquare
-
-
-def higher_block(g: LabeledGraph, n: int) -> HigherBlockRecoding:
-    """Recode on overlapping n-blocks: vertices are paths of length n-1,
-    edges are paths of length n labeled by their joined label words."""
+def higher_block(g: LabeledGraph, n: int) -> ConjugacySquare:
+    """The canonical conjugacy of g onto its recoding on overlapping
+    n-blocks, whose ``graph_h`` has the paths of length n-1 as vertices
+    and the paths of length n, labeled by their joined label words, as
+    edges."""
     require_essential(g)
     if n < 1:
         raise GraphFormatError("block length must be at least 1")
     if n == 1:
-        return HigherBlockRecoding(g, identity_square(g))
+        return identity_square(g)
     vertices = list(paths_of_length(g, n - 1))
     v_index = {p: i for i, p in enumerate(vertices)}
     v_names = tuple("|".join(g.edge_name(k) for k in p) for p in vertices)
@@ -318,7 +301,7 @@ def higher_block(g: LabeledGraph, n: int) -> HigherBlockRecoding:
         label_fwd[tuple(g.edges[e][1] for e in p)] = graph.edges[k][1]
     back = {(k,): p[0] for p, k in edge_of_path.items()}
     label_back = {(b,): a for b, a in enumerate(first_symbol)}
-    square = ConjugacySquare(
+    return ConjugacySquare(
         g,
         graph,
         SlidingBlockCode(g.edge_names(), graph.edge_names(), r, fwd),
@@ -326,7 +309,6 @@ def higher_block(g: LabeledGraph, n: int) -> HigherBlockRecoding:
         SlidingBlockCode(g.symbols, graph.symbols, r, label_fwd),
         SlidingBlockCode(graph.symbols, g.symbols, 0, label_back),
     )
-    return HigherBlockRecoding(graph, square)
 
 
 @dataclass(frozen=True)

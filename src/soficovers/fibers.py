@@ -121,7 +121,7 @@ def bundle_graph(
 
     ``full`` enumerates every nonempty subset (base capped at 16
     vertices) and takes no seeds; ``seeded`` takes the forward closure of
-    the given sets, whose members must be vertex indices.
+    the given sets, at least one, whose members must be vertex indices.
     """
     require_essential(base)
     require_right_resolving(base, "bundle graph")
@@ -132,9 +132,9 @@ def bundle_graph(
             raise GraphFormatError("full bundle mode takes no seed sets")
         family = all_subsets(n, "bundle")
     elif mode == "seeded":
-        if seeds is None:
-            raise GraphFormatError("seeded bundle mode needs seed sets")
-        masks = [_seed_mask(s, n) for s in seeds]
+        masks = [_seed_mask(s, n) for s in seeds or ()]
+        if not masks:
+            raise GraphFormatError("seeded bundle mode needs at least one seed set")
         family = closure_words(_all_emit_steps(base), masks)
     else:
         raise GraphFormatError(f"unknown bundle mode {mode!r}")

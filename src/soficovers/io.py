@@ -21,7 +21,7 @@ from .graphs import (
     normalize_periodic,
 )
 from .analysis import CoverBundle
-from .codes import ConjugacySquare, SlidingBlockCode, rule_entries
+from .codes import CachedRule, ConjugacySquare, SlidingBlockCode, rule_entries
 from .covers import StableCore, SubsetFamily, SubsetGraph
 from .fibers import BundleGraph, FiberCore
 
@@ -120,7 +120,7 @@ def code_to_data(code: SlidingBlockCode) -> dict:
             {"block": list(block), "out": out} for block, out in rule_entries(code)
         ],
     }
-    if callable(code.rule):
+    if isinstance(code.rule, CachedRule):
         data["partial"] = True  # only evaluated entries are stored
     return data
 

@@ -510,8 +510,8 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
         rng,
     )
     hb = higher_block(b, 2)
-    lifted = lift_conjugacy(hb.square, budget=bounds.monoid_budget)
-    inverse = lift_conjugacy(inverse_square(hb.square), budget=bounds.monoid_budget)
+    lifted = lift_conjugacy(hb, budget=bounds.monoid_budget)
+    inverse = lift_conjugacy(inverse_square(hb), budget=bounds.monoid_budget)
     report = verify_lift_diagrams(lifted, inverse_lifted=inverse, max_period=4)
     checks.extend(_prefixed("higher-block", report))
     return checks
@@ -524,7 +524,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
 def _corrupted_higher_block_square(g: LabeledGraph, block: tuple[str, ...]):
     """The 2-block recoding square of g with the label rule on ``block``
     (symbol names) sent to the least other symbol."""
-    square = higher_block(g, 2).square
+    square = higher_block(g, 2)
     code = square.label_code
     key = tuple(g.symbol_index(s) for s in block)
     rule = dict(code.rule)
@@ -572,7 +572,7 @@ def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
             f"raised {outcome}" if outcome else "gap filling unexpectedly succeeded",
         )
     )
-    good = lift_conjugacy(higher_block(b, 2).square, budget=bounds.monoid_budget)
+    good = lift_conjugacy(higher_block(b, 2), budget=bounds.monoid_budget)
     filled = fill_gap(good, window, (0, 7), (9, 16))
     checks.append(
         CheckOutcome(

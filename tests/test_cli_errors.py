@@ -42,7 +42,7 @@ def code_data(**change):
 
 
 def square_data(label_code=None, drop=None):
-    data = square_to_data(higher_block(load_fixture("example_b"), 2).square)
+    data = square_to_data(higher_block(load_fixture("example_b"), 2))
     if label_code is not None:
         data["label_code"] = label_code
     data.pop(drop, None)
@@ -126,7 +126,7 @@ CASES = {
         "gpp", None, ["--mode", "seeded", "--seed", "a,z"], "unknown vertex 'z' in seed set"
     ),
     "seeded-without-seeds": (
-        "gpp", None, ["--mode", "seeded"], "seeded mode needs at least one --seed"
+        "gpp", None, ["--mode", "seeded"], "seeded bundle mode needs at least one seed set"
     ),
     "full-with-seeds": (
         "gpp", None, ["--mode", "full", "--seed", "a"], "full bundle mode takes no seed sets"

@@ -54,17 +54,17 @@ from soficovers.verification import _corrupted_higher_block_square, run_criterio
 
 
 def identity_code(alphabet):
-    return SlidingBlockCode(alphabet, alphabet, 0, lambda block: block[0])
+    return SlidingBlockCode(alphabet, alphabet, 0, {(k,): k for k in range(len(alphabet))})
 
 
 def test_apply_identity_code():
     code = identity_code(("x", "y"))
-    w = Window(2, ("x", "y", "y"))
+    w = Window(2, (0, 1, 1))
     assert apply_code(code, w) == w
 
 
 def test_apply_code_shrinks_by_radius(even_shift):
-    psi = higher_block(even_shift, 2).square.label_code
+    psi = higher_block(even_shift, 2).label_code
     assert psi.radius == 1
     s = psi.input_alphabet.index
     out = apply_code(psi, Window(0, (s("0"), s("0"), s("1"), s("1"))))
@@ -73,7 +73,7 @@ def test_apply_code_shrinks_by_radius(even_shift):
 
 
 def test_apply_code_rejects_short_window(even_shift):
-    psi = higher_block(even_shift, 2).square.label_code
+    psi = higher_block(even_shift, 2).label_code
     with pytest.raises(GraphFormatError):
         apply_code(psi, Window(0, ("0",)))
 
@@ -109,8 +109,8 @@ def test_table_rules_apply_as_block_by_block():
     missing = 0
     rng = random.Random(22)
     for name, n in product(BASE_FIXTURES, (1, 2, 3)):
-        for code, windows in table_code_windows(higher_block(load_fixture(name), n).square, rng):
-            assert not callable(code.rule)
+        for code, windows in table_code_windows(higher_block(load_fixture(name), n), rng):
+            assert type(code.rule) is dict
             for w in windows:
                 out = outcome(apply_code, code, w)
                 assert out == outcome(block_by_block, code, w), (name, n, w)
@@ -121,33 +121,15 @@ def test_table_rules_apply_as_block_by_block():
     assert missing
 
 
-def test_callable_rules_apply_block_by_block():
-    calls = []
-
-    def rule(block):
-        calls.append(block)
-        if block == (1, 1, 1):
-            raise GraphFormatError("no rule for the all-b block")
-        return block[1]
-
-    code = SlidingBlockCode(("a", "b"), ("a", "b"), 1, rule)
-    assert apply_code(code, Window(3, (0, 1, 0, 1))) == Window(4, (1, 0))
-    assert calls == [(0, 1, 0), (1, 0, 1)]
-    calls.clear()
-    with pytest.raises(GraphFormatError, match="^no rule for the all-b block$"):
-        apply_code(code, Window(0, (0, 1, 1, 1, 0)))
-    assert calls == [(0, 1, 1), (1, 1, 1)]
-
-
 def test_apply_code_cyclic_constant(example_b):
-    psi = higher_block(example_b, 2).square.label_code
+    psi = higher_block(example_b, 2).label_code
     s = psi.input_alphabet.index
     assert apply_code_cyclic(psi, (s("2"),)) == (psi.output_alphabet.index("2.2"),)
     assert apply_code_cyclic(psi, ()) == ()
 
 
 def test_apply_code_cyclic_rotates(example_a):
-    psi = higher_block(example_a, 2).square.label_code
+    psi = higher_block(example_a, 2).label_code
     s = psi.input_alphabet.index
     out = apply_code_cyclic(psi, (s("2"), s("3")))
     assert len(out) == 2
@@ -156,14 +138,35 @@ def test_apply_code_cyclic_rotates(example_a):
 
 def test_higher_block_even_shift_sizes(even_shift):
     hb = higher_block(even_shift, 2)
-    assert len(hb.graph.vertices) == 3
-    assert len(hb.graph.edges) == 5
+    assert len(hb.graph_h.vertices) == 3
+    assert len(hb.graph_h.edges) == 5
 
 
 def test_higher_block_one_is_identity(example_b):
     hb = higher_block(example_b, 1)
-    assert hb.graph is example_b
-    assert hb.square.edge_code.radius == 0
+    assert hb.graph_g is hb.graph_h is example_b
+    assert hb.edge_code.radius == 0
+
+
+@pytest.mark.parametrize("name", BASE_FIXTURES)
+def test_identity_square_keeps_its_index_tables(name):
+    """The identity square, and the 1-block recoding, is the identity
+    renaming: each code has radius 0 and the table k -> k in index order."""
+    g = load_fixture(name)
+    edge_rule = {(k,): k for k in range(len(g.edges))}
+    label_rule = {(a,): a for a in range(len(g.symbols))}
+    for square in (identity_square(g), higher_block(g, 1)):
+        assert square.graph_g is square.graph_h is g
+        for code, rule in (
+            (square.edge_code, edge_rule),
+            (square.edge_code_inv, edge_rule),
+            (square.label_code, label_rule),
+            (square.label_code_inv, label_rule),
+        ):
+            assert code.radius == 0
+            assert list(code.rule.items()) == list(rule.items())
+        assert square.edge_code.input_alphabet == square.edge_code.output_alphabet == g.edge_names()
+        assert square.label_code.input_alphabet == square.label_code.output_alphabet == g.symbols
 
 
 def test_verify_square_identity(example_a):
@@ -171,11 +174,11 @@ def test_verify_square_identity(example_a):
 
 
 def test_verify_square_higher_block(example_b):
-    assert verify_square(higher_block(example_b, 2).square).ok
+    assert verify_square(higher_block(example_b, 2)).ok
 
 
 def test_verify_square_at_period_zero(example_b):
-    report = verify_square(higher_block(example_b, 2).square, max_period=0)
+    report = verify_square(higher_block(example_b, 2), max_period=0)
     (cycles,) = [c for c in report.checks if c.name == "periodic-points"]
     assert cycles.ok
     assert cycles.detail == "0 primitive cycles up to period 0"
@@ -196,7 +199,7 @@ def corrupt_label_code(square):
 
 
 def test_verify_square_corrupted_rule(example_b):
-    bad = corrupt_label_code(higher_block(example_b, 2).square)
+    bad = corrupt_label_code(higher_block(example_b, 2))
     report = verify_square(bad)
     assert not report.ok
     assert all(c.detail for c in report.failures())  # offending window is named
@@ -258,7 +261,7 @@ def test_fill_gap_identity(example_b):
 
 
 def test_fill_gap_corrupted_rule_dies(example_b):
-    bad = corrupt_label_code(higher_block(example_b, 2).square)
+    bad = corrupt_label_code(higher_block(example_b, 2))
     lifted = lift_conjugacy(bad, verify=False)
     _, window = components_crossing_window(example_b)
     with pytest.raises((LabelPathDiedError, VerificationError)):
@@ -282,7 +285,7 @@ def test_lift_identity_acts_trivially(example_b):
 
 
 def test_lifted_rule_entries_follow_apply_window(example_b):
-    lifted = lift_conjugacy(higher_block(example_b, 2).square)
+    lifted = lift_conjugacy(higher_block(example_b, 2))
     assert rule_entries(lifted.code) == ()
     _, window = components_crossing_window(example_b)
     d = lifted.block_radius
@@ -324,8 +327,8 @@ def test_lift_renaming_square(example_b):
 
 def test_round_trip_higher_block(example_b):
     hb = higher_block(example_b, 2)
-    lifted = lift_conjugacy(hb.square)
-    back = lift_conjugacy(inverse_square(hb.square))
+    lifted = lift_conjugacy(hb)
+    back = lift_conjugacy(inverse_square(hb))
     report = verify_lift_diagrams(lifted, inverse_lifted=back, max_period=3, walks=3)
     assert report.ok, [c for c in report.checks if not c.ok]
     assert any(c.name == "round-trip-identity" for c in report.checks)
@@ -382,7 +385,7 @@ def test_map_bundle_path_singletons(example_b):
 def test_map_bundle_path_empty(example_b):
     square = identity_square(example_b)
     assert map_bundle_path(square, []) == []
-    assert map_bundle_path(higher_block(example_b, 2).square, []) == []
+    assert map_bundle_path(higher_block(example_b, 2), []) == []
 
 
 def criterion_7_square(name):
@@ -396,7 +399,7 @@ def criterion_7_square(name):
         renamed = LabeledGraph(b.symbols, ("x", "y"), b.edges)
         return renaming_square(b, renamed, (0, 1)), 3, 4
     if name == "higher-block":
-        return higher_block(b, 2).square, 4, 6
+        return higher_block(b, 2), 4, 6
     return _corrupted_higher_block_square(b, ("2", "2", "2")), 3, 3
 
 
@@ -477,8 +480,8 @@ def test_window_pass_matches_block_by_block(name):
 
 
 def test_window_pass_raises_what_blocks_raise(example_b):
-    lifted = lift_conjugacy(higher_block(example_b, 2).square, verify=False)
-    reference = lift_conjugacy(higher_block(example_b, 2).square, verify=False)
+    lifted = lift_conjugacy(higher_block(example_b, 2), verify=False)
+    reference = lift_conjugacy(higher_block(example_b, 2), verify=False)
     d = lifted.block_radius
     _, window = components_crossing_window(example_b)
     grown = grow_window(lifted, window, 2 * d + 6)
@@ -517,7 +520,7 @@ def test_segment_memo_keeps_no_failure(example_b, corrupted):
     if corrupted == "label-rule":
         square = _corrupted_higher_block_square(example_b, ("2", "2", "2"))
     else:
-        square = corrupt_edge_code(higher_block(example_b, 2).square, ("a-2->a",) * 3)
+        square = corrupt_edge_code(higher_block(example_b, 2), ("a-2->a",) * 3)
     lifted = lift_conjugacy(square, verify=False)
     first = verify_lift_diagrams(lifted, max_period=3, walks=3)
     assert not first.ok
@@ -531,7 +534,7 @@ def test_segment_memo_keeps_no_failure(example_b, corrupted):
 
 
 def test_segment_memo_is_keyed_by_the_segments_edges(example_b, monkeypatch):
-    lifted = lift_conjugacy(higher_block(example_b, 2).square)
+    lifted = lift_conjugacy(higher_block(example_b, 2))
     first = verify_lift_diagrams(lifted, max_period=3, walks=3)
     edges = lifted.core_g.graph.edges
     assert lifted.segment_images

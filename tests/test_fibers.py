@@ -73,6 +73,12 @@ def test_bundle_full_rejects_seed_sets(example_b):
         bundle_graph(example_b, "full", [frozenset({0})])
 
 
+@pytest.mark.parametrize("seeds", [None, []], ids=["none", "empty"])
+def test_bundle_seeded_needs_a_seed_set(example_b, seeds):
+    with pytest.raises(GraphFormatError, match="seeded bundle mode needs at least one seed set"):
+        bundle_graph(example_b, "seeded", seeds)
+
+
 def test_bundle_rejects_non_right_resolving():
     g = graph_from_parts(
         ("0",), ("u", "v"), (("u", "0", "u"), ("u", "0", "v"), ("v", "0", "u"))

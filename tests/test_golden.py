@@ -70,7 +70,7 @@ COMMANDS = (
     ("iso", ["iso", "{path}", "{twin}", "--json"]),
 )
 FIBER_PERIOD = 3
-SQUARE = "example_b.square.json"  # higher_block(example_b, 2).square
+SQUARE = "example_b.square.json"  # higher_block(example_b, 2)
 SQUARE_FIXTURES = ("example_a", "example_b", "even_shift", "chain_stabilization")
 BROKEN_SQUARES = ("bad-label-rule", "missing-edge-rule")
 LIFTS = (("example_b", "sheets2", 2, 0), ("example_a", "lift3", 3, 1))  # fixture, tag, fold, voltage step
@@ -192,7 +192,7 @@ def broken_square_data(kind: str) -> dict:
     """The 2-block recoding square of example_b with one rule broken:
     the label-code rule on ``2 2 2`` sent to another symbol, or the first
     edge-code rule deleted."""
-    data = square_to_data(higher_block(load_fixture("example_b"), 2).square)
+    data = square_to_data(higher_block(load_fixture("example_b"), 2))
     if kind == "bad-label-rule":
         code = data["label_code"]
         rule = next(r for r in code["rules"] if r["block"] == ["2", "2", "2"])
@@ -210,7 +210,7 @@ def write_fixtures(directory: Path) -> None:
             json.dumps(permuted_data(name), indent=2) + "\n"
         )
     for name in SQUARE_FIXTURES:
-        square = square_to_data(higher_block(load_fixture(name), 2).square)
+        square = square_to_data(higher_block(load_fixture(name), 2))
         (directory / f"{name}.square.json").write_text(json.dumps(square, indent=2) + "\n")
     for kind in BROKEN_SQUARES:
         (directory / f"example_b.{kind}.square.json").write_text(

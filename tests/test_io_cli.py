@@ -22,6 +22,7 @@ from soficovers import (
     graph_to_data,
     graphs_isomorphic,
     higher_block,
+    lift_conjugacy,
     load_fixture,
     merged_graph,
     parse_periodic,
@@ -97,14 +98,27 @@ def test_provenance_keys_per_kind(case, example_a):
 
 
 def test_code_round_trip(example_b):
-    code = higher_block(example_b, 2).square.label_code
+    code = higher_block(example_b, 2).label_code
     back = code_from_data(code_to_data(code))
     assert back.radius == code.radius
     assert rule_entries(back) == rule_entries(code)
 
 
+def test_code_data_marks_only_lifted_codes_partial(example_b):
+    table = higher_block(example_b, 2).label_code
+    assert "partial" not in code_to_data(table)
+    lifted = lift_conjugacy(higher_block(example_b, 2))
+    loop = next(k for k, (u, _, v) in enumerate(lifted.core_g.graph.edges) if u == v)
+    lifted.code.output_for((loop,) * (2 * lifted.block_radius + 1))
+    data = code_to_data(lifted.code)
+    assert data["partial"] is True
+    back = code_from_data(data)
+    assert type(back.rule) is dict
+    assert rule_entries(back) == rule_entries(lifted.code) != ()
+
+
 def test_square_round_trip(example_b):
-    square = higher_block(example_b, 2).square
+    square = higher_block(example_b, 2)
     back = square_from_data(square_to_data(square))
     assert verify_square(back).ok
 
@@ -179,7 +193,7 @@ def test_code_rejects_loose_fields(change):
     ids=["square-format-true"] + [f"label_code-{i}" for i in LOOSE_CODE_IDS],
 )
 def test_cli_verify_rejects_loose_square(tmp_path, capsys, key, change):
-    data = square_to_data(higher_block(load_fixture("example_b"), 2).square)
+    data = square_to_data(higher_block(load_fixture("example_b"), 2))
     (data if key == "square" else data[key]).update(change)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -480,7 +494,7 @@ def test_cli_iso_splits_a_long_ring(tmp_path, capsys):
 
 
 def test_cli_verify_square(tmp_path, capsys):
-    square = higher_block(load_fixture("example_b"), 2).square
+    square = higher_block(load_fixture("example_b"), 2)
     path = tmp_path / "square.json"
     path.write_text(json.dumps(square_to_data(square)))
     assert main(["verify", "--square", str(path)]) == 0
@@ -496,7 +510,7 @@ def test_cli_square_parts_missing(capsys, command):
 
 
 def test_cli_lift_product(tmp_path, capsys):
-    square = higher_block(load_fixture("example_b"), 2).square
+    square = higher_block(load_fixture("example_b"), 2)
     path = tmp_path / "square.json"
     path.write_text(json.dumps(square_to_data(square)))
     out = tmp_path / "lifted.json"
@@ -533,7 +547,7 @@ def write_square_parts(tmp_path, square):
 
 
 def test_cli_square_parts_match_the_square_file(tmp_path, capsys):
-    square = higher_block(load_fixture("example_b"), 2).square
+    square = higher_block(load_fixture("example_b"), 2)
     whole = tmp_path / "square.json"
     whole.write_text(json.dumps(square_to_data(square)))
     parts = write_square_parts(tmp_path, square)

@@ -60,6 +60,14 @@ idempotent by walking its own word along the right Cayley graph that the
 search records.  The reference composes ``BoolRelation``s from a popped
 queue and flags idempotents by self-composition; elements, words and flags
 must agree on the walk cases and on lifts of up to 20 vertices.
+
+``components_and_sources`` finds the components by Tarjan's algorithm.
+The reference reads them off plain reachability sets: a vertex lies on a
+component when it reaches itself by a nonempty path, its component is
+every vertex it reaches that reaches it back, and a component is a
+source when every vertex that reaches it lies in it.  Both must agree on
+the fixtures, their stable cores with members, the cyclic lifts and the
+random graphs with tendrils.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import (
     IsomorphismResult,
     _refine,
+    components_and_sources,
     follower_contains,
     follower_partition,
     forward_masks,
@@ -648,7 +657,7 @@ def test_periodic_points_match_reference_to_period_six(name):
 
 
 CYCLE_CASES = WALK_CASES + [
-    (f"{name}.2block", higher_block(load_fixture(name), 2).graph) for name in BASE_FIXTURES
+    (f"{name}.2block", higher_block(load_fixture(name), 2).graph_h) for name in BASE_FIXTURES
 ]
 
 
@@ -1105,3 +1114,70 @@ def test_transition_monoid_matches_compose_route(name, g):
         tuple(rel.dom_mask() for rel, _ in idempotents),
         tuple(w for _, w in idempotents),
     )
+
+
+def reference_components(g, members=None):
+    """Components, component of each vertex, source flags and member-set
+    multiplicities from the reachability set of every vertex."""
+    n = len(g.vertices)
+    succ = [set() for _ in range(n)]
+    for u, _, v in g.edges:
+        succ[u].add(v)
+    reaches = []
+    for v in range(n):
+        seen, todo = set(), list(succ[v])
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo.extend(succ[w])
+        reaches.append(seen)
+    component_of = [None] * n
+    components = []
+    for v in range(n):
+        if v in reaches[v] and component_of[v] is None:
+            comp = tuple(w for w in range(n) if w in reaches[v] and v in reaches[w])
+            for w in comp:
+                component_of[w] = len(components)
+            components.append(comp)
+    is_source = [
+        all(u in comp for u in range(n) if reaches[u] & set(comp)) for comp in components
+    ]
+    multiplicity = [None] * len(components)
+    if members is not None:
+        for i, comp in enumerate(components):
+            sizes = {len(members[v]) for v in comp}
+            multiplicity[i] = sizes.pop() if len(sizes) == 1 else None
+    return tuple(components), tuple(component_of), tuple(is_source), tuple(multiplicity)
+
+
+def component_cases():
+    out = [(name, load_fixture(name), None) for name in BASE_FIXTURES]
+    for name in BASE_FIXTURES:
+        core = stable_core(load_fixture(name))
+        out.append((f"{name}.core", core.graph, core.members))
+    return out + [(name, g, None) for name, g in LIFTED + CASES]
+
+
+COMPONENT_CASES = component_cases()
+
+
+def test_component_cases_include_sinks_sources_and_tendrils():
+    infos = [components_and_sources(g, members) for _, g, members in COMPONENT_CASES]
+    assert any(None in info.component_of for info in infos)
+    assert {flag for info in infos for flag in info.is_source} == {True, False}
+    assert any(len(info.components) > 1 for info in infos)
+    assert any(m is not None for info in infos for m in info.multiplicity)
+
+
+@pytest.mark.parametrize(
+    "name,g,members", COMPONENT_CASES, ids=[name for name, _, _ in COMPONENT_CASES]
+)
+def test_components_match_reachability_sets(name, g, members):
+    info = components_and_sources(g, members)
+    assert (
+        info.components,
+        info.component_of,
+        info.is_source,
+        info.multiplicity,
+    ) == reference_components(g, members)
