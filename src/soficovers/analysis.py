@@ -411,11 +411,21 @@ class IsomorphismResult:
     mapping: Optional[tuple[int, ...]]  # g1 vertex -> g2 vertex
 
 
+def _label_counts(g: LabeledGraph) -> dict[str, int]:
+    """Edges per symbol name, for the symbols that label an edge."""
+    counts = [0] * len(g.symbols)
+    for _, a, _ in g.edges:
+        counts[a] += 1
+    return {name: k for name, k in zip(g.symbols, counts) if k}
+
+
 def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     """Label-preserving digraph isomorphism by refinement plus backtracking.
 
     Labels are matched by symbol name, so the two graphs may list their
-    alphabets in different orders.  One :func:`_refine` call on the
+    alphabets in different orders.  Graphs that differ in their vertex or
+    edge counts, or in how many edges carry some symbol, are rejected
+    before any refinement.  For the rest, one :func:`_refine` call on the
     disjoint union of both graphs, g2's vertices after g1's, colours both
     with shared class ids.  Each class must hold as many vertices of g1 as
     of g2, so the refinement stops at the first class that does not, and
@@ -427,6 +437,8 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     """
     n = len(g1.vertices)
     if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return IsomorphismResult(False, None)
+    if _label_counts(g1) != _label_counts(g2):
         return IsomorphismResult(False, None)
     shared = sorted(set(g1.symbols) | set(g2.symbols))
     # Out-edges tagged 2 * symbol rank, in-edges 2 * symbol rank + 1; the

@@ -9,13 +9,16 @@ transition monoid, is finite; every element has an idempotent power
 inside it.  Ranges of idempotent-led products are precisely the endpoint
 sets of left-infinite labeled paths, which is what the stabilized covers
 are built from, so the monoid's idempotents seed the stable family.
-:func:`transition_monoid` generates it by a breadth-first search over row
-tuples, one subset step per row and symbol, flags the idempotents by
-walking the right Cayley graph the search records, and keeps the result
-on the graph: each graph's monoid is generated once, however many
-constructions read it.  It keeps one word per element and the ranges,
-domains and words of the idempotents, which is all the constructions
-read; :func:`word_relation` rebuilds any element from its word.
+:func:`transition_monoid` interns every row reachable from a singleton
+once, with its step along each symbol, and then searches breadth-first
+over the elements as strings of row ids: bytes, whose product with a
+symbol is one ``bytes.translate``, or tuples when the rows take more
+than 256 ids.  It flags the idempotents by walking the right Cayley
+graph the search records, and keeps the result on the graph: each
+graph's monoid is generated once, however many constructions read it.
+It keeps one word per element and the ranges, domains and words of the
+idempotents, which is all the constructions read;
+:func:`word_relation` rebuilds any element from its word.
 
 For one word the constructions walk vertex masks instead of composing
 relations: the past and forward sets of a periodic word come from
@@ -29,6 +32,7 @@ domains stay here as the independent route: the tail oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -175,45 +179,57 @@ def _overrun(budget: int) -> BudgetExceededError:
 
 
 def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:
-    """Breadth-first search over the relations' row tuples.
+    """Breadth-first search over the elements as strings of row ids.
 
-    Row u of x·a is the ``a``-step of row u of x, so each distinct row is
-    stepped along every symbol once and the products x·a are read off by
-    column.  The search records the right Cayley graph, ``right[i][a]``
-    being the index of found[i]·a; an element e is idempotent exactly
-    when following e's own word from e along ``right`` comes back to e,
-    and its range and domain are read off its rows there and then.
+    Row u of x·a is the ``a``-step of row u of x.  So the rows reachable
+    from the singletons are interned first (:func:`_row_table`), and an
+    element is the string of its n row ids: x·a is x with each id
+    replaced by its ``a``-step's id.  When every id fits in a byte, the
+    string is a ``bytes`` and the product is one ``bytes.translate``;
+    otherwise the same search runs on tuples of ids through
+    ``operator.itemgetter``.  The search records the right Cayley graph,
+    ``right[i][a]`` being the index of found[i]·a; an element e is
+    idempotent exactly when following e's own word from e along
+    ``right`` comes back to e, and its range and domain are read off its
+    row ids there and then.
     """
-    base = g.index.rows
-    found: list[tuple[int, ...]] = []
+    masks, step = _row_table(g, budget)
+    n = len(g.vertices)
+    if len(masks) <= 256:
+        tables: list = [bytes(ids) + bytes(256 - len(ids)) for ids in step]
+        ident: Sequence[int] = bytes(range(1, n + 1))
+        product = bytes.translate
+    else:
+        # More than 256 distinct vertex sets need at least 9 vertices, so
+        # itemgetter gets several keys and returns a tuple.
+        tables = step
+        ident = tuple(range(1, n + 1))
+        product = lambda x, s: itemgetter(*x)(s)
+    found: list = []
     words: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
+    index: dict = {}
 
-    def add(rows: tuple[int, ...], word: tuple[int, ...]) -> int:
+    def add(x, word: tuple[int, ...]) -> int:
         if len(found) >= budget:
             raise _overrun(budget)
-        index[rows] = len(found)
-        found.append(rows)
+        index[x] = len(found)
+        found.append(x)
         words.append(word)
         return len(found) - 1
 
-    for a, rows in enumerate(base):
-        if rows not in index:
-            add(rows, (a,))
-    steps: dict[int, tuple[int, ...]] = {}  # row -> its step along each symbol
+    for a, table in enumerate(tables):
+        x = product(ident, table)
+        if x not in index:
+            add(x, (a,))
     right: list[list[int]] = []
     i = 0
     while i < len(found):
-        per_row = []
-        for row in found[i]:
-            to = steps.get(row)
-            if to is None:
-                to = steps[row] = tuple([mask_image(step, row) for step in base])
-            per_row.append(to)
+        x, word = found[i], words[i]
         out = []
-        for a, rows in enumerate(zip(*per_row)):
-            j = index.get(rows)
-            out.append(add(rows, words[i] + (a,)) if j is None else j)
+        for a, table in enumerate(tables):
+            y = product(x, table)
+            j = index.get(y)
+            out.append(add(y, word + (a,)) if j is None else j)
         right.append(out)
         i += 1
     flags, ranges, domains, ends = [], [], [], []
@@ -223,11 +239,46 @@ def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:
             j = right[j][a]
         flags.append(j == e)
         if j == e:
-            rel = BoolRelation(len(g.vertices), found[e])
-            ranges.append(rel.ran_mask())
-            domains.append(rel.dom_mask())
+            ran = dom = 0
+            for u, r in enumerate(found[e]):
+                if r:
+                    ran |= masks[r]
+                    dom |= 1 << u
+            ranges.append(ran)
+            domains.append(dom)
             ends.append(word)
     return TransitionMonoid(words, flags, (tuple(ranges), tuple(domains), tuple(ends)))
+
+
+def _row_table(g: LabeledGraph, budget: int) -> tuple[list[int], list[list[int]]]:
+    """Every row mask reachable from a singleton, and its step along each
+    symbol by id.
+
+    Id 0 is the empty set and ids 1..n the singletons; ``step[a][r]`` is
+    the id of the ``a``-step of ``masks[r]``.  Every other id is a row of
+    some element of the monoid, so more than ``n * budget + n + 1`` ids
+    mean more than ``budget`` elements.
+    """
+    base = g.index.rows
+    n = len(g.vertices)
+    masks = [0] + [1 << v for v in range(n)]
+    ids = dict(zip(masks, range(n + 1)))
+    limit = n * budget + n + 1
+    step: list[list[int]] = [[0] for _ in base]  # the empty row stays empty
+    r = 1
+    while r < len(masks):
+        mask = masks[r]
+        for rows, out in zip(base, step):
+            image = mask_image(rows, mask)
+            t = ids.get(image)
+            if t is None:
+                if len(masks) >= limit:
+                    raise _overrun(budget)
+                t = ids[image] = len(masks)
+                masks.append(image)
+            out.append(t)
+        r += 1
+    return masks, step
 
 
 def stabilized_range(rel: BoolRelation) -> int:

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficovers import BudgetExceededError, exit_code_for, load_fixture
+from soficovers import BudgetExceededError, LabeledGraph, exit_code_for, load_fixture
 from soficovers.relations import (
     BoolRelation,
+    _row_table,
     identity_relation,
     omega_power,
     stabilized_domain,
@@ -116,6 +117,23 @@ def test_overrun_keeps_nothing():
     monoid = transition_monoid(g)
     assert len(monoid) == 16
     assert transition_monoid(g) is monoid
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_monoid_of_a_cycle_on_either_side_of_the_byte_width(n):
+    """An n-cycle's rows take n + 1 ids: 256 fit in a byte, 257 do not.
+    Either way its monoid is the cyclic group generated by the shift."""
+    g = LabeledGraph(
+        ("a",), tuple(f"c{i}" for i in range(n)), tuple((i, 0, (i + 1) % n) for i in range(n))
+    )
+    monoid = transition_monoid(g)
+    assert len(_row_table(g, n)[0]) == n + 1
+    assert monoid.words == [(0,) * k for k in range(1, n + 1)]
+    assert monoid.idempotent_flags == [False] * (n - 1) + [True]
+    full = (1 << n) - 1
+    assert monoid.idempotent_ends == ((full,), (full,), ((0,) * n,))
+    with pytest.raises(BudgetExceededError, match=f"^transition monoid exceeds {n - 1} elements$"):
+        transition_monoid(g, n - 1)
 
 
 def test_kept_monoid_leaves_equality_alone():

@@ -55,11 +55,13 @@ The tail oracle pushes each distinct stabilized range through the
 relations once; the reference pushes every tail's range, and the two
 dicts, witnesses and order included, must be equal.
 
-``transition_monoid`` searches breadth-first over row tuples and flags an
-idempotent by walking its own word along the right Cayley graph that the
-search records.  The reference composes ``BoolRelation``s from a popped
-queue and flags idempotents by self-composition; elements, words and flags
-must agree on the walk cases and on lifts of up to 20 vertices.
+``transition_monoid`` searches breadth-first over strings of interned
+row ids, bytes or, past 256 ids, tuples, and flags an idempotent by
+walking its own word along the right Cayley graph that the search
+records.  The reference composes ``BoolRelation``s from a popped queue and
+flags idempotents by self-composition; elements, words and flags must
+agree on the walk cases, on lifts of up to 20 vertices and on two
+disjoint unions whose rows take more than 256 ids.
 
 ``components_and_sources`` finds the components by Tarjan's algorithm.
 The reference reads them off plain reachability sets: a vertex lies on a
@@ -80,7 +82,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficovers import BASE_FIXTURES, load_fixture
+from soficovers import BASE_FIXTURES, analysis, load_fixture
 from soficovers.analysis import (
     IsomorphismResult,
     _refine,
@@ -129,6 +131,7 @@ from soficovers.graphs import (
 )
 from soficovers.relations import (
     BoolRelation,
+    _row_table,
     mask_of,
     omega_power,
     stabilized_domain,
@@ -914,6 +917,34 @@ def test_refine_cases_cover_both_kinds_and_automorphisms():
             assert shifted == set(lifted.edges)
 
 
+def test_relabelled_controls_are_rejected_before_refinement(monkeypatch):
+    """A control whose changed edge carries another symbol has other label
+    counts, so no refinement runs; a control whose edge moved does refine."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return _refine(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_refine", spy)
+    relabelled = moved = 0
+    for name, g in REFINE_CASES:
+        for k in range(min(CONTROL_EDGES, len(g.edges))):
+            control = one_edge_changed(g, k)
+            if control is None:
+                continue
+            h = shuffled_twin(control, f"{name}/c{k}")
+            before = len(calls)
+            assert graphs_isomorphic(g, h) == IsomorphismResult(False, None), (name, k)
+            if control.edges[k][1] != g.edges[k][1]:
+                relabelled += 1
+                assert len(calls) == before, (name, k)
+            else:
+                moved += 1
+                assert len(calls) == before + 1, (name, k)
+    assert relabelled and moved
+
+
 @pytest.mark.parametrize("name,g", REFINE_CASES, ids=[name for name, _ in REFINE_CASES])
 def test_refinement_matches_reference_routines(name, g):
     if check_right_resolving(g).ok:
@@ -1084,6 +1115,32 @@ def reference_transition_monoid(g):
     return elements, words, [is_idempotent(rel) for rel in elements]
 
 
+def reference_row_count(g):
+    """The empty set plus every vertex set reached from a singleton by a
+    word, empty or not."""
+    succ = {}
+    for u, a, v in g.edges:
+        succ.setdefault((u, a), set()).add(v)
+    rows = {frozenset()} | {frozenset([v]) for v in range(len(g.vertices))}
+    todo = list(rows)
+    while todo:
+        row = todo.pop()
+        for a in range(len(g.symbols)):
+            image = frozenset(w for u in row for w in succ.get((u, a), ()))
+            if image not in rows:
+                rows.add(image)
+                todo.append(image)
+    return len(rows)
+
+
+# Disjoint unions (step 0) whose row tables pass 256 ids, one of each kind.
+WIDE_ROW_CASES = [
+    (f"{name}.x{fold}s0", cyclic_lift(g, fold, 0))
+    for name, g, fold in (
+        ("example_b", load_fixture("example_b"), 130),
+        ("nrr-4", dict(WALK_CASES)["nrr-4"], 11),
+    )
+]
 MONOID_CASES = WALK_CASES + [
     (f"{name}.x{fold}s1", cyclic_lift(g, fold, 1))
     for name, g, fold in (
@@ -1091,7 +1148,7 @@ MONOID_CASES = WALK_CASES + [
         ("example_b", load_fixture("example_b"), 9),
         ("nrr-4", dict(WALK_CASES)["nrr-4"], 2),
     )
-]
+] + WIDE_ROW_CASES
 
 
 def test_monoid_cases_cover_both_kinds_and_large_graphs():
@@ -1099,6 +1156,38 @@ def test_monoid_cases_cover_both_kinds_and_large_graphs():
     assert max(len(g.vertices) for _, g in MONOID_CASES) > 16
     flags = {flag for _, g in MONOID_CASES for flag in transition_monoid(g).idempotent_flags}
     assert flags == {True, False}
+    assert {check_right_resolving(g).ok for _, g in WIDE_ROW_CASES} == {True, False}
+    assert all(reference_row_count(g) > 256 for _, g in WIDE_ROW_CASES)
+    assert all(reference_row_count(g) <= 256 for _, g in WALK_CASES)
+
+
+BUDGET_CASES = [("nrr-4", dict(WALK_CASES)["nrr-4"])] + WIDE_ROW_CASES
+
+
+def test_row_table_overruns_before_the_search():
+    """More than n * budget + n + 1 rows prove more than budget elements,
+    so the row table raises before the search starts: here for budget 1
+    on the budget cases that are not right-resolving."""
+    cases = [(name, g) for name, g in BUDGET_CASES if not check_right_resolving(g).ok]
+    assert len(cases) == 2
+    for name, g in cases:
+        assert reference_row_count(g) > 2 * len(g.vertices) + 1, name
+        with pytest.raises(BudgetExceededError, match="^transition monoid exceeds 1 elements$"):
+            _row_table(g, 1)
+
+
+@pytest.mark.parametrize("name,g", BUDGET_CASES, ids=[name for name, _ in BUDGET_CASES])
+def test_monoid_budget_on_byte_and_tuple_rows(name, g):
+    """A budget of |M| holds and every smaller one overruns, whether the
+    monoid is generated now or kept from an earlier call."""
+    size = len(transition_monoid(g))
+    assert len(transition_monoid(g, size)) == size
+    for budget in (1, 2, size - 1):
+        fresh = LabeledGraph(g.symbols, g.vertices, g.edges)
+        for graph in (fresh, g):
+            with pytest.raises(BudgetExceededError) as exc:
+                transition_monoid(graph, budget)
+            assert str(exc.value) == f"transition monoid exceeds {budget} elements"
 
 
 @pytest.mark.parametrize("name,g", MONOID_CASES, ids=[name for name, _ in MONOID_CASES])
