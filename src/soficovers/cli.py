@@ -40,7 +40,6 @@ from .errors import (
 from .fibers import bundle_graph, fiber_core, fiber_sets_on_periodic
 from .graphs import LabeledGraph, check_right_resolving, format_members, is_essential
 from .io import (
-    code_to_data,
     export_dot,
     factor_provenance,
     graph_to_data,
@@ -337,7 +336,6 @@ def cmd_lift(args: argparse.Namespace) -> int:
         "block_radius": lifted.block_radius,
         "core_g": graph_to_data(lifted.core_g.graph, subset_provenance(lifted.core_g)),
         "core_h": graph_to_data(lifted.core_h.graph, subset_provenance(lifted.core_h)),
-        "code": code_to_data(lifted.code),
     }
     _emit_product(json.dumps(product, indent=2) + "\n", args.output)
     _note(

@@ -58,45 +58,6 @@ _CONNECTOR_PAIRS = 12  # ray pairs joined by a connector window per sample
 _COMPONENT_WALKS = 2  # seeded walks per component in the component windows
 
 
-class CachedRule(dict):
-    """A rule computed on index blocks and memoized: the dict holds every
-    block evaluated so far.
-
-    ``prepare(window)`` does the work that the blocks of ``window`` share
-    and returns the output at a centre position of the window.  A block
-    the dict lacks, ``rule[block]``, is evaluated alone as the one-block
-    window ``Window(0, block)``; :meth:`apply` evaluates every block of a
-    longer window in one pass.
-    """
-
-    def __init__(self, prepare: Callable[[Window], Callable[[int], int]]):
-        super().__init__()
-        self.prepare = prepare
-
-    def __missing__(self, block: Block) -> int:
-        out = self[block] = self.prepare(Window(0, block))(len(block) // 2)
-        return out
-
-    def apply(self, window: Window, radius: int) -> tuple[int, ...]:
-        """The outputs on the (2 radius + 1)-blocks of ``window`` in order.
-        Each new block is stored as soon as it is evaluated, so a failing
-        block leaves the blocks before it stored; the window is prepared
-        only if some block is new."""
-        items = tuple(window.items)
-        width = 2 * radius + 1
-        at = None
-        outs = []
-        for t in range(len(items) - width + 1):
-            block = items[t : t + width]
-            out = self.get(block)
-            if out is None:
-                if at is None:
-                    at = self.prepare(window)
-                out = self[block] = at(window.start + t + radius)
-            outs.append(out)
-        return tuple(outs)
-
-
 @dataclass(frozen=True)
 class SlidingBlockCode:
     """A block map: the output at index i is a function of the input on
@@ -104,9 +65,10 @@ class SlidingBlockCode:
 
     Blocks and outputs are indices into the alphabets: edge indices for an
     edge code, symbol indices for a label code.  The alphabets hold the
-    names, which appear only in files and messages.  ``rule`` maps blocks
-    to outputs: a plain table, or a :class:`CachedRule` that evaluates a
-    block it lacks.  A missing block is reported at application time.
+    names, which appear only in files and messages.  ``rule`` is a table
+    from blocks to outputs; a block it lacks is reported at application
+    time.  The lifted conjugacy of stable cores is not tabulated: it is
+    applied by :func:`apply_lifted`.
     """
 
     input_alphabet: tuple[str, ...]
@@ -131,17 +93,19 @@ class SlidingBlockCode:
         return tuple(self.input_alphabet[k] for k in block)
 
 
+def _require_length(window: Window, radius: int) -> None:
+    if len(window) < 2 * radius + 1:
+        raise GraphFormatError(
+            f"window of length {len(window)} is too short for radius {radius}"
+        )
+
+
 def apply_code(code: SlidingBlockCode, window: Window) -> Window:
     """Apply to a finite configuration of input indices; the output lives on
-    the input positions shrunk by the radius.  A :class:`CachedRule`
-    evaluates the window in one pass."""
+    the input positions shrunk by the radius.  Each block is looked up
+    once; the first block the table lacks raises."""
     r = code.radius
-    if len(window) < 2 * r + 1:
-        raise GraphFormatError(
-            f"window of length {len(window)} is too short for radius {r}"
-        )
-    if isinstance(code.rule, CachedRule):
-        return Window(window.start + r, code.rule.apply(window, r))
+    _require_length(window, r)
     items = tuple(window.items)
     blocks = [items[t : t + 2 * r + 1] for t in range(len(items) - 2 * r)]
     outs = list(map(code.rule.get, blocks))
@@ -163,8 +127,7 @@ def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int,
 
 
 def rule_entries(code: SlidingBlockCode) -> tuple[tuple[tuple[str, ...], str], ...]:
-    """The rule entries in names, sorted; for a :class:`CachedRule` these
-    are the blocks it has evaluated so far."""
+    """The rule entries in names, sorted."""
     return tuple(
         sorted(
             (code.block_names(block), code.output_alphabet[out])
@@ -467,35 +430,6 @@ def verify_square(
     return SquareReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class ComponentInterval:
-    """Maximal run of window vertex positions inside one component."""
-
-    start: int
-    end: int
-    component: int
-
-
-def component_intervals(core: StableCore, window: Window) -> list[ComponentInterval]:
-    """Component intervals of a stable-core path window, in vertex positions
-    window.start .. window.end + 1.
-
-    Every interval is checked homogeneous: member sets of its vertices all
-    have the component's common size.
-    """
-    info = components_and_sources(core.graph, core.members)
-    verts = _vertex_sequence(core.graph, window)
-    intervals: list[ComponentInterval] = []
-    for first, last, c in _runs([info.component_of[v] for v in verts], window.start):
-        run = verts[first - window.start : last - window.start + 1]
-        if {len(core.members[v]) for v in run} != {info.multiplicity[c]}:
-            raise VerificationError(
-                f"component interval [{first}, {last}] is not homogeneous"
-            )
-        intervals.append(ComponentInterval(first, last, c))
-    return intervals
-
-
 def _runs(comps: Sequence[Optional[int]], start: int) -> list[tuple[int, int, int]]:
     """Maximal runs of one component id as (first, last, id), positions
     counted from ``start``; ``None`` entries belong to no run."""
@@ -602,55 +536,19 @@ def map_parallel_paths(
     return bundles
 
 
-def bundle_member_paths(
-    base: LabeledGraph, bundle_path: Sequence
-) -> list[tuple[int, ...]]:
-    """Unbundle a path of all-member bundle edges into its parallel base
-    paths, one per source vertex of the first bundle edge."""
-    if not bundle_path:
-        return []
-    by_source = []
-    for b in bundle_path:
-        table = {base.edges[k][0]: k for k in b.members}
-        if len(table) != len(b.members):
-            raise VerificationError("bundle edge has two members from one vertex")
-        by_source.append(table)
-    paths = []
-    for v0 in sorted(by_source[0]):
-        v = v0
-        path = []
-        for table in by_source:
-            if v not in table:
-                raise VerificationError("bundle path is not source-complete")
-            k = table[v]
-            path.append(k)
-            v = base.edges[k][2]
-        paths.append(tuple(path))
-    return paths
-
-
-def map_bundle_path(square: ConjugacySquare, bundle_path: Sequence) -> list[MappedBundle]:
-    """Image of an all-member bundle path from position 0: unbundle, map
-    each base path through the edge code, bundle the images, trimmed by
-    the code radius."""
-    paths = bundle_member_paths(square.graph_g, bundle_path)
-    return map_parallel_paths(square, paths, 0, square.edge_code.radius)
-
-
 @dataclass
 class LiftedCode:
     """The induced conjugacy between stable cores, with its working data.
 
-    ``code`` is a block code on core edge indices whose radius guarantees
-    that every block contains the long component intervals the
-    construction needs.  Its rule is a :class:`CachedRule`, so
-    :func:`apply_code` evaluates a window in one pass: the joins, edge
-    components and component runs are found once; a centre deep inside a
-    long run reads its segment's image, and any other centre reads the
-    runs clipped to its own block.  ``segment_images`` memoizes the
-    member-path route by the edge tuple of the segment it maps; it holds
-    successes only, so a failing segment raises again.  Names are only
-    produced when the code is serialized.
+    The code is applied, not tabulated: :func:`apply_lifted` reads it on
+    core edge indices at radius ``block_radius``, which guarantees that
+    every block contains the long component intervals the construction
+    needs.  ``edge_components`` holds each core edge's component, ``None``
+    for an edge that leaves its component.  Two memos keep what windows
+    share, keyed by the edge tuple of a segment: ``segment_images`` holds
+    the member-path image of a segment inside one component, and
+    ``gap_images`` the gap fill of a segment between two long runs.  Both
+    hold successes only, so a failing segment raises again.
     """
 
     square: ConjugacySquare
@@ -661,8 +559,11 @@ class LiftedCode:
     kappa: int
     block_radius: int
     components: ComponentInfo
-    code: SlidingBlockCode = field(repr=False)
+    edge_components: tuple[Optional[int], ...] = field(repr=False)
     segment_images: dict[Block, Block] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    gap_images: dict[Block, Block] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -737,13 +638,7 @@ def fill_gap(
 
 
 def _window_edge_components(lifted: "LiftedCode", seg: Window) -> list[Optional[int]]:
-    info = lifted.components
-    out = []
-    for e in seg.items:
-        u, _, v = lifted.core_g.graph.edges[e]
-        cu, cv = info.component_of[u], info.component_of[v]
-        out.append(cu if cu == cv else None)
-    return out
+    return [lifted.edge_components[e] for e in seg.items]
 
 
 def _fill_between(
@@ -817,7 +712,8 @@ def lift_conjugacy(
     core_h = stable_core(square.graph_h, budget)
     kappa = max(1, square.max_radius())
     info, radius = lift_parameters(core_g, kappa)
-    lifted = LiftedCode(
+    comp = info.component_of
+    return LiftedCode(
         square=square,
         core_g=core_g,
         core_h=core_h,
@@ -826,14 +722,10 @@ def lift_conjugacy(
         kappa=kappa,
         block_radius=radius,
         components=info,
-        code=SlidingBlockCode(
-            core_g.graph.edge_names(),
-            core_h.graph.edge_names(),
-            radius,
-            CachedRule(lambda window: _lifted_rule(lifted, window)),
+        edge_components=tuple(
+            comp[u] if comp[u] == comp[v] else None for u, _, v in core_g.graph.edges
         ),
     )
-    return lifted
 
 
 def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
@@ -848,7 +740,9 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
     centre's block leaves it long, since the block radius is at least
     8 kappa + 2, and a long clipped run lies inside a long run, so the
     centre's block on its own takes the same route.  Any other centre
-    takes the gap fill between the nearest long runs around it.
+    takes the gap fill between the nearest long runs around it, read from
+    ``gap_images`` by the edges from 7 kappa before the left run's end to
+    7 kappa after the right run's start.
     """
     radius, kappa = lifted.block_radius, lifted.kappa
     edges = lifted.core_g.graph.edges
@@ -874,7 +768,8 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
         if d >= 0 and center + kappa <= runs[d][1]:
             first = center - kappa
             key = items[first - window.start : center + kappa + 1 - window.start]
-            return _member_path_image(lifted, Window(first, key))[0]
+            image = lifted.segment_images.get(key)  # a hit builds no Window
+            return (image or _member_path_image(lifted, Window(first, key)))[0]
         long_runs = [  # in window order
             (max(s, lo), min(e, hi))
             for s, e in runs
@@ -891,13 +786,30 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
             raise VerificationError(
                 "block radius failed to capture a long component run on the left"
             )
-        left = lefts[-1]
-        # in block positions, which the fill's errors report
-        i, j = left[1] - 7 * kappa - lo, left[1] - lo
-        k, l = right[0] - lo, right[0] + 7 * kappa - lo
-        return _fill_between(lifted, window.shifted(-lo), i, j, k, l)[center - lo]
+        begin = lefts[-1][1] - 7 * kappa
+        seg = items[begin - window.start : right[0] + 7 * kappa + 1 - window.start]
+        fill = lifted.gap_images.get(seg)
+        if fill is None:
+            # in block positions, which the fill's errors report
+            i, j = begin - lo, begin + 7 * kappa - lo
+            k, l = right[0] - lo, right[0] + 7 * kappa - lo
+            fill = _fill_between(lifted, window.shifted(-lo), i, j, k, l).items
+            lifted.gap_images[seg] = fill
+        return fill[center - begin - kappa]
 
     return at
+
+
+def apply_lifted(lifted: LiftedCode, window: Window) -> Window:
+    """Apply the lifted code to a core window; the output lives on the
+    window positions shrunk by the block radius.  The window is prepared
+    once and its centres are read in order, so the first failing block
+    raises the error it raises as a window of its own."""
+    r = lifted.block_radius
+    _require_length(window, r)
+    at = _lifted_rule(lifted, window)
+    centres = range(window.start + r, window.end - r + 1)
+    return Window(window.start + r, tuple(map(at, centres)))
 
 
 @dataclass(frozen=True)
@@ -923,10 +835,7 @@ def apply_induced_cover_code(lifted: LiftedCode, window: Window) -> InducedCover
     core_g = lifted.core_g.graph
     cover = bundle_g.cover
     D = lifted.block_radius
-    if len(window) < 2 * D + 1:
-        raise GraphFormatError(
-            f"window of length {len(window)} is too short for radius {D}"
-        )
+    _require_length(window, D)
     labels = [cover.edges[e][1] for e in window.items]
     start_class = bundle_g.classes[cover.edges[window.items[0]][0]]
     outputs: list[tuple[int, ...]] = []
@@ -936,7 +845,7 @@ def apply_induced_cover_code(lifted: LiftedCode, window: Window) -> InducedCover
             raise VerificationError(
                 "factor preimage died; the merge is not right-covering"
             )
-        image = apply_code(lifted.code, Window(window.start, path))
+        image = apply_lifted(lifted, Window(window.start, path))
         outputs.append(tuple(bundle_h.factor_edge[e] for e in image.items))
     if not outputs:
         raise VerificationError("cover vertex with an empty follower class")
@@ -1041,13 +950,11 @@ def _component_windows(
     """Windows that stay inside a single component: ray unrollings plus
     seeded walks along component-internal edges."""
     g = lifted.core_g.graph
-    info = lifted.components
     found = [_unroll_cycle(ray.edges, length) for ray in rays]
     internal: dict[int, dict[int, list[int]]] = {}
-    for k, (u, _, v) in enumerate(g.edges):
-        c = info.component_of[u]
-        if c is not None and c == info.component_of[v]:
-            internal.setdefault(c, {}).setdefault(u, []).append(k)
+    for k, c in enumerate(lifted.edge_components):
+        if c is not None:
+            internal.setdefault(c, {}).setdefault(g.edges[k][0], []).append(k)
     for c in sorted(internal):
         outs = internal[c]
         for _ in range(_COMPONENT_WALKS):
@@ -1092,7 +999,7 @@ def verify_lift_diagrams(
     psi = square.label_code
 
     def check_labels(w: Window):
-        out = apply_code(lifted.code, w)
+        out = apply_lifted(lifted, w)
         lhs = window_labels(core_h.graph, out).items
         rhs_win = apply_code(psi, window_labels(core_g.graph, w))
         rhs = tuple(rhs_win[t] for t in range(out.start, out.end + 1))
@@ -1113,7 +1020,7 @@ def verify_lift_diagrams(
         if not action.agreed:
             return False, f"{action.preimages} preimages disagree"
         direct = tuple(
-            lifted.future_h.factor_edge[k] for k in apply_code(lifted.code, w).items
+            lifted.future_h.factor_edge[k] for k in apply_lifted(lifted, w).items
         )
         if action.output.items != direct:
             return False, "cover action disagrees with the factored image"
@@ -1133,7 +1040,7 @@ def verify_lift_diagrams(
         p = ray.word
         T = p.period
         win = Window(0, _unroll_cycle(ray.edges, 2 * D + T))
-        out = apply_code(lifted.code, win)
+        out = apply_lifted(lifted, win)
         hw = apply_code_cyclic(psi, p.word)
         h_past = past_masks(h, hw)
         for t in range(out.start, out.end + 1):
@@ -1156,7 +1063,7 @@ def verify_lift_diagrams(
     comp_windows = _component_windows(lifted, rays, 2 * D + 5, rng)
 
     def check_component(w: Window):
-        out = apply_code(lifted.code, w)
+        out = apply_lifted(lifted, w)
         direct = _map_component_window(lifted, w)
         for t in range(out.start, out.end + 1):
             if out[t] != direct[t]:
@@ -1176,8 +1083,8 @@ def verify_lift_diagrams(
         rt_windows = sample_core_windows(core_g, rt_length, rays, rng, walks)
 
         def check_round_trip(w: Window):
-            mid = apply_code(lifted.code, w)
-            back = apply_code(inverse_lifted.code, mid)
+            mid = apply_lifted(lifted, w)
+            back = apply_lifted(inverse_lifted, mid)
             if back.items != w.segment(back.start, back.end).items:
                 return False, "composition moved a window"
             return True, ""

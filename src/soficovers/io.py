@@ -21,7 +21,7 @@ from .graphs import (
     normalize_periodic,
 )
 from .analysis import CoverBundle
-from .codes import CachedRule, ConjugacySquare, SlidingBlockCode, rule_entries
+from .codes import ConjugacySquare, SlidingBlockCode, rule_entries
 from .covers import StableCore, SubsetFamily, SubsetGraph
 from .fibers import BundleGraph, FiberCore
 
@@ -111,7 +111,7 @@ def factor_provenance(origin: LabeledGraph, bundle: CoverBundle) -> dict:
 
 
 def code_to_data(code: SlidingBlockCode) -> dict:
-    data: dict[str, Any] = {
+    return {
         "format": 1,
         "window_radius": code.radius,
         "input_alphabet": list(code.input_alphabet),
@@ -120,9 +120,6 @@ def code_to_data(code: SlidingBlockCode) -> dict:
             {"block": list(block), "out": out} for block, out in rule_entries(code)
         ],
     }
-    if isinstance(code.rule, CachedRule):
-        data["partial"] = True  # only evaluated entries are stored
-    return data
 
 
 def code_from_data(data: Mapping, where: str = "code") -> SlidingBlockCode:

@@ -73,7 +73,7 @@ from .codes import (
     ConjugacySquare,
     LiftedCode,
     SquareReport,
-    apply_code,
+    apply_lifted,
     fill_gap,
     higher_block,
     identity_square,
@@ -464,7 +464,7 @@ def _lifted_square_checks(
     rays = [past_set_ray(lifted.core_g, p) for p in periodic_points(square.graph_g, 3)]
     wins = sample_core_windows(lifted.core_g, 2 * D + 9, rays, rng, walks=4)
     agree = all(
-        apply_code(lifted.code, w).items
+        apply_lifted(lifted, w).items
         == tuple(want[k] for k in w.segment(w.start + D, w.end - D).items)
         for w in wins
     )

@@ -1,6 +1,6 @@
 import random
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import pytest
@@ -14,7 +14,7 @@ from soficovers import (
     Window,
     apply_code,
     apply_code_cyclic,
-    component_intervals,
+    apply_lifted,
     fill_gap,
     higher_block,
     identity_square,
@@ -26,20 +26,18 @@ from soficovers import (
     verify_square,
 )
 from soficovers import codes, verification
-from soficovers.analysis import periodic_points
+from soficovers.analysis import components_and_sources, periodic_points
 from soficovers.codes import (
-    CachedRule,
     _component_windows,
     _fill_between,
-    _lifted_rule,
     _map_component_window,
     _runs,
     _unroll_cycle,
+    _vertex_sequence,
     _walk,
     _window_edge_components,
     inverse_square,
-    map_bundle_path,
-    rule_entries,
+    map_parallel_paths,
     sample_core_windows,
 )
 from soficovers.covers import past_set_ray
@@ -205,6 +203,73 @@ def test_verify_square_corrupted_rule(example_b):
     assert all(c.detail for c in report.failures())  # offending window is named
 
 
+# ---------------------------------------------------------------------------
+# Reference routes that no product reaches: component intervals of a core
+# window, and the image of a bundle path through the edge code.
+
+
+@dataclass(frozen=True)
+class ComponentInterval:
+    """Maximal run of window vertex positions inside one component."""
+
+    start: int
+    end: int
+    component: int
+
+
+def component_intervals(core, window):
+    """Component intervals of a stable-core path window, in vertex positions
+    window.start .. window.end + 1.
+
+    Every interval is checked homogeneous: member sets of its vertices all
+    have the component's common size.
+    """
+    info = components_and_sources(core.graph, core.members)
+    verts = _vertex_sequence(core.graph, window)
+    intervals = []
+    for first, last, c in _runs([info.component_of[v] for v in verts], window.start):
+        run = verts[first - window.start : last - window.start + 1]
+        if {len(core.members[v]) for v in run} != {info.multiplicity[c]}:
+            raise VerificationError(
+                f"component interval [{first}, {last}] is not homogeneous"
+            )
+        intervals.append(ComponentInterval(first, last, c))
+    return intervals
+
+
+def bundle_member_paths(base, bundle_path):
+    """Unbundle a path of all-member bundle edges into its parallel base
+    paths, one per source vertex of the first bundle edge."""
+    if not bundle_path:
+        return []
+    by_source = []
+    for b in bundle_path:
+        table = {base.edges[k][0]: k for k in b.members}
+        if len(table) != len(b.members):
+            raise VerificationError("bundle edge has two members from one vertex")
+        by_source.append(table)
+    paths = []
+    for v0 in sorted(by_source[0]):
+        v = v0
+        path = []
+        for table in by_source:
+            if v not in table:
+                raise VerificationError("bundle path is not source-complete")
+            k = table[v]
+            path.append(k)
+            v = base.edges[k][2]
+        paths.append(tuple(path))
+    return paths
+
+
+def map_bundle_path(square, bundle_path):
+    """Image of an all-member bundle path from position 0: unbundle, map
+    each base path through the edge code, bundle the images, trimmed by
+    the code radius."""
+    paths = bundle_member_paths(square.graph_g, bundle_path)
+    return map_parallel_paths(square, paths, 0, square.edge_code.radius)
+
+
 def test_component_intervals_split(example_a):
     core = stable_core(example_a)
     idx = core.member_index()
@@ -280,28 +345,22 @@ def test_lift_identity_acts_trivially(example_b):
     _, window = components_crossing_window(example_b)
     d = lifted.block_radius
     grown = grow_window(lifted, window, 2 * d + 3)
-    out = apply_code(lifted.code, grown)
+    out = apply_lifted(lifted, grown)
     assert out.items == grown.segment(grown.start + d, grown.end - d).items
 
 
 def test_lifted_rule_entries_follow_apply_window(example_b):
     lifted = lift_conjugacy(higher_block(example_b, 2))
-    assert rule_entries(lifted.code) == ()
     _, window = components_crossing_window(example_b)
     d = lifted.block_radius
     grown = grow_window(lifted, window, 2 * d + 6)
-    out = apply_code(lifted.code, grown)
-    entries = dict(rule_entries(lifted.code))
-    g_names = lifted.core_g.graph.edge_names()
-    h_names = lifted.core_h.graph.edge_names()
-    blocks = {}
-    for t in range(out.start, out.end + 1):
-        block = tuple(g_names[k] for k in grown.segment(t - d, t + d).items)
-        blocks[block] = h_names[out[t]]
-    assert entries and entries == blocks
-    for t in range(out.start, out.end + 1):  # the rule reads the same memo
-        assert lifted.code.output_for(grown.segment(t - d, t + d).items) == out[t]
-    assert dict(rule_entries(lifted.code)) == blocks
+    out = apply_lifted(lifted, grown)
+    assert (out.start, len(out)) == (grown.start + d, 6)
+    fresh = relifted(lifted)
+    for t in range(out.start, out.end + 1):  # each block alone, with and without the memos
+        block = Window(0, grown.segment(t - d, t + d).items)
+        assert apply_lifted(lifted, block).items == (out[t],)
+        assert apply_lifted(fresh, block).items == (out[t],)
 
 
 def grow_window(lifted, window, length):
@@ -435,6 +494,17 @@ def block_by_block(code, window):
     return Window(window.start + r, items)
 
 
+def lifted_block_by_block(lifted, window, apply=apply_lifted):
+    """``apply`` with every (2 radius + 1)-block applied on its own, as the
+    one-block window ``Window(0, block)``."""
+    r = lifted.block_radius
+    items = tuple(
+        apply(lifted, Window(0, window.items[t : t + 2 * r + 1])).items[0]
+        for t in range(len(window) - 2 * r)
+    )
+    return Window(window.start + r, items)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -465,18 +535,20 @@ def test_window_pass_matches_block_by_block(name):
     for family, windows in families.items():
         assert windows, family
         for w in windows:
-            out = outcome(apply_code, by_window.code, w)
-            assert out == outcome(block_by_block, by_block.code, w), (family, w)
+            out = outcome(apply_lifted, by_window, w)
+            assert out == outcome(lifted_block_by_block, by_block, w), (family, w)
             if family == "round-trip" and isinstance(out, Window):
                 mids.append(out)
     if name != "corrupted":
         assert len(mids) == len(families["round-trip"])
     for mid in mids:
-        assert outcome(apply_code, back_by_window.code, mid) == outcome(
-            block_by_block, back_by_block.code, mid
+        assert outcome(apply_lifted, back_by_window, mid) == outcome(
+            lifted_block_by_block, back_by_block, mid
         )
-    assert rule_entries(by_window.code) == rule_entries(by_block.code)
-    assert rule_entries(back_by_window.code) == rule_entries(back_by_block.code)
+    # a block alone takes the route its centre takes in the window
+    for window_lift, block_lift in ((by_window, by_block), (back_by_window, back_by_block)):
+        assert window_lift.segment_images == block_lift.segment_images
+        assert window_lift.gap_images == block_lift.gap_images
 
 
 def test_window_pass_raises_what_blocks_raise(example_b):
@@ -492,16 +564,16 @@ def test_window_pass_raises_what_blocks_raise(example_b):
     )
     broken = Window(0, grown.items[:cut] + (wrong,) + grown.items[cut + 1 :])
     with pytest.raises(GraphFormatError, match="^window edges do not compose$"):
-        apply_code(lifted.code, broken)
+        apply_lifted(lifted, broken)
     with pytest.raises(GraphFormatError, match="^window edges do not compose$"):
-        block_by_block(reference.code, broken)
-    assert len(rule_entries(lifted.code)) == 4
-    assert rule_entries(lifted.code) == rule_entries(reference.code)
+        lifted_block_by_block(reference, broken)
+    for t in range(4):  # the blocks before the bad join apply alone
+        assert len(apply_lifted(reference, broken.segment(t, t + 2 * d))) == 1
 
     with pytest.raises(
         GraphFormatError, match=rf"^window of length {2 * d} is too short for radius {d}$"
     ):
-        apply_code(lifted.code, grown.segment(0, 2 * d - 1))
+        apply_lifted(lifted, grown.segment(0, 2 * d - 1))
 
 
 def corrupt_edge_code(square, block):
@@ -545,6 +617,35 @@ def test_segment_memo_is_keyed_by_the_segments_edges(example_b, monkeypatch):
     monkeypatch.setattr(codes, "member_paths_of_window", lambda *args: calls.append(args))
     assert verify_lift_diagrams(lifted, max_period=3, walks=3) == first
     assert calls == []
+
+
+def test_gap_memo_holds_what_a_fresh_fill_gives(example_b, monkeypatch):
+    lifted = lift_conjugacy(higher_block(example_b, 2))
+    first = verify_lift_diagrams(lifted, max_period=3, walks=3)
+    assert first.ok and lifted.gap_images
+    n = 7 * lifted.kappa
+    fresh = relifted(lifted)
+    for seg, fill in lifted.gap_images.items():
+        last = len(seg) - 1
+        assert _fill_between(fresh, Window(0, seg), 0, n, last - n, last).items == fill
+    calls = []
+    monkeypatch.setattr(codes, "_fill_between", lambda *args: calls.append(args))
+    assert verify_lift_diagrams(lifted, max_period=3, walks=3) == first
+    assert calls == []
+
+
+def test_gap_memo_keeps_no_failure(example_b):
+    square = _corrupted_higher_block_square(example_b, ("2", "2", "2"))
+    lifted = lift_conjugacy(square, verify=False)
+    _, window = components_crossing_window(example_b)  # criterion 8's window
+    loop_both, crossing, loop_single = window.items[0], window.items[8], window.items[-1]
+    d = lifted.block_radius
+    crossing_window = Window(0, (loop_both,) * (d + 1) + (crossing,) + (loop_single,) * (d + 1))
+    first = outcome(apply_lifted, lifted, crossing_window)
+    assert first[0] in ("LabelPathDiedError", "VerificationError"), first
+    assert lifted.gap_images == {}
+    assert outcome(apply_lifted, lifted, crossing_window) == first
+    assert lifted.gap_images == {}
 
 
 def test_lift_rejects_malformed_square(example_a, example_b):
@@ -651,43 +752,42 @@ def reference_lifted_rule(lifted, window):
     return at
 
 
-def relifted(lifted, rule, radius=None):
-    """A copy of ``lifted`` with its own empty memos, whose code evaluates
-    ``rule(copy, window)`` at block radius ``radius`` (default the lift's)."""
+def relifted(lifted, radius=None):
+    """A copy of ``lifted`` at block radius ``radius`` (default the lift's)
+    with its own empty memos."""
     radius = lifted.block_radius if radius is None else radius
-    copy = replace(lifted, block_radius=radius, segment_images={})
-    copy.code = replace(
-        lifted.code, radius=radius, rule=CachedRule(lambda w: rule(copy, w))
-    )
-    return copy
+    return replace(lifted, block_radius=radius, segment_images={}, gap_images={})
+
+
+def apply_reference(lifted, window):
+    """``apply_lifted`` with ``reference_lifted_rule`` in place of
+    ``codes._lifted_rule``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(codes, "_lifted_rule", reference_lifted_rule)
+        return apply_lifted(lifted, window)
 
 
 def test_criterion_7_blocks_match_reference_route(monkeypatch):
-    lifts = {}
+    applied = {}
 
-    def recording(route):
-        def lift(square, *args, **kwargs):
-            lifted = lift_conjugacy(square, *args, **kwargs)
-            if route == "reference":
-                lifted = relifted(lifted, reference_lifted_rule)
-            lifts.setdefault(route, []).append(lifted)
-            return lifted
+    def recording(lifted, window):
+        applied.setdefault(id(lifted), (lifted, []))[1].append(window)
+        return apply_lifted(lifted, window)
 
-        return lift
-
-    checks = {}
-    for route in ("package", "reference"):
-        monkeypatch.setattr(verification, "lift_conjugacy", recording(route))
-        checks[route] = run_criterion(7).checks
-    assert checks["package"] == checks["reference"]
-    assert all(c.ok for c in checks["package"])
-    assert len(lifts["package"]) == len(lifts["reference"]) == 5
-    for lifted, reference in zip(lifts["package"], lifts["reference"]):
-        assert lifted.code.rule
-        assert rule_entries(lifted.code) == rule_entries(reference.code)
-        alone = relifted(lifted, reference_lifted_rule)
-        for block, out in lifted.code.rule.items():
-            assert alone.code.output_for(block) == out
+    with monkeypatch.context() as m:
+        m.setattr(codes, "apply_lifted", recording)
+        m.setattr(verification, "apply_lifted", recording)
+        package = run_criterion(7).checks
+    with monkeypatch.context() as m:
+        m.setattr(codes, "_lifted_rule", reference_lifted_rule)
+        assert run_criterion(7).checks == package
+    assert all(c.ok for c in package)
+    assert len(applied) == 5
+    for lifted, windows in applied.values():
+        alone = relifted(lifted)
+        for w in dict.fromkeys(windows):
+            out = outcome(apply_lifted, lifted, w)
+            assert outcome(lifted_block_by_block, alone, w, apply_reference) == out
 
 
 def scheduled_walk(lifted, v, length, leave_at, rng):
@@ -741,10 +841,9 @@ def route_windows(lifted, seed):
 
 
 def route_outcomes(lifted, reference, windows):
-    outs = [outcome(apply_code, lifted.code, w) for w in windows]
+    outs = [outcome(apply_lifted, lifted, w) for w in windows]
     for w, out in zip(windows, outs):
-        assert out == outcome(apply_code, reference.code, w), w
-    assert rule_entries(lifted.code) == rule_entries(reference.code)
+        assert out == outcome(apply_reference, reference, w), w
     return outs
 
 
@@ -764,10 +863,10 @@ def test_lifted_rule_matches_reference_route():
         at_radius, crossings = route_windows(lifted, 2026)
         r = 8 * lifted.kappa + 2
         assert r <= lifted.block_radius
-        short = relifted(lifted, _lifted_rule, r)
+        short = relifted(lifted, r)
         for outs in (
-            route_outcomes(lifted, relifted(lifted, reference_lifted_rule), at_radius),
-            route_outcomes(short, relifted(lifted, reference_lifted_rule, r), crossings),
+            route_outcomes(lifted, relifted(lifted), at_radius),
+            route_outcomes(short, relifted(lifted, r), crossings),
         ):
             errors |= {out[1] for out in outs if isinstance(out, tuple)}
         assert lifted.segment_images and short.segment_images, (name, inverse)

@@ -22,7 +22,6 @@ from soficovers import (
     graph_to_data,
     graphs_isomorphic,
     higher_block,
-    lift_conjugacy,
     load_fixture,
     merged_graph,
     parse_periodic,
@@ -102,19 +101,6 @@ def test_code_round_trip(example_b):
     back = code_from_data(code_to_data(code))
     assert back.radius == code.radius
     assert rule_entries(back) == rule_entries(code)
-
-
-def test_code_data_marks_only_lifted_codes_partial(example_b):
-    table = higher_block(example_b, 2).label_code
-    assert "partial" not in code_to_data(table)
-    lifted = lift_conjugacy(higher_block(example_b, 2))
-    loop = next(k for k, (u, _, v) in enumerate(lifted.core_g.graph.edges) if u == v)
-    lifted.code.output_for((loop,) * (2 * lifted.block_radius + 1))
-    data = code_to_data(lifted.code)
-    assert data["partial"] is True
-    back = code_from_data(data)
-    assert type(back.rule) is dict
-    assert rule_entries(back) == rule_entries(lifted.code) != ()
 
 
 def test_square_round_trip(example_b):
@@ -516,6 +502,7 @@ def test_cli_lift_product(tmp_path, capsys):
     out = tmp_path / "lifted.json"
     assert main(["lift", "--square", str(path), "-o", str(out)]) == 0
     data = json.loads(out.read_text())
+    assert sorted(data) == ["block_radius", "core_g", "core_h", "format", "kappa", "kind"]
     assert data["kind"] == "lifted-cover-code"
     assert data["block_radius"] >= 1
     assert build_graph(data["core_h"]).vertices
