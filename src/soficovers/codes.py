@@ -558,7 +558,6 @@ class LiftedCode:
     future_h: CoverBundle
     kappa: int
     block_radius: int
-    components: ComponentInfo
     edge_components: tuple[Optional[int], ...] = field(repr=False)
     segment_images: dict[Block, Block] = field(
         default_factory=dict, repr=False, compare=False
@@ -721,7 +720,6 @@ def lift_conjugacy(
         future_h=merged_graph(core_h.graph),
         kappa=kappa,
         block_radius=radius,
-        components=info,
         edge_components=tuple(
             comp[u] if comp[u] == comp[v] else None for u, _, v in core_g.graph.edges
         ),

@@ -43,6 +43,7 @@ from .graphs import (
     edge_lookup,
     format_members,
     is_essential,
+    kept,
     mask_image,
     require_essential,
     require_right_resolving,
@@ -67,6 +68,8 @@ from .relations import (
 FULL_MODE_VERTEX_CAP = 16
 
 Witness = tuple[tuple[int, ...], tuple[int, ...]]  # (repeated word, continuation)
+# A stable core's subset graph, members and witnesses, without its base.
+CoreParts = tuple[LabeledGraph, tuple[frozenset[int], ...], tuple[Witness, ...]]
 # One symbol's step on vertex masks; 0 where the step is undefined.
 Step = Callable[[int], int]
 
@@ -238,8 +241,12 @@ def stable_core(
     is the forward closure of the idempotent ranges, one
     :func:`closure_words` call.  Only the idempotents' ranges and words are
     read from the monoid, which ``base`` keeps after its first generation
-    (see :func:`transition_monoid`); the closure and the subset graph are
-    built again on every call.
+    (see :func:`transition_monoid`).  The core's subset graph, members and
+    witnesses are kept on ``base`` too (:func:`graphs.kept`), so every call
+    wraps the same graph, and what is kept on that graph, such as its
+    follower quotient, serves every cover built from it.  The monoid is
+    asked for first, so a budget overrun raises whether or not a core was
+    kept.
 
     A set's witness is (e's word, m) for the shortest m that takes some
     idempotent range to it, ties going to the earlier idempotent in monoid
@@ -249,16 +256,19 @@ def stable_core(
     """
     require_essential(base)
     monoid = transition_monoid(base, budget)
-    return _closed_core(base, monoid.idempotent_ends[0], monoid)
+    ranges = monoid.idempotent_ends[0]
+    parts = kept(base, "_stable_core", lambda g: _closed_core(g, ranges, monoid))
+    return StableCore(base, *parts, monoid)
 
 
 def _closed_core(
     base: LabeledGraph, ranges: Sequence[int], monoid: TransitionMonoid
-) -> StableCore:
+) -> CoreParts:
     """The stable core of ``base`` from the ranges on ``base`` of the
     idempotents of ``monoid``, in monoid order: their forward closure,
-    its subset graph, and each set's witness (idempotent word, least
-    continuation), as :func:`stable_core` describes."""
+    its subset graph, the members, and each set's witness (idempotent
+    word, least continuation), as :func:`stable_core` describes.  None of
+    the three refers to ``base``."""
     words = monoid.idempotent_ends[2]
     steps = subset_steps(base.index.rows)
     found = closure_words(steps, ranges)
@@ -267,7 +277,7 @@ def _closed_core(
         raise VerificationError("stable core came out non-essential")
     require_right_resolving(graph, "stable core")
     witnesses = tuple((words[found[m][1]], found[m][2]) for m in masks)
-    return StableCore(base, graph, tuple(map(set_of, masks)), witnesses, monoid)
+    return graph, tuple(map(set_of, masks)), witnesses
 
 
 def stable_sets_from_tails(
@@ -345,7 +355,11 @@ def past_set_ray(core: StableCore, p: PeriodicWord) -> PeriodicRay:
     the left-infinite paths labeled by the copies of p and then its first
     k symbols, from one walk of the word (:func:`analysis.past_masks`).
     """
-    past = require_realizable(core.base, p)
+    return _past_set_ray(core, p, require_realizable(core.base, p))
+
+
+def _past_set_ray(core: StableCore, p: PeriodicWord, past: Sequence[int]) -> PeriodicRay:
+    """:func:`past_set_ray` on the word's past masks in ``core.base``."""
     index = core.member_index()
     lookup = edge_lookup(core.graph)
     verts = []
@@ -459,9 +473,12 @@ def extended_future_cover(
     future = future_cover(base, budget)
     cover, monoid = future.cover, future.core.monoid
     cover_full = (1 << len(cover.vertices)) - 1
-    core = _closed_core(
+    # Not kept on ``cover``: these witnesses name base words, not words of
+    # the cover's own monoid, which stable_core(cover) would use.
+    parts = _closed_core(
         cover, [_word_image(cover, cover_full, u) for u in monoid.idempotent_ends[2]], monoid
     )
+    core = StableCore(cover, *parts, monoid)
     index = future.core.member_index()
     base_full = (1 << len(base.vertices)) - 1
     classes = future.bundle.factor_vertex

@@ -226,7 +226,11 @@ def fiber_ray(base: LabeledGraph, p: PeriodicWord) -> FiberRay:
     between consecutive fiber sets; the all-emit rule and exact source and
     target coverage are asserted.
     """
-    fiber = _fiber_masks(base, p)[2]
+    return _fiber_ray(base, p, _fiber_masks(base, p)[2])
+
+
+def _fiber_ray(base: LabeledGraph, p: PeriodicWord, fiber: Sequence[int]) -> FiberRay:
+    """:func:`fiber_ray` on the word's fiber masks."""
     emit = edge_lookup(base, "bundle graph")
     steps = _all_emit_steps(base)
     member_edges = []

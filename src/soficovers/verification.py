@@ -52,6 +52,7 @@ from .analysis import (
 from .covers import (
     ExtendedFutureCover,
     PeriodicRay,
+    _past_set_ray,
     check_regular,
     extended_future_cover,
     future_cover,
@@ -62,11 +63,12 @@ from .covers import (
     subset_construction,
 )
 from .fibers import (
+    _fiber_count,
+    _fiber_masks,
+    _fiber_ray,
     bundle_graph,
     fiber_core,
     fiber_count_periodic,
-    fiber_ray,
-    fiber_sets_on_periodic,
 )
 from .codes import (
     CheckOutcome,
@@ -376,11 +378,11 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
                 comp_bad.append(f"{name}:{core.graph.edge_name(k)}")
         for p in periodic_points(g, bounds.max_period):
             words += 1
-            data = fiber_sets_on_periodic(g, p)
-            if data.fiber_sets != data.past_sets:
+            past, _, fiber = _fiber_masks(g, p)  # one walk serves every check below
+            if fiber != past:
                 beta_bad.append(f"{name}:{p.word}")
-            fiber_ray(g, p)  # asserts the all-emit bundle closes up
-            ray = past_set_ray(core, p)
+            _fiber_ray(g, p, fiber)  # asserts the all-emit bundle closes up
+            ray = _past_set_ray(core, p, past)
             factored, direct = _alpha_edges_in_cover(ext, ray)
             if factored != direct:
                 natural_bad.append(f"{name}:{p.word}")
@@ -390,7 +392,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
                 count_bad.append(f"{name}:{p.word} ray leaves its component")
             elif info.is_source[c]:
                 source_words += 1
-                if data.count != info.multiplicity[c]:
+                if _fiber_count(g, p, fiber) != info.multiplicity[c]:
                     count_bad.append(f"{name}:{p.word}")
     up_to = f"{words} periodic words up to period {bounds.max_period}"
     checks.append(_verdict("fiber-sets-equal-past-sets", beta_bad, up_to, 3))

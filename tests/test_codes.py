@@ -37,6 +37,7 @@ from soficovers.codes import (
     _walk,
     _window_edge_components,
     inverse_square,
+    lift_parameters,
     map_parallel_paths,
     sample_core_windows,
 )
@@ -794,7 +795,8 @@ def scheduled_walk(lifted, v, length, leave_at, rng):
     """A seeded core walk from ``v`` that keeps to its component's edges
     until step ``leave_at``, then leaves at the first chance and keeps to
     the next component it enters."""
-    g, comp = lifted.core_g.graph, lifted.components.component_of
+    g = lifted.core_g.graph
+    comp = lift_parameters(lifted.core_g, lifted.kappa)[0].component_of
     items, left = [], False
     for i in range(length):
         outs = g.index.out[v]

@@ -6,8 +6,14 @@ from soficovers import (
     load_fixture,
     stable_core,
 )
-from soficovers.analysis import components_and_sources
-from soficovers.verification import CRITERIA, random_right_resolving_graphs
+from soficovers import fibers, verification
+from soficovers.analysis import components_and_sources, periodic_points
+from soficovers.verification import (
+    CRITERIA,
+    VerifyBounds,
+    random_right_resolving_graphs,
+    run_criterion,
+)
 
 
 def test_criteria_registry():
@@ -24,6 +30,26 @@ def test_headline_lines_verbatim():
         "gprime(Example-A): 7 / 18",
         "extended(Example-B): 3 / 8",
     ]
+
+
+def test_criterion_5_walks_each_word_once(monkeypatch):
+    """Criterion 5 walks each (fixture, word) once: its fiber sets, the
+    bundle ray's closing check and the stable-core ray read that one walk.
+    The three named fiber counts walk on freshly loaded fixtures."""
+    walks = []
+    walk = fibers._fiber_masks
+
+    def spy(base, p):
+        walks.append((base, p))
+        return walk(base, p)
+
+    for module in (fibers, verification):
+        monkeypatch.setattr(module, "_fiber_masks", spy)
+    assert run_criterion(5).ok
+    max_period = VerifyBounds().max_period
+    words = sum(len(periodic_points(load_fixture(n), max_period)) for n in BASE_FIXTURES)
+    assert len(walks) == words + 3 == 314
+    assert len({(id(base), p) for base, p in walks}) == len(walks)
 
 
 def test_random_graphs_deterministic():
