@@ -100,19 +100,24 @@ def _require_length(window: Window, radius: int) -> None:
         )
 
 
-def apply_code(code: SlidingBlockCode, window: Window) -> Window:
-    """Apply to a finite configuration of input indices; the output lives on
-    the input positions shrunk by the radius.  Each block is looked up
-    once; the first block the table lacks raises."""
+def _block_outputs(code: SlidingBlockCode, items: tuple) -> tuple[int, ...]:
+    """The output of every (2 radius + 1)-block of ``items``, in order.
+    Each block is looked up once; the first block the table lacks
+    raises."""
     r = code.radius
-    _require_length(window, r)
-    items = tuple(window.items)
     blocks = [items[t : t + 2 * r + 1] for t in range(len(items) - 2 * r)]
     outs = list(map(code.rule.get, blocks))
     for t, out in enumerate(outs):
         if out is None:  # output_for raises the missing-block error
             outs[t] = code.output_for(blocks[t])
-    return Window(window.start + r, tuple(outs))
+    return tuple(outs)
+
+
+def apply_code(code: SlidingBlockCode, window: Window) -> Window:
+    """Apply to a finite configuration of input indices; the output lives on
+    the input positions shrunk by the radius."""
+    _require_length(window, code.radius)
+    return Window(window.start + code.radius, _block_outputs(code, tuple(window.items)))
 
 
 def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int, ...]:
@@ -122,8 +127,9 @@ def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int,
     if not n:
         return ()
     r = code.radius
-    unrolled = Window(0, tuple(word[(t - r) % n] for t in range(n + 2 * r)))
-    return apply_code(code, unrolled).items
+    reps = -(-r // n)  # whole periods on each side cover the radius
+    unrolled = tuple(word) * (2 * reps + 1)
+    return _block_outputs(code, unrolled[reps * n - r : (reps + 1) * n + r])
 
 
 def rule_entries(code: SlidingBlockCode) -> tuple[tuple[tuple[str, ...], str], ...]:
@@ -477,9 +483,9 @@ def member_paths_of_window(
         if len(path) < len(word):
             raise VerificationError("member path dies inside a homogeneous window")
         paths.append(path)
-    for t in range(1, len(vertex_seq)):
-        at_t = frozenset(base.edges[p[t - 1]][2] for p in paths)
-        if at_t != core.members[vertex_seq[t]]:
+    edges, members = base.edges, core.members
+    for column, v in zip(zip(*paths), vertex_seq[1:]):
+        if {edges[k][2] for k in column} != members[v]:
             raise VerificationError(
                 "member paths do not cover the window's sets; "
                 "the window is not homogeneous"
@@ -519,20 +525,25 @@ def map_parallel_paths(
     if not paths:
         return []
     images = [apply_code(phi, Window(start, tuple(p))).items for p in paths]
-    lo = start + trim
-    hi = start + len(paths[0]) - 1 - trim
+    cut = trim - phi.radius  # image positions dropped at each end
+    edges = h.edges
     bundles = []
-    for t in range(lo, hi + 1):
-        idx = t - (start + phi.radius)
-        members = tuple(sorted({img[idx] for img in images}))
-        sources = frozenset(h.edges[k][0] for k in members)
-        targets = frozenset(h.edges[k][2] for k in members)
-        symbols = {h.edges[k][1] for k in members}
+    for column in list(zip(*images))[cut : len(images[0]) - cut]:
+        members = tuple(sorted(set(column)))
+        image_edges = [edges[k] for k in members]
+        symbols = {e[1] for e in image_edges}
         if len(symbols) != 1:
             raise VerificationError("bundled image edges disagree on the label")
         if len(members) != len(paths):
             raise VerificationError("image family collapsed two member paths")
-        bundles.append(MappedBundle(sources, symbols.pop(), targets, members))
+        bundles.append(
+            MappedBundle(
+                frozenset(e[0] for e in image_edges),
+                symbols.pop(),
+                frozenset(e[2] for e in image_edges),
+                members,
+            )
+        )
     return bundles
 
 
@@ -544,11 +555,14 @@ class LiftedCode:
     core edge indices at radius ``block_radius``, which guarantees that
     every block contains the long component intervals the construction
     needs.  ``edge_components`` holds each core edge's component, ``None``
-    for an edge that leaves its component.  Two memos keep what windows
-    share, keyed by the edge tuple of a segment: ``segment_images`` holds
-    the member-path image of a segment inside one component, and
-    ``gap_images`` the gap fill of a segment between two long runs.  Both
-    hold successes only, so a failing segment raises again.
+    for an edge that leaves its component, and ``target_index`` each
+    stable set of the target core's vertex.  Three memos keep what
+    windows share, each keyed by an edge tuple: ``window_images`` holds
+    the image of a whole window under :func:`apply_lifted`, which does not
+    depend on where the window starts; ``segment_images`` the member-path
+    image of a segment inside one component; and ``gap_images`` the gap
+    fill of a segment between two long runs.  All three hold successes
+    only, so a failing window or segment raises again.
     """
 
     square: ConjugacySquare
@@ -559,6 +573,10 @@ class LiftedCode:
     kappa: int
     block_radius: int
     edge_components: tuple[Optional[int], ...] = field(repr=False)
+    target_index: dict[frozenset[int], int] = field(repr=False)
+    window_images: dict[Block, Block] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     segment_images: dict[Block, Block] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -584,7 +602,7 @@ def _member_path_image(lifted: "LiftedCode", window: Window) -> Block:
     bundles = map_parallel_paths(
         lifted.square, paths, window.start, lifted.kappa
     )
-    h_index = lifted.core_h.member_index()
+    h_index = lifted.target_index
     h_lookup = lifted.core_h.graph.index.edge_at
     edges = []
     for b in bundles:
@@ -723,6 +741,7 @@ def lift_conjugacy(
         edge_components=tuple(
             comp[u] if comp[u] == comp[v] else None for u, _, v in core_g.graph.edges
         ),
+        target_index=core_h.member_index(),
     )
 
 
@@ -802,12 +821,21 @@ def apply_lifted(lifted: LiftedCode, window: Window) -> Window:
     """Apply the lifted code to a core window; the output lives on the
     window positions shrunk by the block radius.  The window is prepared
     once and its centres are read in order, so the first failing block
-    raises the error it raises as a window of its own."""
+    raises the error it raises as a window of its own.
+
+    No output or error depends on ``window.start`` (the gap fill reports
+    positions in its block), so the image is kept on
+    ``lifted.window_images`` by the window's edge tuple and a repeat of
+    the window anywhere reads it back."""
     r = lifted.block_radius
     _require_length(window, r)
-    at = _lifted_rule(lifted, window)
-    centres = range(window.start + r, window.end - r + 1)
-    return Window(window.start + r, tuple(map(at, centres)))
+    items = tuple(window.items)
+    image = lifted.window_images.get(items)
+    if image is None:
+        at = _lifted_rule(lifted, window)
+        centres = range(window.start + r, window.end - r + 1)
+        image = lifted.window_images[items] = tuple(map(at, centres))
+    return Window(window.start + r, image)
 
 
 @dataclass(frozen=True)
@@ -978,14 +1006,27 @@ def verify_lift_diagrams(
     The sweep samples the shift with a fixed seed (2026), it does not
     enumerate it; the closing note records the bounds used.
     """
+    periodic = periodic_points(lifted.square.graph_g, max_period)
+    rays = [past_set_ray(lifted.core_g, p) for p in periodic]
+    return _verify_lift_diagrams(lifted, inverse_lifted, max_period, walks, rays)
+
+
+def _verify_lift_diagrams(
+    lifted: LiftedCode,
+    inverse_lifted: Optional[LiftedCode],
+    max_period: int,
+    walks: int,
+    rays: Sequence[PeriodicRay],
+) -> SquareReport:
+    """:func:`verify_lift_diagrams` on the canonical rays of the periodic
+    words of ``graph_g`` up to ``max_period``, one per word in the order of
+    :func:`analysis.periodic_points`."""
     square = lifted.square
-    g, h = square.graph_g, square.graph_h
+    h = square.graph_h
     core_g, core_h = lifted.core_g, lifted.core_h
     D = lifted.block_radius
     length = 2 * D + 9
     rng = random.Random(2026)
-    periodic = periodic_points(g, max_period)
-    rays = [past_set_ray(core_g, p) for p in periodic]
     windows = sample_core_windows(core_g, length, rays, rng, walks)
     checks: list[CheckOutcome] = []
 
@@ -1032,7 +1073,7 @@ def verify_lift_diagrams(
     )
 
     h_core_lookup = edge_lookup(core_h.graph)
-    h_members = core_h.member_index()
+    h_members = lifted.target_index
 
     def check_alpha(ray: PeriodicRay):
         p = ray.word
@@ -1055,7 +1096,7 @@ def verify_lift_diagrams(
         "periodic-alpha-naturality",
         rays,
         check_alpha,
-        f"{len(periodic)} periodic words up to period {max_period}",
+        f"{len(rays)} periodic words up to period {max_period}",
     )
 
     comp_windows = _component_windows(lifted, rays, 2 * D + 5, rng)

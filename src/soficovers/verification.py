@@ -75,6 +75,7 @@ from .codes import (
     ConjugacySquare,
     LiftedCode,
     SquareReport,
+    _verify_lift_diagrams,
     apply_lifted,
     fill_gap,
     higher_block,
@@ -460,10 +461,10 @@ def _lifted_square_checks(
     budget = bounds.monoid_budget
     lifted = lift_conjugacy(square, budget=budget)
     back = lifted if inverse is None else lift_conjugacy(inverse, budget=budget)
-    report = verify_lift_diagrams(lifted, inverse_lifted=back, max_period=3, walks=4)
+    rays = [past_set_ray(lifted.core_g, p) for p in periodic_points(square.graph_g, 3)]
+    report = _verify_lift_diagrams(lifted, back, 3, 4, rays)
     want = edge_map(lifted)
     D = lifted.block_radius
-    rays = [past_set_ray(lifted.core_g, p) for p in periodic_points(square.graph_g, 3)]
     wins = sample_core_windows(lifted.core_g, 2 * D + 9, rays, rng, walks=4)
     agree = all(
         apply_lifted(lifted, w).items

@@ -1,6 +1,6 @@
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import pytest
@@ -29,16 +29,20 @@ from soficovers import codes, verification
 from soficovers.analysis import components_and_sources, periodic_points
 from soficovers.codes import (
     _component_windows,
+    _edge_cycles,
     _fill_between,
+    _follow,
     _map_component_window,
     _runs,
     _unroll_cycle,
     _vertex_sequence,
     _walk,
     _window_edge_components,
+    MappedBundle,
     inverse_square,
     lift_parameters,
     map_parallel_paths,
+    member_paths_of_window,
     sample_core_windows,
 )
 from soficovers.covers import past_set_ray
@@ -133,6 +137,47 @@ def test_apply_code_cyclic_rotates(example_a):
     out = apply_code_cyclic(psi, (s("2"), s("3")))
     assert len(out) == 2
     assert out == tuple(psi.output_alphabet.index(w) for w in ("2.3", "3.2"))
+
+
+def unrolled_reference(code, word):
+    """``apply_code_cyclic`` as ``apply_code`` on one period unrolled by
+    the radius on each side."""
+    n, r = len(word), code.radius
+    if not n:
+        return ()
+    return apply_code(code, Window(0, tuple(word[(t - r) % n] for t in range(n + 2 * r)))).items
+
+
+def test_apply_code_cyclic_matches_the_unrolled_word():
+    rng = random.Random(28)
+    wrapped = missing = 0
+    for name, n in product(BASE_FIXTURES, (1, 2, 3)):
+        square = higher_block(load_fixture(name), n)
+        g, h = square.graph_g, square.graph_h
+        for code, graph, labels in (
+            (square.edge_code, g, False),
+            (square.edge_code_inv, h, False),
+            (square.label_code, g, True),
+            (square.label_code_inv, h, True),
+        ):
+            words = [()] + _edge_cycles(graph, 3)
+            if labels:
+                words = [tuple(graph.edges[k][1] for k in w) for w in words]
+            alphabet = len(code.input_alphabet)
+            words += [
+                tuple(rng.randrange(alphabet) for _ in range(length))
+                for length in range(1, 2 * code.radius + 3)
+            ]
+            for word in words:
+                out = outcome(apply_code_cyclic, code, word)
+                assert out == outcome(unrolled_reference, code, word), (name, n, word)
+                if out and isinstance(out[0], str):  # an error outcome
+                    assert out[0] == "GraphFormatError"
+                    assert out[1].startswith("code has no rule for block (")
+                    missing += 1
+                elif 0 < len(word) < code.radius:
+                    wrapped += 1
+    assert wrapped and missing
 
 
 def test_higher_block_even_shift_sizes(even_shift):
@@ -644,9 +689,10 @@ def test_gap_memo_keeps_no_failure(example_b):
     crossing_window = Window(0, (loop_both,) * (d + 1) + (crossing,) + (loop_single,) * (d + 1))
     first = outcome(apply_lifted, lifted, crossing_window)
     assert first[0] in ("LabelPathDiedError", "VerificationError"), first
-    assert lifted.gap_images == {}
-    assert outcome(apply_lifted, lifted, crossing_window) == first
-    assert lifted.gap_images == {}
+    assert lifted.gap_images == lifted.window_images == {}
+    for start in (0, 9, -4):  # the window memo keeps no failure either
+        assert outcome(apply_lifted, lifted, crossing_window.shifted(start)) == first
+        assert lifted.gap_images == lifted.window_images == {}
 
 
 def test_lift_rejects_malformed_square(example_a, example_b):
@@ -755,9 +801,11 @@ def reference_lifted_rule(lifted, window):
 
 def relifted(lifted, radius=None):
     """A copy of ``lifted`` at block radius ``radius`` (default the lift's)
-    with its own empty memos."""
+    with its own empty memos: every field left out of comparisons is a
+    memo, and each is made afresh from its default factory."""
     radius = lifted.block_radius if radius is None else radius
-    return replace(lifted, block_radius=radius, segment_images={}, gap_images={})
+    memos = {f.name: f.default_factory() for f in fields(lifted) if not f.compare}
+    return replace(lifted, block_radius=radius, **memos)
 
 
 def apply_reference(lifted, window):
@@ -816,7 +864,8 @@ def scheduled_walk(lifted, v, length, leave_at, rng):
 def route_windows(lifted, seed):
     """Seeded core walks at the lift's radius, the same walks with one edge
     swapped for one that does not compose, and scheduled component
-    crossings for radius 8 kappa + 2."""
+    crossings at the lift's radius; then scheduled component crossings for
+    radius 8 kappa + 2."""
     g = lifted.core_g.graph
     edges = g.edges
     rng = random.Random(seed)
@@ -832,14 +881,17 @@ def route_windows(lifted, seed):
             if wrong:
                 items = w.items[:t] + (rng.choice(wrong),) + w.items[t + 1 :]
                 broken.append(Window(0, items))
-    r = 8 * lifted.kappa + 2
-    crossings = [
-        Window(0, scheduled_walk(lifted, v, length, leave_at, rng))
-        for length in (2 * r + 1, 2 * r + 3)
-        for v in range(len(g.vertices))
-        for leave_at in range(length)
-    ]
-    return walks + broken, crossings
+
+    def crossings(r):
+        return [
+            Window(0, scheduled_walk(lifted, v, length, leave_at, rng))
+            for length in (2 * r + 1, 2 * r + 3)
+            for v in range(len(g.vertices))
+            for leave_at in range(length)
+        ]
+
+    short = crossings(8 * lifted.kappa + 2)
+    return walks + broken + crossings(d), short
 
 
 def route_outcomes(lifted, reference, windows):
@@ -866,14 +918,145 @@ def test_lifted_rule_matches_reference_route():
         r = 8 * lifted.kappa + 2
         assert r <= lifted.block_radius
         short = relifted(lifted, r)
-        for outs in (
-            route_outcomes(lifted, relifted(lifted), at_radius),
-            route_outcomes(short, relifted(lifted, r), crossings),
-        ):
-            errors |= {out[1] for out in outs if isinstance(out, tuple)}
+        outs = route_outcomes(lifted, relifted(lifted), at_radius)
+        short_outs = route_outcomes(short, relifted(lifted, r), crossings)
+        failed = {out for out in outs if isinstance(out, tuple)}
+        errors |= {out[1] for out in short_outs if isinstance(out, tuple)}
+        errors |= {message for _, message in failed}
         assert lifted.segment_images and short.segment_images, (name, inverse)
+        # the crossings at the lift's own radius reach the gap route; on the
+        # corrupted label rule every fill there dies
+        info = lift_parameters(lifted.core_g, lifted.kappa)[0]
+        assert len(info.components) >= 2
+        if (name, inverse) == ("corrupted", False):
+            assert not lifted.gap_images
+            assert any(type_name == "LabelPathDiedError" for type_name, _ in failed)
+        else:
+            assert lifted.gap_images, (name, inverse)
     assert {
         "window edges do not compose",
         "block radius failed to capture a long component run on the right",
         "block radius failed to capture a long component run on the left",
     } <= errors
+
+
+# ---------------------------------------------------------------------------
+# The member-path map against the per-position route it replaced.
+#
+# ``codes.member_paths_of_window`` and ``codes.map_parallel_paths`` walk the
+# columns of the paths and of their images once.  The reference indexes
+# every path at every position, as the package did before.
+
+
+def reference_member_paths(core, window):
+    base = core.base
+    start_members = core.members[core.graph.edges[window.items[0]][0]]
+    word = [core.graph.edges[k][1] for k in window.items]
+    vertex_seq = _vertex_sequence(core.graph, window)
+    paths = []
+    for v0 in sorted(start_members):
+        path = _follow(base, v0, word)
+        if len(path) < len(word):
+            raise VerificationError("member path dies inside a homogeneous window")
+        paths.append(path)
+    for t in range(1, len(vertex_seq)):
+        at_t = frozenset(base.edges[p[t - 1]][2] for p in paths)
+        if at_t != core.members[vertex_seq[t]]:
+            raise VerificationError(
+                "member paths do not cover the window's sets; "
+                "the window is not homogeneous"
+            )
+    return paths
+
+
+def reference_map_parallel_paths(square, paths, start, trim):
+    h = square.graph_h
+    phi = square.edge_code
+    if trim < phi.radius:
+        raise GraphFormatError("trim must be at least the edge-code radius")
+    if not paths:
+        return []
+    images = [apply_code(phi, Window(start, tuple(p))).items for p in paths]
+    lo = start + trim
+    hi = start + len(paths[0]) - 1 - trim
+    bundles = []
+    for t in range(lo, hi + 1):
+        idx = t - (start + phi.radius)
+        members = tuple(sorted({img[idx] for img in images}))
+        sources = frozenset(h.edges[k][0] for k in members)
+        targets = frozenset(h.edges[k][2] for k in members)
+        symbols = {h.edges[k][1] for k in members}
+        if len(symbols) != 1:
+            raise VerificationError("bundled image edges disagree on the label")
+        if len(members) != len(paths):
+            raise VerificationError("image family collapsed two member paths")
+        bundles.append(MappedBundle(sources, symbols.pop(), targets, members))
+    return bundles
+
+
+def followed_paths(core, window):
+    """The label-following paths of the window's starting members, cut to
+    the shortest: parallel base paths for a window that is not
+    homogeneous."""
+    word = [core.graph.edges[k][1] for k in window.items]
+    start_members = core.members[core.graph.edges[window.items[0]][0]]
+    paths = [_follow(core.base, v0, word) for v0 in sorted(start_members)]
+    n = min(map(len, paths))
+    return [p[:n] for p in paths]
+
+
+def test_member_path_map_matches_reference_route():
+    lifts = [lift_of(name, inverse) for name, inverse in LIFTS]
+    square = corrupt_edge_code(higher_block(load_fixture("example_b"), 2), ("a-2->a",) * 3)
+    lifts.append(lift_conjugacy(square, verify=False))
+    errors = set()
+    mapped = 0
+    for lifted in lifts:
+        core, square = lifted.core_g, lifted.square
+        families = diagram_windows(lifted, lifted.block_radius, 3, 4)
+        windows = families["component"] + families["sampled"]
+        edges = core.graph.edges
+        broken = [  # the sampled windows with one edge that does not compose
+            Window(w.start, w.items[:t] + (k,) + w.items[t + 1 :])
+            for w in families["sampled"][:4]
+            for t in (1, len(w) // 2)
+            for k, (u, _, _) in enumerate(edges)
+            if u != edges[w.items[t - 1]][2]
+        ]
+        r = square.edge_code.radius
+        for w in windows + broken:
+            paths = outcome(member_paths_of_window, core, w)
+            assert paths == outcome(reference_member_paths, core, w), w
+            if isinstance(paths, tuple):
+                errors.add(paths[1])
+                paths = followed_paths(core, w)
+            for trim in {r - 1, r, lifted.kappa, lifted.kappa + 2}:
+                out = outcome(map_parallel_paths, square, paths, w.start, trim)
+                assert out == outcome(reference_map_parallel_paths, square, paths, w.start, trim)
+                if isinstance(out, tuple):
+                    errors.add(out[1])
+                else:
+                    mapped += bool(out)
+    assert mapped
+    assert {
+        "window edges do not compose",
+        "member path dies inside a homogeneous window",
+        "bundled image edges disagree on the label",
+        "image family collapsed two member paths",
+        "trim must be at least the edge-code radius",
+    } <= errors, errors
+
+
+def test_window_memo_reads_a_repeat_at_another_start(example_b, monkeypatch):
+    lifted = lift_conjugacy(higher_block(example_b, 2))
+    d = lifted.block_radius
+    _, window = components_crossing_window(example_b)
+    grown = grow_window(lifted, window, 2 * d + 6)
+    first = apply_lifted(lifted, grown)
+    assert lifted.window_images == {grown.items: first.items}
+    fresh = apply_lifted(relifted(lifted), grown.shifted(-17))
+    assert fresh == first.shifted(-17)
+    calls = []
+    monkeypatch.setattr(codes, "_lifted_rule", lambda *args: calls.append(args))
+    assert apply_lifted(lifted, grown.shifted(-17)) == fresh
+    assert calls == []

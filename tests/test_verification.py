@@ -6,7 +6,7 @@ from soficovers import (
     load_fixture,
     stable_core,
 )
-from soficovers import fibers, verification
+from soficovers import codes, fibers, verification
 from soficovers.analysis import components_and_sources, periodic_points
 from soficovers.verification import (
     CRITERIA,
@@ -50,6 +50,38 @@ def test_criterion_5_walks_each_word_once(monkeypatch):
     words = sum(len(periodic_points(load_fixture(n), max_period)) for n in BASE_FIXTURES)
     assert len(walks) == words + 3 == 314
     assert len({(id(base), p) for base, p in walks}) == len(walks)
+
+
+def test_criterion_7_prepares_each_window_once(monkeypatch):
+    """Criterion 7 prepares each distinct window of a lift once (the
+    repeats read ``LiftedCode.window_images``) and builds each periodic
+    ray once, handing it to the diagram sweep and to its own sampler.  The
+    member-path route of ``check_component`` is not folded into the
+    lifted rule, so it still maps its segments itself."""
+    seen = {"_lifted_rule": [], "past_set_ray": [], "member_paths_of_window": []}
+
+    def spy(name):
+        real = getattr(codes, name)
+
+        def call(owner, arg):
+            seen[name].append((id(owner), getattr(arg, "items", arg)))
+            return real(owner, arg)
+
+        return call
+
+    for name in seen:
+        call = spy(name)
+        for module in (codes, verification):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, call)
+    assert run_criterion(7).ok
+    assert {name: len(calls) for name, calls in seen.items()} == {
+        "_lifted_rule": 413,
+        "past_set_ray": 41,
+        "member_paths_of_window": 342,
+    }
+    for name in ("_lifted_rule", "past_set_ray"):
+        assert len(set(seen[name])) == len(seen[name]), name
 
 
 def test_random_graphs_deterministic():
