@@ -77,10 +77,8 @@ from .fibers import (
     FiberCore,
     FiberData,
     bundle_graph,
-    co_stable_sets,
     fiber_core,
     fiber_count_periodic,
-    fiber_ray,
     fiber_sets_on_periodic,
 )
 from .fixtures import BASE_FIXTURES, load_fixture
@@ -99,7 +97,6 @@ from .graphs import (
 from .io import (
     code_from_data,
     code_to_data,
-    dump_graph,
     export_dot,
     graph_to_data,
     load_code,
@@ -112,8 +109,6 @@ from .io import (
 from .verification import (
     CriterionResult,
     VerifyBounds,
-    check_source_component_injectivity,
-    check_tail_asymptotics,
     headline_counts,
     run_acceptance,
     run_criterion,
@@ -159,20 +154,15 @@ __all__ = [
     "bundle_graph",
     "check_regular",
     "check_right_resolving",
-    "check_source_component_injectivity",
-    "check_tail_asymptotics",
-    "co_stable_sets",
     "code_from_data",
     "code_to_data",
     "components_and_sources",
-    "dump_graph",
     "essentialize",
     "exit_code_for",
     "export_dot",
     "extended_future_cover",
     "fiber_core",
     "fiber_count_periodic",
-    "fiber_ray",
     "fiber_sets_on_periodic",
     "fill_gap",
     "follower_partition",

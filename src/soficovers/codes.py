@@ -458,16 +458,6 @@ def _vertex_sequence(graph: LabeledGraph, window: Window) -> list[int]:
     return verts
 
 
-@dataclass(frozen=True)
-class MappedBundle:
-    """Image of one bundle-path position under the edge code."""
-
-    source_set: frozenset[int]
-    symbol: int
-    target_set: frozenset[int]
-    members: tuple[int, ...]
-
-
 def member_paths_of_window(
     core: StableCore, window: Window
 ) -> list[tuple[int, ...]]:
@@ -505,46 +495,6 @@ def _follow(g: LabeledGraph, v: int, word: Sequence[int]) -> tuple[int, ...]:
         path.append(k)
         v = g.edges[k][2]
     return tuple(path)
-
-
-def map_parallel_paths(
-    square: ConjugacySquare,
-    paths: Sequence[Sequence[int]],
-    start: int,
-    trim: int,
-) -> list[MappedBundle]:
-    """Apply the edge code to each parallel base path and re-bundle.
-
-    Input paths live on positions [start, start + len - 1]; the output
-    covers the same range shrunk by ``trim`` (at least the code radius).
-    """
-    h = square.graph_h
-    phi = square.edge_code
-    if trim < phi.radius:
-        raise GraphFormatError("trim must be at least the edge-code radius")
-    if not paths:
-        return []
-    images = [apply_code(phi, Window(start, tuple(p))).items for p in paths]
-    cut = trim - phi.radius  # image positions dropped at each end
-    edges = h.edges
-    bundles = []
-    for column in list(zip(*images))[cut : len(images[0]) - cut]:
-        members = tuple(sorted(set(column)))
-        image_edges = [edges[k] for k in members]
-        symbols = {e[1] for e in image_edges}
-        if len(symbols) != 1:
-            raise VerificationError("bundled image edges disagree on the label")
-        if len(members) != len(paths):
-            raise VerificationError("image family collapsed two member paths")
-        bundles.append(
-            MappedBundle(
-                frozenset(e[0] for e in image_edges),
-                symbols.pop(),
-                frozenset(e[2] for e in image_edges),
-                members,
-            )
-        )
-    return bundles
 
 
 @dataclass
@@ -593,28 +543,42 @@ def _map_component_window(lifted: "LiftedCode", window: Window) -> Window:
 
 def _member_path_image(lifted: "LiftedCode", window: Window) -> Block:
     """Core-of-h edges of the window's member paths, memoized on
-    ``lifted.segment_images`` by the window's edge tuple."""
+    ``lifted.segment_images`` by the window's edge tuple.
+
+    The edge code maps each member path; each column of the images, shrunk
+    by kappa at both ends, bundles into one target-core edge.  Every
+    column's label and collapse checks run before any target-core lookup.
+    """
     items = tuple(window.items)
     image = lifted.segment_images.get(items)
     if image is not None:
         return image
     paths = member_paths_of_window(lifted.core_g, window)
-    bundles = map_parallel_paths(
-        lifted.square, paths, window.start, lifted.kappa
-    )
+    phi = lifted.square.edge_code
+    images = [apply_code(phi, Window(window.start, p)).items for p in paths]
+    cut = lifted.kappa - phi.radius  # image positions dropped at each end
+    columns = list(zip(*images))[cut : len(images[0]) - cut]
+    h_edges = lifted.square.graph_h.edges
+    for column in columns:
+        if len({h_edges[k][1] for k in column}) != 1:
+            raise VerificationError("bundled image edges disagree on the label")
+        if len(set(column)) != len(paths):
+            raise VerificationError("image family collapsed two member paths")
     h_index = lifted.target_index
     h_lookup = lifted.core_h.graph.index.edge_at
+    core_edges, core_members = lifted.core_h.graph.edges, lifted.core_h.members
     edges = []
-    for b in bundles:
-        if b.source_set not in h_index:
+    for column in columns:
+        source = frozenset(h_edges[k][0] for k in column)
+        if source not in h_index:
             raise VerificationError(
                 "image source set is not a stable set of the target core"
             )
-        key = (h_index[b.source_set], b.symbol)
+        key = (h_index[source], h_edges[column[0]][1])
         if key not in h_lookup:
             raise VerificationError("target core misses an image edge")
         k = h_lookup[key]
-        if lifted.core_h.members[lifted.core_h.graph.edges[k][2]] != b.target_set:
+        if core_members[core_edges[k][2]] != {h_edges[e][2] for e in column}:
             raise VerificationError("image bundle drifts from the target core")
         edges.append(k)
     image = lifted.segment_images[items] = tuple(edges)

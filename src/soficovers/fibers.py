@@ -34,12 +34,10 @@ from .graphs import (
 from .analysis import forward_masks, require_realizable
 from .covers import (
     Step,
-    StableCore,
     SubsetFamily,
     all_subsets,
     assemble_subset_graph,
     closure_words,
-    subset_key,
     subset_steps,
 )
 from .relations import DEFAULT_MONOID_BUDGET, mask_of, set_of, transition_monoid
@@ -142,18 +140,6 @@ def bundle_graph(
     return BundleGraph(base, graph, tuple(map(set_of, masks)), bundles, mode)
 
 
-def co_stable_sets(base: LabeledGraph) -> tuple[frozenset[int], ...]:
-    """Start-vertex sets of right-infinite labeled paths, stabilized.
-
-    The backward closure of the idempotent domains, mirroring
-    :func:`covers.stable_core`; ordered by (size, members).
-    """
-    require_essential(base)
-    _, domains, _ = transition_monoid(base).idempotent_ends
-    family = closure_words(subset_steps(base.index.pred), domains)
-    return tuple(map(set_of, sorted(family, key=subset_key)))
-
-
 @dataclass(frozen=True)
 class FiberData:
     """Per-phase past, forward, and fiber source sets of a periodic word."""
@@ -219,18 +205,14 @@ class FiberRay:
     member_edges: tuple[tuple[int, ...], ...]
 
 
-def fiber_ray(base: LabeledGraph, p: PeriodicWord) -> FiberRay:
-    """Bundle path through the fiber source sets of a periodic word.
+def _fiber_ray(base: LabeledGraph, p: PeriodicWord, fiber: Sequence[int]) -> FiberRay:
+    """Bundle path through the fiber source sets ``fiber`` of a periodic
+    word, one mask per phase.
 
     At each phase the members are every correctly-labeled base edge
     between consecutive fiber sets; the all-emit rule and exact source and
     target coverage are asserted.
     """
-    return _fiber_ray(base, p, _fiber_masks(base, p)[2])
-
-
-def _fiber_ray(base: LabeledGraph, p: PeriodicWord, fiber: Sequence[int]) -> FiberRay:
-    """:func:`fiber_ray` on the word's fiber masks."""
     emit = edge_lookup(base, "bundle graph")
     steps = _all_emit_steps(base)
     member_edges = []
@@ -355,66 +337,4 @@ def fiber_core(
         tuple(records),
         tuple(provenance),
         max_tail,
-    )
-
-
-@dataclass(frozen=True)
-class DominatedPath:
-    """The bundle path squeezed under a stable-core path.
-
-    ``sets[j]`` is the source set before step j; ``stable_from`` is the
-    first index from which the dominated targets match the covering
-    path's target sets exactly.
-    """
-
-    start_set: frozenset[int]
-    sets: tuple[frozenset[int], ...]  # length = steps + 1
-    member_edges: tuple[tuple[int, ...], ...]
-    stable_from: int
-
-
-def maximal_dominated_path(core: StableCore, path: Sequence[int]) -> DominatedPath:
-    """Largest bundle path running under a stable-core path with its label.
-
-    Starts from the source-set members that admit the whole label word and
-    steps by the all-emit rule; the final target set always equals the
-    covering path's, and from ``stable_from`` on every target set does.
-    """
-    if not path:
-        raise GraphFormatError("need a nonempty stable-core path")
-    for i in range(len(path) - 1):
-        if core.graph.edges[path[i]][2] != core.graph.edges[path[i + 1]][0]:
-            raise GraphFormatError("stable-core edges do not compose")
-    base = core.base
-    word = tuple(core.graph.edges[k][1] for k in path)
-    admits = (1 << len(base.vertices)) - 1
-    for a in reversed(word):
-        admits = mask_image(base.index.pred[a], admits)
-    start = mask_of(core.members[core.graph.edges[path[0]][0]]) & admits
-    if not start:
-        raise VerificationError("no member of the source set admits the label word")
-    emit = edge_lookup(base, "bundle graph")
-    steps = _all_emit_steps(base)
-    sets = [start]
-    member_edges = []
-    for a in word:
-        target = steps[a](sets[-1])
-        if not target:
-            raise VerificationError("dominated path lost the all-emit property")
-        member_edges.append(_member_edges(emit, sets[-1], a))
-        sets.append(target)
-    gamma_targets = [mask_of(core.members[core.graph.edges[k][2]]) for k in path]
-    if sets[-1] != gamma_targets[-1]:
-        raise VerificationError("dominated path misses the covering target set")
-    final_size = gamma_targets[-1].bit_count()
-    stable_from = len(path) - 1
-    while stable_from > 0 and gamma_targets[stable_from - 1].bit_count() == final_size:
-        stable_from -= 1
-    for j in range(stable_from, len(path)):
-        if sets[j + 1] != gamma_targets[j]:
-            raise VerificationError(
-                "dominated targets diverge inside the constant-size run"
-            )
-    return DominatedPath(
-        set_of(start), tuple(map(set_of, sets)), tuple(member_edges), stable_from
     )

@@ -480,10 +480,6 @@ class PeriodicWord:
     def at(self, index: int) -> int:
         return self.word[index % len(self.word)]
 
-    def rotation_from(self, index: int) -> tuple[int, ...]:
-        k = index % len(self.word)
-        return self.word[k:] + self.word[:k]
-
 
 def normalize_periodic(word: Sequence[int]) -> PeriodicWord:
     return PeriodicWord(least_rotation(primitive_root(tuple(word))))

@@ -9,7 +9,7 @@ derived files round-trip through :func:`load_graph`.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Optional, Sequence, TextIO
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import GraphFormatError
 from .graphs import (
@@ -42,12 +42,16 @@ def graph_to_data(g: LabeledGraph, provenance: Optional[Mapping] = None) -> dict
 
 
 def _read_json(path: str) -> Any:
-    """Parse a UTF-8 JSON file; bytes that do not decode and text that does
-    not parse both raise :class:`GraphFormatError` naming the file."""
+    """Parse a UTF-8 JSON file; bytes that do not decode, text that does
+    not parse, an integer literal past Python's digit limit and nesting
+    past the recursion limit all raise :class:`GraphFormatError` naming
+    the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except RecursionError:
+        raise GraphFormatError(f"{path}: JSON nests too deeply to read") from None
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise GraphFormatError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -57,11 +61,6 @@ def load_graph(path: str) -> LabeledGraph:
         return build_graph(data)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
-
-
-def dump_graph(g: LabeledGraph, fh: TextIO, provenance: Optional[Mapping] = None) -> None:
-    json.dump(graph_to_data(g, provenance), fh, indent=2)
-    fh.write("\n")
 
 
 def subset_provenance(family: SubsetFamily) -> dict:

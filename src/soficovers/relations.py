@@ -17,16 +17,16 @@ than 256 ids.  It flags the idempotents by walking the right Cayley
 graph the search records, and keeps the result on the graph: each
 graph's monoid is generated once, however many constructions read it.
 It keeps one word per element and the ranges, domains and words of the
-idempotents, which is all the constructions read;
-:func:`word_relation` rebuilds any element from its word.
+idempotents, which is all the constructions read.
 
 For one word the constructions walk vertex masks instead of composing
 relations: the past and forward sets of a periodic word come from
-:func:`analysis.past_masks` and :func:`analysis.forward_masks`.  The
-word relations, their idempotent powers and their stabilized ranges and
-domains stay here as the independent route: the tail oracle
-(``covers.stable_sets_from_tails``), the tail-configuration check in
-``verification`` and the tests hold the walks to them.
+:func:`analysis.past_masks` and :func:`analysis.forward_masks`.
+Composition and the stabilized range stay here for the tail oracle
+(``covers.stable_sets_from_tails``), the independent route to the
+stable family.  The word relations, their idempotent powers and
+stabilized domains, which the tests hold the walks to, live in the
+tests (``tests/test_relations.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import BudgetExceededError
 from .graphs import LabeledGraph, bits, kept, mask_image
 
 DEFAULT_MONOID_BUDGET = 200_000
-OMEGA_POWER_STEPS = 1_000_000
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -81,57 +80,9 @@ class BoolRelation:
             acc |= row
         return acc
 
-    def dom_mask(self) -> int:
-        acc = 0
-        for u, row in enumerate(self.rows):
-            if row:
-                acc |= 1 << u
-        return acc
-
-    def is_empty(self) -> bool:
-        return all(row == 0 for row in self.rows)
-
-    def transpose(self) -> "BoolRelation":
-        rows = [0] * self.size
-        for u, row in enumerate(self.rows):
-            rest = row
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rows[v] |= 1 << u
-                rest &= rest - 1
-        return BoolRelation(self.size, tuple(rows))
-
-
-def identity_relation(size: int) -> BoolRelation:
-    return BoolRelation(size, tuple(1 << v for v in range(size)))
-
 
 def symbol_relation(g: LabeledGraph, symbol: int) -> BoolRelation:
     return BoolRelation(len(g.vertices), g.index.rows[symbol])
-
-
-def word_relation(g: LabeledGraph, word: Sequence[int]) -> BoolRelation:
-    rels = {a: symbol_relation(g, a) for a in set(word)}
-    rel = identity_relation(len(g.vertices))
-    for a in word:
-        rel = rel.compose(rels[a])
-    return rel
-
-
-def omega_power(rel: BoolRelation) -> BoolRelation:
-    """The unique idempotent power of ``rel``.
-
-    Powers of a single relation form a cyclic semigroup, so the first
-    idempotent encountered is the only one.  A budget of
-    ``OMEGA_POWER_STEPS`` powers is a safety net; at desk scale the loop
-    ends after a few steps.
-    """
-    power = rel
-    for _ in range(OMEGA_POWER_STEPS):
-        if power.compose(power) == power:
-            return power
-        power = power.compose(rel)
-    raise BudgetExceededError("no idempotent power found within budget", OMEGA_POWER_STEPS)
 
 
 @dataclass(eq=False, repr=False)
@@ -144,7 +95,7 @@ class TransitionMonoid:
     ``words[i]`` composed with itself is itself.  ``idempotent_ends`` holds
     the ranges, domains and words of the idempotents in monoid order: the
     sources of the stable and co-stable closures.  The elements themselves
-    are not kept; :func:`word_relation` rebuilds any of them from its word.
+    are not kept; each is the product of the symbol relations along its word.
     """
 
     words: list[tuple[int, ...]]
@@ -293,8 +244,3 @@ def stabilized_range(rel: BoolRelation) -> int:
         if nxt == mask:
             return mask
         mask = nxt
-
-
-def stabilized_domain(rel: BoolRelation) -> int:
-    """Limit of dom(rel^k): start vertices of right-infinite rel-block paths."""
-    return stabilized_range(rel.transpose())

@@ -1,10 +1,9 @@
 """Named property checks behind the acceptance suite and the full report.
 
 Every check compares a construction against an independent expectation: a
-frozen expected graph, a second computation route, or an exactly decidable
-reformulation (synchronized products for injectivity, relation fixpoints
-for tail behavior).  Checks are grouped into numbered criteria; the test
-suite prints one line per criterion and the CLI renders the same data.
+frozen expected graph or a second computation route.  Checks are grouped
+into numbered criteria; the test suite prints one line per criterion and
+the CLI renders the same data.
 
 All sweeps are bounded and deterministic: periodic words up to a period
 bound, random graphs and walks from fixed seeds, tail words up to a length
@@ -13,7 +12,6 @@ bound.  The bounds are part of each criterion's reported detail.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
@@ -33,16 +31,8 @@ from .graphs import (
     essentialize,
     graph_from_parts,
     path_window,
-    trim,
 )
-from .relations import (
-    DEFAULT_MONOID_BUDGET,
-    omega_power,
-    stabilized_domain,
-    stabilized_range,
-    transition_monoid,
-    word_relation,
-)
+from .relations import DEFAULT_MONOID_BUDGET, transition_monoid
 from .analysis import (
     components_and_sources,
     follower_partition,
@@ -611,118 +601,6 @@ def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
         )
     )
     return checks
-
-
-# ---------------------------------------------------------------------------
-# extra bounded properties used by the test suite
-
-
-def check_tail_asymptotics(g: LabeledGraph) -> CheckOutcome:
-    """Forward agreement of fiber sets with past sets on tailed points.
-
-    For configurations that read some word of length at most 2 after
-    infinitely many copies of a periodic word of period at most 4 and
-    then repeat the periodic word forever, the fiber source sets must
-    equal the stabilized past sets from some index on; at most 40
-    configurations are checked.  The horizon covers every subset the
-    image iteration can visit on up to 8 vertices, and is capped there.
-    """
-    configs = 0
-    bad: list[str] = []
-    n = len(g.vertices)
-    connectors = [
-        w
-        for length in range(3)
-        for w in itertools.product(range(len(g.symbols)), repeat=length)
-    ]
-    for p in periodic_points(g, 4):
-        tail = omega_power(word_relation(g, p.word))
-        for v_word in connectors:
-            if configs >= 40:
-                break
-            middle = word_relation(g, v_word) if v_word else None
-            rel = tail if middle is None else tail.compose(middle).compose(tail)
-            if rel.is_empty():
-                continue
-            configs += 1
-            T = p.period
-            past = stabilized_range(tail)
-            if middle is not None:
-                past = middle.image(past)
-            horizon = T * (2 ** min(n, 8) + 2)
-            step = [word_relation(g, (p.at(k),)) for k in range(T)]
-            forwards = [
-                stabilized_domain(word_relation(g, p.rotation_from(k)))
-                for k in range(T)
-            ]
-            equal_from: Optional[int] = None
-            current = past
-            for t in range(horizon):
-                fiber = current & forwards[t % T]
-                if not fiber:
-                    bad.append(f"{p.word}+{v_word}: empty fiber set")
-                    break
-                if fiber == current:
-                    if equal_from is None:
-                        equal_from = t
-                elif equal_from is not None:
-                    bad.append(f"{p.word}+{v_word}: equality not final from {equal_from}")
-                    break
-                current = step[t % T].image(current)
-            else:
-                if equal_from is None:
-                    bad.append(f"{p.word}+{v_word}: no agreement index")
-    return CheckOutcome(
-        "tail-configurations-stabilize",
-        not bad,
-        f"{configs} tailed configurations" if not bad else "; ".join(bad[:3]),
-    )
-
-
-def _synchronized_pairs(
-    g: LabeledGraph, left: Sequence[int], right: Sequence[int]
-) -> set[tuple[int, int]]:
-    """Bi-essential label-synchronized vertex pairs between two vertex sets,
-    using only edges internal to each set."""
-    left_set, right_set = set(left), set(right)
-    arcs = [
-        ((u1, u2), (v1, v2))
-        for u1, a1, v1 in g.edges
-        if u1 in left_set and v1 in left_set
-        for u2, a2, v2 in g.edges
-        if u2 in right_set and v2 in right_set and a1 == a2
-    ]
-    return trim({x for arc in arcs for x in arc}, arcs)
-
-
-def check_source_component_injectivity(core) -> CheckOutcome:
-    """The label map is injective on each source component, and distinct
-    source components present disjoint sets of bi-infinite words.
-
-    Decided exactly through synchronized products: a surviving off-diagonal
-    pair inside one component is a label collision; a surviving pair across
-    two components is a shared word.
-    """
-    info = components_and_sources(core.graph, core.members)
-    sources = [
-        comp
-        for comp, is_src in zip(info.components, info.is_source)
-        if is_src
-    ]
-    bad: list[str] = []
-    for comp in sources:
-        pairs = _synchronized_pairs(core.graph, comp, comp)
-        if any(u != v for u, v in pairs):
-            bad.append("label collision inside a source component")
-    for i, comp_a in enumerate(sources):
-        for comp_b in sources[i + 1 :]:
-            if _synchronized_pairs(core.graph, comp_a, comp_b):
-                bad.append("two source components share a word")
-    return CheckOutcome(
-        "source-components-label-injective",
-        not bad,
-        f"{len(sources)} source components" if not bad else "; ".join(sorted(set(bad))),
-    )
 
 
 # ---------------------------------------------------------------------------

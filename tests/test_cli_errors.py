@@ -1,7 +1,9 @@
 """Malformed inputs end in one error line and exit code 2.
 
 Each case writes one broken graph, block code or square file, or passes
-a broken ``gpp`` seed, and runs it through ``cli.main``.  The run must
+a broken ``gpp`` seed, and runs it through ``cli.main``.  Two cases are
+JSON that Python's parser refuses although it is well formed: an integer
+literal past the digit limit and arrays nested past the recursion limit.  The run must
 exit 2, print nothing on stdout, and print exactly one stderr line: it
 starts with ``error:`` and names what is wrong, so no traceback escapes.
 Graph files go through ``check``; code and square files through
@@ -50,11 +52,18 @@ def square_data(label_code=None, drop=None):
 
 
 LOOP = {"from": "u", "label": "0", "to": "u"}
+BIG_INTEGER = "[" + "1" * 5000 + "]"
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
 
 # id -> (command, file content, extra arguments, expected error text); a
-# content of None is the example_b graph, whose vertices are a and b, and
-# the text's {path} is the input file
+# content of None is the example_b graph, whose vertices are a and b, a
+# string is written to the file unchanged, and the text's {path} is the
+# input file
 CASES = {
+    "graph-big-integer": ("check", BIG_INTEGER, [], "error: {path}: not valid JSON"),
+    "graph-deep-nesting": ("check", DEEP_NESTING, [], "error: {path}: JSON nests too deeply"),
+    "square-big-integer": ("verify", BIG_INTEGER, [], "error: {path}: not valid JSON"),
+    "square-deep-nesting": ("verify", DEEP_NESTING, [], "error: {path}: JSON nests too deeply"),
     "graph-not-a-mapping": ("check", [], [], "graph description must be a mapping"),
     "graph-repeated-symbol": (
         "check", graph_data(alphabet=["0", "0"]), [], "alphabet contains duplicate symbols"
@@ -139,7 +148,7 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     command, content, extra, message = CASES[case]
     path = tmp_path / "input.json"
     data = graph_to_data(load_fixture("example_b")) if content is None else content
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     argv = [command, "--square", str(path)] if command == "verify" else [command, str(path)]
     assert main(argv + extra) == 2
     out, err = capsys.readouterr()

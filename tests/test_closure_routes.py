@@ -8,10 +8,10 @@ the same members, masks, costs and descriptions, and a stable set's
 witness must spell the tail that the unbounded past loop names for it,
 as must the fiber core's past-side tail seeds.
 
-``co_stable_sets`` closes the idempotent domains under the backward step
-of the graph itself; the reference keeps the route it replaces, the
-stable family of the transposed graph, and the two must list the same
-sets in the same order.
+``co_stable_sets``, kept here as a reference route since no product
+reads it, closes the idempotent domains under the backward step of the
+graph itself; the stable family of the transposed graph must list the
+same sets in the same order.
 
 ``extended_future_cover`` closes the future cover's idempotent ranges,
 taken as images under the base monoid's idempotent words, and reads its
@@ -34,12 +34,21 @@ import pytest
 
 from soficovers import BASE_FIXTURES, load_fixture
 from soficovers.analysis import follower_contains, graphs_isomorphic
-from soficovers.covers import extended_future_cover, future_cover, merged_graph, stable_core
+from soficovers.covers import (
+    closure_words,
+    extended_future_cover,
+    future_cover,
+    merged_graph,
+    stable_core,
+    subset_key,
+    subset_steps,
+)
 from soficovers.errors import BudgetExceededError, EmptyShiftError
-from soficovers.fibers import _tail_seed_masks, co_stable_sets
-from soficovers.graphs import LabeledGraph, essentialize, graph_from_parts
-from soficovers.relations import mask_of, set_of, transition_monoid, word_relation
+from soficovers.fibers import _tail_seed_masks
+from soficovers.graphs import LabeledGraph, essentialize, graph_from_parts, require_essential
+from soficovers.relations import mask_of, set_of, transition_monoid
 from soficovers.verification import random_right_resolving_graphs
+from test_relations import dom_mask, is_empty, transpose, word_relation
 
 MONOID_CAP = 1500
 MAX_TAIL = 8
@@ -47,7 +56,7 @@ MAX_TAIL = 8
 
 def reference_tail_seed_masks(g, monoid, max_tail):
     elements = [word_relation(g, w) for w in monoid.words]
-    idempotents = [i for i in monoid.idempotent_indices() if not elements[i].is_empty()]
+    idempotents = [i for i in monoid.idempotent_indices() if not is_empty(elements[i])]
     middles = [(None, 0)] + [
         (i, len(w)) for i, w in enumerate(monoid.words) if len(w) <= max_tail
     ]
@@ -55,7 +64,7 @@ def reference_tail_seed_masks(g, monoid, max_tail):
     def word_str(idx):
         return "" if idx is None else "".join(g.symbols[a] for a in monoid.words[idx])
 
-    transposes = [m.transpose() for m in elements]
+    transposes = [transpose(m) for m in elements]
     past, forward = {}, {}
     for e in idempotents:
         ran_mask = elements[e].ran_mask()
@@ -64,12 +73,12 @@ def reference_tail_seed_masks(g, monoid, max_tail):
             if mask and (mask not in past or cost < past[mask][0]):
                 past[mask] = (cost, f"...{word_str(e)}|{word_str(m)}")
     for f in idempotents:
-        dom_mask = elements[f].dom_mask()
+        dom = dom_mask(elements[f])
         for m, cost in middles:
             if m is None:
-                mask = dom_mask
+                mask = dom
             else:
-                mask = transposes[m].image(dom_mask)
+                mask = transposes[m].image(dom)
             if mask and (mask not in forward or cost < forward[mask][0]):
                 forward[mask] = (cost, f"|{word_str(m)}{word_str(f)}...")
     return (
@@ -174,6 +183,18 @@ def test_tail_seeds_name_the_past_cover_witnesses(name, g, max_tail):
     assert past
     for mask, _, text in past:
         assert text == tail_text(g, witness[set_of(mask)])
+
+
+def co_stable_sets(base):
+    """Start-vertex sets of right-infinite labeled paths, stabilized.
+
+    The backward closure of the idempotent domains, mirroring
+    :func:`covers.stable_core`; ordered by (size, members).
+    """
+    require_essential(base)
+    _, domains, _ = transition_monoid(base).idempotent_ends
+    family = closure_words(subset_steps(base.index.pred), domains)
+    return tuple(map(set_of, sorted(family, key=subset_key)))
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])

@@ -33,15 +33,14 @@ from soficovers.codes import (
     _fill_between,
     _follow,
     _map_component_window,
+    _member_path_image,
     _runs,
     _unroll_cycle,
     _vertex_sequence,
     _walk,
     _window_edge_components,
-    MappedBundle,
     inverse_square,
     lift_parameters,
-    map_parallel_paths,
     member_paths_of_window,
     sample_core_windows,
 )
@@ -313,7 +312,7 @@ def map_bundle_path(square, bundle_path):
     each base path through the edge code, bundle the images, trimmed by
     the code radius."""
     paths = bundle_member_paths(square.graph_g, bundle_path)
-    return map_parallel_paths(square, paths, 0, square.edge_code.radius)
+    return reference_map_parallel_paths(square, paths, 0, square.edge_code.radius)
 
 
 def test_component_intervals_split(example_a):
@@ -941,11 +940,13 @@ def test_lifted_rule_matches_reference_route():
 
 
 # ---------------------------------------------------------------------------
-# The member-path map against the per-position route it replaced.
+# The member-path image against the per-position route it replaced.
 #
-# ``codes.member_paths_of_window`` and ``codes.map_parallel_paths`` walk the
-# columns of the paths and of their images once.  The reference indexes
-# every path at every position, as the package did before.
+# ``codes.member_paths_of_window`` walks the columns of the member paths
+# once, and ``codes._member_path_image`` bundles each column of their
+# images itself.  The references index every path at every position, as
+# the package did before, bundle the images into ``MappedBundle``s and
+# look each bundle up in the target core.
 
 
 def reference_member_paths(core, window):
@@ -969,11 +970,22 @@ def reference_member_paths(core, window):
     return paths
 
 
+@dataclass(frozen=True)
+class MappedBundle:
+    """Image of one bundle-path position under the edge code."""
+
+    source_set: frozenset[int]
+    symbol: int
+    target_set: frozenset[int]
+    members: tuple[int, ...]
+
+
 def reference_map_parallel_paths(square, paths, start, trim):
+    """Apply the edge code to each parallel base path and re-bundle, on
+    the positions of the paths shrunk by ``trim`` (at least the code
+    radius) at each end."""
     h = square.graph_h
     phi = square.edge_code
-    if trim < phi.radius:
-        raise GraphFormatError("trim must be at least the edge-code radius")
     if not paths:
         return []
     images = [apply_code(phi, Window(start, tuple(p))).items for p in paths]
@@ -994,15 +1006,26 @@ def reference_map_parallel_paths(square, paths, start, trim):
     return bundles
 
 
-def followed_paths(core, window):
-    """The label-following paths of the window's starting members, cut to
-    the shortest: parallel base paths for a window that is not
-    homogeneous."""
-    word = [core.graph.edges[k][1] for k in window.items]
-    start_members = core.members[core.graph.edges[window.items[0]][0]]
-    paths = [_follow(core.base, v0, word) for v0 in sorted(start_members)]
-    n = min(map(len, paths))
-    return [p[:n] for p in paths]
+def reference_member_path_image(lifted, window):
+    """Core-of-h edges of the window's member paths: every bundle is
+    built, and checked, before any is looked up in the target core."""
+    paths = reference_member_paths(lifted.core_g, window)
+    bundles = reference_map_parallel_paths(lifted.square, paths, window.start, lifted.kappa)
+    core_h = lifted.core_h
+    index = core_h.member_index()
+    lookup = edge_lookup(core_h.graph)
+    edges = []
+    for b in bundles:
+        if b.source_set not in index:
+            raise VerificationError("image source set is not a stable set of the target core")
+        key = (index[b.source_set], b.symbol)
+        if key not in lookup:
+            raise VerificationError("target core misses an image edge")
+        k = lookup[key]
+        if core_h.members[core_h.graph.edges[k][2]] != b.target_set:
+            raise VerificationError("image bundle drifts from the target core")
+        edges.append(k)
+    return tuple(edges)
 
 
 def test_member_path_map_matches_reference_route():
@@ -1012,7 +1035,7 @@ def test_member_path_map_matches_reference_route():
     errors = set()
     mapped = 0
     for lifted in lifts:
-        core, square = lifted.core_g, lifted.square
+        core = lifted.core_g
         families = diagram_windows(lifted, lifted.block_radius, 3, 4)
         windows = families["component"] + families["sampled"]
         edges = core.graph.edges
@@ -1023,27 +1046,22 @@ def test_member_path_map_matches_reference_route():
             for k, (u, _, _) in enumerate(edges)
             if u != edges[w.items[t - 1]][2]
         ]
-        r = square.edge_code.radius
         for w in windows + broken:
-            paths = outcome(member_paths_of_window, core, w)
-            assert paths == outcome(reference_member_paths, core, w), w
-            if isinstance(paths, tuple):
-                errors.add(paths[1])
-                paths = followed_paths(core, w)
-            for trim in {r - 1, r, lifted.kappa, lifted.kappa + 2}:
-                out = outcome(map_parallel_paths, square, paths, w.start, trim)
-                assert out == outcome(reference_map_parallel_paths, square, paths, w.start, trim)
-                if isinstance(out, tuple):
-                    errors.add(out[1])
-                else:
-                    mapped += bool(out)
+            assert outcome(member_paths_of_window, core, w) == outcome(
+                reference_member_paths, core, w
+            ), w
+            out = outcome(_member_path_image, relifted(lifted), w)
+            assert out == outcome(reference_member_path_image, lifted, w), w
+            if isinstance(out[0], str):
+                errors.add(out[1])
+            else:
+                mapped += 1
     assert mapped
     assert {
         "window edges do not compose",
         "member path dies inside a homogeneous window",
         "bundled image edges disagree on the label",
         "image family collapsed two member paths",
-        "trim must be at least the edge-code radius",
     } <= errors, errors
 
 

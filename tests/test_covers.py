@@ -26,10 +26,10 @@ from soficovers.relations import (
     stabilized_range,
     symbol_relation,
     transition_monoid,
-    word_relation,
 )
 from soficovers.verification import random_right_resolving_graphs
 from test_closure_routes import random_essential_graphs
+from test_relations import omega_power, word_relation
 
 
 def member_names(base, members):
@@ -106,8 +106,6 @@ def test_stable_core_example_b(example_b):
 
 
 def test_stable_core_witnesses_recompute(example_a, example_b):
-    from soficovers.relations import omega_power, word_relation
-
     for g in (example_a, example_b):
         core = stable_core(g)
         for members, (u, v) in zip(core.members, core.witnesses):

@@ -1,15 +1,19 @@
-"""Every module-level definition in the package is used somewhere.
+"""Every module-level definition in the package is used by a product.
 
 A companion to ``test_imports.py``: it parses every module under
 ``src/soficovers`` and fails on a module-level function, class or
-constant (dunders aside) that no code in ``src/``, ``tests/`` or
-``bench/`` references outside the definition itself.  A reference is a
+constant (dunders aside) that nothing a product runs references outside
+the definition itself.  A product is the package itself (its CLI
+commands and ``verify-paper`` criteria), the benchmark under ``bench/``
+and the ``python -c`` snippets of the CI workflows.  A reference is a
 name, an attribute, an imported name, or a word of a string that is not
 a docstring (``bench/tracing.py`` names the functions it wraps in
-strings); a mention in a docstring or a comment does not keep a
-definition alive.  Nor does the package's re-export in ``__init__.py``:
-a public name must be used or tested somewhere else.  Deleting a second
-copy of some job then cannot leave its helpers behind.
+strings); in a workflow file every word counts.  A mention in a
+docstring or a comment does not keep a definition alive.  Nor does the
+package's re-export in ``__init__.py``, nor a test under ``tests/`` or
+``bench/tests/``: a definition only the tests reach belongs in the tests,
+as a reference route.  Deleting a second copy of some job then cannot
+leave its helpers behind.  Methods are not scanned.
 """
 
 from __future__ import annotations
@@ -24,12 +28,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "soficovers"
 MODULES = sorted(PACKAGE.glob("*.py"))
-SOURCES = sorted(
-    p
-    for top in ("src", "tests", "bench")
-    for p in (ROOT / top).rglob("*.py")
-    if p != PACKAGE / "__init__.py"
-)
 WORD = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -119,12 +117,45 @@ def caller():
     ]
 
 
+def product_references(root: Path) -> Counter:
+    """References in the Python files under ``root/src`` and ``root/bench``,
+    the package's ``__init__.py`` and every ``tests`` directory left out,
+    plus every word of the workflow files of ``root``."""
+    total: Counter = Counter()
+    for top in ("src", "bench"):
+        for path in (root / top).rglob("*.py"):
+            relative = path.relative_to(root)
+            if "tests" not in relative.parts and not relative.match("src/*/__init__.py"):
+                total += references(ast.parse(path.read_text()))
+    for path in (root / ".github" / "workflows").glob("*.yml"):
+        total.update(WORD.findall(path.read_text()))
+    return total
+
+
+def test_scan_counts_products_not_tests(tmp_path):
+    files = {
+        "src/pkg/mod.py": "def run(): pass\ndef snippet(): pass\n"
+        "def benched(): pass\ndef exported(): pass\ndef tested(): pass\n",
+        "src/pkg/__init__.py": "from .mod import exported\n",
+        "src/pkg/cli.py": "from .mod import run\n",
+        "bench/run.py": "from pkg.mod import benched\n",
+        "bench/tests/test_bench.py": "from pkg.mod import tested\n",
+        "tests/test_mod.py": "from pkg.mod import exported, tested\n",
+        ".github/workflows/ci.yml": "run: python -c 'from pkg.mod import snippet'\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    module = ast.parse(files["src/pkg/mod.py"])
+    assert dead_definitions(module, product_references(tmp_path)) == [
+        "exported",
+        "tested",
+    ]
+
+
 @pytest.fixture(scope="module")
 def everywhere() -> Counter:
-    total: Counter = Counter()
-    for path in SOURCES:
-        total += references(ast.parse(path.read_text()))
-    return total
+    return product_references(ROOT)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

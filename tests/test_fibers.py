@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -9,12 +10,11 @@ from soficovers import (
     GraphFormatError,
     NotRightResolvingError,
     UnrealizableWordError,
+    VerificationError,
     bundle_graph,
-    co_stable_sets,
     essentialize,
     fiber_core,
     fiber_count_periodic,
-    fiber_ray,
     fiber_sets_on_periodic,
     graph_from_parts,
     load_fixture,
@@ -22,9 +22,9 @@ from soficovers import (
     stable_core,
 )
 from soficovers import fibers
-from soficovers.fibers import maximal_dominated_path
-from soficovers.graphs import bits, edge_lookup
-from soficovers.relations import mask_of, symbol_relation
+from soficovers.graphs import bits, edge_lookup, mask_image
+from soficovers.relations import mask_of, set_of, symbol_relation
+from test_closure_routes import co_stable_sets
 
 
 def word_of(g, text):
@@ -130,7 +130,8 @@ def test_fiber_sets_match_past_when_right_resolving():
 
 
 def test_fiber_ray_example_b(example_b):
-    ray = fiber_ray(example_b, word_of(example_b, "2"))
+    p = word_of(example_b, "2")
+    ray = fibers._fiber_ray(example_b, p, fibers._fiber_masks(example_b, p)[2])
     assert ray.sets == (frozenset({0, 1}),)
     labels = {example_b.symbols[example_b.edges[k][1]] for k in ray.member_edges[0]}
     assert labels == {"2"}
@@ -164,6 +165,72 @@ def test_fiber_core_rejects_negative_tail_bound(example_a):
 def test_unrealizable_word_rejected(even_shift):
     with pytest.raises(UnrealizableWordError):
         fiber_sets_on_periodic(even_shift, word_of(even_shift, "01"))
+
+
+# ---------------------------------------------------------------------------
+# The maximal dominated path, a reference route no product reads.
+
+
+@dataclass(frozen=True)
+class DominatedPath:
+    """The bundle path squeezed under a stable-core path.
+
+    ``sets[j]`` is the source set before step j; ``stable_from`` is the
+    first index from which the dominated targets match the covering
+    path's target sets exactly.
+    """
+
+    start_set: frozenset[int]
+    sets: tuple[frozenset[int], ...]  # length = steps + 1
+    member_edges: tuple[tuple[int, ...], ...]
+    stable_from: int
+
+
+def maximal_dominated_path(core, path):
+    """Largest bundle path running under a stable-core path with its label.
+
+    Starts from the source-set members that admit the whole label word and
+    steps by the all-emit rule; the final target set always equals the
+    covering path's, and from ``stable_from`` on every target set does.
+    """
+    if not path:
+        raise GraphFormatError("need a nonempty stable-core path")
+    for i in range(len(path) - 1):
+        if core.graph.edges[path[i]][2] != core.graph.edges[path[i + 1]][0]:
+            raise GraphFormatError("stable-core edges do not compose")
+    base = core.base
+    word = tuple(core.graph.edges[k][1] for k in path)
+    admits = (1 << len(base.vertices)) - 1
+    for a in reversed(word):
+        admits = mask_image(base.index.pred[a], admits)
+    start = mask_of(core.members[core.graph.edges[path[0]][0]]) & admits
+    if not start:
+        raise VerificationError("no member of the source set admits the label word")
+    emit = edge_lookup(base, "bundle graph")
+    steps = fibers._all_emit_steps(base)
+    sets = [start]
+    member_edges = []
+    for a in word:
+        target = steps[a](sets[-1])
+        if not target:
+            raise VerificationError("dominated path lost the all-emit property")
+        member_edges.append(fibers._member_edges(emit, sets[-1], a))
+        sets.append(target)
+    gamma_targets = [mask_of(core.members[core.graph.edges[k][2]]) for k in path]
+    if sets[-1] != gamma_targets[-1]:
+        raise VerificationError("dominated path misses the covering target set")
+    final_size = gamma_targets[-1].bit_count()
+    stable_from = len(path) - 1
+    while stable_from > 0 and gamma_targets[stable_from - 1].bit_count() == final_size:
+        stable_from -= 1
+    for j in range(stable_from, len(path)):
+        if sets[j + 1] != gamma_targets[j]:
+            raise VerificationError(
+                "dominated targets diverge inside the constant-size run"
+            )
+    return DominatedPath(
+        set_of(start), tuple(map(set_of, sets)), tuple(member_edges), stable_from
+    )
 
 
 def test_dominated_path_stabilizes(example_a):

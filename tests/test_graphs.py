@@ -15,6 +15,7 @@ from soficovers import (
     path_window,
 )
 from soficovers.graphs import LabeledGraph, mask_image, require_essential, window_labels
+from test_relations import rotation_from
 
 
 def words_up_to(g, max_len):
@@ -178,7 +179,7 @@ def test_normalize_periodic_primitive_rotation():
 def test_periodic_word_phases():
     p = normalize_periodic((0, 1, 2))
     assert p.at(4) == 1
-    assert p.rotation_from(1) == (1, 2, 0)
+    assert rotation_from(p, 1) == (1, 2, 0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -33,7 +33,7 @@ from soficovers import (
 )
 from soficovers.cli import main
 from soficovers.codes import rule_entries
-from soficovers.io import dump_graph, load_graph, subset_provenance
+from soficovers.io import load_graph, subset_provenance
 from soficovers.verification import _corrupted_higher_block_square
 from test_closure_routes import GRAPHS as CLOSURE_GRAPHS
 from test_golden import looped_ring, shuffled
@@ -68,7 +68,7 @@ def test_dump_graph_round_trip(tmp_path, example_a):
     core = stable_core(example_a)
     path = tmp_path / "core.json"
     with open(path, "w", encoding="utf-8") as fh:
-        dump_graph(core.graph, fh, subset_provenance(core))
+        json.dump(graph_to_data(core.graph, subset_provenance(core)), fh, indent=2)
     assert load_graph(str(path)) == core.graph
     assert json.loads(path.read_text())["provenance"] == subset_provenance(core)
 

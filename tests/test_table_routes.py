@@ -20,14 +20,16 @@ the subset graphs' closure and assembly.  The references keep the
 frozenset all-emit step, breadth-first closure and bundle assembly they
 replace; both routes must give the same members, edges, bundle edges,
 seeds and provenance on the fixtures and on seeded right-resolving graphs
-of up to 8 vertices.  ``fiber_ray`` and ``maximal_dominated_path`` step
-by the same all-emit step, and each of their member-edge tuples must be
-the frozenset step's.
+of up to 8 vertices.  The bundle ray of a periodic word
+(``fibers._fiber_ray``) and ``maximal_dominated_path``, a reference route
+kept in ``test_fibers.py``, step by the same all-emit step, and each of
+their member-edge tuples must be the frozenset step's.
 
 The past and forward sets of a periodic word come from one walk of the
 word's masks (``analysis.past_masks`` and ``forward_masks``).  The
 reference composes each rotation's relation and takes its stabilized
-range and domain, and it decides realizability by the idempotent power;
+range and domain, and it decides realizability by the idempotent power,
+with the word relations of ``test_relations.py``;
 ``maximal_dominated_path`` is held to the domain of the word's relation.
 
 ``follower_partition`` and ``graphs_isomorphic`` colour vertices with one
@@ -107,13 +109,13 @@ from soficovers.fibers import (
     INFINITE,
     BundleEdge,
     SeedRecord,
+    _fiber_masks,
+    _fiber_ray,
     _tail_seed_masks,
     bundle_graph,
     fiber_core,
     fiber_count_periodic,
-    fiber_ray,
     fiber_sets_on_periodic,
-    maximal_dominated_path,
 )
 from soficovers.graphs import (
     LabeledGraph,
@@ -133,18 +135,23 @@ from soficovers.relations import (
     BoolRelation,
     _row_table,
     mask_of,
-    omega_power,
-    stabilized_domain,
     stabilized_range,
     symbol_relation,
     transition_monoid,
-    word_relation,
 )
 from soficovers.verification import VerifyBounds, random_right_resolving_graphs
 from test_closure_routes import random_essential_graphs
+from test_fibers import maximal_dominated_path
 from test_golden import cyclic_lift, looped_ring
 from test_graphs import words_up_to
-from test_relations import is_idempotent
+from test_relations import (
+    dom_mask,
+    is_empty,
+    is_idempotent,
+    omega_power,
+    stabilized_domain,
+    word_relation,
+)
 
 GRAPHS_PER_KIND = 12
 MAX_WORD = 3
@@ -558,7 +565,7 @@ def test_bundle_paths_match_frozenset_step(name, g):
     and of maximal dominated paths, step by step."""
     emit = edge_lookup(g)
     for p in periodic_points(g, WALK_WORD):
-        ray = fiber_ray(g, p)
+        ray = _fiber_ray(g, p, _fiber_masks(g, p)[2])
         for k in range(p.period):
             want = (ray.sets[(k + 1) % p.period], ray.member_edges[k])
             assert reference_bundle_step(g, emit, ray.sets[k], p.at(k)) == want, p.word
@@ -586,7 +593,7 @@ def reference_phase_masks(g, word):
 
 
 def reference_realizable(g, word):
-    return not omega_power(word_relation(g, word)).is_empty()
+    return not is_empty(omega_power(word_relation(g, word)))
 
 
 def reference_periodic_points(g, max_period):
@@ -748,7 +755,7 @@ def test_dominated_path_start_is_word_domain(name, g):
         for path in paths_of_length(core.graph, length):
             word = tuple(core.graph.edges[k][1] for k in path)
             source = mask_of(core.members[core.graph.edges[path[0]][0]])
-            want = source & word_relation(g, word).dom_mask()
+            want = source & dom_mask(word_relation(g, word))
             if not want:
                 with pytest.raises(VerificationError, match="admits"):
                     maximal_dominated_path(core, path)
@@ -1200,7 +1207,7 @@ def test_transition_monoid_matches_compose_route(name, g):
     idempotents = [(rel, w) for rel, w, flag in zip(elements, words, flags) if flag]
     assert monoid.idempotent_ends == (
         tuple(rel.ran_mask() for rel, _ in idempotents),
-        tuple(rel.dom_mask() for rel, _ in idempotents),
+        tuple(dom_mask(rel) for rel, _ in idempotents),
         tuple(w for _, w in idempotents),
     )
 

@@ -1,18 +1,30 @@
+import itertools
+from typing import Optional, Sequence
+
 from soficovers import (
     BASE_FIXTURES,
-    check_source_component_injectivity,
-    check_tail_asymptotics,
+    CheckOutcome,
+    LabeledGraph,
     headline_counts,
     load_fixture,
     stable_core,
 )
 from soficovers import codes, fibers, verification
 from soficovers.analysis import components_and_sources, periodic_points
+from soficovers.graphs import trim
+from soficovers.relations import stabilized_range
 from soficovers.verification import (
     CRITERIA,
     VerifyBounds,
     random_right_resolving_graphs,
     run_criterion,
+)
+from test_relations import (
+    is_empty,
+    omega_power,
+    rotation_from,
+    stabilized_domain,
+    word_relation,
 )
 
 
@@ -101,6 +113,120 @@ def test_random_graphs_well_formed():
         assert check_right_resolving(g).ok
         assert len(g.vertices) <= 6
         assert len(g.symbols) <= 4
+
+
+# ---------------------------------------------------------------------------
+# Bounded properties that no criterion runs, kept as reference routes: the
+# tail configurations by word-relation fixpoints and source-component
+# injectivity by synchronized products.
+
+
+def check_tail_asymptotics(g: LabeledGraph) -> CheckOutcome:
+    """Forward agreement of fiber sets with past sets on tailed points.
+
+    For configurations that read some word of length at most 2 after
+    infinitely many copies of a periodic word of period at most 4 and
+    then repeat the periodic word forever, the fiber source sets must
+    equal the stabilized past sets from some index on; at most 40
+    configurations are checked.  The horizon covers every subset the
+    image iteration can visit on up to 8 vertices, and is capped there.
+    """
+    configs = 0
+    bad: list[str] = []
+    n = len(g.vertices)
+    connectors = [
+        w
+        for length in range(3)
+        for w in itertools.product(range(len(g.symbols)), repeat=length)
+    ]
+    for p in periodic_points(g, 4):
+        tail = omega_power(word_relation(g, p.word))
+        for v_word in connectors:
+            if configs >= 40:
+                break
+            middle = word_relation(g, v_word) if v_word else None
+            rel = tail if middle is None else tail.compose(middle).compose(tail)
+            if is_empty(rel):
+                continue
+            configs += 1
+            T = p.period
+            past = stabilized_range(tail)
+            if middle is not None:
+                past = middle.image(past)
+            horizon = T * (2 ** min(n, 8) + 2)
+            step = [word_relation(g, (p.at(k),)) for k in range(T)]
+            forwards = [
+                stabilized_domain(word_relation(g, rotation_from(p, k)))
+                for k in range(T)
+            ]
+            equal_from: Optional[int] = None
+            current = past
+            for t in range(horizon):
+                fiber = current & forwards[t % T]
+                if not fiber:
+                    bad.append(f"{p.word}+{v_word}: empty fiber set")
+                    break
+                if fiber == current:
+                    if equal_from is None:
+                        equal_from = t
+                elif equal_from is not None:
+                    bad.append(f"{p.word}+{v_word}: equality not final from {equal_from}")
+                    break
+                current = step[t % T].image(current)
+            else:
+                if equal_from is None:
+                    bad.append(f"{p.word}+{v_word}: no agreement index")
+    return CheckOutcome(
+        "tail-configurations-stabilize",
+        not bad,
+        f"{configs} tailed configurations" if not bad else "; ".join(bad[:3]),
+    )
+
+
+def _synchronized_pairs(
+    g: LabeledGraph, left: Sequence[int], right: Sequence[int]
+) -> set[tuple[int, int]]:
+    """Bi-essential label-synchronized vertex pairs between two vertex sets,
+    using only edges internal to each set."""
+    left_set, right_set = set(left), set(right)
+    arcs = [
+        ((u1, u2), (v1, v2))
+        for u1, a1, v1 in g.edges
+        if u1 in left_set and v1 in left_set
+        for u2, a2, v2 in g.edges
+        if u2 in right_set and v2 in right_set and a1 == a2
+    ]
+    return trim({x for arc in arcs for x in arc}, arcs)
+
+
+def check_source_component_injectivity(core) -> CheckOutcome:
+    """The label map is injective on each source component, and distinct
+    source components present disjoint sets of bi-infinite words.
+
+    Decided exactly through synchronized products: a surviving off-diagonal
+    pair inside one component is a label collision; a surviving pair across
+    two components is a shared word.
+    """
+    info = components_and_sources(core.graph, core.members)
+    sources = [
+        comp
+        for comp, is_src in zip(info.components, info.is_source)
+        if is_src
+    ]
+    bad: list[str] = []
+    for comp in sources:
+        pairs = _synchronized_pairs(core.graph, comp, comp)
+        if any(u != v for u, v in pairs):
+            bad.append("label collision inside a source component")
+    for i, comp_a in enumerate(sources):
+        for comp_b in sources[i + 1 :]:
+            if _synchronized_pairs(core.graph, comp_a, comp_b):
+                bad.append("two source components share a word")
+    return CheckOutcome(
+        "source-components-label-injective",
+        not bad,
+        f"{len(sources)} source components" if not bad else "; ".join(sorted(set(bad))),
+    )
 
 
 def test_tail_asymptotics_fixtures():
