@@ -13,11 +13,15 @@ are built from, so the monoid's idempotents seed the stable family.
 once, with its step along each symbol, and then searches breadth-first
 over the elements as strings of row ids: bytes, whose product with a
 symbol is one ``bytes.translate``, or tuples when the rows take more
-than 256 ids.  It flags the idempotents by walking the right Cayley
-graph the search records, and keeps the result on the graph: each
-graph's monoid is generated once, however many constructions read it.
-It keeps one word per element and the ranges, domains and words of the
-idempotents, which is all the constructions read.
+than 256 ids.  The search keeps a parent and a symbol per element, not
+a word, and rebuilds the words once it ends.  On a right-resolving
+graph whose rows fit in a byte every row is empty or one vertex, so an
+element squares by translating its own row ids through themselves;
+other graphs flag the idempotents by walking the right Cayley graph the
+search records.  The result is kept on the graph: each graph's monoid
+is generated once, however many constructions read it.  It keeps one
+word per element and the ranges, domains and words of the idempotents,
+which is all the constructions read.
 
 For one word the constructions walk vertex masks instead of composing
 relations: the past and forward sets of a periodic word come from
@@ -138,14 +142,28 @@ def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:
     replaced by its ``a``-step's id.  When every id fits in a byte, the
     string is a ``bytes`` and the product is one ``bytes.translate``;
     otherwise the same search runs on tuples of ids through
-    ``operator.itemgetter``.  The search records the right Cayley graph,
-    ``right[i][a]`` being the index of found[i]·a; an element e is
-    idempotent exactly when following e's own word from e along
-    ``right`` comes back to e, and its range and domain are read off its
-    row ids there and then.
+    ``operator.itemgetter``.
+
+    The search keeps no word per element.  It fills the right Cayley
+    graph as one flat list, ``right[i * k + a]`` being the index of
+    found[i]·a for k symbols, and records where each element was first
+    found: ``origin[j]`` is that position in ``right`` (parent
+    ``origin[j] // k``, last symbol ``origin[j] % k``), or ``a - k`` for
+    the generator of symbol a.  The words are rebuilt from ``origin`` in
+    one pass once the search ends.
+
+    An element e is idempotent exactly when e·e = e.  On a right-resolving
+    graph every row is empty (id 0) or one vertex v (id v + 1), which
+    ``len(masks) == n + 1`` detects.  Row u of e·e is then row v of e
+    when row u of e is {v}, so while the ids fit in a byte e·e is one
+    ``bytes.translate`` of e's own row ids through ``b"\\0" + e``.  On
+    every other graph e is idempotent exactly when following e's own
+    word from e along ``right`` comes back to e.  The range and domain
+    of each idempotent are read off its row ids.
     """
     masks, step = _row_table(g, budget)
     n = len(g.vertices)
+    k = len(step)
     if len(masks) <= 256:
         tables: list = [bytes(ids) + bytes(256 - len(ids)) for ids in step]
         ident: Sequence[int] = bytes(range(1, n + 1))
@@ -157,39 +175,46 @@ def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:
         ident = tuple(range(1, n + 1))
         product = lambda x, s: itemgetter(*x)(s)
     found: list = []
-    words: list[tuple[int, ...]] = []
+    origin: list[int] = []
     index: dict = {}
-
-    def add(x, word: tuple[int, ...]) -> int:
-        if len(found) >= budget:
-            raise _overrun(budget)
-        index[x] = len(found)
-        found.append(x)
-        words.append(word)
-        return len(found) - 1
-
     for a, table in enumerate(tables):
         x = product(ident, table)
         if x not in index:
-            add(x, (a,))
-    right: list[list[int]] = []
-    i = 0
-    while i < len(found):
-        x, word = found[i], words[i]
-        out = []
-        for a, table in enumerate(tables):
+            if len(found) >= budget:
+                raise _overrun(budget)
+            index[x] = len(found)
+            found.append(x)
+            origin.append(a - k)
+    right: list[int] = []
+    size = len(found)
+    for x in found:  # found grows as the search runs
+        for table in tables:
             y = product(x, table)
             j = index.get(y)
-            out.append(add(y, word + (a,)) if j is None else j)
-        right.append(out)
-        i += 1
-    flags, ranges, domains, ends = [], [], [], []
-    for e, word in enumerate(words):
-        j = e
-        for a in word:
-            j = right[j][a]
-        flags.append(j == e)
-        if j == e:
+            if j is None:
+                if size >= budget:
+                    raise _overrun(budget)
+                j = index[y] = size
+                found.append(y)
+                origin.append(len(right))
+                size += 1
+            right.append(j)
+    words: list[tuple[int, ...]] = []
+    for o in origin:
+        words.append((o + k,) if o < 0 else words[o // k] + (o % k,))
+    if len(masks) == n + 1 <= 256:
+        pad = bytes(255 - n)
+        flags = [x.translate(b"\0" + x + pad) == x for x in found]
+    else:
+        flags = []
+        for e, word in enumerate(words):
+            j = e
+            for a in word:
+                j = right[j * k + a]
+            flags.append(j == e)
+    ranges, domains, ends = [], [], []
+    for e, flag in enumerate(flags):
+        if flag:
             ran = dom = 0
             for u, r in enumerate(found[e]):
                 if r:
@@ -197,7 +222,7 @@ def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:
                     dom |= 1 << u
             ranges.append(ran)
             domains.append(dom)
-            ends.append(word)
+            ends.append(words[e])
     return TransitionMonoid(words, flags, (tuple(ranges), tuple(domains), tuple(ends)))
 
 

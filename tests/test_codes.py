@@ -1065,6 +1065,66 @@ def test_member_path_map_matches_reference_route():
     } <= errors, errors
 
 
+def full_set_loop_window(lifted):
+    """A window on the loops 0 0 1 at the full stable set {a, b, c} of
+    example_a's core: three member paths, which reach edge a-1->b first at
+    position 2 (the path from a) and never at position 1."""
+    core = lifted.core_g
+    full = core.member_index()[frozenset({0, 1, 2})]
+    lookup = edge_lookup(core.graph)
+    loop0, loop1 = lookup[(full, 0)], lookup[(full, 1)]
+    return Window(0, (loop0, loop0, loop1) * 4 + (loop0,))
+
+
+def corrupted_target_core(lifted, part):
+    """``lifted`` with one part of its target-core lookup broken."""
+    core = lifted.core_h
+    if part == "index":
+        return replace(lifted, target_index={})
+    if part == "edges":
+        bare = LabeledGraph(core.graph.symbols, core.graph.vertices, ())
+        return replace(lifted, core_h=replace(core, graph=bare))
+    return replace(lifted, core_h=replace(core, members=(frozenset(),) * len(core.members)))
+
+
+@pytest.mark.parametrize(
+    "part,message",
+    [
+        ("index", "image source set is not a stable set of the target core"),
+        ("edges", "target core misses an image edge"),
+        ("members", "image bundle drifts from the target core"),
+    ],
+)
+def test_member_path_image_lookup_errors(part, message):
+    lifted = lift_conjugacy(identity_square(load_fixture("example_a")), verify=False)
+    window = full_set_loop_window(lifted)
+    assert len(_member_path_image(relifted(lifted), window)) == len(window) - 2
+    broken = relifted(corrupted_target_core(lifted, part))
+    with pytest.raises(VerificationError, match=f"^{message}$"):
+        _member_path_image(broken, window)
+    assert broken.segment_images == {}
+
+
+def test_member_path_image_checks_labels_before_any_lookup():
+    """With the edge rule corrupted on a-1->b, position 2's column disagrees
+    on the label and position 1's agrees.  Without the target index the
+    lookup fails at position 1 already, yet the window reports the label:
+    every column's label and collapse checks run before any lookup."""
+    square = corrupt_edge_code(identity_square(load_fixture("example_a")), ("a-1->b",))
+    lifted = lift_conjugacy(square, verify=False)
+    window = full_set_loop_window(lifted)
+    prefix = window.segment(0, 2)  # the one column of position 1
+    unindexed = corrupted_target_core(lifted, "index")
+    assert len(_member_path_image(relifted(lifted), prefix)) == 1
+    with pytest.raises(
+        VerificationError, match="^image source set is not a stable set of the target core$"
+    ):
+        _member_path_image(relifted(unindexed), prefix)
+    for lift in (lifted, unindexed):
+        with pytest.raises(VerificationError, match="^bundled image edges disagree on the label$"):
+            _member_path_image(relifted(lift), window)
+
+
 def test_window_memo_reads_a_repeat_at_another_start(example_b, monkeypatch):
     lifted = lift_conjugacy(higher_block(example_b, 2))
     d = lifted.block_radius

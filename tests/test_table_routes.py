@@ -1148,6 +1148,14 @@ WIDE_ROW_CASES = [
         ("nrr-4", dict(WALK_CASES)["nrr-4"], 11),
     )
 ]
+# A right-resolving union of 255 vertices whose rows take exactly 256 ids:
+# an idempotent squares through a translate table with no padding.
+FULL_BYTE_CASE = ("example_a.x85s0", cyclic_lift(load_fixture("example_a"), 85, 0))
+# Small seeded graphs with dead ends, right-resolving at even seeds.
+MONOID_SWEEP = [
+    (f"{'rr' if i % 2 == 0 else 'nrr'}-sweep-{i}", tendril_graph(7000 + i, i % 2 == 0))
+    for i in range(40)
+]
 MONOID_CASES = WALK_CASES + [
     (f"{name}.x{fold}s1", cyclic_lift(g, fold, 1))
     for name, g, fold in (
@@ -1155,7 +1163,7 @@ MONOID_CASES = WALK_CASES + [
         ("example_b", load_fixture("example_b"), 9),
         ("nrr-4", dict(WALK_CASES)["nrr-4"], 2),
     )
-] + WIDE_ROW_CASES
+] + [FULL_BYTE_CASE] + WIDE_ROW_CASES + MONOID_SWEEP
 
 
 def test_monoid_cases_cover_both_kinds_and_large_graphs():
@@ -1166,6 +1174,12 @@ def test_monoid_cases_cover_both_kinds_and_large_graphs():
     assert {check_right_resolving(g).ok for _, g in WIDE_ROW_CASES} == {True, False}
     assert all(reference_row_count(g) > 256 for _, g in WIDE_ROW_CASES)
     assert all(reference_row_count(g) <= 256 for _, g in WALK_CASES)
+    _, g = FULL_BYTE_CASE
+    assert check_right_resolving(g).ok and reference_row_count(g) == 256
+    assert sum(transition_monoid(g).idempotent_flags) > 1
+    assert {check_right_resolving(g).ok for _, g in MONOID_SWEEP} == {True, False}
+    # rows past the singletons: the idempotents of these are found by the walk
+    assert any(reference_row_count(g) > len(g.vertices) + 1 for _, g in MONOID_SWEEP)
 
 
 BUDGET_CASES = [("nrr-4", dict(WALK_CASES)["nrr-4"])] + WIDE_ROW_CASES
