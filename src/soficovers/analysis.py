@@ -32,20 +32,15 @@ class ComponentInfo:
 
     ``component_of[v]`` is the component index of vertex v, or None for
     vertices on no cycle.  A component is a source when no edge enters it
-    from outside.  When per-vertex member sets are supplied (cover graphs),
-    ``multiplicity`` holds the common member-set size of each component's
-    vertices, or None where the sizes disagree.
+    from outside.
     """
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[Optional[int], ...]
     is_source: tuple[bool, ...]
-    multiplicity: tuple[Optional[int], ...]
 
 
-def components_and_sources(
-    g: LabeledGraph, members: Optional[Sequence[frozenset[int]]] = None
-) -> ComponentInfo:
+def components_and_sources(g: LabeledGraph) -> ComponentInfo:
     """Tarjan decomposition keeping only SCCs that contain an edge."""
     n = len(g.vertices)
     succ = [[g.edges[k][2] for k in out] for out in g.index.out]
@@ -105,16 +100,8 @@ def components_and_sources(
         ci = component_of[v]
         if ci is not None and component_of[u] != ci:
             is_source[ci] = False
-    multiplicity: list[Optional[int]] = [None] * len(kept)
-    if members is not None:
-        for i, comp in enumerate(kept):
-            sizes = {len(members[v]) for v in comp}
-            multiplicity[i] = sizes.pop() if len(sizes) == 1 else None
     return ComponentInfo(
-        tuple(tuple(c) for c in kept),
-        tuple(component_of),
-        tuple(is_source),
-        tuple(multiplicity),
+        tuple(tuple(c) for c in kept), tuple(component_of), tuple(is_source)
     )
 
 

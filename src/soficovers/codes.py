@@ -661,7 +661,7 @@ def lift_parameters(core: StableCore, kappa: int) -> tuple[ComponentInfo, int]:
     acyclic) and off-component vertices never repeat, which bounds the
     length of any path avoiding long runs.
     """
-    info = components_and_sources(core.graph, core.members)
+    info = components_and_sources(core.graph)
     n_comp = len(info.components)
     n_free = sum(1 for c in info.component_of if c is None)
     radius = 8 * kappa * n_comp + n_comp + n_free + 1

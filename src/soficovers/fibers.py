@@ -1,25 +1,27 @@
 """Fiber structure of a right-resolving presentation.
 
 The bundle graph refines the subset construction: a set F steps along a
-symbol only when every member emits it, and the edge remembers the whole
-family of base edges it bundles.  Bi-infinite bundle paths are families
-of base paths sharing one label sequence; the source sets of the paths in
-one label fiber are cut out by intersecting the stabilized past sets with
-their forward duals.
+symbol only when every member emits it, and ``member_edges[k]`` lists the
+base edges that edge k of the graph bundles.  Bi-infinite bundle paths
+are families of base paths sharing one label sequence; the source sets
+of the paths in one label fiber are cut out by intersecting the
+stabilized past sets with their forward duals.
 
 Fibers of periodic words are counted on those fiber sets: a fiber
 vertex with two predecessors in the fiber set before it means the fiber
 is uncountable, and otherwise each phase-zero fiber vertex carries one
 fiber point.
 
-The fiber core closes the fiber sets of doubly-tailed points; a periodic
-point is one with no middle word, so it needs no search of its own.
+The fiber core is the forward closure of the fiber sets of doubly-tailed
+points, so every vertex is reached from a seed by defined steps; a
+periodic point is one with no middle word, so it needs no search of its
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import GraphFormatError, VerificationError
 from .graphs import (
@@ -46,24 +48,15 @@ INFINITE = "infinite"
 
 
 @dataclass(frozen=True)
-class BundleEdge:
-    """One bundle-graph edge: parallel base edges with a common label.
+class BundleGraph(SubsetFamily):
+    """Subset graph under the every-member-emits rule.
 
-    ``members`` are base edge indices; every vertex of the source set emits
-    exactly one of them, and their targets fill the target set.
+    ``member_edges[k]`` holds the base edges that ``graph.edges[k]``
+    bundles: one out of each member of its source set, in increasing
+    vertex order, all with its label; their targets fill its target set.
     """
 
-    source: int
-    symbol: int
-    target: int
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BundleGraph(SubsetFamily):
-    """Subset graph under the every-member-emits rule."""
-
-    bundle_edges: tuple[BundleEdge, ...]
+    member_edges: tuple[tuple[int, ...], ...]
     mode: str
 
 
@@ -78,27 +71,17 @@ def _all_emit_steps(base: LabeledGraph) -> list[Step]:
     return [all_emit(rows) for rows in base.index.rows]
 
 
-def _member_edges(
-    emit: Mapping[tuple[int, int], int], mask: int, symbol: int
-) -> tuple[int, ...]:
-    """The base edges reading ``symbol`` out of the members of ``mask``, in
-    increasing vertex order; ``emit`` is the base's :func:`edge_lookup`
-    table, and every member must emit the symbol."""
-    return tuple(emit[(v, symbol)] for v in bits(mask))
-
-
 def _assemble_bundle(
     base: LabeledGraph, family: Iterable[int]
-) -> tuple[LabeledGraph, list[int], tuple[BundleEdge, ...]]:
+) -> tuple[LabeledGraph, list[int], tuple[tuple[int, ...], ...]]:
     """The subset-graph assembly under the all-emit steps, plus the member
-    edges of each bundle edge in increasing vertex order."""
+    edges of each of its edges in increasing vertex order."""
     emit = edge_lookup(base, "bundle graph")
     graph, masks = assemble_subset_graph(base, family, _all_emit_steps(base))
-    bundles = tuple(
-        BundleEdge(i, a, j, _member_edges(emit, masks[i], a))
-        for i, a, j in graph.edges
+    member_edges = tuple(
+        tuple(emit[(v, a)] for v in bits(masks[i])) for i, a, _ in graph.edges
     )
-    return graph, masks, bundles
+    return graph, masks, member_edges
 
 
 def _seed_mask(seed: object, n: int) -> int:
@@ -136,8 +119,8 @@ def bundle_graph(
         family = closure_words(_all_emit_steps(base), masks)
     else:
         raise GraphFormatError(f"unknown bundle mode {mode!r}")
-    graph, masks, bundles = _assemble_bundle(base, family)
-    return BundleGraph(base, graph, tuple(map(set_of, masks)), bundles, mode)
+    graph, masks, member_edges = _assemble_bundle(base, family)
+    return BundleGraph(base, graph, tuple(map(set_of, masks)), member_edges, mode)
 
 
 @dataclass(frozen=True)
@@ -196,34 +179,19 @@ def fiber_sets_on_periodic(base: LabeledGraph, p: PeriodicWord) -> FiberData:
     )
 
 
-@dataclass(frozen=True)
-class FiberRay:
-    """The periodic bundle path whose members are one label fiber."""
-
-    word: PeriodicWord
-    sets: tuple[frozenset[int], ...]
-    member_edges: tuple[tuple[int, ...], ...]
-
-
-def _fiber_ray(base: LabeledGraph, p: PeriodicWord, fiber: Sequence[int]) -> FiberRay:
-    """Bundle path through the fiber source sets ``fiber`` of a periodic
-    word, one mask per phase.
-
-    At each phase the members are every correctly-labeled base edge
-    between consecutive fiber sets; the all-emit rule and exact source and
-    target coverage are asserted.
+def _fiber_ray(base: LabeledGraph, p: PeriodicWord, fiber: Sequence[int]) -> None:
+    """Check that the fiber source sets ``fiber`` of a periodic word, one
+    mask per phase, form a periodic bundle path: at each phase every member
+    emits the word's symbol, and the all-emit step lands on the next
+    phase's set.
     """
-    emit = edge_lookup(base, "bundle graph")
     steps = _all_emit_steps(base)
-    member_edges = []
     for k in range(p.period):
         target = steps[p.at(k)](fiber[k])
         if not target:
             raise VerificationError("fiber set fails the all-emit rule")
         if target != fiber[(k + 1) % p.period]:
             raise VerificationError("fiber sets drift from the bundle step")
-        member_edges.append(_member_edges(emit, fiber[k], p.at(k)))
-    return FiberRay(p, tuple(map(set_of, fiber)), tuple(member_edges))
 
 
 @dataclass(frozen=True)
@@ -236,15 +204,12 @@ class SeedRecord:
 class FiberCore(SubsetFamily):
     """Forward closure of the realized fiber source sets in the bundle graph.
 
-    ``provenance[i]`` explains vertex i: a SeedRecord, or a
-    ("closure", parent vertex, symbol) step.  The seed census makes the
-    bounded nature of the seed search visible.
+    ``member_edges`` is as in :class:`BundleGraph`.  The seed census makes
+    the bounded nature of the seed search visible.
     """
 
-    bundle_edges: tuple[BundleEdge, ...]
+    member_edges: tuple[tuple[int, ...], ...]
     seeds: tuple[SeedRecord, ...]
-    provenance: tuple[object, ...]
-    max_tail: int
 
 
 def _tail_seed_masks(
@@ -293,9 +258,9 @@ def fiber_core(
     Seeds are the fiber sets of the doubly-tailed points ``...e|m &
     |m'f...`` whose middle words fit in ``max_tail``; the vertex set is
     their forward closure.  A periodic point is the one with e = f and
-    empty middle words, so every periodic fiber set is a seed.  The bound
-    is recorded, as the seed search is an explicitly bounded
-    under-approximation of all realized fiber sets.
+    empty middle words, so every periodic fiber set is a seed.  The seed
+    search is an explicitly bounded under-approximation of all realized
+    fiber sets.
     """
     if max_tail < 0:
         raise GraphFormatError(f"max_tail must be at least 0, got {max_tail}")
@@ -312,29 +277,13 @@ def fiber_core(
             if mask and mask not in seeds:
                 seeds[mask] = f"{p_desc} & {f_desc}"
 
-    graph, masks, bundles = _assemble_bundle(
+    graph, masks, member_edges = _assemble_bundle(
         base, closure_words(_all_emit_steps(base), list(seeds))
     )
-    index = {mask: i for i, mask in enumerate(masks)}
-    records = [SeedRecord(text, set_of(mask)) for mask, text in seeds.items()]
-    provenance: list[object] = [None] * len(masks)
-    for mask, record in zip(seeds, records):
-        provenance[index[mask]] = record
-    changed = True
-    while changed:
-        changed = False
-        for be in bundles:
-            if provenance[be.source] is not None and provenance[be.target] is None:
-                provenance[be.target] = ("closure", be.source, be.symbol)
-                changed = True
-    if any(p is None for p in provenance):
-        raise VerificationError("fiber core vertex with no provenance")
     return FiberCore(
         base,
         graph,
         tuple(map(set_of, masks)),
-        bundles,
-        tuple(records),
-        tuple(provenance),
-        max_tail,
+        member_edges,
+        tuple(SeedRecord(text, set_of(mask)) for mask, text in seeds.items()),
     )

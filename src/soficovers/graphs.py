@@ -432,14 +432,15 @@ class Window:
         return Window(self.start + offset, self.items)
 
 
-def path_window(g: LabeledGraph, edge_indices: Sequence[int], start: int = 0) -> Window:
-    """Build a Window of edge indices, checking that consecutive edges compose."""
+def path_window(g: LabeledGraph, edge_indices: Sequence[int]) -> Window:
+    """Build a Window of edge indices from position 0, checking that
+    consecutive edges compose."""
     for i in range(len(edge_indices) - 1):
         if g.edges[edge_indices[i]][2] != g.edges[edge_indices[i + 1]][0]:
             raise GraphFormatError(
                 f"edges at offsets {i} and {i + 1} do not compose"
             )
-    return Window(start, tuple(edge_indices))
+    return Window(0, tuple(edge_indices))
 
 
 def window_labels(g: LabeledGraph, w: Window) -> Window:

@@ -84,7 +84,7 @@ def subset_provenance(family: SubsetFamily) -> dict:
         ]
     if isinstance(family, (BundleGraph, FiberCore)):
         prov["member_edges"] = [
-            [base.edge_name(k) for k in be.members] for be in family.bundle_edges
+            [base.edge_name(k) for k in edges] for edges in family.member_edges
         ]
     if isinstance(family, FiberCore):
         prov["seeds"] = [

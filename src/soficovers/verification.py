@@ -355,7 +355,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
         g = load_fixture(name)
         ext = extended_future_cover(g, bounds.monoid_budget)
         core = ext.future.core
-        info = components_and_sources(core.graph, core.members)
+        info = components_and_sources(core.graph)
         fcore = fiber_core(g, bounds.tail_bound, bounds.monoid_budget)
         fiber_index = fcore.member_index()
         fiber_edges, fiber_edge_at = fcore.graph.edges, fcore.graph.index.edge_at
@@ -383,7 +383,9 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
                 count_bad.append(f"{name}:{p.word} ray leaves its component")
             elif info.is_source[c]:
                 source_words += 1
-                if _fiber_count(g, p, fiber) != info.multiplicity[c]:
+                # the fiber count is the component's common member-set size
+                sizes = {len(core.members[v]) for v in info.components[c]}
+                if sizes != {_fiber_count(g, p, fiber)}:
                     count_bad.append(f"{name}:{p.word}")
     up_to = f"{words} periodic words up to period {bounds.max_period}"
     checks.append(_verdict("fiber-sets-equal-past-sets", beta_bad, up_to, 3))

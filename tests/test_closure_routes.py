@@ -23,6 +23,11 @@ isomorphism) both name.  That the cover's monoid is an image of the base
 monoid is checked directly: the base words' relations on the cover, first
 word kept, must be the cover's own transition monoid in elements, order
 and words.
+
+The extended cover is also held against itself, as the paper calls it
+canonical in the same way as the future cover: its own extended cover
+must be isomorphic to it, and it must be follower-separated exactly when
+its factor map is injective, that is when it is no genuine extension.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import random
 import pytest
 
 from soficovers import BASE_FIXTURES, load_fixture
-from soficovers.analysis import follower_contains, graphs_isomorphic
+from soficovers.analysis import follower_contains, graphs_isomorphic, is_follower_separated
 from soficovers.covers import (
     closure_words,
     extended_future_cover,
@@ -232,6 +237,22 @@ def test_extended_cover_matches_the_covers_own_stable_core(name, g):
     ]
     assert maximal == [[x] for x in ext.factor_vertex]
     assert ext.factor_vertex == remerged(ext)
+
+
+def is_injective(factor_vertex):
+    return len(set(factor_vertex)) == len(factor_vertex)
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_extended_cover_is_canonical_on_itself(name, g):
+    ext = extended_future_cover(g)
+    assert graphs_isomorphic(extended_future_cover(ext.graph).graph, ext.graph).isomorphic
+    assert is_follower_separated(ext.graph) == is_injective(ext.factor_vertex)
+
+
+def test_graphs_include_genuine_extensions():
+    injective = [is_injective(extended_future_cover(g).factor_vertex) for _, g in GRAPHS]
+    assert set(injective) == {True, False}
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])

@@ -269,12 +269,12 @@ def component_intervals(core, window):
     Every interval is checked homogeneous: member sets of its vertices all
     have the component's common size.
     """
-    info = components_and_sources(core.graph, core.members)
+    info = components_and_sources(core.graph)
     verts = _vertex_sequence(core.graph, window)
     intervals = []
     for first, last, c in _runs([info.component_of[v] for v in verts], window.start):
-        run = verts[first - window.start : last - window.start + 1]
-        if {len(core.members[v]) for v in run} != {info.multiplicity[c]}:
+        # the run lies in component c, so it is homogeneous when c is
+        if len({len(core.members[v]) for v in info.components[c]}) != 1:
             raise VerificationError(
                 f"component interval [{first}, {last}] is not homogeneous"
             )
@@ -283,14 +283,15 @@ def component_intervals(core, window):
 
 
 def bundle_member_paths(base, bundle_path):
-    """Unbundle a path of all-member bundle edges into its parallel base
-    paths, one per source vertex of the first bundle edge."""
+    """Unbundle a path of all-member bundle edges, each given by its member
+    edges, into its parallel base paths, one per source vertex of the
+    first bundle edge."""
     if not bundle_path:
         return []
     by_source = []
-    for b in bundle_path:
-        table = {base.edges[k][0]: k for k in b.members}
-        if len(table) != len(b.members):
+    for members in bundle_path:
+        table = {base.edges[k][0]: k for k in members}
+        if len(table) != len(members):
             raise VerificationError("bundle edge has two members from one vertex")
         by_source.append(table)
     paths = []
@@ -418,7 +419,7 @@ def grow_window(lifted, window, length):
     while len(edges) < length:
         tail = g.edges[edges[-1]][2]
         edges.append(out[tail][0])
-    return path_window(g, edges, start=window.start)
+    return path_window(g, edges).shifted(window.start)
 
 
 def test_lift_renaming_square(example_b):
@@ -477,12 +478,15 @@ def test_map_bundle_path_singletons(example_b):
 
     square = identity_square(example_b)
     bundle = bundle_graph(example_b, "full")
-    find = {(bundle.members[be.source], be.symbol): be for be in bundle.bundle_edges}
+    find = {
+        (bundle.members[i], a): members
+        for (i, a, _), members in zip(bundle.graph.edges, bundle.member_edges)
+    }
     sym = example_b.symbols.index
     # singleton bundle path along {a} -0-> {b} -1-> {a}
     path = [find[(frozenset({0}), sym("0"))], find[(frozenset({1}), sym("1"))]]
     mapped = map_bundle_path(square, path)
-    assert [m.members for m in mapped] == [be.members for be in path]
+    assert [m.members for m in mapped] == path
     assert [m.source_set for m in mapped] == [frozenset({0}), frozenset({1})]
 
 

@@ -41,12 +41,13 @@ def test_bundle_full_example_b(example_b):
         frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})
     }
     edges = edge_lookup(example_b)
-    for be in bundle.bundle_edges:
-        sources = bundle.members[be.source]
+    assert len(bundle.member_edges) == len(bundle.graph.edges)
+    for (i, a, j), members in zip(bundle.graph.edges, bundle.member_edges):
+        sources = bundle.members[i]
         # the all-emit rule: every member emits the symbol, targets collected
-        targets = frozenset(example_b.edges[edges[(m, be.symbol)]][2] for m in sources)
-        assert targets == bundle.members[be.target]
-        assert frozenset(edges[(m, be.symbol)] for m in sources) == frozenset(be.members)
+        targets = frozenset(example_b.edges[edges[(m, a)]][2] for m in sources)
+        assert targets == bundle.members[j]
+        assert frozenset(edges[(m, a)] for m in sources) == frozenset(members)
 
 
 def test_bundle_seeded_closure(example_b):
@@ -131,11 +132,31 @@ def test_fiber_sets_match_past_when_right_resolving():
 
 def test_fiber_ray_example_b(example_b):
     p = word_of(example_b, "2")
-    ray = fibers._fiber_ray(example_b, p, fibers._fiber_masks(example_b, p)[2])
-    assert ray.sets == (frozenset({0, 1}),)
-    labels = {example_b.symbols[example_b.edges[k][1]] for k in ray.member_edges[0]}
-    assert labels == {"2"}
-    assert len(ray.member_edges[0]) == 2
+    fiber = fibers._fiber_masks(example_b, p)[2]
+    assert fiber == [mask_of({0, 1})]
+    fibers._fiber_ray(example_b, p, fiber)  # {a, b} -2-> {a, b} closes up
+    # that bundle edge bundles one 2-labeled base edge out of each member
+    bundle = bundle_graph(example_b, "seeded", [{0, 1}])
+    both = bundle.member_index()[frozenset({0, 1})]
+    members = bundle.member_edges[bundle.graph.index.edge_at[(both, p.word[0])]]
+    assert [example_b.edges[k][:2] for k in members] == [(0, p.word[0]), (1, p.word[0])]
+
+
+@pytest.mark.parametrize(
+    "fiber,message",
+    [
+        ([mask_of({0, 1}), mask_of({1})], "fiber set fails the all-emit rule"),
+        ([mask_of({0}), mask_of({0, 1})], "fiber sets drift from the bundle step"),
+    ],
+    ids=["all-emit", "drift"],
+)
+def test_fiber_ray_rejects_corrupted_fiber_sets(example_b, fiber, message):
+    """On the word 01 the fiber sets are {a}, {b}.  b emits no 0, so {a, b}
+    fails the all-emit rule; {a} steps on 0 to {b}, not to {a, b}."""
+    p = word_of(example_b, "01")
+    assert fibers._fiber_masks(example_b, p)[2] == [mask_of({0}), mask_of({1})]
+    with pytest.raises(VerificationError, match=f"^{message}$"):
+        fibers._fiber_ray(example_b, p, fiber)
 
 
 def test_fiber_core_example_a(example_a):
@@ -214,7 +235,7 @@ def maximal_dominated_path(core, path):
         target = steps[a](sets[-1])
         if not target:
             raise VerificationError("dominated path lost the all-emit property")
-        member_edges.append(fibers._member_edges(emit, sets[-1], a))
+        member_edges.append(tuple(emit[(v, a)] for v in bits(sets[-1])))
         sets.append(target)
     gamma_targets = [mask_of(core.members[core.graph.edges[k][2]]) for k in path]
     if sets[-1] != gamma_targets[-1]:

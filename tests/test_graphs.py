@@ -157,7 +157,7 @@ def test_window_labels(example_b):
     a, b = 0, 1
     s = example_b.symbols.index
     path = [lookup[(a, s("0"))], lookup[(b, s("1"))], lookup[(a, s("2"))]]
-    w = path_window(example_b, path, start=5)
+    w = path_window(example_b, path).shifted(5)
     labels = window_labels(example_b, w)
     assert labels.start == 5
     assert labels.items == (s("0"), s("1"), s("2"))

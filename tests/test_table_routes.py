@@ -18,12 +18,13 @@ the first stable set whose members all pass the reference search.
 ``bundle_graph`` and ``fiber_core`` close and assemble vertex masks with
 the subset graphs' closure and assembly.  The references keep the
 frozenset all-emit step, breadth-first closure and bundle assembly they
-replace; both routes must give the same members, edges, bundle edges,
-seeds and provenance on the fixtures and on seeded right-resolving graphs
-of up to 8 vertices.  The bundle ray of a periodic word
-(``fibers._fiber_ray``) and ``maximal_dominated_path``, a reference route
-kept in ``test_fibers.py``, step by the same all-emit step, and each of
-their member-edge tuples must be the frozenset step's.
+replace; both routes must give the same members, edges, member edges and
+seeds on the fixtures and on seeded right-resolving graphs of up to 8
+vertices.  The bundle ray of a periodic word (``fibers._fiber_ray``) and
+``maximal_dominated_path``, a reference route kept in ``test_fibers.py``,
+step by the same all-emit step: the frozenset step must take each fiber
+set of the ray to the next, and must give each of the dominated path's
+target sets and member-edge tuples.
 
 The past and forward sets of a periodic word come from one walk of the
 word's masks (``analysis.past_masks`` and ``forward_masks``).  The
@@ -70,8 +71,8 @@ The reference reads them off plain reachability sets: a vertex lies on a
 component when it reaches itself by a nonempty path, its component is
 every vertex it reaches that reaches it back, and a component is a
 source when every vertex that reaches it lies in it.  Both must agree on
-the fixtures, their stable cores with members, the cyclic lifts and the
-random graphs with tendrils.
+the fixtures, their stable cores, the cyclic lifts and the random graphs
+with tendrils.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ from soficovers.errors import (
 )
 from soficovers.fibers import (
     INFINITE,
-    BundleEdge,
     SeedRecord,
     _fiber_masks,
     _fiber_ray,
@@ -135,6 +135,7 @@ from soficovers.relations import (
     BoolRelation,
     _row_table,
     mask_of,
+    set_of,
     stabilized_range,
     symbol_relation,
     transition_monoid,
@@ -456,12 +457,12 @@ def reference_forward_closure(base, starts):
 
 
 def reference_assemble_bundle(base, family):
-    """(vertex names, edges, members, bundle edges) of the bundle graph."""
+    """(vertex names, edges, members, member edges) of the bundle graph."""
     emit = edge_lookup(base)
     members = tuple(sorted(family, key=lambda m: (len(m), sorted(m))))
     index = {m: i for i, m in enumerate(members)}
     edges = []
-    bundles = []
+    member_edges = []
     for i, mem in enumerate(members):
         for a in range(len(base.symbols)):
             step = reference_bundle_step(base, emit, mem, a)
@@ -469,15 +470,15 @@ def reference_assemble_bundle(base, family):
                 continue
             target, edge_members = step
             edges.append((i, a, index[target]))
-            bundles.append(BundleEdge(i, a, index[target], edge_members))
+            member_edges.append(edge_members)
     names = tuple(
         "{" + ",".join(base.vertices[v] for v in sorted(m)) + "}" for m in members
     )
-    return names, tuple(edges), members, tuple(bundles)
+    return names, tuple(edges), members, tuple(member_edges)
 
 
 def reference_fiber_core(base, max_tail, budget):
-    """(assembly, seeds, provenance) of the fiber core, over frozensets."""
+    """(assembly, seeds) of the fiber core, over frozensets."""
     n = len(base.vertices)
     seeds = []
     seen = set()
@@ -492,23 +493,11 @@ def reference_fiber_core(base, max_tail, budget):
     assembly = reference_assemble_bundle(
         base, reference_forward_closure(base, [s.members for s in seeds])
     )
-    index = {m: i for i, m in enumerate(assembly[2])}
-    provenance = [None] * len(index)
-    for s in seeds:
-        if provenance[index[s.members]] is None:
-            provenance[index[s.members]] = s
-    changed = True
-    while changed:
-        changed = False
-        for be in assembly[3]:
-            if provenance[be.source] is not None and provenance[be.target] is None:
-                provenance[be.target] = ("closure", be.source, be.symbol)
-                changed = True
-    return assembly, tuple(seeds), tuple(provenance)
+    return assembly, tuple(seeds)
 
 
 def assembled(bundle):
-    return bundle.graph.vertices, bundle.graph.edges, bundle.members, bundle.bundle_edges
+    return bundle.graph.vertices, bundle.graph.edges, bundle.members, bundle.member_edges
 
 
 BUNDLE_CASES = [(name, load_fixture(name)) for name in BASE_FIXTURES] + [
@@ -537,10 +526,9 @@ def test_bundle_graphs_match_frozenset_routes(name, g):
         fcore = fiber_core(g, budget=MONOID_CAP)
     except BudgetExceededError:
         return
-    assembly, seed_records, provenance = reference_fiber_core(g, 8, MONOID_CAP)
+    assembly, seed_records = reference_fiber_core(g, 8, MONOID_CAP)
     assert assembled(fcore) == assembly
     assert fcore.seeds == seed_records
-    assert fcore.provenance == provenance
 
 
 @pytest.mark.parametrize("max_tail", [0, 8])
@@ -561,14 +549,17 @@ def test_periodic_fiber_sets_are_tail_seeds(name, g, max_tail):
 
 @pytest.mark.parametrize("name,g", BUNDLE_CASES, ids=[name for name, _ in BUNDLE_CASES])
 def test_bundle_paths_match_frozenset_step(name, g):
-    """The member edges of fiber rays (every periodic word up to period 4)
-    and of maximal dominated paths, step by step."""
+    """The fiber sets of fiber rays (every periodic word up to period 4)
+    and the target sets and member edges of maximal dominated paths, step
+    by step."""
     emit = edge_lookup(g)
     for p in periodic_points(g, WALK_WORD):
-        ray = _fiber_ray(g, p, _fiber_masks(g, p)[2])
+        fiber = _fiber_masks(g, p)[2]
+        _fiber_ray(g, p, fiber)
+        sets = [set_of(mask) for mask in fiber]
         for k in range(p.period):
-            want = (ray.sets[(k + 1) % p.period], ray.member_edges[k])
-            assert reference_bundle_step(g, emit, ray.sets[k], p.at(k)) == want, p.word
+            step = reference_bundle_step(g, emit, sets[k], p.at(k))
+            assert step is not None and step[0] == sets[(k + 1) % p.period], p.word
     try:
         core = stable_core(g, MONOID_CAP)
     except BudgetExceededError:
@@ -1226,9 +1217,9 @@ def test_transition_monoid_matches_compose_route(name, g):
     )
 
 
-def reference_components(g, members=None):
-    """Components, component of each vertex, source flags and member-set
-    multiplicities from the reachability set of every vertex."""
+def reference_components(g):
+    """Components, component of each vertex and source flags from the
+    reachability set of every vertex."""
     n = len(g.vertices)
     succ = [set() for _ in range(n)]
     for u, _, v in g.edges:
@@ -1253,41 +1244,27 @@ def reference_components(g, members=None):
     is_source = [
         all(u in comp for u in range(n) if reaches[u] & set(comp)) for comp in components
     ]
-    multiplicity = [None] * len(components)
-    if members is not None:
-        for i, comp in enumerate(components):
-            sizes = {len(members[v]) for v in comp}
-            multiplicity[i] = sizes.pop() if len(sizes) == 1 else None
-    return tuple(components), tuple(component_of), tuple(is_source), tuple(multiplicity)
+    return tuple(components), tuple(component_of), tuple(is_source)
 
 
 def component_cases():
-    out = [(name, load_fixture(name), None) for name in BASE_FIXTURES]
+    out = [(name, load_fixture(name)) for name in BASE_FIXTURES]
     for name in BASE_FIXTURES:
-        core = stable_core(load_fixture(name))
-        out.append((f"{name}.core", core.graph, core.members))
-    return out + [(name, g, None) for name, g in LIFTED + CASES]
+        out.append((f"{name}.core", stable_core(load_fixture(name)).graph))
+    return out + LIFTED + CASES
 
 
 COMPONENT_CASES = component_cases()
 
 
 def test_component_cases_include_sinks_sources_and_tendrils():
-    infos = [components_and_sources(g, members) for _, g, members in COMPONENT_CASES]
+    infos = [components_and_sources(g) for _, g in COMPONENT_CASES]
     assert any(None in info.component_of for info in infos)
     assert {flag for info in infos for flag in info.is_source} == {True, False}
     assert any(len(info.components) > 1 for info in infos)
-    assert any(m is not None for info in infos for m in info.multiplicity)
 
 
-@pytest.mark.parametrize(
-    "name,g,members", COMPONENT_CASES, ids=[name for name, _, _ in COMPONENT_CASES]
-)
-def test_components_match_reachability_sets(name, g, members):
-    info = components_and_sources(g, members)
-    assert (
-        info.components,
-        info.component_of,
-        info.is_source,
-        info.multiplicity,
-    ) == reference_components(g, members)
+@pytest.mark.parametrize("name,g", COMPONENT_CASES, ids=[name for name, _ in COMPONENT_CASES])
+def test_components_match_reachability_sets(name, g):
+    info = components_and_sources(g)
+    assert (info.components, info.component_of, info.is_source) == reference_components(g)

@@ -64,6 +64,15 @@ def test_criterion_5_walks_each_word_once(monkeypatch):
     assert len({(id(base), p) for base, p in walks}) == len(walks)
 
 
+def test_criterion_5_fails_a_count_off_its_components_member_size(monkeypatch):
+    """Each word with a ray in a source component must have the
+    component's common member-set size as its fiber count; a count that
+    is off fails that check and no other."""
+    monkeypatch.setattr(verification, "_fiber_count", lambda base, p, fiber: fibers.INFINITE)
+    report = run_criterion(5)
+    assert [c.name for c in report.failures()] == ["source-component-fiber-counts"]
+
+
 def test_criterion_7_prepares_each_window_once(monkeypatch):
     """Criterion 7 prepares each distinct window of a lift once (the
     repeats read ``LiftedCode.window_images``) and builds each periodic
@@ -207,7 +216,7 @@ def check_source_component_injectivity(core) -> CheckOutcome:
     pair inside one component is a label collision; a surviving pair across
     two components is a shared word.
     """
-    info = components_and_sources(core.graph, core.members)
+    info = components_and_sources(core.graph)
     sources = [
         comp
         for comp, is_src in zip(info.components, info.is_source)
@@ -250,7 +259,7 @@ def test_source_injectivity_beats_finite_window_probe():
     # bi-infinite points.
     g = load_fixture("chain_stabilization")
     core = stable_core(g)
-    info = components_and_sources(core.graph, core.members)
+    info = components_and_sources(core.graph)
     sources = [
         c for c in range(len(info.components)) if info.is_source[c]
     ]
