@@ -3,10 +3,15 @@
 Follower sets are the label sequences of right-infinite paths out of a
 vertex.  On an essential graph they are determined by the finite path
 labels, so partition refinement and the pair containment search below
-are exact, not approximations.  One colour-refinement routine on the edge
-index gives both the follower classes (out-edges) and the isomorphism
-colouring (out- and in-edges).  A graph keeps its follower partition and
-follower quotient, and containment is searched on the quotient.
+are exact, not approximations.  Two refinement routines split vertex
+classes by the edges into a splitter class.  On a right-resolving graph a
+vertex has at most one edge of each symbol, so it has 0 or 1 of them into
+a splitter: the follower classes come from Hopcroft's minimization on the
+predecessor masks, where a split is a mask intersection.  The isomorphism
+colouring refines by out- and in-edges, and a vertex can have several of
+one symbol into one class, so it counts them (:func:`_refine`).  A graph
+keeps its follower partition and follower quotient, and containment is
+searched on the quotient.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import UnrealizableWordError
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
+    bits,
     kept,
     lyndon_words,
     mask_image,
@@ -120,7 +126,9 @@ def _refine(
     largest keeps the old id, and stays queued if it was: its counts are
     those into the old class minus those into the other pieces.  Once
     every class is a single vertex nothing can split, so the search stops.
-    Ids are not canonical; only the partition is.
+    Ids are not canonical; only the partition is.  Its product caller is
+    :func:`graphs_isomorphic`; a right-resolving graph's follower classes
+    need no counts (:func:`_follower_partition`).
 
     A nonzero ``half`` marks ``adjacency`` as the disjoint union of two
     graphs of ``half`` vertices each, the first graph's vertices first.
@@ -203,8 +211,7 @@ def _refine(
 def follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
     """Group vertices by equal follower set: the coarsest partition in
     which every vertex of a class has an out-edge of each symbol into the
-    same class, found by :func:`_refine` on the ``(symbol, target)``
-    out-edges.
+    same class.
 
     Needs an essential right-resolving graph.  Classes are ordered by
     their smallest vertex.  The partition is kept on the graph
@@ -214,13 +221,49 @@ def follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
 
 
 def _follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
+    """Hopcroft's minimization (1971) on vertex masks.
+
+    The graph is a partial automaton with every state accepting, so the
+    follower classes are its minimal states.  From one class, the full
+    set, pop a splitter S and take, per symbol a, the vertices X with an
+    a-edge into S; every class C that X cuts splits into ``C & X`` and
+    ``C & ~X``.  A vertex has at most one a-edge, so it has 0 or 1 of
+    them into S and a mask intersection is the whole split.  For the same
+    reason the a-predecessors of C minus a piece are those of C minus
+    those of the piece, missing edges included, so only the smaller
+    piece is queued.  The larger keeps C's id and stays queued if C was.
+    """
     require_essential(g)
     require_right_resolving(g)
-    colour = _refine([[g.edges[k][1:] for k in out] for out in g.index.out])
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colour):
-        classes.setdefault(c, []).append(v)
-    return tuple(frozenset(c) for c in classes.values())
+    n = len(g.vertices)
+    if not n:
+        return ()
+    classes = [(1 << n) - 1]
+    colour = [0] * n
+    todo = [0]
+    while todo and len(classes) < n:
+        splitter = classes[todo.pop()]
+        for rows in g.index.pred:
+            hit = mask_image(rows, splitter)
+            rest = hit
+            while rest:
+                c = colour[(rest & -rest).bit_length() - 1]
+                whole = classes[c]
+                rest &= ~whole
+                inside = whole & hit
+                if inside == whole:
+                    continue
+                small, large = inside, whole ^ inside
+                if small.bit_count() > large.bit_count():
+                    small, large = large, small
+                new = len(classes)
+                classes[c] = large
+                classes.append(small)
+                todo.append(new)
+                for v in bits(small):
+                    colour[v] = new
+    classes.sort(key=lambda mask: mask & -mask)
+    return tuple(frozenset(bits(mask)) for mask in classes)
 
 
 def is_follower_separated(g: LabeledGraph) -> bool:

@@ -343,10 +343,6 @@ class PeriodicRay:
     vertices: tuple[int, ...]  # cover vertex per phase 0..period-1
     edges: tuple[int, ...]  # cover edge per phase
 
-    @property
-    def period(self) -> int:
-        return len(self.edges)
-
 
 def past_set_ray(core: StableCore, p: PeriodicWord) -> PeriodicRay:
     """Canonical presentation of a periodic word in the stable core.

@@ -127,7 +127,6 @@ def bundle_graph(
 class FiberData:
     """Per-phase past, forward, and fiber source sets of a periodic word."""
 
-    word: PeriodicWord
     past_sets: tuple[frozenset[int], ...]
     forward_sets: tuple[frozenset[int], ...]
     fiber_sets: tuple[frozenset[int], ...]
@@ -174,9 +173,7 @@ def fiber_sets_on_periodic(base: LabeledGraph, p: PeriodicWord) -> FiberData:
     """Stabilized past and forward sets per phase; their intersections are
     exactly the source-vertex sets of the word's fiber paths."""
     masks = _fiber_masks(base, p)
-    return FiberData(
-        p, *(tuple(map(set_of, m)) for m in masks), _fiber_count(base, p, masks[2])
-    )
+    return FiberData(*(tuple(map(set_of, m)) for m in masks), _fiber_count(base, p, masks[2]))
 
 
 def _fiber_ray(base: LabeledGraph, p: PeriodicWord, fiber: Sequence[int]) -> None:

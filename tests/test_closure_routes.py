@@ -28,6 +28,8 @@ The extended cover is also held against itself, as the paper calls it
 canonical in the same way as the future cover: its own extended cover
 must be isomorphic to it, and it must be follower-separated exactly when
 its factor map is injective, that is when it is no genuine extension.
+Its follower merge must be isomorphic to the future cover.  All three
+hold on the graphs above and on 400 seeded right-resolving graphs.
 """
 
 from __future__ import annotations
@@ -243,11 +245,29 @@ def is_injective(factor_vertex):
     return len(set(factor_vertex)) == len(factor_vertex)
 
 
+def assert_canonical_on_itself(ext):
+    """The extended cover's own extended cover is isomorphic to it, its
+    follower merge is isomorphic to the future cover, and it is
+    follower-separated exactly when it is no genuine extension."""
+    assert graphs_isomorphic(extended_future_cover(ext.graph).graph, ext.graph).isomorphic
+    assert graphs_isomorphic(merged_graph(ext.graph).cover, ext.future.cover).isomorphic
+    assert is_follower_separated(ext.graph) == is_injective(ext.factor_vertex)
+
+
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_extended_cover_is_canonical_on_itself(name, g):
-    ext = extended_future_cover(g)
-    assert graphs_isomorphic(extended_future_cover(ext.graph).graph, ext.graph).isomorphic
-    assert is_follower_separated(ext.graph) == is_injective(ext.factor_vertex)
+    assert_canonical_on_itself(extended_future_cover(g))
+
+
+def test_extended_cover_is_canonical_on_random_graphs():
+    """On 400 seeded right-resolving graphs of up to 8 vertices, some of
+    them genuine extensions."""
+    genuine = 0
+    for g in random_right_resolving_graphs(400, 12345, max_vertices=8):
+        ext = extended_future_cover(g)
+        assert_canonical_on_itself(ext)
+        genuine += not is_injective(ext.factor_vertex)
+    assert genuine
 
 
 def test_graphs_include_genuine_extensions():

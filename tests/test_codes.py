@@ -50,7 +50,6 @@ from soficovers.graphs import (
     edge_lookup,
     graph_from_parts,
     path_window,
-    window_labels,
 )
 from soficovers.verification import _corrupted_higher_block_square, run_criterion
 
@@ -523,7 +522,7 @@ def diagram_windows(lifted, inverse_radius, max_period, walks):
     rt_length = 2 * (d + inverse_radius) + 9
     round_trip = sample_core_windows(lifted.core_g, rt_length, rays, rng, walks)
     rays_unrolled = [
-        Window(0, _unroll_cycle(ray.edges, 2 * d + ray.period)) for ray in rays
+        Window(0, _unroll_cycle(ray.edges, 2 * d + len(ray.edges))) for ray in rays
     ]
     return {
         "sampled": sampled,

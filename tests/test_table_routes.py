@@ -33,18 +33,23 @@ range and domain, and it decides realizability by the idempotent power,
 with the word relations of ``test_relations.py``;
 ``maximal_dominated_path`` is held to the domain of the word's relation.
 
-``follower_partition`` and ``graphs_isomorphic`` colour vertices with one
-refinement routine on per-vertex arc lists, which splits classes by arc
-counts into a splitter class.  The references keep the Moore loop that
-ranked signatures with ``list.index`` and the isomorphism colouring that
-rescanned every edge for every vertex in every round, with its
-edge-scanning backtracking; ``rank_rounds`` keeps the routine's earlier
-body, which re-ranked every vertex's signature each round, and must give
-the same partition on random tagged arc lists with repeated arcs.  Each
-graph is compared with two shuffled twins and with one-edge-changed
-controls; cyclic lifts of the fixtures have nontrivial automorphisms, so
-they also pin which mapping is found, and looped rings need one
-refinement round per vertex.  On the disjoint union of two arc lists the
+``follower_partition`` splits vertex masks by the predecessor masks of a
+splitter class (Hopcroft's minimization), and ``graphs_isomorphic``
+colours vertices with a refinement routine on per-vertex arc lists,
+which splits classes by arc counts into a splitter class.  The
+references keep the Moore loop that ranked signatures with
+``list.index`` and the isomorphism colouring that rescanned every edge
+for every vertex in every round, with its edge-scanning backtracking;
+``rank_rounds`` keeps the routine's earlier body, which re-ranked every
+vertex's signature each round, and must give the same partition on
+random tagged arc lists with repeated arcs.  The follower partition is
+also held to the Moore loop on random right-resolving graphs in which a
+vertex may lack some symbols.  Each graph is compared with two shuffled
+twins and with one-edge-changed controls; cyclic lifts of the fixtures
+have nontrivial automorphisms, so they also pin which mapping is found,
+and a 10-fold lift has follower classes of 10 vertices.  Looped rings
+need one refinement round per vertex, and split to single vertices
+through many smaller pieces.  On the disjoint union of two arc lists the
 refinement stops at the first class with unequal numbers of vertices
 from the two; it must stop exactly when ``rank_rounds`` ends with such a
 class, and on the lifts' one-edge-changed controls it must stop after
@@ -82,7 +87,7 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from soficovers import BASE_FIXTURES, analysis, load_fixture
@@ -872,7 +877,7 @@ def one_edge_changed(g, k):
     return None
 
 
-RINGS = (24, 60)
+RINGS = (24, 60, 64)
 # Not right-resolving: y0 gets two a-edges from the x vertices, y1 one,
 # and x0 sends two a-edges where x1 sends one.
 IN_COUNTS = graph_from_parts(
@@ -885,7 +890,8 @@ REFINE_CASES = (
     + [(f"walk-{name}", g) for name, g in WALK_CASES if name not in BASE_FIXTURES]
     + LIFTED
     + [(f"ring{n}", looped_ring(n)) for n in RINGS]
-    + [("in-counts", IN_COUNTS)]
+    + [("example_a.x10s1", cyclic_lift(load_fixture("example_a"), 10, 1))]
+    + [("in-counts", IN_COUNTS), ("empty", LabeledGraph(("a",), (), ()))]
 )
 CONTROL_EDGES = 3
 
@@ -951,6 +957,33 @@ def test_refinement_matches_reference_routines(name, g):
         assert graphs_isomorphic(g, h) == reference_graphs_isomorphic(g, h), label
         if label.startswith("twin"):
             assert graphs_isomorphic(g, h).isomorphic, label
+
+
+@st.composite
+def partial_resolving_graphs(draw):
+    """The essential part of a graph on 1 to 14 vertices over 1 to 3
+    symbols in which a vertex has at most one edge of each symbol, and
+    may lack some symbols."""
+    n = draw(st.integers(1, 14))
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    target = st.one_of(st.none(), st.integers(0, n - 1))
+    edges = []
+    for v in range(n):
+        for a in range(len(symbols)):
+            w = draw(target)
+            if w is not None:
+                edges.append((v, a, w))
+    g = LabeledGraph(tuple(symbols), tuple(f"v{v}" for v in range(n)), tuple(edges))
+    try:
+        return essentialize(g)
+    except EmptyShiftError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_resolving_graphs())
+def test_follower_partition_matches_moore_rounds(g):
+    assert follower_partition(g) == reference_follower_partition(g)
 
 
 def rank_rounds(adjacency):
