@@ -15,6 +15,7 @@ failed, 2 invalid input, 3 an enumeration budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -459,7 +460,7 @@ Adder = Callable[[argparse.ArgumentParser], Any]
 
 
 def _arg(*names: str, **options: Any) -> Adder:
-    """One ``add_argument`` call, made only when its command's parser is built."""
+    """One ``add_argument`` call on its command's subparser, made when the parser is built."""
     return lambda p: p.add_argument(*names, **options)
 
 
@@ -643,21 +644,19 @@ COMMANDS = (
 )
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command-line parser, with every command or only ``command``'s.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser with every command, built once per process.
 
-    When ``command`` names a command in ``COMMANDS``, only its subparser
-    is built, under the same subparser action, so that command's usage,
-    help, errors and exit codes are those of the full parser.  Otherwise
-    (``None``, an option, an unknown name) every command is built, so the
-    top-level help and the invalid-choice error list them all.
+    ``parse_args`` leaves no state in a parser, so every ``main`` call in
+    a process parses with the same one.
     """
     parser = argparse.ArgumentParser(
         prog="soficovers",
         description="Canonical covers of sofic shifts presented by labeled graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for spec in [c for c in COMMANDS if c.name == command] or COMMANDS:
+    for spec in COMMANDS:
         p = sub.add_parser(spec.name, help=spec.help, description=spec.help)
         p.set_defaults(handler=spec.handler)
         for add_argument in spec.arguments:
@@ -665,21 +664,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-# Parsers built so far in this process, by command name (None: the full
-# parser, which every unknown first argument gets), so in-process callers
-# build each parser once; parse_args leaves no state in a parser.
-_PARSERS: dict[Optional[str], argparse.ArgumentParser] = {}
-_COMMAND_NAMES = frozenset(c.name for c in COMMANDS)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # Building all 13 subparsers costs more than most commands on small graphs.
-    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
-    parser = _PARSERS.get(command)
-    if parser is None:
-        parser = _PARSERS[command] = build_parser(command)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.started_at = time.perf_counter()
     try:
         return args.handler(args)

@@ -802,49 +802,6 @@ def apply_lifted(lifted: LiftedCode, window: Window) -> Window:
     return Window(window.start + r, image)
 
 
-@dataclass(frozen=True)
-class InducedCoverAction:
-    """Image of a merged-cover window under the code the lift induces there,
-    together with the outcome of the exhaustive preimage agreement check."""
-
-    output: Window
-    preimages: int
-    agreed: bool
-
-
-def apply_induced_cover_code(lifted: LiftedCode, window: Window) -> InducedCoverAction:
-    """Action induced on windows of the source merged cover.
-
-    The window is lifted to a stable-core window through every member of
-    its starting follower class (label-following never dies there: merged
-    classes share follower sets), the lifted code is applied, and the
-    results are pushed through the target merge.  Every preimage choice
-    must give the same image; ``agreed`` records whether they did.
-    """
-    bundle_g, bundle_h = lifted.future_g, lifted.future_h
-    core_g = lifted.core_g.graph
-    cover = bundle_g.cover
-    D = lifted.block_radius
-    _require_length(window, D)
-    labels = [cover.edges[e][1] for e in window.items]
-    start_class = bundle_g.classes[cover.edges[window.items[0]][0]]
-    outputs: list[tuple[int, ...]] = []
-    for u0 in sorted(start_class):
-        path = _follow(core_g, u0, labels)
-        if tuple(bundle_g.factor_edge[k] for k in path) != tuple(window.items):
-            raise VerificationError(
-                "factor preimage died; the merge is not right-covering"
-            )
-        image = apply_lifted(lifted, Window(window.start, path))
-        outputs.append(tuple(bundle_h.factor_edge[e] for e in image.items))
-    if not outputs:
-        raise VerificationError("cover vertex with an empty follower class")
-    agreed = all(out == outputs[0] for out in outputs)
-    return InducedCoverAction(
-        Window(window.start + D, outputs[0]), len(outputs), agreed
-    )
-
-
 def _bfs_edge_path(g: LabeledGraph, source: int, target: int) -> Optional[list[int]]:
     """A shortest edge path from source to target, or None."""
     if source == target:
@@ -1017,15 +974,31 @@ def _verify_lift_diagrams(
         f"{len(windows)} windows of length {length}",
     )
 
+    future_g, future_h = lifted.future_g, lifted.future_h
+
     def check_induced(w: Window):
-        xi = Window(w.start, tuple(lifted.future_g.factor_edge[k] for k in w.items))
-        action = apply_induced_cover_code(lifted, xi)
-        if not action.agreed:
-            return False, f"{action.preimages} preimages disagree"
-        direct = tuple(
-            lifted.future_h.factor_edge[k] for k in apply_lifted(lifted, w).items
-        )
-        if action.output.items != direct:
+        # The action induced on the merged cover: the factored window is
+        # lifted through every member of its starting follower class (label
+        # following never dies there: merged classes share follower sets),
+        # the lifted code is applied, and each image is pushed through the
+        # target merge.  Every preimage must give the same image.
+        xi = tuple(future_g.factor_edge[k] for k in w.items)
+        labels = [core_g.graph.edges[k][1] for k in w.items]
+        outputs = []
+        for u0 in future_g.classes[future_g.cover.edges[xi[0]][0]]:
+            path = _follow(core_g.graph, u0, labels)
+            if tuple(future_g.factor_edge[k] for k in path) != xi:
+                raise VerificationError(
+                    "factor preimage died; the merge is not right-covering"
+                )
+            image = apply_lifted(lifted, Window(w.start, path))
+            outputs.append(tuple(future_h.factor_edge[e] for e in image.items))
+        if not outputs:
+            raise VerificationError("cover vertex with an empty follower class")
+        if any(out != outputs[0] for out in outputs):
+            return False, f"{len(outputs)} preimages disagree"
+        direct = tuple(future_h.factor_edge[k] for k in apply_lifted(lifted, w).items)
+        if outputs[0] != direct:
             return False, "cover action disagrees with the factored image"
         return True, ""
 

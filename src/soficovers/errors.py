@@ -26,10 +26,6 @@ class NotRightResolvingError(SoficError):
 class BudgetExceededError(SoficError):
     """An enumeration grew past its configured element budget."""
 
-    def __init__(self, message: str, count: int):
-        super().__init__(message)
-        self.count = count
-
 
 class UnrealizableWordError(SoficError):
     """A periodic word has no bi-infinite labeled path in the graph."""

@@ -130,7 +130,7 @@ def transition_monoid(
 
 
 def _overrun(budget: int) -> BudgetExceededError:
-    return BudgetExceededError(f"transition monoid exceeds {budget} elements", budget)
+    return BudgetExceededError(f"transition monoid exceeds {budget} elements")
 
 
 def _generate_monoid(g: LabeledGraph, budget: int) -> TransitionMonoid:

@@ -1,15 +1,14 @@
-"""The one-command parser behaves exactly as the full parser.
+"""The command-line parser: every command's arguments, and one parser per process.
 
-``main`` builds only the subparser its first argument names; every other
-first argument gets the full parser.  Each case here runs the same argv
-through ``build_parser(command)`` and ``build_parser()`` in this
-interpreter and compares the namespace, stdout, stderr and exit code,
-so the comparison holds whatever argparse version formats the text.
-
-``main`` keeps each parser it builds for the rest of the process, keyed
-by command name (``None`` for the full parser).  A kept parser must
-carry nothing from one call to the next: repeated flags, a failed call
-and a later valid one all behave as in a fresh process.
+``main`` parses with ``build_parser()``, which builds all 13 commands on
+its first call and returns that same parser for the rest of the process.
+Each command's case runs ``-h``, a valid argv, a missing argument, a bad
+value and an unknown flag through the kept parser and through a freshly
+built one, with ``COLUMNS=80``, and compares the namespace, stdout,
+stderr and exit code, so the comparison holds whatever argparse version
+formats the text.  A kept parser must carry nothing from one call to the
+next: repeated flags, a failed call and a later valid one all behave as
+in a fresh process.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import soficovers
-from soficovers import cli, load_fixture
+from soficovers import load_fixture
 from soficovers.cli import COMMANDS, build_parser, main
 from soficovers.graphs import LabeledGraph
 from soficovers.io import graph_to_data
@@ -93,26 +92,27 @@ def test_full_parser_has_every_command():
     names = [c.name for c in COMMANDS]
     assert len(names) == 13 and sorted(CASES) == sorted(names)
     assert command_names(build_parser()) == names
-    assert command_names(build_parser("nope")) == names
 
 
 @pytest.mark.parametrize("command", sorted(CASES))
-def test_one_command_parser_matches_full_parser(command, capsys):
+def test_kept_parser_parses_each_command(command, capsys):
     valid, missing, bad = CASES[command]
     for tail in (["-h"], valid, missing, bad, valid + ["--nope"]):
         argv = [command, *tail]
-        alone = outcome(build_parser(command).parse_args, argv, capsys)
-        full = outcome(build_parser().parse_args, argv, capsys)
-        assert alone == full, argv
-    args, code, _, _ = outcome(build_parser(command).parse_args, [command, *valid], capsys)
+        kept = outcome(build_parser().parse_args, argv, capsys)
+        assert kept == outcome(build_parser.__wrapped__().parse_args, argv, capsys), argv
+    args, code, _, _ = outcome(build_parser().parse_args, [command, *valid], capsys)
     assert code is None and args.command == command
+    assert outcome(build_parser().parse_args, [command, "-h"], capsys)[1] == 0
     for tail in (missing, bad, valid + ["--nope"]):
-        assert outcome(build_parser(command).parse_args, [command, *tail], capsys)[1] == 2
+        assert outcome(build_parser().parse_args, [command, *tail], capsys)[1] == 2
 
 
 @pytest.mark.parametrize("argv", TOP_LEVEL, ids=lambda argv: " ".join(argv) or "empty")
 def test_top_level_matches_full_parser(argv, capsys):
-    assert outcome(main, argv, capsys) == outcome(build_parser().parse_args, argv, capsys)
+    done = outcome(main, argv, capsys)
+    assert done == outcome(build_parser.__wrapped__().parse_args, argv, capsys)
+    assert done[1] == (0 if argv in (["--help"], ["-h"]) else 2)
 
 
 def test_top_level_help_lists_every_command(capsys):
@@ -122,32 +122,11 @@ def test_top_level_help_lists_every_command(capsys):
     assert {c.name for c in COMMANDS} <= listed
 
 
-def test_main_builds_only_the_named_command(monkeypatch, tmp_path, capsys):
-    built = []
-
-    def spy(command=None):
-        parser = build_parser(command)
-        built.append((command, command_names(parser)))
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    monkeypatch.setattr(cli, "_PARSERS", {})  # an earlier test may have built "check"
-    path = tmp_path / "g.json"
-    path.write_text("{}")
-    assert main(["check", str(path)]) == 2
-    assert built == [("check", ["check"])]
-
-
-def test_main_keeps_one_parser_per_command(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    for argv in (["check", "--help"], ["check", "-h"], ["nope"], ["--help"], []):
+def test_main_keeps_one_parser(capsys):
+    build_parser.cache_clear()
+    for argv in (["check", "--help"], ["check", "-h"], ["nope"], ["--help"], [], ["chec"]):
         outcome(main, argv, capsys)
-    assert list(cli._PARSERS) == ["check", None]  # unknown names share the full parser
-    kept = dict(cli._PARSERS)
-    outcome(main, ["check", "--help"], capsys)
-    outcome(main, ["chec"], capsys)
-    assert cli._PARSERS == kept
-    assert all(cli._PARSERS[k] is kept[k] for k in kept)
+    assert build_parser.cache_info().misses == 1
 
 
 def two_vertex_graph(tmp_path):
@@ -187,14 +166,13 @@ def run_fresh(argv):
     return done.returncode, done.stdout, without_time(done.stderr)
 
 
-def test_kept_parser_carries_nothing_between_calls(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "_PARSERS", {})
+def test_kept_parser_carries_nothing_between_calls(tmp_path, capsys):
     graph = two_vertex_graph(tmp_path)
     seeded = ["gpp", graph, "--mode", "seeded", "--seed", "0", "--seed", "1"]
     first = run_in_process(seeded, capsys)
     second = run_in_process(seeded, capsys)
     assert first[0] == 0 and first == second
-    assert cli._PARSERS["gpp"].parse_args(seeded).seed == ["0", "1"]
+    assert build_parser().parse_args(seeded).seed == ["0", "1"]
     assert json.loads(first[1])["provenance"]["members"][:2] == [["0"], ["1"]]
 
     valid = ["gpp", graph, "--mode", "seeded", "--seed", "1"]

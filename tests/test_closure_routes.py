@@ -29,13 +29,17 @@ canonical in the same way as the future cover: its own extended cover
 must be isomorphic to it, and it must be follower-separated exactly when
 its factor map is injective, that is when it is no genuine extension.
 Its follower merge must be isomorphic to the future cover.  All three
-hold on the graphs above and on 400 seeded right-resolving graphs.
+hold on the graphs above, on 400 seeded right-resolving graphs and on
+the 76 graphs of the benchmark's ``ladder`` pool, read through
+``bench/pool.py``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,12 @@ from soficovers.graphs import LabeledGraph, essentialize, graph_from_parts, requ
 from soficovers.relations import mask_of, set_of, transition_monoid
 from soficovers.verification import random_right_resolving_graphs
 from test_relations import dom_mask, is_empty, transpose, word_relation
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.append(str(BENCH))
+import generators  # noqa: E402  (needs bench/ on the path)
+import pool  # noqa: E402
 
 MONOID_CAP = 1500
 MAX_TAIL = 8
@@ -268,6 +278,19 @@ def test_extended_cover_is_canonical_on_random_graphs():
         assert_canonical_on_itself(ext)
         genuine += not is_injective(ext.factor_vertex)
     assert genuine
+
+
+def test_extended_cover_is_canonical_on_the_ladder_pool():
+    """On every candidate of every ``ladder`` rung, some of them genuine
+    extensions and some not."""
+    rungs = pool.load()["ladder"].values()
+    graphs = [generators.to_graph(pool.ladder_input(c)) for cands in rungs for c in cands]
+    injective = []
+    for g in graphs:
+        ext = extended_future_cover(g)
+        assert_canonical_on_itself(ext)
+        injective.append(is_injective(ext.factor_vertex))
+    assert len(graphs) == 76 and set(injective) == {True, False}
 
 
 def test_graphs_include_genuine_extensions():

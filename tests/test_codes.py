@@ -472,6 +472,26 @@ def test_corrupted_lift_diagram_details(example_b):
     ]
 
 
+def test_induced_cover_preimages_must_agree(example_b, monkeypatch):
+    """A lifted code that treats the two members of the follower class
+    (0, 2) differently makes the induced cover action ill defined."""
+    lifted = lift_conjugacy(higher_block(example_b, 2))
+    assert lifted.future_g.classes == ((0, 2), (1,))
+    core = lifted.core_g.graph
+    n = len(lifted.core_h.graph.edges)
+
+    def shifted(lifted, window):
+        out = apply_lifted(lifted, window)
+        if core.edges[window.items[0]][0] != 2:
+            return out
+        return Window(out.start, ((out.items[0] + 1) % n, *out.items[1:]))
+
+    monkeypatch.setattr(codes, "apply_lifted", shifted)
+    report = verify_lift_diagrams(lifted)
+    [induced] = [c for c in report.checks if c.name == "induced-cover-commutes"]
+    assert induced.detail == "34/37 failed; first: 2 preimages disagree"
+
+
 def test_map_bundle_path_singletons(example_b):
     from soficovers import bundle_graph
 

@@ -75,7 +75,7 @@ def omega_power(rel):
         if power.compose(power) == power:
             return power
         power = power.compose(rel)
-    raise BudgetExceededError("no idempotent power found within budget", OMEGA_POWER_STEPS)
+    raise BudgetExceededError("no idempotent power found within budget")
 
 
 def stabilized_domain(rel):
