@@ -47,53 +47,57 @@ class ComponentInfo:
 
 
 def components_and_sources(g: LabeledGraph) -> ComponentInfo:
-    """Tarjan decomposition keeping only SCCs that contain an edge."""
+    """Tarjan decomposition keeping only SCCs that contain an edge.
+
+    Visit numbers (``index_of``, -1 before the visit), low links and stack
+    flags are lists indexed by vertex; ``work`` holds the depth-first path,
+    each vertex with an iterator over its remaining successors."""
     n = len(g.vertices)
-    succ = [[g.edges[k][2] for k in out] for out in g.index.out]
-    index_of: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, _, v in g.edges:
+        succ[u].append(v)
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
 
     for root in range(n):
-        if root in index_of:
+        if index_of[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
-                if w not in index_of:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, todo = work[-1]
+            for w in todo:
+                if index_of[w] < 0:
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index_of[w] < low[v]:
+                    low[v] = index_of[w]
+            else:
+                work.pop()
+                if low[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
 
     kept = [comp for comp in sccs if len(comp) > 1 or comp[0] in succ[comp[0]]]
     kept.sort(key=lambda comp: comp[0])

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import EmptyShiftError, GraphFormatError, NotRightResolvingError
 
@@ -56,8 +56,9 @@ class LabeledGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.edges)) < len(self.edges):
-            u, a, v = next(e for k, e in enumerate(self.edges) if e in self.edges[:k])
+        k = _first_repeat(self.edges)
+        if k is not None:
+            u, a, v = self.edges[k]
             raise GraphFormatError(
                 f"duplicate edge {self.vertices[u]!r} -{self.symbols[a]!r}-> {self.vertices[v]!r}"
             )
@@ -100,9 +101,9 @@ class LabeledGraph:
         repeat raises GraphFormatError.
         """
         names = tuple(self.edge_name(k) for k in range(len(self.edges)))
-        if len(set(names)) < len(names):
-            repeated = next(name for k, name in enumerate(names) if name in names[:k])
-            raise GraphFormatError(f"two edges share the name {repeated!r}")
+        k = _first_repeat(names)
+        if k is not None:
+            raise GraphFormatError(f"two edges share the name {names[k]!r}")
         return names
 
 
@@ -149,41 +150,80 @@ def build_graph(data: Mapping) -> LabeledGraph:
         raise GraphFormatError("'edges' must be a list of records")
     symbols = _names(alphabet, "alphabet")
     names = _names(vertices, "vertices")
-    if len(set(symbols)) != len(symbols):
+    sym_index = dict(zip(symbols, range(len(symbols))))
+    ver_index = dict(zip(names, range(len(names))))
+    if len(sym_index) != len(symbols):
         raise GraphFormatError("alphabet contains duplicate symbols")
-    if len(set(names)) != len(names):
+    if len(ver_index) != len(names):
         raise GraphFormatError("vertex list contains duplicate names")
     if not symbols:
         raise GraphFormatError("alphabet is empty")
     if not names:
         raise GraphFormatError("vertex list is empty")
-    sym_index = {s: i for i, s in enumerate(symbols)}
-    ver_index = {v: i for i, v in enumerate(names)}
     triples: list[Edge] = []
-    seen: set[Edge] = set()
-    for pos, rec in enumerate(edges):
-        if not isinstance(rec, Mapping):
-            raise GraphFormatError(f"edges[{pos}]: edge record must be a mapping")
-        for key in ("from", "label", "to"):
-            if key not in rec:
-                raise GraphFormatError(f"edges[{pos}]: missing key {key!r}")
-            if not isinstance(rec[key], str):
-                raise GraphFormatError(
-                    f"edges[{pos}]: {key!r} must be a string, got {rec[key]!r}"
-                )
-        src, lab, dst = rec["from"], rec["label"], rec["to"]
-        if src not in ver_index:
-            raise GraphFormatError(f"edges[{pos}]: unknown vertex {src!r}")
-        if dst not in ver_index:
-            raise GraphFormatError(f"edges[{pos}]: unknown vertex {dst!r}")
-        if lab not in sym_index:
-            raise GraphFormatError(f"edges[{pos}]: unknown symbol {lab!r}")
-        triple = (ver_index[src], sym_index[lab], ver_index[dst])
-        if triple in seen:
-            raise GraphFormatError(f"edges[{pos}]: duplicate edge {src!r} -{lab!r}-> {dst!r}")
-        seen.add(triple)
-        triples.append(triple)
-    return LabeledGraph(symbols, names, tuple(triples))
+    for rec in edges:
+        if type(rec) is dict:
+            try:
+                edge = (ver_index[rec["from"]], sym_index[rec["label"]], ver_index[rec["to"]])
+            except (KeyError, TypeError):  # a missing key, an unknown or unhashable name
+                pass
+            else:
+                triples.append(edge)
+                continue
+        try:
+            triples.append(_checked_triple(rec, sym_index, ver_index))
+        except GraphFormatError as exc:
+            _graph_of(symbols, names, triples)  # a repeat before this record is reported first
+            raise GraphFormatError(f"edges[{len(triples)}]: {exc}") from None
+    return _graph_of(symbols, names, triples)
+
+
+def _checked_triple(
+    rec: object, sym_index: Mapping[str, int], ver_index: Mapping[str, int]
+) -> Edge:
+    """The triple of an edge record, checked step by step: the record is a
+    mapping; then ``from``, ``label`` and ``to`` in turn are present and
+    strings; then the vertices and the symbol exist.  The first failing
+    check raises.  :func:`build_graph` reads a plain dict by lookup and
+    comes here only for other mappings and for records that fail."""
+    if not isinstance(rec, Mapping):
+        raise GraphFormatError("edge record must be a mapping")
+    for key in ("from", "label", "to"):
+        if key not in rec:
+            raise GraphFormatError(f"missing key {key!r}")
+        if not isinstance(rec[key], str):
+            raise GraphFormatError(f"{key!r} must be a string, got {rec[key]!r}")
+    src, lab, dst = rec["from"], rec["label"], rec["to"]
+    if src not in ver_index:
+        raise GraphFormatError(f"unknown vertex {src!r}")
+    if dst not in ver_index:
+        raise GraphFormatError(f"unknown vertex {dst!r}")
+    if lab not in sym_index:
+        raise GraphFormatError(f"unknown symbol {lab!r}")
+    return (ver_index[src], sym_index[lab], ver_index[dst])
+
+
+def _graph_of(
+    symbols: tuple[str, ...], names: tuple[str, ...], triples: list[Edge]
+) -> LabeledGraph:
+    """The graph of checked edge records; a repeated edge raises, naming
+    the position of the first record that repeats an earlier one."""
+    try:
+        return LabeledGraph(symbols, names, tuple(triples))
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"edges[{_first_repeat(triples)}]: {exc}") from None
+
+
+def _first_repeat(items: Sequence[Hashable]) -> Optional[int]:
+    """The position of the first item equal to an earlier one, or None."""
+    if len(set(items)) == len(items):
+        return None
+    seen: set = set()
+    for k, item in enumerate(items):
+        if item in seen:
+            return k
+        seen.add(item)
+    return None
 
 
 def _format_one(data: Mapping, where: str = "") -> None:

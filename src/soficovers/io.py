@@ -27,13 +27,13 @@ from .fibers import BundleGraph, FiberCore
 
 
 def graph_to_data(g: LabeledGraph, provenance: Optional[Mapping] = None) -> dict:
+    symbols, vertices = g.symbols, g.vertices
     data: dict[str, Any] = {
         "format": 1,
-        "alphabet": list(g.symbols),
-        "vertices": list(g.vertices),
+        "alphabet": list(symbols),
+        "vertices": list(vertices),
         "edges": [
-            {"from": g.vertices[u], "label": g.symbols[a], "to": g.vertices[v]}
-            for u, a, v in g.edges
+            {"from": vertices[u], "label": symbols[a], "to": vertices[v]} for u, a, v in g.edges
         ],
     }
     if provenance is not None:
@@ -208,15 +208,13 @@ def _dot_quote(name: str) -> str:
 
 
 def export_dot(g: LabeledGraph, name: str = "G") -> str:
-    """Deterministic DOT text; write-only (not parsed back)."""
+    """Deterministic DOT text; write-only (not parsed back).  Each vertex
+    and symbol name is quoted once."""
+    vertices = [_dot_quote(v) for v in g.vertices]
+    labels = [f" [label={_dot_quote(a)}];" for a in g.symbols]
     lines = [f"digraph {_dot_quote(name)} {{"]
-    for v in g.vertices:
-        lines.append(f"  {_dot_quote(v)};")
-    for u, a, v in g.edges:
-        lines.append(
-            f"  {_dot_quote(g.vertices[u])} -> {_dot_quote(g.vertices[v])}"
-            f" [label={_dot_quote(g.symbols[a])}];"
-        )
+    lines += [f"  {v};" for v in vertices]
+    lines += [f"  {vertices[u]} -> {vertices[v]}{labels[a]}" for u, a, v in g.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -4,8 +4,8 @@
 ``subset`` in both modes, ``past-cover``, ``future-cover``,
 ``extended-future-cover``, ``gpp`` (full, and seeded from the first
 vertex and from the last vertex plus the first two), ``gprime``,
-``iso --json`` against a seeded permutation of the fixture, and
-``fibers --period W --json``
+``iso --json`` against a seeded permutation of the fixture,
+``export --dot``, and ``fibers --period W --json``
 (every realizable period up to length 3) on each base fixture; of
 ``lift --square`` and ``verify --square --diagrams --json`` on the
 2-block recoding square of ``example_b``; of ``lift --square`` and
@@ -26,7 +26,9 @@ shuffle, whose colour refinement splits off one vertex at a time, and
 against a shuffled copy with one ``a``-edge relabelled ``b``, which is
 not isomorphic to it (exit 1); of ``extended-future-cover`` on
 ``nr70.json``, a genuine extension whose factor map has fibres of 3 and 2,
-which pins the rule that names each witness by a base idempotent word; and
+which pins the rule that names each witness by a base idempotent word; of
+``export --dot --name`` on a small graph whose symbol, vertex and graph
+names hold double quotes, backslashes and non-ASCII characters; and
 ``MANIFEST.json`` with the exit code of every case.  Each square file is ``<fixture>.square.json``,
 each broken copy ``example_b.<kind>.square.json``.  The products carry the stable-core witnesses
 and the fiber-core seed descriptions, so any change to how those are
@@ -68,6 +70,7 @@ COMMANDS = (
     ("gpp", ["gpp", "{path}"]),
     ("gprime", ["gprime", "{path}"]),
     ("iso", ["iso", "{path}", "{twin}", "--json"]),
+    ("export", ["export", "{path}", "--dot"]),
 )
 FIBER_PERIOD = 3
 SQUARE = "example_b.square.json"  # higher_block(example_b, 2)
@@ -87,6 +90,18 @@ NR70 = graph_from_parts(
         ("v6", "a", "v3"), ("v6", "a", "v5"),
     ],
 )
+# Names that DOT must escape (a double quote, a backslash) or pass through
+# (non-ASCII), in symbols, vertices and the graph name.
+QUOTED = graph_from_parts(
+    ['say "a"', "b\\", "\u00e9"],
+    ['"p"', "q\\r", "\u00fcber", "plain \u2192 end"],
+    [
+        ('"p"', 'say "a"', "q\\r"), ('"p"', "b\\", '"p"'), ("q\\r", "\u00e9", "\u00fcber"),
+        ("\u00fcber", 'say "a"', "plain \u2192 end"), ("plain \u2192 end", "b\\", '"p"'),
+        ("plain \u2192 end", "\u00e9", '"p"'),
+    ],
+)
+QUOTED_NAME = 'G "\u00e9" \\ 1'
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
@@ -143,6 +158,7 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     cases.append((f"{ring}.iso", ["iso", f"{ring}.json", f"{ring}.permuted.json", "--json"]))
     cases.append((f"{ring}.iso.control", ["iso", f"{ring}.json", f"{ring}.control.json", "--json"]))
     cases.append(("nr70.extended-future-cover", ["extended-future-cover", "nr70.json"]))
+    cases.append(("quoted.export", ["export", "quoted.json", "--dot", "--name", QUOTED_NAME]))
     return cases
 
 
@@ -233,6 +249,7 @@ def write_fixtures(directory: Path) -> None:
         json.dumps(shuffled(control, RING + 1), indent=2) + "\n"
     )
     (directory / "nr70.json").write_text(json.dumps(graph_to_data(NR70), indent=2) + "\n")
+    (directory / "quoted.json").write_text(json.dumps(graph_to_data(QUOTED), indent=2) + "\n")
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:

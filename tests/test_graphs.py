@@ -1,3 +1,6 @@
+from collections import defaultdict
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +106,54 @@ def test_build_graph_rejects_non_string_names():
     with pytest.raises(GraphFormatError) as exc:
         build_graph({"alphabet": ["0"], "vertices": ["v"], "edges": [edge]})
     assert "edges[0]" in str(exc.value) and "'to'" in str(exc.value)
+
+
+UV = {"from": "u", "label": "0", "to": "v"}
+VU = {"from": "v", "label": "1", "to": "u"}
+
+
+def uv_graph(edges):
+    return build_graph({"alphabet": ["0", "1"], "vertices": ["u", "v"], "edges": edges})
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([dict(UV, label=0)], "edges[0]: 'label' must be a string, got 0"),
+        ([dict(UV, **{"from": True})], "edges[0]: 'from' must be a string, got True"),
+        ([dict(UV, to=["v"])], "edges[0]: 'to' must be a string, got ['v']"),
+        ([dict(UV, label="2")], "edges[0]: unknown symbol '2'"),
+        ([dict(UV, **{"from": "x", "to": "y"})], "edges[0]: unknown vertex 'x'"),
+        ([dict(UV, to="y", label="2")], "edges[0]: unknown vertex 'y'"),
+        ([dict(UV, **{"from": "x", "label": 5})], "edges[0]: 'label' must be a string, got 5"),
+        ([{"label": 5, "to": "v"}], "edges[0]: missing key 'from'"),
+        ([{"from": "u", "to": ["v"]}], "edges[0]: missing key 'label'"),
+        ([UV, VU, ("u", "0", "v")], "edges[2]: edge record must be a mapping"),
+        ([UV, VU, dict(VU, to="w")], "edges[2]: unknown vertex 'w'"),
+        ([UV, VU, UV, "x"], "edges[2]: duplicate edge 'u' -'0'-> 'v'"),
+        ([UV, VU, UV, dict(UV, to=["v"])], "edges[2]: duplicate edge 'u' -'0'-> 'v'"),
+        ([UV, VU, VU, UV], "edges[2]: duplicate edge 'v' -'1'-> 'u'"),
+    ],
+)
+def test_build_graph_names_the_first_bad_record(edges, message):
+    """Records are checked in order.  Within a record, each key's presence
+    and type come first, in the order from, label, to; then the names, in
+    the order from, to, label.  A repeated edge is reported at its second
+    occurrence, before any later malformed record."""
+    with pytest.raises(GraphFormatError) as exc:
+        uv_graph(edges)
+    assert str(exc.value) == message
+
+
+def test_build_graph_accepts_any_mapping_record():
+    g = uv_graph([MappingProxyType(UV), VU])
+    assert g.edges == ((0, 0, 1), (1, 1, 0))
+    with pytest.raises(GraphFormatError) as exc:
+        uv_graph([VU, MappingProxyType(dict(UV, label=0))])
+    assert str(exc.value) == "edges[1]: 'label' must be a string, got 0"
+    with pytest.raises(GraphFormatError) as exc:
+        uv_graph([defaultdict(str, label="0", to="v")])
+    assert str(exc.value) == "edges[0]: missing key 'from'"
 
 
 def test_essentialize_trims_sink():

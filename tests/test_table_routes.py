@@ -76,8 +76,10 @@ The reference reads them off plain reachability sets: a vertex lies on a
 component when it reaches itself by a nonempty path, its component is
 every vertex it reaches that reaches it back, and a component is a
 source when every vertex that reaches it lies in it.  Both must agree on
-the fixtures, their stable cores, the cyclic lifts and the random graphs
-with tendrils.
+the fixtures, their stable cores, the cyclic lifts, the random graphs
+with tendrils and drawn graphs of up to 12 vertices, many with self-loops,
+sinks and tendrils.  A chain of 5,000 vertices into a 3-cycle, too long
+for the quadratic reference, is checked directly.
 """
 
 from __future__ import annotations
@@ -1301,3 +1303,32 @@ def test_component_cases_include_sinks_sources_and_tendrils():
 def test_components_match_reachability_sets(name, g):
     info = components_and_sources(g)
     assert (info.components, info.component_of, info.is_source) == reference_components(g)
+
+
+@st.composite
+def small_digraphs(draw):
+    """A graph on 1 to 12 vertices over 2 symbols with up to 24 edges,
+    drawn as (source, symbol, target) triples; sparse draws leave sinks,
+    sources and tendrils, and a drawn triple may be a self-loop."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, st.integers(0, 1), vertex), max_size=24, unique=True))
+    return LabeledGraph(("a", "b"), tuple(f"v{v}" for v in range(n)), tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs())
+def test_components_match_reachability_sets_on_drawn_graphs(g):
+    info = components_and_sources(g)
+    assert (info.components, info.component_of, info.is_source) == reference_components(g)
+
+
+def test_components_of_a_long_chain_into_a_cycle():
+    """v0 -> v1 -> ... -> v4999 -> v4997: one component, entered from
+    the chain, so not a source."""
+    n = 5000
+    edges = tuple((v, 0, v + 1) for v in range(n - 1)) + ((n - 1, 0, n - 3),)
+    info = components_and_sources(LabeledGraph(("a",), tuple(f"v{v}" for v in range(n)), edges))
+    assert info.components == ((n - 3, n - 2, n - 1),)
+    assert info.component_of == (None,) * (n - 3) + (0, 0, 0)
+    assert info.is_source == (False,)
