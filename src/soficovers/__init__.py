@@ -85,7 +85,6 @@ from .fixtures import BASE_FIXTURES, load_fixture
 from .graphs import (
     LabeledGraph,
     PeriodicWord,
-    Window,
     build_graph,
     check_right_resolving,
     essentialize,
@@ -146,7 +145,6 @@ __all__ = [
     "UnrealizableWordError",
     "VerificationError",
     "VerifyBounds",
-    "Window",
     "apply_code",
     "apply_code_cyclic",
     "apply_lifted",

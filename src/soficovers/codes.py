@@ -33,7 +33,6 @@ from .errors import (
 )
 from .graphs import (
     LabeledGraph,
-    Window,
     edge_lookup,
     lyndon_words,
     paths_of_length,
@@ -93,7 +92,7 @@ class SlidingBlockCode:
         return tuple(self.input_alphabet[k] for k in block)
 
 
-def _require_length(window: Window, radius: int) -> None:
+def _require_length(window: Sequence, radius: int) -> None:
     if len(window) < 2 * radius + 1:
         raise GraphFormatError(
             f"window of length {len(window)} is too short for radius {radius}"
@@ -113,11 +112,11 @@ def _block_outputs(code: SlidingBlockCode, items: tuple) -> tuple[int, ...]:
     return tuple(outs)
 
 
-def apply_code(code: SlidingBlockCode, window: Window) -> Window:
-    """Apply to a finite configuration of input indices; the output lives on
-    the input positions shrunk by the radius."""
+def apply_code(code: SlidingBlockCode, window: Sequence[int]) -> Block:
+    """Apply to a finite configuration of input indices: output i is the
+    image of the block centred on input i + radius."""
     _require_length(window, code.radius)
-    return Window(window.start + code.radius, _block_outputs(code, tuple(window.items)))
+    return _block_outputs(code, tuple(window))
 
 
 def apply_code_cyclic(code: SlidingBlockCode, word: Sequence[int]) -> tuple[int, ...]:
@@ -372,20 +371,14 @@ def verify_square(
     phi, phi_inv = square.edge_code, square.edge_code_inv
     psi, psi_inv = square.label_code, square.label_code_inv
 
-    def g_labels(p):
-        return tuple(g.edges[k][1] for k in p)
-
-    def h_labels(p):
-        return tuple(h.edges[k][1] for k in p)
-
     m = max(phi.radius, psi.radius)
     len_label = 2 * m + 1
 
     def check_label_square(p):
-        image = apply_code(phi, Window(0, p))
-        lhs = h_labels(image.items)[m - phi.radius : len(image) - (m - phi.radius)]
-        rhs_all = apply_code(psi, Window(0, g_labels(p)))
-        rhs = rhs_all.items[m - psi.radius : len(rhs_all) - (m - psi.radius)]
+        image = window_labels(h, apply_code(phi, p))
+        lhs = image[m - phi.radius : len(image) - (m - phi.radius)]
+        rhs_all = apply_code(psi, window_labels(g, p))
+        rhs = rhs_all[m - psi.radius : len(rhs_all) - (m - psi.radius)]
         if lhs != rhs:
             return False, f"labels disagree on window {phi.block_names(p)}"
         return True, ""
@@ -395,9 +388,8 @@ def verify_square(
     len_phi_rt = 2 * (phi.radius + phi_inv.radius) + 1
 
     def check_phi_round(p):
-        back = apply_code(phi_inv, apply_code(phi, Window(0, p)))
-        mid = (len_phi_rt - 1) // 2
-        if back[mid] != p[mid]:
+        (back,) = apply_code(phi_inv, apply_code(phi, p))
+        if back != p[(len_phi_rt - 1) // 2]:
             return False, f"edge round trip broke at {phi.block_names(p)}"
         return True, ""
 
@@ -406,10 +398,9 @@ def verify_square(
     len_psi_rt = 2 * (psi.radius + psi_inv.radius) + 1
 
     def check_psi_round(p):
-        labels = g_labels(p)
-        back = apply_code(psi_inv, apply_code(psi, Window(0, labels)))
-        mid = (len_psi_rt - 1) // 2
-        if back[mid] != labels[mid]:
+        labels = window_labels(g, p)
+        (back,) = apply_code(psi_inv, apply_code(psi, labels))
+        if back != labels[(len_psi_rt - 1) // 2]:
             return False, f"label round trip broke at {psi.block_names(labels)}"
         return True, ""
 
@@ -417,9 +408,9 @@ def verify_square(
 
     def check_cycle(cyc):
         image = apply_code_cyclic(phi, cyc)
-        psi_labels = apply_code_cyclic(psi, g_labels(cyc))
+        psi_labels = apply_code_cyclic(psi, window_labels(g, cyc))
         back = apply_code_cyclic(phi_inv, image)
-        if h_labels(image) != psi_labels or back != cyc:
+        if window_labels(h, image) != psi_labels or back != cyc:
             return False, f"cycle {phi.block_names(cyc)}"
         return True, ""
 
@@ -436,11 +427,11 @@ def verify_square(
     return SquareReport(tuple(checks))
 
 
-def _runs(comps: Sequence[Optional[int]], start: int) -> list[tuple[int, int, int]]:
+def _runs(comps: Sequence[Optional[int]]) -> list[tuple[int, int, int]]:
     """Maximal runs of one component id as (first, last, id), positions
-    counted from ``start``; ``None`` entries belong to no run."""
+    counted from 0; ``None`` entries belong to no run."""
     runs = []
-    pos = start
+    pos = 0
     for c, group in groupby(comps):
         n = sum(1 for _ in group)
         if c is not None:
@@ -449,9 +440,9 @@ def _runs(comps: Sequence[Optional[int]], start: int) -> list[tuple[int, int, in
     return runs
 
 
-def _vertex_sequence(graph: LabeledGraph, window: Window) -> list[int]:
-    verts = [graph.edges[window.items[0]][0]]
-    for k in window.items:
+def _vertex_sequence(graph: LabeledGraph, window: Block) -> list[int]:
+    verts = [graph.edges[window[0]][0]]
+    for k in window:
         if graph.edges[k][0] != verts[-1]:
             raise GraphFormatError("window edges do not compose")
         verts.append(graph.edges[k][2])
@@ -459,13 +450,13 @@ def _vertex_sequence(graph: LabeledGraph, window: Window) -> list[int]:
 
 
 def member_paths_of_window(
-    core: StableCore, window: Window
+    core: StableCore, window: Block
 ) -> list[tuple[int, ...]]:
     """The parallel base paths under a homogeneous core window, one per
     member of the starting vertex's set."""
     base = core.base
-    start_members = core.members[core.graph.edges[window.items[0]][0]]
-    word = [core.graph.edges[k][1] for k in window.items]
+    start_members = core.members[core.graph.edges[window[0]][0]]
+    word = window_labels(core.graph, window)
     vertex_seq = _vertex_sequence(core.graph, window)
     paths = []
     for v0 in sorted(start_members):
@@ -508,10 +499,10 @@ class LiftedCode:
     for an edge that leaves its component, and ``target_index`` each
     stable set of the target core's vertex.  Three memos keep what
     windows share, each keyed by an edge tuple: ``window_images`` holds
-    the image of a whole window under :func:`apply_lifted`, which does not
-    depend on where the window starts; ``segment_images`` the member-path
-    image of a segment inside one component; and ``gap_images`` the gap
-    fill of a segment between two long runs.  All three hold successes
+    the image of a whole window under :func:`apply_lifted`;
+    ``segment_images`` the member-path image of a segment inside one
+    component; and ``gap_images`` the gap fill of a segment between two
+    long runs.  All three hold successes
     only, so a failing window or segment raises again.
     """
 
@@ -535,27 +526,21 @@ class LiftedCode:
     )
 
 
-def _map_component_window(lifted: "LiftedCode", window: Window) -> Window:
-    """Image of a homogeneous component window, as core-of-h edges on the
-    window indices shrunk by kappa."""
-    return Window(window.start + lifted.kappa, _member_path_image(lifted, window))
-
-
-def _member_path_image(lifted: "LiftedCode", window: Window) -> Block:
-    """Core-of-h edges of the window's member paths, memoized on
+def _member_path_image(lifted: "LiftedCode", window: Block) -> Block:
+    """Core-of-h edges of a homogeneous component window's member paths:
+    output i is the image at window position i + kappa.  Memoized on
     ``lifted.segment_images`` by the window's edge tuple.
 
     The edge code maps each member path; each column of the images, shrunk
     by kappa at both ends, bundles into one target-core edge.  Every
     column's label and collapse checks run before any target-core lookup.
     """
-    items = tuple(window.items)
-    image = lifted.segment_images.get(items)
+    image = lifted.segment_images.get(window)
     if image is not None:
         return image
     paths = member_paths_of_window(lifted.core_g, window)
     phi = lifted.square.edge_code
-    images = [apply_code(phi, Window(window.start, p)).items for p in paths]
+    images = [apply_code(phi, p) for p in paths]
     cut = lifted.kappa - phi.radius  # image positions dropped at each end
     columns = list(zip(*images))[cut : len(images[0]) - cut]
     h_edges = lifted.square.graph_h.edges
@@ -581,36 +566,38 @@ def _member_path_image(lifted: "LiftedCode", window: Window) -> Block:
         if core_members[core_edges[k][2]] != {h_edges[e][2] for e in column}:
             raise VerificationError("image bundle drifts from the target core")
         edges.append(k)
-    image = lifted.segment_images[items] = tuple(edges)
+    image = lifted.segment_images[window] = tuple(edges)
     return image
 
 
 def fill_gap(
     lifted: "LiftedCode",
-    window: Window,
+    window: Sequence[int],
     left: tuple[int, int],
     right: tuple[int, int],
-) -> Window:
+) -> Block:
     """Fill the image between two component intervals of a core window.
 
     ``left = (i, j)`` and ``right = (k, l)`` are edge-position intervals
-    of ``window`` that each lie inside one component, with j - i > 4k,
-    l - k > 2k and j <= k (k here the common code radius).  The image is
-    pinned on both intervals by the member-path route; between them it is
-    the unique label-following path.  Disagreement at the right pin, or a
-    dead end while following, is reported as an error.
+    of ``window`` that each lie inside one component, with
+    j - i > 4 kappa, l - k > 2 kappa and j <= k.  The image is pinned on
+    both intervals by the member-path route; between them it is the
+    unique label-following path.  Output t is the image at window
+    position i + kappa + t.  Disagreement at either pin, or a dead end
+    while following, is reported as an error.
     """
+    window = tuple(window)
     i, j = left
     k, l = right
     kappa = lifted.kappa
-    if not (window.start <= i and l <= window.end):
+    if not (0 <= i and l < len(window)):
         raise GraphFormatError("intervals fall outside the window")
     if not (j - i > 4 * kappa and l - k > 2 * kappa and j <= k):
         raise GraphFormatError(
             "interval conditions violated: need j-i>4k, l-k>2k, j<=k"
         )
     for lo, hi in ((i, j), (k, l)):
-        comps = _window_edge_components(lifted, window.segment(lo, hi))
+        comps = _window_edge_components(lifted, window[lo : hi + 1])
         if len(set(comps)) != 1 or comps[0] is None:
             raise GraphFormatError(
                 f"[{lo},{hi}] is not inside a single component"
@@ -618,38 +605,38 @@ def fill_gap(
     return _fill_between(lifted, window, i, j, k, l)
 
 
-def _window_edge_components(lifted: "LiftedCode", seg: Window) -> list[Optional[int]]:
-    return [lifted.edge_components[e] for e in seg.items]
+def _window_edge_components(lifted: "LiftedCode", seg: Block) -> list[Optional[int]]:
+    return [lifted.edge_components[e] for e in seg]
 
 
 def _fill_between(
-    lifted: "LiftedCode", window: Window, i: int, j: int, k: int, l: int
-) -> Window:
+    lifted: "LiftedCode", window: Block, i: int, j: int, k: int, l: int
+) -> Block:
     kappa = lifted.kappa
-    left_img = _map_component_window(lifted, window.segment(i, j))
-    right_img = _map_component_window(lifted, window.segment(k, l))
-    labels = window_labels(lifted.core_g.graph, window.segment(i, l))
-    psi_out = apply_code(lifted.square.label_code, labels)
+    left_img = _member_path_image(lifted, window[i : j + 1])
+    right_img = _member_path_image(lifted, window[k : l + 1])
+    psi = lifted.square.label_code
+    labels = window_labels(lifted.core_g.graph, window[i : l + 1])
+    psi_out = apply_code(psi, labels)[kappa - psi.radius :]  # from i + kappa
     core_h = lifted.core_h.graph
     h_lookup = core_h.index.edge_at
-    at = core_h.edges[left_img[i + kappa]][0]
+    at = core_h.edges[left_img[0]][0]
     edges = []
     for t in range(i + kappa, l - kappa + 1):
-        e = h_lookup.get((at, psi_out[t]))
+        a = psi_out[t - i - kappa]
+        e = h_lookup.get((at, a))
         if e is None:
             raise LabelPathDiedError(
-                f"no {core_h.symbols[psi_out[t]]!r}-labeled edge from "
+                f"no {core_h.symbols[a]!r}-labeled edge from "
                 f"{core_h.vertices[at]!r} at position {t}"
             )
         edges.append(e)
         at = core_h.edges[e][2]
-    out = Window(i + kappa, tuple(edges))
-    for t in range(i + kappa, j - kappa + 1):
-        if out[t] != left_img[t]:
-            raise VerificationError("filled path breaks away from the left pin")
-    for t in range(k + kappa, l - kappa + 1):
-        if out[t] != right_img[t]:
-            raise VerificationError("filled path misses the right pin")
+    out = tuple(edges)
+    if out[: len(left_img)] != left_img:
+        raise VerificationError("filled path breaks away from the left pin")
+    if out[k - i :] != right_img:
+        raise VerificationError("filled path misses the right pin")
     return out
 
 
@@ -709,7 +696,7 @@ def lift_conjugacy(
     )
 
 
-def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
+def _lifted_rule(lifted: LiftedCode, items: Block) -> Callable[[int], int]:
     """The lifted rule on a core window: the output edge at a centre, read
     from the (2 radius + 1)-block around it.
 
@@ -727,15 +714,12 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
     """
     radius, kappa = lifted.block_radius, lifted.kappa
     edges = lifted.core_g.graph.edges
-    items = tuple(window.items)
     breaks = [
-        window.start + t
-        for t in range(1, len(items))
-        if edges[items[t - 1]][2] != edges[items[t]][0]
+        t for t in range(1, len(items)) if edges[items[t - 1]][2] != edges[items[t]][0]
     ]
     runs = [
         (s, e)
-        for s, e, _ in _runs(_window_edge_components(lifted, window), window.start)
+        for s, e, _ in _runs(_window_edge_components(lifted, items))
         if e - s >= 8 * kappa
     ]
     deep_starts = [s + kappa for s, _ in runs]
@@ -747,10 +731,7 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
             raise GraphFormatError("window edges do not compose")
         d = bisect_right(deep_starts, center) - 1
         if d >= 0 and center + kappa <= runs[d][1]:
-            first = center - kappa
-            key = items[first - window.start : center + kappa + 1 - window.start]
-            image = lifted.segment_images.get(key)  # a hit builds no Window
-            return (image or _member_path_image(lifted, Window(first, key)))[0]
+            return _member_path_image(lifted, items[center - kappa : center + kappa + 1])[0]
         long_runs = [  # in window order
             (max(s, lo), min(e, hi))
             for s, e in runs
@@ -768,38 +749,34 @@ def _lifted_rule(lifted: LiftedCode, window: Window) -> Callable[[int], int]:
                 "block radius failed to capture a long component run on the left"
             )
         begin = lefts[-1][1] - 7 * kappa
-        seg = items[begin - window.start : right[0] + 7 * kappa + 1 - window.start]
+        seg = items[begin : right[0] + 7 * kappa + 1]
         fill = lifted.gap_images.get(seg)
         if fill is None:
-            # in block positions, which the fill's errors report
+            # on the block, whose positions the fill's errors report
             i, j = begin - lo, begin + 7 * kappa - lo
             k, l = right[0] - lo, right[0] + 7 * kappa - lo
-            fill = _fill_between(lifted, window.shifted(-lo), i, j, k, l).items
+            fill = _fill_between(lifted, items[lo : hi + 1], i, j, k, l)
             lifted.gap_images[seg] = fill
         return fill[center - begin - kappa]
 
     return at
 
 
-def apply_lifted(lifted: LiftedCode, window: Window) -> Window:
-    """Apply the lifted code to a core window; the output lives on the
-    window positions shrunk by the block radius.  The window is prepared
-    once and its centres are read in order, so the first failing block
-    raises the error it raises as a window of its own.
-
-    No output or error depends on ``window.start`` (the gap fill reports
-    positions in its block), so the image is kept on
-    ``lifted.window_images`` by the window's edge tuple and a repeat of
-    the window anywhere reads it back."""
+def apply_lifted(lifted: LiftedCode, window: Sequence[int]) -> Block:
+    """Apply the lifted code to a core window: output i is the image of
+    the block centred on input i + radius, the block radius.  The window
+    is prepared once and its centres are read in order, so the first
+    failing block raises the error it raises as a window of its own.  The
+    image is kept on ``lifted.window_images`` by the window's edge tuple,
+    so a repeat of the window reads it back."""
     r = lifted.block_radius
     _require_length(window, r)
-    items = tuple(window.items)
+    items = tuple(window)
     image = lifted.window_images.get(items)
     if image is None:
-        at = _lifted_rule(lifted, window)
-        centres = range(window.start + r, window.end - r + 1)
-        image = lifted.window_images[items] = tuple(map(at, centres))
-    return Window(window.start + r, image)
+        at = _lifted_rule(lifted, items)
+        image = lifted.window_images[items] = tuple(map(at, range(r, len(items) - r)))
+    return image
 
 
 def _bfs_edge_path(g: LabeledGraph, source: int, target: int) -> Optional[list[int]]:
@@ -841,7 +818,7 @@ def sample_core_windows(
     rays: Sequence[PeriodicRay],
     rng: random.Random,
     walks: int = 6,
-) -> list[Window]:
+) -> list[Block]:
     """Deterministic window sample for bounded code verification.
 
     Three families: unrollings of the ``core`` rays, windows centered on a
@@ -868,7 +845,7 @@ def sample_core_windows(
             pairs += 1
     for _ in range(walks):
         found.append(_walk(g, g.index.out, rng.randrange(len(g.vertices)), length, rng))
-    return [Window(0, items) for items in dict.fromkeys(found)]
+    return list(dict.fromkeys(found))
 
 
 def _walk(
@@ -893,7 +870,7 @@ def _component_windows(
     rays: Sequence[PeriodicRay],
     length: int,
     rng: random.Random,
-) -> list[Window]:
+) -> list[Block]:
     """Windows that stay inside a single component: ray unrollings plus
     seeded walks along component-internal edges."""
     g = lifted.core_g.graph
@@ -906,7 +883,7 @@ def _component_windows(
         outs = internal[c]
         for _ in range(_COMPONENT_WALKS):
             found.append(_walk(g, outs, rng.choice(sorted(outs)), length, rng))
-    return [Window(0, items) for items in dict.fromkeys(found)]
+    return list(dict.fromkeys(found))
 
 
 def verify_lift_diagrams(
@@ -958,13 +935,12 @@ def _verify_lift_diagrams(
 
     psi = square.label_code
 
-    def check_labels(w: Window):
-        out = apply_lifted(lifted, w)
-        lhs = window_labels(core_h.graph, out).items
-        rhs_win = apply_code(psi, window_labels(core_g.graph, w))
-        rhs = tuple(rhs_win[t] for t in range(out.start, out.end + 1))
+    def check_labels(w: Block):
+        lhs = window_labels(core_h.graph, apply_lifted(lifted, w))
+        cut = D - psi.radius  # the label image starts at position psi.radius
+        rhs = apply_code(psi, window_labels(core_g.graph, w))[cut : cut + len(lhs)]
         if lhs != rhs:
-            return False, f"labels disagree on a window starting with edge {w.items[0]}"
+            return False, f"labels disagree on a window starting with edge {w[0]}"
         return True, ""
 
     sweep(
@@ -976,14 +952,15 @@ def _verify_lift_diagrams(
 
     future_g, future_h = lifted.future_g, lifted.future_h
 
-    def check_induced(w: Window):
+    def check_induced(w: Block):
         # The action induced on the merged cover: the factored window is
         # lifted through every member of its starting follower class (label
         # following never dies there: merged classes share follower sets),
         # the lifted code is applied, and each image is pushed through the
-        # target merge.  Every preimage must give the same image.
-        xi = tuple(future_g.factor_edge[k] for k in w.items)
-        labels = [core_g.graph.edges[k][1] for k in w.items]
+        # target merge.  Every preimage must give the same image; the
+        # window itself is the preimage from its own start vertex.
+        xi = tuple(future_g.factor_edge[k] for k in w)
+        labels = window_labels(core_g.graph, w)
         outputs = []
         for u0 in future_g.classes[future_g.cover.edges[xi[0]][0]]:
             path = _follow(core_g.graph, u0, labels)
@@ -991,15 +968,12 @@ def _verify_lift_diagrams(
                 raise VerificationError(
                     "factor preimage died; the merge is not right-covering"
                 )
-            image = apply_lifted(lifted, Window(w.start, path))
-            outputs.append(tuple(future_h.factor_edge[e] for e in image.items))
+            image = apply_lifted(lifted, path)
+            outputs.append(tuple(future_h.factor_edge[e] for e in image))
         if not outputs:
             raise VerificationError("cover vertex with an empty follower class")
         if any(out != outputs[0] for out in outputs):
             return False, f"{len(outputs)} preimages disagree"
-        direct = tuple(future_h.factor_edge[k] for k in apply_lifted(lifted, w).items)
-        if outputs[0] != direct:
-            return False, "cover action disagrees with the factored image"
         return True, ""
 
     sweep(
@@ -1015,17 +989,16 @@ def _verify_lift_diagrams(
     def check_alpha(ray: PeriodicRay):
         p = ray.word
         T = p.period
-        win = Window(0, _unroll_cycle(ray.edges, 2 * D + T))
-        out = apply_lifted(lifted, win)
+        out = apply_lifted(lifted, _unroll_cycle(ray.edges, 2 * D + T))
         hw = apply_code_cyclic(psi, p.word)
         h_past = past_masks(h, hw)
-        for t in range(out.start, out.end + 1):
+        for t, got in enumerate(out, D):
             k = t % T
             v = h_members.get(set_of(h_past[k]))
             if v is None:
                 return False, "image word's stabilized set missing from the core"
             e = h_core_lookup.get((v, hw[k]))
-            if e is None or out[t] != e:
+            if e is None or got != e:
                 return False, f"canonical rays disagree for period {T}"
         return True, ""
 
@@ -1038,12 +1011,11 @@ def _verify_lift_diagrams(
 
     comp_windows = _component_windows(lifted, rays, 2 * D + 5, rng)
 
-    def check_component(w: Window):
+    def check_component(w: Block):
         out = apply_lifted(lifted, w)
-        direct = _map_component_window(lifted, w)
-        for t in range(out.start, out.end + 1):
-            if out[t] != direct[t]:
-                return False, "lifted code leaves the member-path image"
+        cut = D - lifted.kappa  # the member-path image starts at position kappa
+        if out != _member_path_image(lifted, w)[cut : cut + len(out)]:
+            return False, "lifted code leaves the member-path image"
         return True, ""
 
     sweep(
@@ -1058,10 +1030,9 @@ def _verify_lift_diagrams(
         rt_length = 2 * (D + D2) + 9
         rt_windows = sample_core_windows(core_g, rt_length, rays, rng, walks)
 
-        def check_round_trip(w: Window):
-            mid = apply_lifted(lifted, w)
-            back = apply_lifted(inverse_lifted, mid)
-            if back.items != w.segment(back.start, back.end).items:
+        def check_round_trip(w: Block):
+            back = apply_lifted(inverse_lifted, apply_lifted(lifted, w))
+            if back != w[D + D2 : len(w) - D - D2]:
                 return False, "composition moved a window"
             return True, ""
 

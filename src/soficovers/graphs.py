@@ -437,55 +437,20 @@ def format_members(g: LabeledGraph, mask: int) -> str:
     return "{" + ",".join(g.vertices[v] for v in bits(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class Window:
-    """A finite configuration: consecutive items indexed from ``start``.
-
-    Items may be symbols, edge indices, or edge names depending on context;
-    paths additionally satisfy the composition invariant checked where they
-    are constructed.
-    """
-
-    start: int
-    items: tuple
-
-    @property
-    def end(self) -> int:
-        """Index of the last item (inclusive)."""
-        return self.start + len(self.items) - 1
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __getitem__(self, index: int):
-        if not self.start <= index <= self.end:
-            raise IndexError(f"index {index} outside [{self.start}, {self.end}]")
-        return self.items[index - self.start]
-
-    def segment(self, lo: int, hi: int) -> "Window":
-        """Sub-window on [lo, hi] inclusive."""
-        if not (self.start <= lo and hi <= self.end and lo <= hi):
-            raise IndexError(f"[{lo}, {hi}] outside [{self.start}, {self.end}]")
-        return Window(lo, self.items[lo - self.start : hi - self.start + 1])
-
-    def shifted(self, offset: int) -> "Window":
-        return Window(self.start + offset, self.items)
-
-
-def path_window(g: LabeledGraph, edge_indices: Sequence[int]) -> Window:
-    """Build a Window of edge indices from position 0, checking that
-    consecutive edges compose."""
+def path_window(g: LabeledGraph, edge_indices: Sequence[int]) -> tuple[int, ...]:
+    """The edge indices as a window, position 0 at the first edge,
+    checking that consecutive edges compose."""
     for i in range(len(edge_indices) - 1):
         if g.edges[edge_indices[i]][2] != g.edges[edge_indices[i + 1]][0]:
             raise GraphFormatError(
                 f"edges at offsets {i} and {i + 1} do not compose"
             )
-    return Window(0, tuple(edge_indices))
+    return tuple(edge_indices)
 
 
-def window_labels(g: LabeledGraph, w: Window) -> Window:
+def window_labels(g: LabeledGraph, w: Sequence[int]) -> tuple[int, ...]:
     """Label word of an edge-index window, index-aligned with the input."""
-    return Window(w.start, tuple(g.edges[k][1] for k in w.items))
+    return tuple(g.edges[k][1] for k in w)
 
 
 def primitive_root(word: tuple) -> tuple:

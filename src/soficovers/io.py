@@ -55,12 +55,16 @@ def _read_json(path: str) -> Any:
         raise GraphFormatError(f"{path}: not valid JSON ({exc})") from None
 
 
-def load_graph(path: str) -> LabeledGraph:
-    data = _read_json(path)
+def _graph_at(data: Any, where: str) -> LabeledGraph:
+    """:func:`build_graph` with its errors prefixed by ``where``."""
     try:
         return build_graph(data)
     except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+        raise GraphFormatError(f"{where}: {exc}") from None
+
+
+def load_graph(path: str) -> LabeledGraph:
+    return _graph_at(_read_json(path), path)
 
 
 def subset_provenance(family: SubsetFamily) -> dict:
@@ -190,8 +194,8 @@ def square_from_data(data: Mapping, where: str = "square") -> ConjugacySquare:
         if key not in data:
             raise GraphFormatError(f"{where}: missing key {key!r}")
     return ConjugacySquare(
-        build_graph(data["graph_g"]),
-        build_graph(data["graph_h"]),
+        _graph_at(data["graph_g"], f"{where}: graph_g"),
+        _graph_at(data["graph_h"], f"{where}: graph_h"),
         code_from_data(data["edge_code"], f"{where}: edge_code"),
         code_from_data(data["edge_code_inv"], f"{where}: edge_code_inv"),
         code_from_data(data["label_code"], f"{where}: label_code"),

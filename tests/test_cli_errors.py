@@ -43,10 +43,9 @@ def code_data(**change):
     return data
 
 
-def square_data(label_code=None, drop=None):
+def square_data(drop=None, **parts):
     data = square_to_data(higher_block(load_fixture("example_b"), 2))
-    if label_code is not None:
-        data["label_code"] = label_code
+    data.update(parts)
     data.pop(drop, None)
     return data
 
@@ -127,6 +126,18 @@ CASES = {
     "square-not-a-mapping": ("verify", [], [], "error: {path}: must be a mapping"),
     "square-without-part": (
         "verify", square_data(drop="label_code_inv"), [], "missing key 'label_code_inv'"
+    ),
+    "square-graph-unknown-vertex": (
+        "verify",
+        square_data(graph_h=graph_data(edges=[{"from": "u", "label": "0", "to": "nope"}])),
+        [],
+        "error: {path}: graph_h: edges[0]: unknown vertex 'nope'",
+    ),
+    "square-graph-not-a-mapping": (
+        "verify",
+        square_data(graph_g=[]),
+        [],
+        "error: {path}: graph_g: graph description must be a mapping",
     ),
     "seed-without-vertices": (
         "gpp", None, ["--mode", "seeded", "--seed", ","], "empty seed set ','"

@@ -2,6 +2,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 
@@ -11,7 +12,6 @@ from soficovers import (
     LabelPathDiedError,
     SlidingBlockCode,
     VerificationError,
-    Window,
     apply_code,
     apply_code_cyclic,
     apply_lifted,
@@ -32,7 +32,6 @@ from soficovers.codes import (
     _edge_cycles,
     _fill_between,
     _follow,
-    _map_component_window,
     _member_path_image,
     _runs,
     _unroll_cycle,
@@ -60,7 +59,7 @@ def identity_code(alphabet):
 
 def test_apply_identity_code():
     code = identity_code(("x", "y"))
-    w = Window(2, (0, 1, 1))
+    w = (0, 1, 1)
     assert apply_code(code, w) == w
 
 
@@ -68,21 +67,20 @@ def test_apply_code_shrinks_by_radius(even_shift):
     psi = higher_block(even_shift, 2).label_code
     assert psi.radius == 1
     s = psi.input_alphabet.index
-    out = apply_code(psi, Window(0, (s("0"), s("0"), s("1"), s("1"))))
-    assert out.start == 1
-    assert out.items == tuple(psi.output_alphabet.index(w) for w in ("0.1", "1.1"))
+    out = apply_code(psi, (s("0"), s("0"), s("1"), s("1")))
+    assert out == tuple(psi.output_alphabet.index(w) for w in ("0.1", "1.1"))
 
 
 def test_apply_code_rejects_short_window(even_shift):
     psi = higher_block(even_shift, 2).label_code
     with pytest.raises(GraphFormatError):
-        apply_code(psi, Window(0, ("0",)))
+        apply_code(psi, ("0",))
 
 
 def test_apply_code_rejects_unmapped_block():
     partial = SlidingBlockCode(("a", "b"), ("x",), 0, {(0,): 0})
     with pytest.raises(GraphFormatError, match=r"block \('b',\)"):
-        apply_code(partial, Window(0, (1,)))
+        apply_code(partial, (1,))
 
 
 def table_code_windows(square, rng):
@@ -102,7 +100,7 @@ def table_code_windows(square, rng):
             if labels:
                 items = tuple(graph.edges[k][1] for k in items)
             drawn = tuple(rng.randrange(len(code.input_alphabet)) for _ in range(length))
-            windows += [Window(length, items), Window(-length, drawn)]
+            windows += [items, drawn]
         yield code, windows
 
 
@@ -115,7 +113,7 @@ def test_table_rules_apply_as_block_by_block():
             for w in windows:
                 out = outcome(apply_code, code, w)
                 assert out == outcome(block_by_block, code, w), (name, n, w)
-                if isinstance(out, tuple):
+                if isinstance(out, Raised):
                     assert out[0] == "GraphFormatError"
                     assert out[1].startswith("code has no rule for block (")
                     missing += 1
@@ -143,7 +141,7 @@ def unrolled_reference(code, word):
     n, r = len(word), code.radius
     if not n:
         return ()
-    return apply_code(code, Window(0, tuple(word[(t - r) % n] for t in range(n + 2 * r)))).items
+    return apply_code(code, tuple(word[(t - r) % n] for t in range(n + 2 * r)))
 
 
 def test_apply_code_cyclic_matches_the_unrolled_word():
@@ -263,7 +261,7 @@ class ComponentInterval:
 
 def component_intervals(core, window):
     """Component intervals of a stable-core path window, in vertex positions
-    window.start .. window.end + 1.
+    0 .. len(window).
 
     Every interval is checked homogeneous: member sets of its vertices all
     have the component's common size.
@@ -271,7 +269,7 @@ def component_intervals(core, window):
     info = components_and_sources(core.graph)
     verts = _vertex_sequence(core.graph, window)
     intervals = []
-    for first, last, c in _runs([info.component_of[v] for v in verts], window.start):
+    for first, last, c in _runs([info.component_of[v] for v in verts]):
         # the run lies in component c, so it is homogeneous when c is
         if len({len(core.members[v]) for v in info.components[c]}) != 1:
             raise VerificationError(
@@ -312,7 +310,7 @@ def map_bundle_path(square, bundle_path):
     each base path through the edge code, bundle the images, trimmed by
     the code radius."""
     paths = bundle_member_paths(square.graph_g, bundle_path)
-    return reference_map_parallel_paths(square, paths, 0, square.edge_code.radius)
+    return reference_map_parallel_paths(square, paths, square.edge_code.radius)
 
 
 def test_component_intervals_split(example_a):
@@ -365,9 +363,8 @@ def test_fill_gap_identity(example_b):
     lifted = lift_conjugacy(square)
     _, window = components_crossing_window(example_b)
     assert lifted.kappa == 1
-    q = fill_gap(lifted, window, (0, 7), (9, 16))
-    assert q.start == 1
-    assert q.items == window.segment(1, 15).items
+    assert fill_gap(lifted, window, (0, 7), (9, 16)) == window[1:16]
+    assert fill_gap(relifted(lifted), list(window), (0, 7), (9, 16)) == window[1:16]
 
 
 def test_fill_gap_corrupted_rule_dies(example_b):
@@ -385,13 +382,35 @@ def test_fill_gap_rejects_short_intervals(example_b):
         fill_gap(lifted, window, (0, 2), (9, 16))
 
 
+@pytest.mark.parametrize(
+    "left,right,message",
+    [
+        ((-1, 7), (9, 16), "intervals fall outside the window"),
+        ((0, 7), (9, 17), "intervals fall outside the window"),
+        ((0, 2), (9, 16), "interval conditions violated: need j-i>4k, l-k>2k, j<=k"),
+        ((0, 10), (9, 16), "interval conditions violated: need j-i>4k, l-k>2k, j<=k"),
+        ((0, 8), (9, 16), "[0,8] is not inside a single component"),
+        ((0, 7), (8, 16), "[8,16] is not inside a single component"),
+    ],
+)
+def test_fill_gap_input_errors(example_b, left, right, message):
+    """On criterion 8's 17-edge window (the crossing edge at position 8):
+    an interval past either end, a short or overlapping pair, and an
+    interval holding the crossing edge each raise their own message."""
+    lifted = lift_conjugacy(identity_square(example_b))
+    _, window = components_crossing_window(example_b)
+    assert len(window) == 17 and lifted.edge_components[window[8]] is None
+    with pytest.raises(GraphFormatError) as raised:
+        fill_gap(lifted, window, left, right)
+    assert str(raised.value) == message
+
+
 def test_lift_identity_acts_trivially(example_b):
     lifted = lift_conjugacy(identity_square(example_b))
     _, window = components_crossing_window(example_b)
     d = lifted.block_radius
     grown = grow_window(lifted, window, 2 * d + 3)
-    out = apply_lifted(lifted, grown)
-    assert out.items == grown.segment(grown.start + d, grown.end - d).items
+    assert apply_lifted(lifted, grown) == grown[d : len(grown) - d]
 
 
 def test_lifted_rule_entries_follow_apply_window(example_b):
@@ -400,25 +419,25 @@ def test_lifted_rule_entries_follow_apply_window(example_b):
     d = lifted.block_radius
     grown = grow_window(lifted, window, 2 * d + 6)
     out = apply_lifted(lifted, grown)
-    assert (out.start, len(out)) == (grown.start + d, 6)
+    assert len(out) == 6
     fresh = relifted(lifted)
-    for t in range(out.start, out.end + 1):  # each block alone, with and without the memos
-        block = Window(0, grown.segment(t - d, t + d).items)
-        assert apply_lifted(lifted, block).items == (out[t],)
-        assert apply_lifted(fresh, block).items == (out[t],)
+    for t, image in enumerate(out):  # each block alone, with and without the memos
+        block = grown[t : t + 2 * d + 1]
+        assert apply_lifted(lifted, block) == (image,)
+        assert apply_lifted(fresh, block) == (image,)
 
 
 def grow_window(lifted, window, length):
     """Extend a core window on the right by label-following a loop."""
     g = lifted.core_g.graph
-    edges = list(window.items)
+    edges = list(window)
     out = {}
     for k, (u, a, v) in enumerate(g.edges):
         out.setdefault(u, []).append(k)
     while len(edges) < length:
         tail = g.edges[edges[-1]][2]
         edges.append(out[tail][0])
-    return path_window(g, edges).shifted(window.start)
+    return path_window(g, edges)
 
 
 def test_lift_renaming_square(example_b):
@@ -482,9 +501,9 @@ def test_induced_cover_preimages_must_agree(example_b, monkeypatch):
 
     def shifted(lifted, window):
         out = apply_lifted(lifted, window)
-        if core.edges[window.items[0]][0] != 2:
+        if core.edges[window[0]][0] != 2:
             return out
-        return Window(out.start, ((out.items[0] + 1) % n, *out.items[1:]))
+        return ((out[0] + 1) % n, *out[1:])
 
     monkeypatch.setattr(codes, "apply_lifted", shifted)
     report = verify_lift_diagrams(lifted)
@@ -541,9 +560,7 @@ def diagram_windows(lifted, inverse_radius, max_period, walks):
     component = _component_windows(lifted, rays, 2 * d + 5, rng)
     rt_length = 2 * (d + inverse_radius) + 9
     round_trip = sample_core_windows(lifted.core_g, rt_length, rays, rng, walks)
-    rays_unrolled = [
-        Window(0, _unroll_cycle(ray.edges, 2 * d + len(ray.edges))) for ray in rays
-    ]
+    rays_unrolled = [_unroll_cycle(ray.edges, 2 * d + len(ray.edges)) for ray in rays]
     return {
         "sampled": sampled,
         "component": component,
@@ -555,34 +572,37 @@ def diagram_windows(lifted, inverse_radius, max_period, walks):
 def block_by_block(code, window):
     """``apply_code`` with every (2 radius + 1)-block evaluated on its own."""
     r = code.radius
-    items = tuple(
-        code.output_for(window.items[t : t + 2 * r + 1])
-        for t in range(len(window) - 2 * r)
+    return tuple(
+        code.output_for(window[t : t + 2 * r + 1]) for t in range(len(window) - 2 * r)
     )
-    return Window(window.start + r, items)
 
 
 def lifted_block_by_block(lifted, window, apply=apply_lifted):
-    """``apply`` with every (2 radius + 1)-block applied on its own, as the
-    one-block window ``Window(0, block)``."""
+    """``apply`` with every (2 radius + 1)-block applied on its own, as a
+    one-block window."""
     r = lifted.block_radius
-    items = tuple(
-        apply(lifted, Window(0, window.items[t : t + 2 * r + 1])).items[0]
-        for t in range(len(window) - 2 * r)
+    return tuple(
+        apply(lifted, window[t : t + 2 * r + 1])[0] for t in range(len(window) - 2 * r)
     )
-    return Window(window.start + r, items)
+
+
+class Raised(NamedTuple):
+    """A package error that a call raised, by type name and message."""
+
+    type_name: str
+    message: str
 
 
 def outcome(fn, *args):
     try:
         return fn(*args)
     except (GraphFormatError, VerificationError, LabelPathDiedError) as exc:
-        return type(exc).__name__, str(exc)
+        return Raised(type(exc).__name__, str(exc))
 
 
 def crosses_components(lifted, window):
     comps = _window_edge_components(lifted, window)
-    return None in comps or len(_runs(comps, 0)) > 1
+    return None in comps or len(_runs(comps)) > 1
 
 
 @pytest.mark.parametrize(
@@ -605,7 +625,7 @@ def test_window_pass_matches_block_by_block(name):
         for w in windows:
             out = outcome(apply_lifted, by_window, w)
             assert out == outcome(lifted_block_by_block, by_block, w), (family, w)
-            if family == "round-trip" and isinstance(out, Window):
+            if family == "round-trip" and not isinstance(out, Raised):
                 mids.append(out)
     if name != "corrupted":
         assert len(mids) == len(families["round-trip"])
@@ -628,20 +648,20 @@ def test_window_pass_raises_what_blocks_raise(example_b):
     edges = lifted.core_g.graph.edges
     cut = 2 * d + 4  # blocks 0..3 compose, blocks 4 and 5 hold the bad join
     wrong = next(
-        k for k, (u, _, _) in enumerate(edges) if u != edges[grown.items[cut - 1]][2]
+        k for k, (u, _, _) in enumerate(edges) if u != edges[grown[cut - 1]][2]
     )
-    broken = Window(0, grown.items[:cut] + (wrong,) + grown.items[cut + 1 :])
+    broken = grown[:cut] + (wrong,) + grown[cut + 1 :]
     with pytest.raises(GraphFormatError, match="^window edges do not compose$"):
         apply_lifted(lifted, broken)
     with pytest.raises(GraphFormatError, match="^window edges do not compose$"):
         lifted_block_by_block(reference, broken)
     for t in range(4):  # the blocks before the bad join apply alone
-        assert len(apply_lifted(reference, broken.segment(t, t + 2 * d))) == 1
+        assert len(apply_lifted(reference, broken[t : t + 2 * d + 1])) == 1
 
     with pytest.raises(
         GraphFormatError, match=rf"^window of length {2 * d} is too short for radius {d}$"
     ):
-        apply_lifted(lifted, grown.segment(0, 2 * d - 1))
+        apply_lifted(lifted, grown[: 2 * d])
 
 
 def corrupt_edge_code(square, block):
@@ -695,7 +715,7 @@ def test_gap_memo_holds_what_a_fresh_fill_gives(example_b, monkeypatch):
     fresh = relifted(lifted)
     for seg, fill in lifted.gap_images.items():
         last = len(seg) - 1
-        assert _fill_between(fresh, Window(0, seg), 0, n, last - n, last).items == fill
+        assert _fill_between(fresh, seg, 0, n, last - n, last) == fill
     calls = []
     monkeypatch.setattr(codes, "_fill_between", lambda *args: calls.append(args))
     assert verify_lift_diagrams(lifted, max_period=3, walks=3) == first
@@ -706,15 +726,15 @@ def test_gap_memo_keeps_no_failure(example_b):
     square = _corrupted_higher_block_square(example_b, ("2", "2", "2"))
     lifted = lift_conjugacy(square, verify=False)
     _, window = components_crossing_window(example_b)  # criterion 8's window
-    loop_both, crossing, loop_single = window.items[0], window.items[8], window.items[-1]
+    loop_both, crossing, loop_single = window[0], window[8], window[-1]
     d = lifted.block_radius
-    crossing_window = Window(0, (loop_both,) * (d + 1) + (crossing,) + (loop_single,) * (d + 1))
+    crossing_window = (loop_both,) * (d + 1) + (crossing,) + (loop_single,) * (d + 1)
     first = outcome(apply_lifted, lifted, crossing_window)
     assert first[0] in ("LabelPathDiedError", "VerificationError"), first
     assert lifted.gap_images == lifted.window_images == {}
-    for start in (0, 9, -4):  # the window memo keeps no failure either
-        assert outcome(apply_lifted, lifted, crossing_window.shifted(start)) == first
-        assert lifted.gap_images == lifted.window_images == {}
+    # the window memo keeps no failure either
+    assert outcome(apply_lifted, lifted, crossing_window) == first
+    assert lifted.gap_images == lifted.window_images == {}
 
 
 def test_lift_rejects_malformed_square(example_a, example_b):
@@ -731,10 +751,10 @@ def test_sampled_core_windows_are_paths(name):
     rays = [past_set_ray(core, p) for p in periodic_points(g, 4)]
     for length in (5, 8, 29):
         windows = sample_core_windows(core, length, rays, random.Random(length))
-        assert len({w.items for w in windows}) == len(windows)
+        assert len(set(windows)) == len(windows)
         for w in windows:
             assert len(w) == length
-            path_window(core.graph, w.items)  # raises unless consecutive edges compose
+            path_window(core.graph, w)  # raises unless consecutive edges compose
 
 
 # Edges p-q -r-> s and p -q-r-> s are both named "p-q-r->s"; the two edges
@@ -767,24 +787,21 @@ def test_squares_reject_shared_edge_names(build):
 # component run of the window straight to ``segment_images``.  The
 # reference keeps the route it replaced: every centre clips every long
 # run to its own block and maps its kappa-neighbourhood through
-# ``_map_component_window`` when a clipped long run holds it.  The two
+# ``_member_path_image`` when a clipped long run holds it.  The two
 # agree whenever the block radius is at least 8 kappa + 2, which every
 # lift's radius is; the windows below run both at the lift's radius and
 # at 8 kappa + 2, where blocks can miss a long run on either side.
 
 
-def reference_lifted_rule(lifted, window):
+def reference_lifted_rule(lifted, items):
     radius, kappa = lifted.block_radius, lifted.kappa
     edges = lifted.core_g.graph.edges
-    items = window.items
     breaks = [
-        window.start + t
-        for t in range(1, len(items))
-        if edges[items[t - 1]][2] != edges[items[t]][0]
+        t for t in range(1, len(items)) if edges[items[t - 1]][2] != edges[items[t]][0]
     ]
     runs = [
         (s, e)
-        for s, e, _ in _runs(_window_edge_components(lifted, window), window.start)
+        for s, e, _ in _runs(_window_edge_components(lifted, items))
         if e - s >= 8 * kappa
     ]
 
@@ -800,8 +817,8 @@ def reference_lifted_rule(lifted, window):
         ]
         for s, e in long_runs:
             if s <= center - kappa and center + kappa <= e:
-                seg = window.segment(center - kappa, center + kappa)
-                return _map_component_window(lifted, seg)[center]
+                seg = items[center - kappa : center + kappa + 1]
+                return _member_path_image(lifted, seg)[0]
         rights = [run for run in long_runs if run[0] >= center - kappa]
         if not rights:
             raise VerificationError(
@@ -816,7 +833,8 @@ def reference_lifted_rule(lifted, window):
         left = lefts[-1]
         i, j = left[1] - 7 * kappa - lo, left[1] - lo
         k, l = right[0] - lo, right[0] + 7 * kappa - lo
-        return _fill_between(lifted, window.shifted(-lo), i, j, k, l)[center - lo]
+        fill = _fill_between(lifted, items[lo : hi + 1], i, j, k, l)
+        return fill[center - lo - i - kappa]
 
     return at
 
@@ -893,20 +911,19 @@ def route_windows(lifted, seed):
     rng = random.Random(seed)
     d = lifted.block_radius
     walks = [
-        Window(0, _walk(g, g.index.out, rng.randrange(len(g.vertices)), length, rng))
+        _walk(g, g.index.out, rng.randrange(len(g.vertices)), length, rng)
         for length in range(2 * d + 1, 2 * d + 13)
     ]
     broken = []
     for w in walks[:6]:
         for t in (1, len(w) // 2, len(w) - 1):
-            wrong = [k for k, (u, _, _) in enumerate(edges) if u != edges[w.items[t - 1]][2]]
+            wrong = [k for k, (u, _, _) in enumerate(edges) if u != edges[w[t - 1]][2]]
             if wrong:
-                items = w.items[:t] + (rng.choice(wrong),) + w.items[t + 1 :]
-                broken.append(Window(0, items))
+                broken.append(w[:t] + (rng.choice(wrong),) + w[t + 1 :])
 
     def crossings(r):
         return [
-            Window(0, scheduled_walk(lifted, v, length, leave_at, rng))
+            scheduled_walk(lifted, v, length, leave_at, rng)
             for length in (2 * r + 1, 2 * r + 3)
             for v in range(len(g.vertices))
             for leave_at in range(length)
@@ -942,8 +959,8 @@ def test_lifted_rule_matches_reference_route():
         short = relifted(lifted, r)
         outs = route_outcomes(lifted, relifted(lifted), at_radius)
         short_outs = route_outcomes(short, relifted(lifted, r), crossings)
-        failed = {out for out in outs if isinstance(out, tuple)}
-        errors |= {out[1] for out in short_outs if isinstance(out, tuple)}
+        failed = {out for out in outs if isinstance(out, Raised)}
+        errors |= {out[1] for out in short_outs if isinstance(out, Raised)}
         errors |= {message for _, message in failed}
         assert lifted.segment_images and short.segment_images, (name, inverse)
         # the crossings at the lift's own radius reach the gap route; on the
@@ -974,8 +991,8 @@ def test_lifted_rule_matches_reference_route():
 
 def reference_member_paths(core, window):
     base = core.base
-    start_members = core.members[core.graph.edges[window.items[0]][0]]
-    word = [core.graph.edges[k][1] for k in window.items]
+    start_members = core.members[core.graph.edges[window[0]][0]]
+    word = [core.graph.edges[k][1] for k in window]
     vertex_seq = _vertex_sequence(core.graph, window)
     paths = []
     for v0 in sorted(start_members):
@@ -1003,7 +1020,7 @@ class MappedBundle:
     members: tuple[int, ...]
 
 
-def reference_map_parallel_paths(square, paths, start, trim):
+def reference_map_parallel_paths(square, paths, trim):
     """Apply the edge code to each parallel base path and re-bundle, on
     the positions of the paths shrunk by ``trim`` (at least the code
     radius) at each end."""
@@ -1011,12 +1028,10 @@ def reference_map_parallel_paths(square, paths, start, trim):
     phi = square.edge_code
     if not paths:
         return []
-    images = [apply_code(phi, Window(start, tuple(p))).items for p in paths]
-    lo = start + trim
-    hi = start + len(paths[0]) - 1 - trim
+    images = [apply_code(phi, tuple(p)) for p in paths]
     bundles = []
-    for t in range(lo, hi + 1):
-        idx = t - (start + phi.radius)
+    for t in range(trim, len(paths[0]) - trim):
+        idx = t - phi.radius
         members = tuple(sorted({img[idx] for img in images}))
         sources = frozenset(h.edges[k][0] for k in members)
         targets = frozenset(h.edges[k][2] for k in members)
@@ -1033,7 +1048,7 @@ def reference_member_path_image(lifted, window):
     """Core-of-h edges of the window's member paths: every bundle is
     built, and checked, before any is looked up in the target core."""
     paths = reference_member_paths(lifted.core_g, window)
-    bundles = reference_map_parallel_paths(lifted.square, paths, window.start, lifted.kappa)
+    bundles = reference_map_parallel_paths(lifted.square, paths, lifted.kappa)
     core_h = lifted.core_h
     index = core_h.member_index()
     lookup = edge_lookup(core_h.graph)
@@ -1063,11 +1078,11 @@ def test_member_path_map_matches_reference_route():
         windows = families["component"] + families["sampled"]
         edges = core.graph.edges
         broken = [  # the sampled windows with one edge that does not compose
-            Window(w.start, w.items[:t] + (k,) + w.items[t + 1 :])
+            w[:t] + (k,) + w[t + 1 :]
             for w in families["sampled"][:4]
             for t in (1, len(w) // 2)
             for k, (u, _, _) in enumerate(edges)
-            if u != edges[w.items[t - 1]][2]
+            if u != edges[w[t - 1]][2]
         ]
         for w in windows + broken:
             assert outcome(member_paths_of_window, core, w) == outcome(
@@ -1096,7 +1111,7 @@ def full_set_loop_window(lifted):
     full = core.member_index()[frozenset({0, 1, 2})]
     lookup = edge_lookup(core.graph)
     loop0, loop1 = lookup[(full, 0)], lookup[(full, 1)]
-    return Window(0, (loop0, loop0, loop1) * 4 + (loop0,))
+    return (loop0, loop0, loop1) * 4 + (loop0,)
 
 
 def corrupted_target_core(lifted, part):
@@ -1136,7 +1151,7 @@ def test_member_path_image_checks_labels_before_any_lookup():
     square = corrupt_edge_code(identity_square(load_fixture("example_a")), ("a-1->b",))
     lifted = lift_conjugacy(square, verify=False)
     window = full_set_loop_window(lifted)
-    prefix = window.segment(0, 2)  # the one column of position 1
+    prefix = window[:3]  # the one column of position 1
     unindexed = corrupted_target_core(lifted, "index")
     assert len(_member_path_image(relifted(lifted), prefix)) == 1
     with pytest.raises(
@@ -1148,16 +1163,15 @@ def test_member_path_image_checks_labels_before_any_lookup():
             _member_path_image(relifted(lift), window)
 
 
-def test_window_memo_reads_a_repeat_at_another_start(example_b, monkeypatch):
+def test_window_memo_reads_a_repeat(example_b, monkeypatch):
     lifted = lift_conjugacy(higher_block(example_b, 2))
     d = lifted.block_radius
     _, window = components_crossing_window(example_b)
     grown = grow_window(lifted, window, 2 * d + 6)
     first = apply_lifted(lifted, grown)
-    assert lifted.window_images == {grown.items: first.items}
-    fresh = apply_lifted(relifted(lifted), grown.shifted(-17))
-    assert fresh == first.shifted(-17)
+    assert lifted.window_images == {grown: first}
+    assert apply_lifted(relifted(lifted), grown) == first
     calls = []
     monkeypatch.setattr(codes, "_lifted_rule", lambda *args: calls.append(args))
-    assert apply_lifted(lifted, grown.shifted(-17)) == fresh
+    assert apply_lifted(lifted, list(grown)) == first
     assert calls == []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from soficovers import (
     EmptyShiftError,
     GraphFormatError,
-    Window,
     build_graph,
     check_right_resolving,
     essentialize,
@@ -186,16 +185,6 @@ def test_right_resolving_all_fixtures(example_a, example_b, even_shift):
         assert check_right_resolving(g).ok
 
 
-def test_window_indexing():
-    w = Window(3, ("x", "y", "z"))
-    assert w.end == 5
-    assert w[4] == "y"
-    with pytest.raises(IndexError):
-        w[6]
-    assert w.segment(4, 5).items == ("y", "z")
-    assert w.shifted(-3).start == 0
-
-
 def test_path_window_requires_composition(example_b):
     # edge 0 is a->b; an edge out of a cannot follow it
     out_of_a = [k for k, (u, _, _) in enumerate(example_b.edges) if u == 0]
@@ -208,10 +197,9 @@ def test_window_labels(example_b):
     a, b = 0, 1
     s = example_b.symbols.index
     path = [lookup[(a, s("0"))], lookup[(b, s("1"))], lookup[(a, s("2"))]]
-    w = path_window(example_b, path).shifted(5)
-    labels = window_labels(example_b, w)
-    assert labels.start == 5
-    assert labels.items == (s("0"), s("1"), s("2"))
+    w = path_window(example_b, path)
+    assert w == tuple(path)
+    assert window_labels(example_b, w) == (s("0"), s("1"), s("2"))
 
 
 def test_even_shift_words(even_shift):
