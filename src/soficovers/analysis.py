@@ -7,11 +7,16 @@ are exact, not approximations.  Two refinement routines split vertex
 classes by the edges into a splitter class.  On a right-resolving graph a
 vertex has at most one edge of each symbol, so it has 0 or 1 of them into
 a splitter: the follower classes come from Hopcroft's minimization on the
-predecessor masks, where a split is a mask intersection.  The isomorphism
+predecessor masks, where a split is a mask intersection
+(:func:`_split_classes`).  A graph keeps its follower partition and
+follower quotient, and containment is searched on the quotient.
+
+Isomorphism takes one of two routes.  Between right-resolving graphs the
+same splitting, run on their disjoint union, gives the follower classes
+the two share, and the image of one vertex forces the images of all the
+vertices it reaches (:func:`_forced_isomorphism`).  Otherwise the
 colouring refines by out- and in-edges, and a vertex can have several of
-one symbol into one class, so it counts them (:func:`_refine`).  A graph
-keeps its follower partition and follower quotient, and containment is
-searched on the quotient.
+one symbol into one class, so it counts them (:func:`_refine`).
 """
 
 from __future__ import annotations
@@ -130,9 +135,10 @@ def _refine(
     largest keeps the old id, and stays queued if it was: its counts are
     those into the old class minus those into the other pieces.  Once
     every class is a single vertex nothing can split, so the search stops.
-    Ids are not canonical; only the partition is.  Its product caller is
-    :func:`graphs_isomorphic`; a right-resolving graph's follower classes
-    need no counts (:func:`_follower_partition`).
+    Ids are not canonical; only the partition is.  Its one caller is
+    :func:`_counting_isomorphism`, for inputs that are not right-resolving;
+    between right-resolving graphs the follower classes need no counts
+    (:func:`_split_classes`).
 
     A nonzero ``half`` marks ``adjacency`` as the disjoint union of two
     graphs of ``half`` vertices each, the first graph's vertices first.
@@ -225,30 +231,59 @@ def follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
 
 
 def _follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
-    """Hopcroft's minimization (1971) on vertex masks.
+    """The classes of :func:`_split_classes` on the predecessor masks,
+    listed by smallest vertex.
 
     The graph is a partial automaton with every state accepting, so the
-    follower classes are its minimal states.  From one class, the full
-    set, pop a splitter S and take, per symbol a, the vertices X with an
-    a-edge into S; every class C that X cuts splits into ``C & X`` and
-    ``C & ~X``.  A vertex has at most one a-edge, so it has 0 or 1 of
-    them into S and a mask intersection is the whole split.  For the same
-    reason the a-predecessors of C minus a piece are those of C minus
-    those of the piece, missing edges included, so only the smaller
-    piece is queued.  The larger keeps C's id and stays queued if C was.
+    follower classes are its minimal states.
     """
     require_essential(g)
     require_right_resolving(g)
-    n = len(g.vertices)
-    if not n:
-        return ()
+    blocks: dict[int, list[int]] = {}
+    for v, c in enumerate(_split_classes(g.index.pred, len(g.vertices))):
+        blocks.setdefault(c, []).append(v)
+    return tuple(map(frozenset, blocks.values()))
+
+
+def _split_classes(
+    pred: Sequence[Sequence[int]], n: int, half: int = 0
+) -> Optional[list[int]]:
+    """Hopcroft's minimization (1971) on vertex masks, as a class id per
+    vertex: the coarsest partition in which every vertex of a class has an
+    edge of each symbol into the same class, or none.
+
+    ``pred[a][v]`` is the mask of the sources of the a-edges into v, and
+    no vertex has two edges of one symbol.  From one class, all n
+    vertices, pop a splitter S and take, per symbol a, the vertices X with
+    an a-edge into S; every class C that X cuts splits into ``C & X`` and
+    ``C & ~X``.  A vertex has 0 or 1 a-edges into S, so a mask
+    intersection is the whole split.  For the same reason the
+    a-predecessors of C minus a piece are those of C minus those of the
+    piece, missing edges included, so only the smaller piece is queued.
+    The larger keeps C's id and stays queued if C was.  Ids are not
+    canonical; only the partition is.
+
+    A nonzero ``half`` marks the vertices as the disjoint union of two
+    graphs of ``half`` vertices each, the first graph's first.  Then the
+    splitting stops, returning None, at the first new piece with unequal
+    numbers of vertices from the two graphs.  The stop is sound for the
+    reasons :func:`_refine` gives: an isomorphism maps every class onto
+    itself, and the piece that keeps an old id is a balanced class minus
+    a balanced piece.
+    """
     classes = [(1 << n) - 1]
+    members: list[Optional[list[int]]] = [list(range(n))]  # None once split
     colour = [0] * n
     todo = [0]
+    first = (1 << half) - 1  # the first graph's vertices
     while todo and len(classes) < n:
-        splitter = classes[todo.pop()]
-        for rows in g.index.pred:
-            hit = mask_image(rows, splitter)
+        popped = todo.pop()
+        splitter = members[popped]
+        if splitter is None:
+            splitter = members[popped] = bits(classes[popped])
+        for rows in pred:
+            # Distinct vertices have disjoint a-predecessors: the sum is the union.
+            hit = sum(map(rows.__getitem__, splitter))
             rest = hit
             while rest:
                 c = colour[(rest & -rest).bit_length() - 1]
@@ -260,14 +295,18 @@ def _follower_partition(g: LabeledGraph) -> tuple[frozenset[int], ...]:
                 small, large = inside, whole ^ inside
                 if small.bit_count() > large.bit_count():
                     small, large = large, small
+                if half and 2 * (small & first).bit_count() != small.bit_count():
+                    return None
                 new = len(classes)
                 classes[c] = large
                 classes.append(small)
+                members[c] = None
+                moved = bits(small)
+                members.append(moved)
                 todo.append(new)
-                for v in bits(small):
+                for v in moved:
                     colour[v] = new
-    classes.sort(key=lambda mask: mask & -mask)
-    return tuple(frozenset(bits(mask)) for mask in classes)
+    return colour
 
 
 def is_follower_separated(g: LabeledGraph) -> bool:
@@ -454,20 +493,19 @@ def _label_counts(g: LabeledGraph) -> dict[str, int]:
 
 
 def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
-    """Label-preserving digraph isomorphism by refinement plus backtracking.
+    """Label-preserving digraph isomorphism, by one of two routes.
 
     Labels are matched by symbol name, so the two graphs may list their
-    alphabets in different orders.  Graphs that differ in their vertex or
-    edge counts, or in how many edges carry some symbol, are rejected
-    before any refinement.  For the rest, one :func:`_refine` call on the
-    disjoint union of both graphs, g2's vertices after g1's, colours both
-    with shared class ids.  Each class must hold as many vertices of g1 as
-    of g2, so the refinement stops at the first class that does not, and
-    the graphs are not isomorphic.  Otherwise a vertex is only tried
-    against g2's vertices of its class, in vertex order; an isomorphism
-    maps every vertex into its class.  Refinement counts each arc
-    O(log n) times; the backtracking can still take exponential time
-    where refinement leaves large classes.
+    alphabets in different orders, and a symbol that labels no edge does
+    not count.  Graphs that differ in their vertex or edge counts, or in
+    how many edges carry some symbol, are rejected before either route.
+    When neither graph has a vertex with two edges of one symbol,
+    :func:`_forced_isomorphism` decides by follower classes and forced
+    edges; otherwise :func:`_counting_isomorphism` decides by colour
+    refinement and backtracking over single vertices.  Both colour the
+    disjoint union of the two graphs, g2's vertices after g1's.  Where
+    several isomorphisms exist, each route returns the first its search
+    meets, so the two may return different ones.
     """
     n = len(g1.vertices)
     if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
@@ -475,14 +513,188 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> IsomorphismResult:
     if _label_counts(g1) != _label_counts(g2):
         return IsomorphismResult(False, None)
     shared = sorted(set(g1.symbols) | set(g2.symbols))
+    ranks = [[shared.index(s) for s in g.symbols] for g in (g1, g2)]
+    forced = _forced_isomorphism(g1, g2, ranks, len(shared))
+    if forced is not None:
+        return forced
+    return _counting_isomorphism(g1, g2, ranks)
+
+
+def _forced_isomorphism(
+    g1: LabeledGraph, g2: LabeledGraph, ranks: Sequence[Sequence[int]], width: int
+) -> Optional[IsomorphismResult]:
+    """Isomorphism of two right-resolving graphs with equal vertex counts
+    and label counts, or None when some vertex of either emits a symbol
+    twice.  ``ranks[i][a]`` is the shared rank of symbol a of graph i,
+    and ``width`` the number of shared symbols.
+
+    1. :func:`_split_classes` takes the follower classes of the disjoint
+       union, stopping at the first class with unequal numbers of
+       vertices from the two graphs.  An isomorphism preserves follower
+       sets, so it maps each vertex into its class.
+    2. Mapping a root v to a g2 vertex w of its class forces the image of
+       every vertex reachable from v, since a vertex has at most one edge
+       of each symbol.  The propagation follows g1's out-edges and fails
+       at the first vertex with two images, with an image that another
+       vertex holds, or with an image of another in-degree.  Two vertices
+       of one class emit the same symbols into equal classes, so no edge
+       is missing and every image stays in its class.
+    3. The search backtracks over roots only, the vertices that no
+       earlier propagation reached.  A bijection that carries every
+       out-edge of g1 onto an edge of g2 is an isomorphism: the images of
+       distinct edges are distinct, and both graphs have as many edges.
+       So the in-degrees only prune the search, and let it settle each
+       component once, as below.
+
+    g1 is matched one weak component at a time.  Within one, the next
+    root is an unmapped vertex u with an edge ``u -a-> x`` into the mapped
+    ones, taken from the earliest mapped x, and u's candidates are the
+    a-predecessors of x's image in u's class.  A component's first root is
+    the first unmapped vertex by class size, then index, tried against the
+    free vertices of its class in index order.  Once a component is
+    mapped, its image is a whole component of g2 with the same edges, as
+    every in-degree agrees, so it is isomorphic to the component.  Two
+    graphs with one isomorphic component each are isomorphic exactly when
+    the rest of them are, so a component is never revisited, and a first
+    root with no candidate left means no isomorphism.  The lowest free
+    vertex of each class is tracked, so many components of one shape take
+    one try each, not one per mapped copy.
+    """
+    n = len(g1.vertices)
+    target: dict[int, int] = {}  # union vertex * width + symbol rank -> target
+    pred = [[0] * (2 * n) for _ in range(width)]
+    indeg = [0] * (2 * n)
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # g1's (rank, target)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # g1's (rank, source)
+    rank = ranks[0]
+    for u, a, v in g1.edges:
+        s = rank[a]
+        target[u * width + s] = v
+        pred[s][v] |= 1 << u
+        indeg[v] += 1
+        out[u].append((s, v))
+        into[v].append((s, u))
+    rank = ranks[1]
+    for u, a, v in g2.edges:
+        s, u, v = rank[a], u + n, v + n
+        target[u * width + s] = v
+        pred[s][v] |= 1 << u
+        indeg[v] += 1
+    if len(target) != len(g1.edges) + len(g2.edges):  # a repeated (vertex, symbol) slot
+        return None
+    colour = _split_classes(pred, 2 * n, half=n)
+    if colour is None:  # some class holds more vertices of one graph
+        return IsomorphismResult(False, None)
+    members: dict[int, list[int]] = {}  # class -> its g2 vertices, ascending
+    for w in range(n, 2 * n):
+        members.setdefault(colour[w], []).append(w)
+    size = [len(members[colour[v]]) for v in range(n)]
+    order = sorted(range(n), key=size.__getitem__)
+    lowest = dict.fromkeys(members, 0)  # every vertex before it is used
+    image = [-1] * n  # g1 vertex -> union vertex
+    used = [False] * (2 * n)
+    trail: list[int] = []  # g1 vertices in the order they were mapped
+
+    def undo(mark: int) -> None:
+        for x in trail[mark:]:
+            used[image[x]] = False
+            image[x] = -1
+        del trail[mark:]
+
+    def place(root: int, w: int) -> bool:
+        """Map root to w and propagate along out-edges; undone on failure."""
+        if used[w] or indeg[root] != indeg[w]:
+            return False
+        mark = k = len(trail)
+        image[root] = w
+        used[w] = True
+        trail.append(root)
+        while k < len(trail):
+            x = trail[k]
+            k += 1
+            y = image[x]
+            for s, x1 in out[x]:
+                y1 = target[y * width + s]
+                m = image[x1]
+                if m < 0 and not used[y1] and indeg[x1] == indeg[y1]:
+                    image[x1] = y1
+                    used[y1] = True
+                    trail.append(x1)
+                elif m != y1:
+                    undo(mark)
+                    return False
+        return True
+
+    scan = 0
+    while True:
+        while scan < n and image[order[scan]] >= 0:
+            scan += 1
+        if scan == n:
+            return IsomorphismResult(True, tuple(w - n for w in image))
+        # One weak component, depth-first over its roots.  A frame holds a
+        # root, the trail length before it, its candidates, the next
+        # position among them and the frontier position when it was
+        # chosen.  Which vertices the earlier roots reach does not depend
+        # on their images, so neither does that position.
+        c = colour[order[scan]]
+        k = lowest[c]
+        while used[members[c][k]]:  # the class has a free vertex: it has an unmapped one
+            k += 1
+        lowest[c] = k
+        front = len(trail)  # every vertex before trail[front] has its sources mapped
+        frames = [[order[scan], front, members[c], k, front]]
+        while frames:
+            frame = frames[-1]
+            root, _, cands, k, _ = frame
+            while k < len(cands) and not place(root, cands[k]):
+                k += 1
+            if k == len(cands):
+                frames.pop()
+                front = frame[4]
+                if frames:
+                    undo(frames[-1][1])
+                continue
+            frame[3] = k + 1
+            u = -1
+            while u < 0 and front < len(trail):
+                x = trail[front]
+                for s, u in into[x]:
+                    if image[u] < 0:
+                        break
+                else:
+                    u = -1
+                    front += 1
+            if u < 0:
+                break  # the component is mapped
+            cu = colour[u]
+            cands = [y for y in bits(pred[s][image[x]]) if colour[y] == cu]
+            frames.append([u, len(trail), cands, 0, front])
+        if not frames:
+            return IsomorphismResult(False, None)
+
+
+def _counting_isomorphism(
+    g1: LabeledGraph, g2: LabeledGraph, ranks: Sequence[Sequence[int]]
+) -> IsomorphismResult:
+    """Isomorphism of two graphs with equal vertex counts and label counts,
+    at least one of which is not right-resolving.
+
+    One :func:`_refine` call on the disjoint union colours both graphs by
+    their out- and in-arcs with shared class ids, and stops at the first
+    class that holds more vertices of one graph.  Otherwise a vertex is
+    only tried against g2's vertices of its class, in vertex order; an
+    isomorphism maps every vertex into its class.  Refinement counts each
+    arc O(log n) times; the backtracking over single vertices can still
+    take exponential time where refinement leaves large classes.
+    """
+    n = len(g1.vertices)
     # Out-edges tagged 2 * symbol rank, in-edges 2 * symbol rank + 1; the
     # union's vertex n + w is g2's vertex w.
     arcs: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for g, offset in ((g1, 0), (g2, n)):
-        sym = [2 * shared.index(s) for s in g.symbols]
+    for g, rank, offset in ((g1, ranks[0], 0), (g2, ranks[1], n)):
         for u, a, v in g.edges:
-            arcs[u + offset].append((sym[a], v + offset))
-            arcs[v + offset].append((sym[a] + 1, u + offset))
+            arcs[u + offset].append((2 * rank[a], v + offset))
+            arcs[v + offset].append((2 * rank[a] + 1, u + offset))
     colour = _refine(arcs, half=n)
     if colour is None:  # some class holds more vertices of one graph
         return IsomorphismResult(False, None)

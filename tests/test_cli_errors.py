@@ -8,6 +8,9 @@ exit 2, print nothing on stdout, and print exactly one stderr line: it
 starts with ``error:`` and names what is wrong, so no traceback escapes.
 Graph files go through ``check``; code and square files through
 ``verify --square``, with the broken code standing in for the label code.
+One square is well formed but over a graph that is not right-resolving;
+it goes through ``lift --square``, whose conjugacy lift needs
+right-resolving graphs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ import json
 
 import pytest
 
-from soficovers import graph_to_data, higher_block, load_fixture, square_to_data
+from soficovers import (
+    graph_from_parts,
+    graph_to_data,
+    higher_block,
+    identity_square,
+    load_fixture,
+    square_to_data,
+)
 from soficovers.cli import main
 
 
@@ -51,6 +61,12 @@ def square_data(drop=None, **parts):
 
 
 LOOP = {"from": "u", "label": "0", "to": "u"}
+# x0 emits a twice; the graph is essential.
+TWO_A_EDGES = graph_from_parts(
+    ("a", "b"),
+    ("x0", "x1", "y0", "y1"),
+    (("x0", "a", "y0"), ("x0", "a", "y1"), ("x1", "a", "y0"), ("y0", "b", "x0"), ("y1", "b", "x1")),
+)
 BIG_INTEGER = "[" + "1" * 5000 + "]"
 DEEP_NESTING = "[" * 100_000 + "]" * 100_000
 
@@ -139,6 +155,12 @@ CASES = {
         [],
         "error: {path}: graph_g: graph description must be a mapping",
     ),
+    "lift-not-right-resolving": (
+        "lift",
+        square_to_data(identity_square(TWO_A_EDGES)),
+        [],
+        "error: conjugacy lift needs a right-resolving graph; vertex 'x0' emits 'a' more than once",
+    ),
     "seed-without-vertices": (
         "gpp", None, ["--mode", "seeded", "--seed", ","], "empty seed set ','"
     ),
@@ -160,7 +182,7 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     path = tmp_path / "input.json"
     data = graph_to_data(load_fixture("example_b")) if content is None else content
     path.write_text(data if isinstance(data, str) else json.dumps(data))
-    argv = [command, "--square", str(path)] if command == "verify" else [command, str(path)]
+    argv = [command, str(path)] if command in ("check", "gpp") else [command, "--square", str(path)]
     assert main(argv + extra) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -28,6 +28,7 @@ from soficovers import (
 from soficovers import codes, verification
 from soficovers.analysis import components_and_sources, periodic_points
 from soficovers.codes import (
+    _bfs_edge_path,
     _component_windows,
     _edge_cycles,
     _fill_between,
@@ -755,6 +756,37 @@ def test_sampled_core_windows_are_paths(name):
         for w in windows:
             assert len(w) == length
             path_window(core.graph, w)  # raises unless consecutive edges compose
+
+
+def test_connector_windows_open_on_a_whole_period():
+    """Each connector window holds a whole period of its first ray right
+    before the connector, and the second ray's first edge right after it.
+    Two rays at a time give at most one connector window each way, beside
+    the two ray unrollings."""
+    length = 29
+    joined = 0
+    for name in BASE_FIXTURES:
+        g = load_fixture(name)
+        core = stable_core(g)
+        rays = [past_set_ray(core, p) for p in periodic_points(g, 4)]
+        for r1, r2 in product(rays, repeat=2):
+            mid = None if r1 is r2 else _bfs_edge_path(core.graph, r1.vertices[0], r2.vertices[0])
+            if mid is None:
+                continue
+            joined += 1
+            windows = sample_core_windows(core, length, [r1, r2], random.Random(0), walks=0)
+            unrolled = {_unroll_cycle(ray.edges, length) for ray in (r1, r2)}
+            at = length // 2 - len(mid) // 2  # the connector's place in a window centred on it
+            period = tuple(r1.edges)
+            assert len(period) <= at and at + len(mid) < length
+            assert any(
+                w[at - len(period) : at] == period
+                and w[at : at + len(mid)] == tuple(mid)
+                and w[at + len(mid)] == r2.edges[0]
+                for w in windows
+                if w not in unrolled
+            ), (name, r1.word, r2.word)
+    assert joined
 
 
 # Edges p-q -r-> s and p -q-r-> s are both named "p-q-r->s"; the two edges

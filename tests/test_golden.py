@@ -24,7 +24,9 @@ search returns when several exist; of ``iso --json`` on a 200-vertex
 ``a``-ring with one ``b`` loop, against itself, against a seeded
 shuffle, whose colour refinement splits off one vertex at a time, and
 against a shuffled copy with one ``a``-edge relabelled ``b``, which is
-not isomorphic to it (exit 1); of ``extended-future-cover`` on
+not isomorphic to it (exit 1); of ``iso --json`` on ``example_a`` with
+one more symbol, on no edge, against the seeded permutation of
+``example_a``, which is isomorphic to it; of ``extended-future-cover`` on
 ``nr70.json``, a genuine extension whose factor map has fibres of 3 and 2,
 which pins the rule that names each witness by a base idempotent word; of
 ``export --dot --name`` on a small graph whose symbol, vertex and graph
@@ -157,6 +159,8 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     cases.append((f"{ring}.iso.self", ["iso", f"{ring}.json", f"{ring}.json", "--json"]))
     cases.append((f"{ring}.iso", ["iso", f"{ring}.json", f"{ring}.permuted.json", "--json"]))
     cases.append((f"{ring}.iso.control", ["iso", f"{ring}.json", f"{ring}.control.json", "--json"]))
+    unused = ["iso", "example_a.unused.json", "example_a.permuted.json", "--json"]
+    cases.append(("example_a.unused.iso", unused))
     cases.append(("nr70.extended-future-cover", ["extended-future-cover", "nr70.json"]))
     cases.append(("quoted.export", ["export", "quoted.json", "--dot", "--name", QUOTED_NAME]))
     return cases
@@ -248,6 +252,9 @@ def write_fixtures(directory: Path) -> None:
     (directory / f"ring{RING}.control.json").write_text(
         json.dumps(shuffled(control, RING + 1), indent=2) + "\n"
     )
+    unused = graph_to_data(load_fixture("example_a"))
+    unused["alphabet"].append("unused")
+    (directory / "example_a.unused.json").write_text(json.dumps(unused, indent=2) + "\n")
     (directory / "nr70.json").write_text(json.dumps(graph_to_data(NR70), indent=2) + "\n")
     (directory / "quoted.json").write_text(json.dumps(graph_to_data(QUOTED), indent=2) + "\n")
 

@@ -34,9 +34,10 @@ with the word relations of ``test_relations.py``;
 ``maximal_dominated_path`` is held to the domain of the word's relation.
 
 ``follower_partition`` splits vertex masks by the predecessor masks of a
-splitter class (Hopcroft's minimization), and ``graphs_isomorphic``
-colours vertices with a refinement routine on per-vertex arc lists,
-which splits classes by arc counts into a splitter class.  The
+splitter class (Hopcroft's minimization), and ``graphs_isomorphic``, on
+inputs that are not right-resolving, colours vertices with a refinement
+routine on per-vertex arc lists, which splits classes by arc counts into
+a splitter class.  The
 references keep the Moore loop that ranked signatures with
 ``list.index`` and the isomorphism colouring that rescanned every edge
 for every vertex in every round, with its edge-scanning backtracking;
@@ -54,6 +55,18 @@ refinement stops at the first class with unequal numbers of vertices
 from the two; it must stop exactly when ``rank_rounds`` ends with such a
 class, and on the lifts' one-edge-changed controls it must stop after
 fewer splitter pops than the full refinement makes.
+
+Between right-resolving graphs ``graphs_isomorphic`` takes the forced
+route: the union's follower classes by the same mask splitting, then the
+images that one root's image forces along out-edges.  A control whose
+edge moved must refine exactly once, on the route the pair takes, and
+alphabets that differ by a symbol on no edge must not matter on either
+route.  A hypothesis property holds the forced route to the reference
+colouring on drawn right-resolving graphs with sources, sinks, isolated
+vertices and repeated parts, each against a relisted, a retargeted and a
+relabelled copy.  Where automorphisms exist the two may return different
+mappings, so each mapping is checked edge by edge.  A pinned case makes
+the search go back over roots.
 
 ``periodic_points`` and ``codes._edge_cycles`` generate only Lyndon
 words, pruned by a walk along each prefix.  The references list every
@@ -923,18 +936,40 @@ def test_refine_cases_cover_both_kinds_and_automorphisms():
             assert shifted == set(lifted.edges)
 
 
+def route_calls(monkeypatch):
+    """The refinements isomorphism tests run from now on, in call order:
+    ``_split_classes`` for the forced route, ``_refine`` for the counting
+    route."""
+    calls = []
+    for name in ("_split_classes", "_refine"):
+        real = getattr(analysis, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, spy)
+    return calls
+
+
+def assert_maps_edges(g, h, mapping):
+    """The mapping is a bijection that carries g's edges onto h's, with
+    symbols compared by name."""
+    assert sorted(mapping) == list(range(len(h.vertices)))
+    image = {(mapping[u], g.symbols[a], mapping[v]) for u, a, v in g.edges}
+    assert image == {(u, h.symbols[a], v) for u, a, v in h.edges}
+
+
 def test_relabelled_controls_are_rejected_before_refinement(monkeypatch):
     """A control whose changed edge carries another symbol has other label
-    counts, so no refinement runs; a control whose edge moved does refine."""
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return _refine(*args, **kwargs)
-
-    monkeypatch.setattr(analysis, "_refine", spy)
-    relabelled = moved = 0
+    counts, so no refinement runs.  A control whose edge moved has the
+    same counts and refines once: by follower classes when the pair is
+    right-resolving, by counted arcs otherwise."""
+    calls = route_calls(monkeypatch)
+    relabelled = 0
+    moved = {"_split_classes": 0, "_refine": 0}
     for name, g in REFINE_CASES:
+        route = "_split_classes" if check_right_resolving(g).ok else "_refine"
         for k in range(min(CONTROL_EDGES, len(g.edges))):
             control = one_edge_changed(g, k)
             if control is None:
@@ -944,11 +979,27 @@ def test_relabelled_controls_are_rejected_before_refinement(monkeypatch):
             assert graphs_isomorphic(g, h) == IsomorphismResult(False, None), (name, k)
             if control.edges[k][1] != g.edges[k][1]:
                 relabelled += 1
-                assert len(calls) == before, (name, k)
+                assert calls[before:] == [], (name, k)
             else:
-                moved += 1
-                assert len(calls) == before + 1, (name, k)
-    assert relabelled and moved
+                moved[route] += 1
+                assert calls[before:] == [route], (name, k)
+    assert relabelled and all(moved.values())
+
+
+@pytest.mark.parametrize(
+    "route,g", [("_split_classes", load_fixture("example_a")), ("_refine", IN_COUNTS)]
+)
+def test_a_symbol_on_no_edge_does_not_count(monkeypatch, route, g):
+    """Two graphs whose alphabets differ by a symbol that labels no edge
+    are isomorphic, on the route their edges choose."""
+    wider = LabeledGraph(g.symbols + ("unused",), g.vertices, g.edges)
+    twin = shuffled_twin(g, "unused")
+    calls = route_calls(monkeypatch)
+    for left, right in ((wider, twin), (twin, wider)):
+        result = graphs_isomorphic(left, right)
+        assert result.isomorphic
+        assert_maps_edges(left, right, result.mapping)
+    assert calls == [route, route]
 
 
 @pytest.mark.parametrize("name,g", REFINE_CASES, ids=[name for name, _ in REFINE_CASES])
@@ -986,6 +1037,134 @@ def partial_resolving_graphs(draw):
 @given(partial_resolving_graphs())
 def test_follower_partition_matches_moore_rounds(g):
     assert follower_partition(g) == reference_follower_partition(g)
+
+
+@st.composite
+def resolving_graphs(draw):
+    """A right-resolving graph over 1 to 3 symbols, untrimmed, so that it
+    may have sources, sinks and isolated vertices: one or two drawn parts
+    of 1 to 5 vertices, each listed one to three times side by side, so
+    that it may be disconnected and have automorphisms."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(1, 5))
+        target = st.one_of(st.none(), st.integers(0, size - 1))
+        part = [
+            (v, a, w)
+            for v in range(size)
+            for a in range(len(symbols))
+            if (w := draw(target)) is not None
+        ]
+        for _ in range(draw(st.integers(1, 3))):
+            edges += [(n + v, a, n + w) for v, a, w in part]
+            n += size
+    return LabeledGraph(tuple(symbols), tuple(f"v{v}" for v in range(n)), tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolving_graphs(), st.data())
+def test_forced_route_matches_reference_on_resolving_graphs(g, data):
+    """g against a relisted copy, a copy with one edge moved to another
+    target under its symbol, so that the label counts agree, and a copy
+    with one edge relabelled, each relisted: the verdicts are the
+    reference's, and every mapping carries g's edges onto the copy's."""
+    seed = data.draw(st.integers(0, 999))
+    copies = [("relisted", g)]
+    if g.edges and len(g.vertices) > 1:
+        k = data.draw(st.integers(0, len(g.edges) - 1))
+        u, a, v = g.edges[k]
+        w = data.draw(st.sampled_from([x for x in range(len(g.vertices)) if x != v]))
+        moved = g.edges[:k] + ((u, a, w),) + g.edges[k + 1:]
+        copies.append(("retargeted", LabeledGraph(g.symbols, g.vertices, moved)))
+    relabelled = [
+        g.edges[:k] + ((u, b, v),) + g.edges[k + 1:]
+        for k, (u, a, v) in enumerate(g.edges)
+        for b in range(len(g.symbols))
+        if b != a and (u, b, v) not in g.edges
+    ]
+    if relabelled:
+        edges = data.draw(st.sampled_from(relabelled))
+        copies.append(("relabelled", LabeledGraph(g.symbols, g.vertices, edges)))
+    for label, copy in copies:
+        h = shuffled_twin(copy, seed)
+        got = graphs_isomorphic(g, h)
+        assert got.isomorphic == reference_graphs_isomorphic(g, h).isomorphic, label
+        assert got.isomorphic or label != "relisted"
+        if got.isomorphic:
+            assert_maps_edges(g, h, got.mapping)
+
+
+# Three vertices in one follower class; v0 and v2 have in-degree 3 and v1
+# none.  Against the copy with v0 and v2 swapped, the forced route first
+# maps the root v0 to the copy's v0, and the propagation accepts it.  The
+# next root, v1, then has no candidate, so the search goes back to v0.
+ROOT_BACKTRACK = graph_from_parts(
+    ("a", "b"),
+    ("v0", "v1", "v2"),
+    (("v0", "a", "v2"), ("v0", "b", "v2"), ("v1", "a", "v2"), ("v1", "b", "v0"),
+     ("v2", "a", "v0"), ("v2", "b", "v0")),
+)
+ROOT_BACKTRACK_COPY = LabeledGraph(
+    ROOT_BACKTRACK.symbols,
+    ROOT_BACKTRACK.vertices,
+    tuple((2 - u, a, 2 - v) for u, a, v in ROOT_BACKTRACK.edges),
+)
+# One component that takes four roots: the sink v1, its b-predecessors v0
+# and v2, which share a follower class, and v3, which sends a to v2 and b
+# to v0.  Against the relisted copy, v0's first image leaves v3 no
+# candidate, so the search goes back over two roots inside the component
+# before it may call the component mapped.
+FOUR_ROOTS = graph_from_parts(
+    ("a", "b"),
+    ("v0", "v1", "v2", "v3"),
+    (("v0", "b", "v1"), ("v2", "b", "v1"), ("v3", "a", "v2"), ("v3", "b", "v0")),
+)
+FOUR_ROOTS_COPY = graph_from_parts(
+    ("a", "b"),
+    ("v0", "v1", "v2", "v3"),
+    (("v2", "b", "v3"), ("v2", "a", "v0"), ("v3", "b", "v1"), ("v0", "b", "v1")),
+)
+
+
+def placements(g, h):
+    """``graphs_isomorphic(g, h)`` and the forced route's root placements
+    in call order, as (root, union vertex, accepted) triples, read with a
+    profile hook on its nested ``place``."""
+    calls, open_calls = [], []
+
+    def profile(frame, event, arg):
+        if frame.f_code.co_name != "place" or frame.f_back is None:
+            return
+        if frame.f_back.f_code is not analysis._forced_isomorphism.__code__:
+            return
+        if event == "call":
+            open_calls.append((frame.f_locals["root"], frame.f_locals["w"]))
+        elif event == "return":
+            calls.append(open_calls.pop() + (arg,))
+
+    sys.setprofile(profile)
+    try:
+        result = graphs_isomorphic(g, h)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+@pytest.mark.parametrize(
+    "g,h,mapping,accepted",
+    [
+        (ROOT_BACKTRACK, ROOT_BACKTRACK_COPY, (2, 1, 0), [0, 0, 1]),
+        (FOUR_ROOTS, FOUR_ROOTS_COPY, (3, 1, 0, 2), [1, 0, 2, 0, 2, 3]),
+    ],
+    ids=["later-root-dead-end", "four-roots"],
+)
+def test_forced_route_backtracks_over_roots(g, h, mapping, accepted):
+    """The forced route's result, and the roots it placed, in order: a
+    root placed again is one the search went back to."""
+    result, calls = placements(g, h)
+    assert result == IsomorphismResult(True, mapping)
+    assert [root for root, _, ok in calls if ok] == accepted
 
 
 def rank_rounds(adjacency):
