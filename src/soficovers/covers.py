@@ -14,11 +14,12 @@ Two independent routes compute the stable vertex family:
   closes them forward under the subset step, all at once: each set gets
   its shortest continuation word from any range, ties going to the
   earlier idempotent, then to the alphabetically least word;
-* :func:`stable_sets_from_tails` iterates the range of each candidate
-  tail relation to its fixpoint, one eventually periodic left tail at a
-  time, and pushes each distinct fixpoint through every relation once.
+* :func:`stable_sets_from_tails` composes the relation of every word up
+  to a bound from the graph's rows, iterates each one's range to its
+  fixpoint, the end of an eventually periodic left tail, and pushes each
+  distinct fixpoint through every relation once.
 
-Tests hold the package to exact agreement of the two.
+Tests hold the package to exact agreement of the two families.
 
 The extended future cover, the stable core of the future cover, is built
 from the same monoid: the future cover's monoid is an image of the base
@@ -57,11 +58,10 @@ from .analysis import (
 )
 from .relations import (
     DEFAULT_MONOID_BUDGET,
-    BoolRelation,
     TransitionMonoid,
+    compose,
     set_of,
     stabilized_range,
-    symbol_relation,
     transition_monoid,
 )
 
@@ -280,59 +280,31 @@ def _closed_core(
     return graph, tuple(map(set_of, masks)), witnesses
 
 
-def stable_sets_from_tails(
-    base: LabeledGraph, max_len: int
-) -> dict[frozenset[int], Witness]:
+def stable_sets_from_tails(base: LabeledGraph, max_len: int) -> set[frozenset[int]]:
     """Stabilized endpoint sets computed tail by tail.
 
-    For words u (1..max_len) and v (0..max_len), iterate the endpoint set
-    of u^k to its fixpoint and push it through v.  Words sharing a
-    relation are collapsed, which loses nothing: the result depends on the
-    relation alone.  With max_len at least the longest shortest word of a
-    monoid element, this enumerates every stabilized set.
-
-    Relations are taken shortest word first, then alphabetically.  A set's
-    witness is (u, v) for the first tail u whose fixpoint reaches it and
-    the first v that gets there, with v empty for the fixpoint itself.  A
-    fixpoint that an earlier tail already had is not pushed again: that
-    push would reach only sets the first one found.
+    The relations of the words of length 1..max_len are composed from
+    the graph's rows, breadth-first, each distinct one once.  A tail u^k
+    ends, in the limit, in the stabilized range of u's relation; a
+    continuation v then takes it to its image under v's relation.  Every
+    nonempty such set is in the family.  With max_len at least the
+    longest shortest word of a monoid element, this enumerates every
+    stabilized set.  Each distinct range is pushed through the relations
+    once: a second tail with the same range would reach the same sets.
     """
     require_essential(base)
-    n = len(base.vertices)
-    generators = [symbol_relation(base, a) for a in range(len(base.symbols))]
-    by_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    layer = []
-    for a, rel in enumerate(generators):
-        if rel.rows not in by_rows:
-            by_rows[rel.rows] = (a,)
-            layer.append(rel)
+    generators = base.index.rows
+    relations = set(generators)
+    layer = relations
     for _ in range(max_len - 1):
-        nxt = []
-        for rel in layer:
-            for a, gen in enumerate(generators):
-                comp = rel.compose(gen)
-                if comp.rows not in by_rows:
-                    by_rows[comp.rows] = by_rows[rel.rows] + (a,)
-                    nxt.append(comp)
-        layer = nxt
+        layer = {compose(rows, gen) for rows in layer for gen in generators} - relations
         if not layer:
             break
-    relations = [(BoolRelation(n, rows), word) for rows, word in by_rows.items()]
-    relations.sort(key=lambda rw: (len(rw[1]), rw[1]))
-    result: dict[int, Witness] = {}
-    pushed: set[int] = set()
-    for tail_rel, u_word in relations:
-        stable = stabilized_range(tail_rel)
-        if not stable or stable in pushed:
-            continue
-        pushed.add(stable)
-        if stable not in result:
-            result[stable] = (u_word, ())
-        for cont_rel, v_word in relations:
-            mask = cont_rel.image(stable)
-            if mask and mask not in result:
-                result[mask] = (u_word, v_word)
-    return {set_of(mask): witness for mask, witness in result.items()}
+        relations |= layer
+    ranges = {stabilized_range(rows) for rows in relations} - {0}
+    family = ranges | {mask_image(rows, stable) for stable in ranges for rows in relations}
+    family.discard(0)
+    return set(map(set_of, family))
 
 
 @dataclass(frozen=True)

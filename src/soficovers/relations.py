@@ -1,8 +1,9 @@
 """Boolean reachability relations of labeled paths.
 
 For a word w, the relation holds (u, v) exactly when some path labeled w
-runs from u to v.  Rows are vertex bitmasks, so composition is one
-integer OR per vertex in each row.
+runs from u to v.  A relation is a tuple of rows, one vertex bitmask per
+vertex, as ``LabeledGraph.index.rows`` holds them for each symbol, so
+composition is one integer OR per vertex in each row.
 
 The closure of the single-symbol relations under composition, the
 transition monoid, is finite; every element has an idempotent power
@@ -26,8 +27,8 @@ which is all the constructions read.
 For one word the constructions walk vertex masks instead of composing
 relations: the past and forward sets of a periodic word come from
 :func:`analysis.past_masks` and :func:`analysis.forward_masks`.
-Composition and the stabilized range stay here for the tail oracle
-(``covers.stable_sets_from_tails``), the independent route to the
+:func:`compose` and :func:`stabilized_range` stay here for the tail
+oracle (``covers.stable_sets_from_tails``), the independent route to the
 stable family.  The word relations, their idempotent powers and
 stabilized domains, which the tests hold the walks to, live in the
 tests (``tests/test_relations.py``).
@@ -56,37 +57,19 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
-@dataclass(frozen=True)
-class BoolRelation:
-    """Relation on {0..size-1}; bit v of rows[u] means (u, v) holds."""
-
-    size: int
-    rows: tuple[int, ...]
-
-    def compose(self, other: "BoolRelation") -> "BoolRelation":
-        out = []
-        for row in self.rows:
-            acc = 0
-            rest = row
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                acc |= other.rows[v]
-                rest &= rest - 1
-            out.append(acc)
-        return BoolRelation(self.size, tuple(out))
-
-    def image(self, mask: int) -> int:
-        return mask_image(self.rows, mask)
-
-    def ran_mask(self) -> int:
+def compose(rows: tuple[int, ...], other: tuple[int, ...]) -> tuple[int, ...]:
+    """The relation of a word of ``rows`` followed by a word of ``other``:
+    row u is the union of ``other``'s rows over the bits of row u."""
+    out = []
+    for row in rows:
         acc = 0
-        for row in self.rows:
-            acc |= row
-        return acc
-
-
-def symbol_relation(g: LabeledGraph, symbol: int) -> BoolRelation:
-    return BoolRelation(len(g.vertices), g.index.rows[symbol])
+        rest = row
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            acc |= other[v]
+            rest &= rest - 1
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass(eq=False, repr=False)
@@ -257,15 +240,17 @@ def _row_table(g: LabeledGraph, budget: int) -> tuple[list[int], list[list[int]]
     return masks, step
 
 
-def stabilized_range(rel: BoolRelation) -> int:
-    """Limit of ran(rel^k): endpoints of left-infinite paths through rel-blocks.
+def stabilized_range(rows: tuple[int, ...]) -> int:
+    """Limit of ran(rel^k) for the relation rel with these rows: endpoints
+    of left-infinite paths through rel-blocks.
 
-    ran(rel^(k+1)) is the rel-image of ran(rel^k) and the sequence is
-    decreasing, so the first repeat is the limit.
+    ran(rel^(k+1)) is the rel-image of ran(rel^k), starting from every
+    vertex at k = 0, and the sequence is decreasing, so the first repeat
+    is the limit.
     """
-    mask = rel.ran_mask()
+    mask = (1 << len(rows)) - 1
     while True:
-        nxt = rel.image(mask)
+        nxt = mask_image(rows, mask)
         if nxt == mask:
             return mask
         mask = nxt

@@ -273,7 +273,7 @@ def _criterion_oracle(bounds: VerifyBounds) -> list[CheckOutcome]:
     for name, g in named + randoms:
         core = stable_core(g, bounds.monoid_budget)
         oracle = stable_sets_from_tails(g, 2 * len(core.monoid))
-        if set(oracle) != set(core.members):
+        if oracle != set(core.members):
             bad.append(name)
     detail = (
         f"{len(named)} bundled graphs and {len(randoms)} seeded random graphs"

@@ -56,10 +56,16 @@ from soficovers.covers import (
 )
 from soficovers.errors import BudgetExceededError, EmptyShiftError
 from soficovers.fibers import _tail_seed_masks
-from soficovers.graphs import LabeledGraph, essentialize, graph_from_parts, require_essential
-from soficovers.relations import mask_of, set_of, transition_monoid
+from soficovers.graphs import (
+    LabeledGraph,
+    essentialize,
+    graph_from_parts,
+    mask_image,
+    require_essential,
+)
+from soficovers.relations import compose, mask_of, set_of, transition_monoid
 from soficovers.verification import random_right_resolving_graphs
-from test_relations import dom_mask, is_empty, transpose, word_relation
+from test_relations import dom_mask, is_empty, ran_mask, transpose, word_relation
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
@@ -84,9 +90,9 @@ def reference_tail_seed_masks(g, monoid, max_tail):
     transposes = [transpose(m) for m in elements]
     past, forward = {}, {}
     for e in idempotents:
-        ran_mask = elements[e].ran_mask()
+        ran = ran_mask(elements[e])
         for m, cost in middles:
-            mask = ran_mask if m is None else elements[m].image(ran_mask)
+            mask = ran if m is None else mask_image(elements[m], ran)
             if mask and (mask not in past or cost < past[mask][0]):
                 past[mask] = (cost, f"...{word_str(e)}|{word_str(m)}")
     for f in idempotents:
@@ -95,7 +101,7 @@ def reference_tail_seed_masks(g, monoid, max_tail):
             if m is None:
                 mask = dom
             else:
-                mask = transposes[m].image(dom)
+                mask = mask_image(transposes[m], dom)
             if mask and (mask not in forward or cost < forward[mask][0]):
                 forward[mask] = (cost, f"|{word_str(m)}{word_str(f)}...")
     return (
@@ -241,8 +247,8 @@ def test_extended_cover_matches_the_covers_own_stable_core(name, g):
     assert ext.graph == own.graph
     for members, (u, v) in zip(ext.core.members, ext.core.witnesses):
         e = word_relation(cover, u)
-        assert e.compose(e) == e
-        assert word_relation(cover, v).image(e.ran_mask()) == mask_of(members)
+        assert compose(e, e) == e
+        assert mask_image(word_relation(cover, v), ran_mask(e)) == mask_of(members)
     maximal = [
         [x for x in sorted(members) if all(follower_contains(cover, y, x) for y in members)]
         for members in ext.core.members

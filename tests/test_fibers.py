@@ -23,7 +23,7 @@ from soficovers import (
 )
 from soficovers import fibers
 from soficovers.graphs import bits, edge_lookup, mask_image
-from soficovers.relations import mask_of, set_of, symbol_relation
+from soficovers.relations import mask_of, set_of
 from test_closure_routes import co_stable_sets
 
 
@@ -60,7 +60,7 @@ def test_bundle_seeded_closure(example_b):
     for members in family:
         for a in range(len(example_b.symbols)):
             if all((m, a) in emit for m in bits(members)):
-                assert symbol_relation(example_b, a).image(members) in family
+                assert mask_image(example_b.index.rows[a], members) in family
 
 
 @pytest.mark.parametrize("seed", [[1.0], [True], 0], ids=["float", "bool", "not-a-set"])

@@ -3,62 +3,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficovers import BudgetExceededError, LabeledGraph, exit_code_for, load_fixture
-from soficovers.relations import (
-    BoolRelation,
-    _row_table,
-    stabilized_range,
-    symbol_relation,
-    transition_monoid,
-)
+from soficovers.relations import _row_table, compose, stabilized_range, transition_monoid
 
 # ---------------------------------------------------------------------------
 # Word relations, the reference route the tests hold the package's mask
-# walks and monoid to.  The package composes relations only for the tail
-# oracle; everything below is read by the tests alone.
+# walks and monoid to.  A relation is a tuple of vertex-mask rows, as
+# ``LabeledGraph.index.rows`` holds them per symbol.  The package composes
+# relations only for the tail oracle; everything below is read by the
+# tests alone.
 
 OMEGA_POWER_STEPS = 1_000_000
 
 
-def relation(rows):
-    return BoolRelation(len(rows), tuple(rows))
-
-
 def is_idempotent(rel):
-    return rel.compose(rel) == rel
+    return compose(rel, rel) == rel
+
+
+def ran_mask(rel):
+    acc = 0
+    for row in rel:
+        acc |= row
+    return acc
 
 
 def dom_mask(rel):
     acc = 0
-    for u, row in enumerate(rel.rows):
+    for u, row in enumerate(rel):
         if row:
             acc |= 1 << u
     return acc
 
 
 def is_empty(rel):
-    return all(row == 0 for row in rel.rows)
+    return not any(rel)
 
 
 def transpose(rel):
-    rows = [0] * rel.size
-    for u, row in enumerate(rel.rows):
+    rows = [0] * len(rel)
+    for u, row in enumerate(rel):
         rest = row
         while rest:
             v = (rest & -rest).bit_length() - 1
             rows[v] |= 1 << u
             rest &= rest - 1
-    return BoolRelation(rel.size, tuple(rows))
+    return tuple(rows)
 
 
 def identity_relation(size):
-    return BoolRelation(size, tuple(1 << v for v in range(size)))
+    return tuple(1 << v for v in range(size))
 
 
 def word_relation(g, word):
-    rels = {a: symbol_relation(g, a) for a in set(word)}
     rel = identity_relation(len(g.vertices))
     for a in word:
-        rel = rel.compose(rels[a])
+        rel = compose(rel, g.index.rows[a])
     return rel
 
 
@@ -72,9 +70,9 @@ def omega_power(rel):
     """
     power = rel
     for _ in range(OMEGA_POWER_STEPS):
-        if power.compose(power) == power:
+        if compose(power, power) == power:
             return power
-        power = power.compose(rel)
+        power = compose(power, rel)
     raise BudgetExceededError("no idempotent power found within budget")
 
 
@@ -94,40 +92,42 @@ def rotation_from(p, index):
 
 def test_symbol_relation_matches_edges(example_b):
     s = example_b.symbols.index
-    r = symbol_relation(example_b, s("1"))
+    r = example_b.index.rows[s("1")]
     # label 1: a->a and b->a
-    assert r.ran_mask() == 0b1
+    assert r == (0b1, 0b1)
+    assert ran_mask(r) == 0b1
     assert dom_mask(r) == 0b11
 
 
 def test_word_relation_is_composition(example_a):
     s = example_a.symbols.index
     word = (s("0"), s("2"), s("3"))
-    step = symbol_relation(example_a, word[0])
+    rows = example_a.index.rows
+    step = rows[word[0]]
     for a in word[1:]:
-        step = step.compose(symbol_relation(example_a, a))
+        step = compose(step, rows[a])
     assert word_relation(example_a, word) == step
 
 
 def test_identity_is_neutral():
-    r = relation([0b10, 0b01, 0b110])
+    r = (0b10, 0b01, 0b110)
     ident = identity_relation(3)
-    assert ident.compose(r) == r
-    assert r.compose(ident) == r
+    assert compose(ident, r) == r
+    assert compose(r, ident) == r
 
 
 def test_omega_power_idempotent(example_a):
     for a in range(len(example_a.symbols)):
-        e = omega_power(symbol_relation(example_a, a))
+        e = omega_power(example_a.index.rows[a])
         assert is_idempotent(e)
-        assert e.compose(e) == e
+        assert compose(e, e) == e
 
 
 def test_omega_power_needs_iteration():
     chain = load_fixture("chain_stabilization")
     s = chain.symbols.index
-    r = symbol_relation(chain, s("a"))
-    assert r.ran_mask() == 0b110  # one step reaches {2,3}
+    r = chain.index.rows[s("a")]
+    assert ran_mask(r) == 0b110  # one step reaches {2,3}
     assert stabilized_range(r) == 0b100  # only 3 survives the tail
     e = omega_power(r)
     assert is_idempotent(e)
@@ -141,7 +141,7 @@ def test_monoid_closed_under_composition(example_b):
     assert len(elements) == len(monoid)
     for x in relations:
         for y in relations:
-            product = x.compose(y)
+            product = compose(x, y)
             if not is_empty(product):
                 assert product in elements
 
@@ -216,18 +216,18 @@ def test_stabilized_range_is_omega_limit(example_a):
     s = example_a.symbols.index
     for word in ((s("0"),), (s("2"), s("3")), (s("0"), s("1"), s("2"))):
         rel = word_relation(example_a, word)
-        assert stabilized_range(rel) == omega_power(rel).ran_mask()
+        assert stabilized_range(rel) == ran_mask(omega_power(rel))
         assert stabilized_domain(rel) == dom_mask(omega_power(rel))
 
 
 masks = st.integers(0, 15)
-relations4 = st.builds(lambda rows: relation(rows), st.lists(masks, min_size=4, max_size=4))
+relations4 = st.builds(tuple, st.lists(masks, min_size=4, max_size=4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(relations4, relations4, relations4)
 def test_compose_associative(r1, r2, r3):
-    assert r1.compose(r2).compose(r3) == r1.compose(r2.compose(r3))
+    assert compose(compose(r1, r2), r3) == compose(r1, compose(r2, r3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,4 +236,4 @@ def test_omega_power_property(r):
     e = omega_power(r)
     assert is_idempotent(e)
     # omega power is a power of r, hence commutes with it
-    assert e.compose(r) == r.compose(e)
+    assert compose(e, r) == compose(r, e)

@@ -73,13 +73,15 @@ words, pruned by a walk along each prefix.  The references list every
 path word or edge path up to the bound and keep the primitive ones in
 least-rotation form; both routes must give the same lists up to period 6.
 The tail oracle pushes each distinct stabilized range through the
-relations once; the reference pushes every tail's range, and the two
-dicts, witnesses and order included, must be equal.
+relations once.  The reference takes each tail's range off its
+idempotent power and pushes every tail's range; the two families must be
+equal.  A hypothesis property holds the oracle to the reference and to
+the stable core on drawn essential graphs, right-resolving and not.
 
 ``transition_monoid`` searches breadth-first over strings of interned
 row ids, bytes or, past 256 ids, tuples, and flags an idempotent by
 walking its own word along the right Cayley graph that the search
-records.  The reference composes ``BoolRelation``s from a popped queue and
+records.  The reference composes row tuples from a popped queue and
 flags idempotents by self-composition; elements, words and flags must
 agree on the walk cases, on lifts of up to 20 vertices and on two
 disjoint unions whose rows take more than 256 ids.
@@ -144,6 +146,7 @@ from soficovers.graphs import (
     essentialize,
     graph_from_parts,
     least_rotation,
+    mask_image,
     normalize_periodic,
     paths_of_length,
     primitive_root,
@@ -152,12 +155,11 @@ from soficovers.graphs import (
     trim,
 )
 from soficovers.relations import (
-    BoolRelation,
     _row_table,
+    compose,
     mask_of,
     set_of,
     stabilized_range,
-    symbol_relation,
     transition_monoid,
 )
 from soficovers.verification import VerifyBounds, random_right_resolving_graphs
@@ -170,6 +172,7 @@ from test_relations import (
     is_empty,
     is_idempotent,
     omega_power,
+    ran_mask,
     stabilized_domain,
     word_relation,
 )
@@ -699,41 +702,26 @@ def test_enumerations_at_zero_and_deep_bounds():
 
 
 def reference_tail_oracle(base, max_len):
-    """Every tail's stabilized range pushed through every relation, even
-    when an earlier tail had the same range."""
-    n = len(base.vertices)
-    generators = [symbol_relation(base, a) for a in range(len(base.symbols))]
-    by_rows = {}
-    layer = []
-    for a, rel in enumerate(generators):
-        if rel.rows not in by_rows:
-            by_rows[rel.rows] = (a,)
-            layer.append(rel)
-    for _ in range(max_len - 1):
-        nxt = []
-        for rel in layer:
-            for a, gen in enumerate(generators):
-                comp = rel.compose(gen)
-                if comp.rows not in by_rows:
-                    by_rows[comp.rows] = by_rows[rel.rows] + (a,)
-                    nxt.append(comp)
-        layer = nxt
+    """Every tail's stabilized range, the range of its relation's
+    idempotent power, pushed through every relation, even when an
+    earlier tail had the same range.  The relations are those of the
+    words of length 1..max_len."""
+    relations = {}
+    layer = base.index.rows
+    for _ in range(max_len):
+        layer = [rel for rel in dict.fromkeys(layer) if rel not in relations]
         if not layer:
             break
-    relations = [(BoolRelation(n, rows), word) for rows, word in by_rows.items()]
-    relations.sort(key=lambda rw: (len(rw[1]), rw[1]))
-    result = {}
-    for tail_rel, u_word in relations:
-        stable = stabilized_range(tail_rel)
-        if not stable:
-            continue
-        if stable not in result:
-            result[stable] = (u_word, ())
-        for cont_rel, v_word in relations:
-            mask = cont_rel.image(stable)
-            if mask and mask not in result:
-                result[mask] = (u_word, v_word)
-    return {frozenset(v for v in range(n) if mask >> v & 1): w for mask, w in result.items()}
+        relations.update(dict.fromkeys(layer))
+        layer = [compose(rel, gen) for rel in layer for gen in base.index.rows]
+    family = set()
+    for tail in relations:
+        stable = ran_mask(omega_power(tail))
+        if stable:
+            family.add(stable)
+            family.update(mask_image(rel, stable) for rel in relations)
+    family.discard(0)
+    return set(map(set_of, family))
 
 
 ORACLE_CASES = (
@@ -750,10 +738,42 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("name,g", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
 def test_tail_oracle_matches_all_tails_push(name, g):
-    """The whole dict, witnesses and insertion order included."""
     max_len = 2 * len(transition_monoid(g))
-    got = stable_sets_from_tails(g, max_len)
-    assert list(got.items()) == list(reference_tail_oracle(g, max_len).items())
+    assert stable_sets_from_tails(g, max_len) == reference_tail_oracle(g, max_len)
+
+
+ORACLE_MONOID_CAP = 300
+
+
+@st.composite
+def small_essential_graphs(draw):
+    """The essential part of a graph on 1 to 5 vertices over 1 to 3
+    symbols whose monoid has at most ``ORACLE_MONOID_CAP`` elements:
+    right-resolving, a vertex having at most one edge of each symbol, or
+    with any set of targets per vertex and symbol."""
+    n = draw(st.integers(1, 5))
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    if draw(st.booleans()):
+        targets = st.one_of(st.just(()), st.tuples(st.integers(0, n - 1)))
+    else:
+        targets = st.sets(st.integers(0, n - 1))
+    edges = [(v, a, w) for v in range(n) for a in range(len(symbols)) for w in draw(targets)]
+    g = LabeledGraph(tuple(symbols), tuple(f"v{v}" for v in range(n)), tuple(edges))
+    try:
+        g = essentialize(g)
+        transition_monoid(g, ORACLE_MONOID_CAP)
+    except (EmptyShiftError, BudgetExceededError):
+        assume(False)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_essential_graphs())
+def test_tail_oracle_is_the_stable_family_on_drawn_graphs(g):
+    max_len = 2 * len(transition_monoid(g))
+    oracle = stable_sets_from_tails(g, max_len)
+    assert oracle == set(stable_core(g).members)
+    assert oracle == reference_tail_oracle(g, max_len)
 
 
 WALK_RESOLVING = [(name, g) for name, g in WALK_CASES if check_right_resolving(g).ok]
@@ -1305,22 +1325,22 @@ def test_union_refinement_stops_early_on_controls(name, g):
 
 
 def reference_transition_monoid(g):
-    """Breadth-first closure by ``BoolRelation.compose`` with a popped
+    """Breadth-first closure by ``relations.compose`` with a popped
     queue; idempotents flagged by composing each element with itself."""
-    base = [symbol_relation(g, a) for a in range(len(g.symbols))]
+    base = g.index.rows
     elements, words, index = [], [], {}
     for a, rel in enumerate(base):
-        if rel.rows not in index:
-            index[rel.rows] = len(elements)
+        if rel not in index:
+            index[rel] = len(elements)
             elements.append(rel)
             words.append((a,))
     todo = list(range(len(elements)))
     while todo:
         i = todo.pop(0)
         for a, gen in enumerate(base):
-            rel = elements[i].compose(gen)
-            if rel.rows not in index:
-                index[rel.rows] = len(elements)
+            rel = compose(elements[i], gen)
+            if rel not in index:
+                index[rel] = len(elements)
                 elements.append(rel)
                 words.append(words[i] + (a,))
                 todo.append(len(elements) - 1)
@@ -1425,7 +1445,7 @@ def test_transition_monoid_matches_compose_route(name, g):
     assert monoid.idempotent_flags == flags
     idempotents = [(rel, w) for rel, w, flag in zip(elements, words, flags) if flag]
     assert monoid.idempotent_ends == (
-        tuple(rel.ran_mask() for rel, _ in idempotents),
+        tuple(ran_mask(rel) for rel, _ in idempotents),
         tuple(dom_mask(rel) for rel, _ in idempotents),
         tuple(w for _, w in idempotents),
     )

@@ -11,8 +11,8 @@ from soficovers import (
 )
 from soficovers import codes, fibers, verification
 from soficovers.analysis import components_and_sources, periodic_points
-from soficovers.graphs import trim
-from soficovers.relations import stabilized_range
+from soficovers.graphs import mask_image, trim
+from soficovers.relations import compose, stabilized_range
 from soficovers.verification import (
     CRITERIA,
     VerifyBounds,
@@ -154,14 +154,14 @@ def check_tail_asymptotics(g: LabeledGraph) -> CheckOutcome:
             if configs >= 40:
                 break
             middle = word_relation(g, v_word) if v_word else None
-            rel = tail if middle is None else tail.compose(middle).compose(tail)
+            rel = tail if middle is None else compose(compose(tail, middle), tail)
             if is_empty(rel):
                 continue
             configs += 1
             T = p.period
             past = stabilized_range(tail)
             if middle is not None:
-                past = middle.image(past)
+                past = mask_image(middle, past)
             horizon = T * (2 ** min(n, 8) + 2)
             step = [word_relation(g, (p.at(k),)) for k in range(T)]
             forwards = [
@@ -181,7 +181,7 @@ def check_tail_asymptotics(g: LabeledGraph) -> CheckOutcome:
                 elif equal_from is not None:
                     bad.append(f"{p.word}+{v_word}: equality not final from {equal_from}")
                     break
-                current = step[t % T].image(current)
+                current = mask_image(step[t % T], current)
             else:
                 if equal_from is None:
                     bad.append(f"{p.word}+{v_word}: no agreement index")
