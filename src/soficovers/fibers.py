@@ -20,8 +20,9 @@ own.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import GraphFormatError, VerificationError
 from .graphs import (

@@ -11,11 +11,11 @@ matter at the boundaries (files, reports, DOT output).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import NamedTuple, Optional, TypeVar
 
 from .errors import EmptyShiftError, GraphFormatError, NotRightResolvingError
 

@@ -9,7 +9,8 @@ derived files round-trip through :func:`load_graph`.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any, Optional
 
 from .errors import GraphFormatError
 from .graphs import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -79,6 +80,13 @@ from .codes import (
 )
 from .fixtures import BASE_FIXTURES, EXPECTED_GRAPHS, load_fixture
 
+# One graph per bundled fixture name for the whole process, so that what a
+# criterion builds and keeps on a fixture (its index, monoid, stable core,
+# follower quotient; see graphs.kept) serves every later criterion.  The memo
+# is bounded by the fixed set of bundled names, and the package data it reads
+# never changes.  ``load_fixture`` itself still returns a fresh graph.
+_fixture = cache(load_fixture)
+
 
 @dataclass(frozen=True)
 class VerifyBounds:
@@ -119,7 +127,7 @@ def _iso_expected(
     role: str,
     want: tuple[int, int],
 ) -> CheckOutcome:
-    expected = load_fixture(EXPECTED_GRAPHS[fixture][role])
+    expected = _fixture(EXPECTED_GRAPHS[fixture][role])
     res = graphs_isomorphic(got, expected)
     counts_ok = (len(got.vertices), len(got.edges)) == want
     return CheckOutcome(
@@ -134,7 +142,7 @@ def _iso_expected(
 
 
 def _criterion_example_a(bounds: VerifyBounds) -> list[CheckOutcome]:
-    g = load_fixture("example_a")
+    g = _fixture("example_a")
     checks = []
     sub = subset_construction(g, "full")
     checks.append(
@@ -180,7 +188,7 @@ def _criterion_example_a(bounds: VerifyBounds) -> list[CheckOutcome]:
 
 
 def _criterion_example_b(bounds: VerifyBounds) -> list[CheckOutcome]:
-    g = load_fixture("example_b")
+    g = _fixture("example_b")
     checks = []
     fc = future_cover(g, bounds.monoid_budget)
     checks.append(
@@ -261,7 +269,7 @@ def random_right_resolving_graphs(
 
 def _criterion_oracle(bounds: VerifyBounds) -> list[CheckOutcome]:
     named = [
-        (name, load_fixture(name)) for name in ("example_a", "example_b", "even_shift")
+        (name, _fixture(name)) for name in ("example_a", "example_b", "even_shift")
     ]
     randoms = [
         (f"random-{i}", g)
@@ -292,7 +300,7 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
     bad_cores: list[str] = []
     bad_covers: list[str] = []
     for name in BASE_FIXTURES:
-        g = load_fixture(name)
+        g = _fixture(name)
         fc = future_cover(g, bounds.monoid_budget)
         if not check_regular(fc.core.graph, bounds.monoid_budget).ok:
             bad_cores.append(name)
@@ -301,7 +309,7 @@ def _criterion_regularity(bounds: VerifyBounds) -> list[CheckOutcome]:
     fixtures = f"{len(BASE_FIXTURES)} fixtures"
     checks.append(_verdict("stable-cores-regular", bad_cores, fixtures))
     checks.append(_verdict("future-covers-regular", bad_covers, fixtures))
-    g = load_fixture("two_loops_vs_one")
+    g = _fixture("two_loops_vs_one")
     rep = check_regular(g, bounds.monoid_budget)
     q = g.vertex_index("q")
     checks.append(
@@ -352,7 +360,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
     words = 0
     source_words = 0
     for name in BASE_FIXTURES:
-        g = load_fixture(name)
+        g = _fixture(name)
         ext = extended_future_cover(g, bounds.monoid_budget)
         core = ext.future.core
         info = components_and_sources(core.graph)
@@ -395,6 +403,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
     checks.append(_verdict("component-edges-in-fiber-core", comp_bad, in_core, 3))
     in_sources = f"{source_words} words with rays in source components"
     checks.append(_verdict("source-component-fiber-counts", count_bad, in_sources, 3))
+    # fresh graphs: these counts walk their words again, apart from the sweep
     a = load_fixture("example_a")
     b = load_fixture("example_b")
     named_counts = [
@@ -418,7 +427,7 @@ def _criterion_periodic(bounds: VerifyBounds) -> list[CheckOutcome]:
 def _criterion_idempotence(bounds: VerifyBounds) -> list[CheckOutcome]:
     bad: list[str] = []
     for name in BASE_FIXTURES:
-        g = load_fixture(name)
+        g = _fixture(name)
         fc = future_cover(g, bounds.monoid_budget)
         again = future_cover(fc.cover, bounds.monoid_budget)
         if not graphs_isomorphic(again.cover, fc.cover).isomorphic:
@@ -474,7 +483,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
     rng = random.Random(bounds.random_seed)
     checks = _lifted_square_checks(
         "identity-square",
-        identity_square(load_fixture("example_a")),
+        identity_square(_fixture("example_a")),
         None,
         lambda lifted: {k: k for k in range(len(lifted.core_g.graph.edges))},
         ("acts-identically", "reproduce themselves"),
@@ -492,7 +501,7 @@ def _criterion_lifting(bounds: VerifyBounds) -> list[CheckOutcome]:
             for k, (u, s, _) in enumerate(core_g.graph.edges)
         }
 
-    b = load_fixture("example_b")
+    b = _fixture("example_b")
     square = renaming_square(b, LabeledGraph(b.symbols, ("x", "y"), b.edges), (0, 1))
     checks += _lifted_square_checks(
         "renaming-square",
@@ -529,7 +538,7 @@ def _corrupted_higher_block_square(g: LabeledGraph, block: tuple[str, ...]):
 
 def _criterion_negative(bounds: VerifyBounds) -> list[CheckOutcome]:
     checks = []
-    b = load_fixture("example_b")
+    b = _fixture("example_b")
     bad_square = _corrupted_higher_block_square(b, ("2", "2", "2"))
     report = verify_square(bad_square)
     checks.append(
@@ -638,8 +647,8 @@ def run_acceptance(bounds: Optional[VerifyBounds] = None) -> list[CriterionResul
 def headline_counts(bounds: Optional[VerifyBounds] = None) -> list[str]:
     """The four headline construction sizes of the bundled examples."""
     bounds = bounds or VerifyBounds()
-    a = load_fixture("example_a")
-    b = load_fixture("example_b")
+    a = _fixture("example_a")
+    b = _fixture("example_b")
     sub = subset_construction(a, "full")
     core = stable_core(a, bounds.monoid_budget)
     fcore = fiber_core(a, bounds.tail_bound, bounds.monoid_budget)

@@ -7,7 +7,11 @@ files are also cut short.  Each graph
 file goes through ``check``, ``extended-future-cover`` and
 ``export --dot``.  Square files start from the square of the 2-block
 presentation of ``example_b``, are mutated the same way and go through
-``verify --square`` and ``lift --square``.
+``verify --square`` and ``lift --square``.  The same square is also
+given part by part, as a graph argument with ``--graph-h``, ``--phi``,
+``--phi-inv``, ``--psi`` and ``--psi-inv`` files, one of the six
+mutated.  Period strings for ``fibers --period`` are drawn over each
+bundled graph's symbol names, commas and stray characters.
 
 ``cli.main`` runs in process and must never raise.  A run that exits 2
 (bad input) or 3 (a budget overrun) prints nothing on stdout and exactly
@@ -27,7 +31,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from soficovers import higher_block, load_fixture, square_to_data
+from soficovers import BASE_FIXTURES, graph_to_data, higher_block, load_fixture, square_to_data
 from soficovers.cli import main
 
 NAMES = ("u", "v", "w", "0", "1", "")
@@ -43,6 +47,20 @@ SQUARE_COMMANDS = (
     ["lift", *BUDGET],
 )
 SQUARE = square_to_data(higher_block(load_fixture("example_b"), 2))
+# The parts of SQUARE given one file each: (square key, command-line flag),
+# the graph argument first.
+SQUARE_PARTS = (
+    ("graph_g", None),
+    ("graph_h", "--graph-h"),
+    ("edge_code", "--phi"),
+    ("edge_code_inv", "--phi-inv"),
+    ("label_code", "--psi"),
+    ("label_code_inv", "--psi-inv"),
+)
+# Graphs for ``fibers --period``: the bundled bases, and the 2-block
+# recoding of example_b, whose symbol names hold dots.
+PERIOD_GRAPHS = {name: graph_to_data(load_fixture(name)) for name in BASE_FIXTURES}
+PERIOD_GRAPHS["example_b.2-block"] = SQUARE["graph_h"]
 
 json_values = st.recursive(
     st.one_of(
@@ -143,6 +161,15 @@ def outcome(argv, capsys):
     return code, err
 
 
+def square_outcome(command, files, capsys):
+    """``outcome`` of a square command on ``files``: its one exit 1 with
+    an error line is ``lift`` refusing a well-formed square whose
+    identities fail."""
+    code, err = outcome([command[0], *files, *command[1:]], capsys)
+    if code == 1 and err.startswith("error: "):
+        assert command[0] == "lift" and err.startswith("error: square failed verification: ")
+
+
 FUZZ = settings(
     max_examples=150,
     deadline=None,
@@ -167,7 +194,43 @@ def test_square_file_ends_in_a_verdict_or_one_error_line(tmp_path, capsys, text)
     path = tmp_path / "square.json"
     path.write_text(text)
     for command in SQUARE_COMMANDS:
-        code, err = outcome([command[0], "--square", str(path), *command[1:]], capsys)
-        if code == 1 and err.startswith("error: "):
-            # lift refuses a well-formed square whose identities fail
-            assert command[0] == "lift" and err.startswith("error: square failed verification: ")
+        square_outcome(command, ["--square", str(path)], capsys)
+
+
+@FUZZ
+@given(st.sampled_from(range(len(SQUARE_PARTS))), st.data())
+def test_square_parts_end_in_a_verdict_or_one_error_line(tmp_path, capsys, bad, data):
+    parts = []
+    for k, (key, flag) in enumerate(SQUARE_PARTS):
+        text = data.draw(files(st.just(SQUARE[key]))) if k == bad else json.dumps(SQUARE[key])
+        path = tmp_path / f"{key}.json"
+        path.write_text(text)
+        parts += [str(path)] if flag is None else [flag, str(path)]
+    for command in SQUARE_COMMANDS:
+        square_outcome(command, parts, capsys)
+
+
+@st.composite
+def periods(draw, symbols):
+    """A period string: symbol names joined by commas or run together,
+    half of them with one stray token put in; or, one time in five,
+    arbitrary text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=6))
+    parts = draw(st.lists(st.sampled_from(symbols), max_size=6))
+    if draw(st.booleans()):
+        stray = draw(st.sampled_from(("", " ", ",", "-", "x", ".", "\n")))
+        parts.insert(draw(st.integers(0, len(parts))), stray)
+    return draw(st.sampled_from((",", ""))).join(parts)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(PERIOD_GRAPHS)), st.data())
+def test_period_string_ends_in_a_verdict_or_one_error_line(tmp_path, capsys, name, data):
+    doc = PERIOD_GRAPHS[name]
+    text = data.draw(periods(tuple(doc["alphabet"])))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    # the ``=`` form hands argparse a value that starts with a dash as a value
+    code, err = outcome(["fibers", str(path), f"--period={text}"], capsys)
+    assert code != 1 or not err.startswith("error: "), (text, err)

@@ -5,11 +5,13 @@ from soficovers import (
     BASE_FIXTURES,
     CheckOutcome,
     LabeledGraph,
+    future_cover,
     headline_counts,
     load_fixture,
+    run_acceptance,
     stable_core,
 )
-from soficovers import codes, fibers, verification
+from soficovers import codes, fibers, relations, verification
 from soficovers.analysis import components_and_sources, periodic_points
 from soficovers.graphs import mask_image, trim
 from soficovers.relations import compose, stabilized_range
@@ -42,6 +44,43 @@ def test_headline_lines_verbatim():
         "gprime(Example-A): 7 / 18",
         "extended(Example-B): 3 / 8",
     ]
+
+
+def test_criteria_agree_in_any_order_in_one_process():
+    """The criteria share one graph per bundled fixture, so what one
+    criterion keeps on a fixture serves the others and must not change
+    their results: the eight run in order, in reverse order and through
+    ``run_acceptance`` give equal names, verdicts and details."""
+    numbers = [n for n, _, _ in CRITERIA]
+    verification._fixture.cache_clear()
+    forward = [run_criterion(n) for n in numbers]
+    verification._fixture.cache_clear()
+    backward = [run_criterion(n) for n in reversed(numbers)][::-1]
+    assert backward == forward
+    assert run_acceptance() == forward
+    assert all(r.ok for r in forward)
+
+
+def test_criteria_4_and_6_generate_one_monoid_per_future_cover(monkeypatch):
+    """Criterion 6's idempotence sweep reads the stable core that criterion
+    4's regularity check built on each fixture's future cover, so from a
+    cleared memo the two generate each graph's transition monoid once, and
+    each future cover's exactly once."""
+    generated = []
+    generate = relations._generate_monoid
+
+    def spy(g, budget):
+        generated.append(g)
+        return generate(g, budget)
+
+    monkeypatch.setattr(relations, "_generate_monoid", spy)
+    verification._fixture.cache_clear()
+    assert run_criterion(4).ok and run_criterion(6).ok
+    ids = [id(g) for g in generated]
+    assert len(set(ids)) == len(ids)
+    for name in BASE_FIXTURES:
+        cover = future_cover(verification._fixture(name)).cover
+        assert ids.count(id(cover)) == 1, name
 
 
 def test_criterion_5_walks_each_word_once(monkeypatch):
